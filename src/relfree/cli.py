@@ -14,7 +14,7 @@ import shlex
 import sys
 
 from . import diagrams, endo, graded, ledger, report
-from .errors import BudgetExceeded, RelfreeError, Unsatisfiable
+from .errors import BudgetExceeded, EmptyInput, InvalidParams, RelfreeError, Unsatisfiable
 from .verbal import ParamSet, epsilon, make_v, make_w1, make_w2, word_length_symbolic
 from .words import Alphabet, Word, canonical_cyclic, conjugate_in_free, primitive_root
 
@@ -53,12 +53,20 @@ def _params_from_args(args) -> ParamSet:
     if getattr(args, "params", None):
         kv = {}
         with open(args.params, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
                 name, _, value = line.partition("=")
-                kv[name.strip()] = int(value.strip())
+                try:
+                    kv[name.strip()] = int(value.strip())
+                except ValueError:
+                    raise InvalidParams(
+                        f"{args.params}:{lineno}: expected name = integer, got {line!r}"
+                    ) from None
+        missing = [name for name in ("h", "d", "n") if name not in kv]
+        if missing:
+            raise InvalidParams(f"{args.params}: no line sets {', '.join(missing)}")
         return ParamSet(kv["h"], kv["d"], kv["n"])
     return ParamSet(args.h, args.d, args.n)
 
@@ -184,12 +192,20 @@ def _cmd_graded(args) -> int:
         if args.out:
             graded.save_presentation(pres, args.out)
         return EXIT_OK
+    if not args.relators:
+        print(f"graded {args.action} needs --relators <file>", file=sys.stderr)
+        return EXIT_USAGE
+    if args.action == "dehn" and not args.words:
+        print("graded dehn needs a word file", file=sys.stderr)
+        return EXIT_USAGE
     relators = _read_relators(args.relators, args.m)
     if args.action == "pieces":
         piece, lam = graded.piece_stats(relators)
         _emit(args, [("max_piece", piece), ("lambda", lam)])
         return EXIT_OK
     # dehn over a word file
+    if not relators:
+        raise EmptyInput(f"{args.relators}: no relators")
     ab = relators[0].alphabet
     indeterminate = False
     with open(args.words, "r", encoding="utf-8") as fh:

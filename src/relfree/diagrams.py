@@ -14,9 +14,15 @@ model and its conventions:
   computed during checking;
 - accepting requires the gluing to be a fixed-point-free partial involution
   covering every face side, a connected complex with Euler characteristic
-  2 - k for k boundary cycles, every face reading a cyclic shift of a
-  relator or of an inverse relator (or a freely trivial word), and boundary
-  words matching the claim up to rotation.
+  2 - k for k boundary cycles, every face reading a cyclic shift of the
+  cyclic core of a relator or of its inverse (or a freely trivial word), and
+  boundary words matching the claim up to rotation.
+
+A cyclic shift is tested one way throughout: a word a is a shift of b iff
+|a| = |b| and a occurs in bb.  Faces are matched against the relator table
+that Dehn rewriting uses (cyclic cores, so a face reads exactly what a
+rewriting step of :func:`certify_dehn_trace` puts there); claim words are
+matched as given.
 
 Mirror-glued face pairs make a diagram unreduced; that is reported as a
 warning, not a failure, since an unreduced diagram still certifies its
@@ -33,7 +39,7 @@ from typing import Iterable
 
 from .errors import EmptyInput, MalformedCertificate, TraceMismatch, Unsupported
 from .graded import DehnStep, _RelatorTable
-from .words import Alphabet, Word, free_reduce
+from .words import Alphabet, Word, _encode_letters, _is_cyclic_shift, free_reduce, invert
 
 _MAX_BOUNDARIES = 3
 
@@ -141,10 +147,6 @@ def _cycle_word(cert: DiagramCertificate, cycle: list[int]) -> list[int]:
     return [_as_read(cert, ref) for ref in cycle]
 
 
-def _rotations_of(letters: tuple) -> set:
-    return {letters[k:] + letters[:k] for k in range(len(letters))}
-
-
 # -- the checker -------------------------------------------------------------
 
 
@@ -227,15 +229,10 @@ def check_certificate(cert: DiagramCertificate, relators: list[Word]) -> CheckRe
         return CheckResult(False, f"side {unmatched[0]} is not glued")
 
     # faces must read relator shifts (or freely trivial boundary words)
-    allowed: set = set()
-    for r in relators:
-        letters = tuple(r.to_letters())
-        inv = tuple(-g for g in reversed(letters))
-        allowed |= _rotations_of(letters)
-        allowed |= _rotations_of(inv)
+    table = _RelatorTable(relators) if relators and cert.faces else None
     for ci, cycle in enumerate(cert.faces):
-        letters = tuple(_cycle_word(cert, cycle))
-        if letters in allowed:
+        letters = _cycle_word(cert, cycle)
+        if table is not None and table.reads_relator(letters):
             continue
         if free_reduce(cert.alphabet, letters).is_empty:
             continue
@@ -284,41 +281,40 @@ def _rotate(cycle: list[int], pos: int) -> list[int]:
     return cycle[pos:] + cycle[:pos]
 
 
+def _doubled(w: Word) -> str:
+    enc = _encode_letters(w.to_letters())
+    return enc + enc
+
+
 def _claim_mismatch(cert: DiagramCertificate) -> str | None:
     k = len(cert.boundaries)
-    read = [tuple(_cycle_word(cert, b)) for b in cert.boundaries]
+    read = [_encode_letters(_cycle_word(cert, b)) for b in cert.boundaries]
     claim = cert.claim
     if isinstance(claim, EqualityClaim):
         if k != 1:
             return f"equality claim needs one boundary cycle, found {k}"
-        want = tuple(claim.word.to_letters())
-        if not want:
+        if claim.word.is_empty:
             return "the empty word needs no certificate"
-        if read[0] not in _rotations_of(want):
+        if not _is_cyclic_shift(read[0], _doubled(claim.word)):
             return "boundary does not read the claimed word"
         return None
     if isinstance(claim, ConjugacyClaim):
         if k != 2:
             return f"conjugacy claim needs two boundary cycles, found {k}"
-        want_u = _rotations_of(tuple(claim.u.to_letters()))
-        inv_v = tuple(-g for g in reversed(claim.v.to_letters()))
-        want_vinv = _rotations_of(inv_v)
-        for b_u, b_v in ((0, 1), (1, 0)):
-            if read[b_u] in want_u and read[b_v] in want_vinv:
-                return None
-        return "boundaries do not read the claimed word and inverse word"
+        if _match_boundaries(read, [_doubled(claim.u), _doubled(invert(claim.v))]) is None:
+            return "boundaries do not read the claimed word and inverse word"
+        return None
     if len(claim.words) != k:
         return f"claim lists {len(claim.words)} boundary words, diagram has {k}"
-    wanted = [_rotations_of(tuple(w.to_letters())) for w in claim.words]
-    order = _match_boundaries(read, wanted)
-    if order is None:
+    if _match_boundaries(read, [_doubled(w) for w in claim.words]) is None:
         return "boundary words do not match the claimed tuple"
     return None
 
 
-def _match_boundaries(read: list[tuple], wanted: list[set]):
+def _match_boundaries(read: list[str], wanted: list[str]):
+    """A permutation sending each boundary reading to a claim word it shifts."""
     for perm in itertools.permutations(range(len(wanted))):
-        if all(read[i] in wanted[perm[i]] for i in range(len(wanted))):
+        if all(_is_cyclic_shift(read[i], wanted[perm[i]]) for i in range(len(wanted))):
             return perm
     return None
 

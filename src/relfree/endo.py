@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .errors import AlphabetMismatch, RankTooSmall
 from .verbal import ParamSet, build_w1_like, build_w2_tail, make_v, make_w1, make_w2
-from .words import Alphabet, Word, _append_runs, commutator, concat, cyclic_reduce, _tile_runs, power
+from .words import Alphabet, Word, _PowerFactory, _append_runs, commutator, concat, power
 
 
 def substitute(w: Word, images: Sequence[Word], target: Alphabet) -> Word:
@@ -35,34 +35,13 @@ def substitute(w: Word, images: Sequence[Word], target: Alphabet) -> Word:
     for img in images:
         if img.alphabet != target:
             raise AlphabetMismatch("image words must live in the target alphabet")
-    factories: dict[int, tuple] = {}
+    factories: dict[int, _PowerFactory] = {}
     acc: list = []
     for g, e in w.runs:
         fac = factories.get(g)
         if fac is None:
-            core, conj = cyclic_reduce(images[g - 1])
-            fac = (core.runs, conj.runs,
-                   tuple((x, -y) for x, y in reversed(conj.runs)), {})
-            factories[g] = fac
-        core_runs, conj_runs, conj_inv_runs, cache = fac
-        seg = cache.get(e)
-        if seg is None:
-            if not core_runs:
-                seg = []
-            else:
-                if e > 0:
-                    tiled = _tile_runs(core_runs, e)
-                else:
-                    tiled = _tile_runs(
-                        tuple((x, -y) for x, y in reversed(core_runs)), -e)
-                if conj_runs:
-                    seg = list(conj_runs)
-                    _append_runs(seg, tiled)
-                    _append_runs(seg, conj_inv_runs)
-                else:
-                    seg = tiled
-            cache[e] = seg
-        _append_runs(acc, seg)
+            fac = factories[g] = _PowerFactory(images[g - 1])
+        _append_runs(acc, fac.runs(e))
     return Word._from_run_list(target, acc)
 
 
@@ -201,10 +180,3 @@ def check_report(p: ParamSet, alphabet: Alphabet | None = None) -> list[Identity
             f"no rewriting step applies over {len(relators)} toy relators"))
     return checks
 
-
-def group_level_note() -> str:
-    """The one claim the toolkit cannot decide, stated honestly."""
-    return ("U != 1 in the limit group (hence non-injectivity of the "
-            "endomorphism) is ASSERTED by the source argument; desk evidence: "
-            "free-group nontriviality, cyclic reducedness, and the ledger gap "
-            "between (n+h)h and (1-alpha)(h-1)nd. Verdict: INDETERMINATE here.")

@@ -57,14 +57,6 @@ class BudgetExceeded(RelfreeError):
     """A bounded search or rewriting loop ran out of budget."""
 
 
-class OracleBudgetExceeded(BudgetExceeded):
-    """A conjugacy/identity oracle exhausted its budget; verdicts are indeterminate."""
-
-    def __init__(self, indeterminate=(), message: str = ""):
-        self.indeterminate = list(indeterminate)
-        super().__init__(message or "oracle budget exceeded")
-
-
 class WitnessNotFound(RelfreeError):
     """No conjugating word realizes the claimed identity."""
 

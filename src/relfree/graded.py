@@ -28,6 +28,7 @@ from .errors import (
     EmptyInput,
     EmptyWord,
     InvalidParams,
+    RelfreeError,
     Unsupported,
     WitnessNotFound,
     ZeroExponent,
@@ -36,11 +37,14 @@ from .verbal import ParamSet, build_w1_like, build_w2_like, make_v, make_w1, mak
 from .words import (
     Alphabet,
     Word,
+    _encode_letters,
+    _is_cyclic_shift,
     canonical_cyclic,
     concat_all,
     conjugate,
     cyclic_reduce,
     enumerate_reduced_words,
+    free_reduce,
     invert,
     minimal_conjugacy_witness,
     power,
@@ -71,9 +75,6 @@ class FreeOracle:
 
     def is_conjugate(self, u: Word, v: Word) -> Verdict:
         return Verdict.YES if canonical_cyclic(u) == canonical_cyclic(v) else Verdict.NO
-
-    def conjugacy_witness(self, u: Word, v: Word) -> Word | None:
-        return minimal_conjugacy_witness(u, v)
 
 
 class DehnOracle:
@@ -119,10 +120,6 @@ class DehnOracle:
             return Verdict.YES
         return Verdict.INDETERMINATE
 
-    def conjugacy_witness(self, u: Word, v: Word) -> Word | None:
-        witness = minimal_conjugacy_witness(u, v)
-        return witness  # free-group witness is valid in any quotient
-
 
 # -- Dehn rewriting --------------------------------------------------------
 
@@ -150,15 +147,13 @@ class DehnResult:
     exhausted: bool
 
 
-def _encode(letters) -> str:
-    return "".join(chr(0x100 + g) for g in letters)
-
-
 class _RelatorTable:
-    """Doubled-string search structures for a symmetrized relator set.
+    """The symmetrized relator set, as doubled strings for substring search.
 
     Relators are replaced by their cyclic cores (the normal closure is the
-    same and the symmetrized set is built from cyclic words anyway)."""
+    same and the symmetrized set is built from cyclic words anyway); each
+    core and its inverse is one entry.  Dehn rewriting, certificate building
+    and certificate checking all read relator shifts from this one table."""
 
     def __init__(self, relators: list[Word]):
         if not relators:
@@ -171,7 +166,12 @@ class _RelatorTable:
             letters = tuple(core.to_letters())
             inv = tuple(-g for g in reversed(letters))
             for sign, ls in ((1, letters), (-1, inv)):
-                self.entries.append((idx, sign, ls, _encode(ls + ls)))
+                self.entries.append((idx, sign, ls, _encode_letters(ls + ls)))
+
+    def reads_relator(self, letters) -> bool:
+        """Whether ``letters`` is a cyclic shift of an entry."""
+        enc = _encode_letters(letters)
+        return any(_is_cyclic_shift(enc, doubled) for _, _, _, doubled in self.entries)
 
     def best_match(self, enc: str, length: int, pos: int):
         """Longest half-exceeding match at ``pos``; None when there is none.
@@ -241,7 +241,7 @@ def dehn_reduce_trace(w: Word, relators: list[Word],
         if len(steps) >= budget:
             exhausted = True
             break
-        enc = _encode(letters)
+        enc = _encode_letters(letters)
         found = None
         for pos in range(len(letters)):
             got = table.best_match(enc, len(letters), pos)
@@ -253,8 +253,6 @@ def dehn_reduce_trace(w: Word, relators: list[Word],
         pos, (matched, idx, sign, offset, replacement) = found
         steps.append(DehnStep(pos, matched, idx, sign, offset))
         letters = _splice_reduce(letters, pos, matched, replacement)
-    from .words import free_reduce
-
     return DehnResult(free_reduce(w.alphabet, letters), tuple(steps), exhausted)
 
 
@@ -810,7 +808,10 @@ def save_presentation(pres: GradedPresentation, path) -> None:
 
 
 def load_presentation(path) -> GradedPresentation:
-    """Parse the text format; relator words are regenerated, never stored."""
+    """Parse the text format; relator words are regenerated, never stored.
+
+    A line that cannot be read raises :class:`InvalidParams` naming the file
+    and line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     alphabet = None
@@ -818,38 +819,48 @@ def load_presentation(path) -> GradedPresentation:
     mode = "toy"
     pres = None
     current: RankData | None = None
-    for raw in lines:
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = shlex.split(line)
-        head = tokens[0]
-        if head == "alphabet":
-            alphabet = Alphabet(int(tokens[1]))
-        elif head == "params":
-            kv = dict(tok.split("=", 1) for tok in tokens[1:])
-            params = ParamSet(int(kv["h"]), int(kv["d"]), int(kv["n"]))
-        elif head == "mode":
-            mode = tokens[1]
-            pres = GradedPresentation(alphabet=alphabet, params=params, mode=mode)
-        elif head == "rank":
-            if pres is None:
+        try:
+            tokens = shlex.split(line)
+            head = tokens[0]
+            if head in ("mode", "rank", "period", "relator") \
+                    and (alphabet is None or params is None):
+                raise InvalidParams(f"{head} line before the alphabet and params lines")
+            if head in ("period", "relator") and current is None:
+                raise InvalidParams(f"{head} line before any rank line")
+            if head == "alphabet":
+                alphabet = Alphabet(int(tokens[1]))
+            elif head == "params":
+                kv = dict(tok.split("=", 1) for tok in tokens[1:])
+                params = ParamSet(int(kv["h"]), int(kv["d"]), int(kv["n"]))
+            elif head == "mode":
+                mode = tokens[1]
                 pres = GradedPresentation(alphabet=alphabet, params=params, mode=mode)
-            kv = dict(tok.split("=", 1) for tok in tokens[2:])
-            current = pres.rank_data(int(tokens[1]),
-                                     provenance=kv.get("provenance", "enumerated"))
-            current.provenance = kv.get("provenance", current.provenance)
-        elif head == "period":
-            current.periods.append(Word.parse(alphabet, tokens[1]))
-        elif head == "relator":
-            kv = dict(tok.split("=", 1) for tok in tokens[1:])
-            rec = build_relator(
-                int(kv["z*"]), Word.parse(alphabet, kv["A"]), int(kv["f"]),
-                Word.parse(alphabet, kv["T"]), Word.parse(alphabet, kv["U"]),
-                params, j=int(kv["j"]))
-            current.relators.append(rec)
-        else:
-            raise InvalidParams(f"unrecognized line in presentation file: {raw!r}")
+            elif head == "rank":
+                if pres is None:
+                    pres = GradedPresentation(alphabet=alphabet, params=params, mode=mode)
+                kv = dict(tok.split("=", 1) for tok in tokens[2:])
+                current = pres.rank_data(int(tokens[1]),
+                                         provenance=kv.get("provenance", "enumerated"))
+                current.provenance = kv.get("provenance", current.provenance)
+            elif head == "period":
+                current.periods.append(Word.parse(alphabet, tokens[1]))
+            elif head == "relator":
+                kv = dict(tok.split("=", 1) for tok in tokens[1:])
+                rec = build_relator(
+                    int(kv["z*"]), Word.parse(alphabet, kv["A"]), int(kv["f"]),
+                    Word.parse(alphabet, kv["T"]), Word.parse(alphabet, kv["U"]),
+                    params, j=int(kv["j"]))
+                current.relators.append(rec)
+            else:
+                raise InvalidParams("unrecognized line")
+        except (RelfreeError, ValueError, KeyError, IndexError) as exc:
+            raise InvalidParams(f"{path}:{lineno}: cannot read {line!r}: {exc!r}") from exc
+    if alphabet is None or params is None:
+        raise InvalidParams(f"{path}: a presentation needs alphabet and params lines")
     if pres is None:
         pres = GradedPresentation(alphabet=alphabet, params=params, mode=mode)
     return pres

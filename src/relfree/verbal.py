@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AlphabetMismatch, InvalidIndex, InvalidParams
-from .words import Word, _append_runs, commutator, concat, cyclic_reduce, _tile_runs, power
+from .words import Word, _PowerFactory, _append_runs, commutator, concat, power
 
 
 @dataclass(frozen=True)
@@ -74,36 +74,6 @@ def w1_sign_indices(h: int) -> list[int]:
 def w2_exponents(h: int, n: int) -> list[int]:
     """The h block exponents n^2+1 .. n^2+h of the second identity word."""
     return [n * n + j for j in range(1, h + 1)]
-
-
-class _PowerFactory:
-    """Run sequences of powers of a fixed word, sharing one cyclic reduction."""
-
-    def __init__(self, w: Word):
-        core, conj = cyclic_reduce(w)
-        self._core = core.runs
-        self._conj = conj.runs
-        self._conj_inv = tuple((g, -e) for g, e in reversed(conj.runs))
-        self._cache: dict[int, list] = {}
-
-    def runs(self, k: int) -> list:
-        if k == 0 or not self._core:
-            return []
-        got = self._cache.get(k)
-        if got is not None:
-            return got
-        if k > 0:
-            tiled = _tile_runs(self._core, k)
-        else:
-            tiled = _tile_runs(tuple((g, -e) for g, e in reversed(self._core)), -k)
-        if self._conj:
-            out = list(self._conj)
-            _append_runs(out, tiled)
-            _append_runs(out, self._conj_inv)
-        else:
-            out = tiled
-        self._cache[k] = out
-        return out
 
 
 def make_v(z: int, x: Word, y: Word, p: ParamSet) -> Word:

@@ -355,23 +355,47 @@ def invert(u: Word) -> Word:
     return Word(u.alphabet, tuple((g, -e) for g, e in reversed(u.runs)))
 
 
+def _power_runs(core: tuple, conj: tuple, k: int) -> list:
+    """Runs of (conj core conj^-1)^k = conj core^k conj^-1 for a nonempty
+    cyclically reduced ``core`` and ``k != 0``."""
+    if k < 0:
+        core, k = tuple((g, -e) for g, e in reversed(core)), -k
+    tiled = _tile_runs(core, k)
+    if not conj:
+        return tiled
+    out = list(conj)
+    _append_runs(out, tiled)
+    _append_runs(out, tuple((g, -e) for g, e in reversed(conj)))
+    return out
+
+
+class _PowerFactory:
+    """Run sequences of powers of a fixed word, sharing one cyclic reduction."""
+
+    def __init__(self, w: Word):
+        core, conj = cyclic_reduce(w)
+        self._core = core.runs
+        self._conj = conj.runs
+        self._cache: dict[int, list] = {}
+
+    def runs(self, k: int) -> list:
+        if k == 0 or not self._core:
+            return []
+        got = self._cache.get(k)
+        if got is None:
+            got = self._cache[k] = _power_runs(self._core, self._conj, k)
+        return got
+
+
 def power(u: Word, k: int) -> Word:
     """u**k, computed through the cyclically reduced core so that huge k
     costs no more than the final size (a single run for single-run cores)."""
     if k == 0 or u.is_empty:
         return Word.identity(u.alphabet)
-    if k < 0:
-        return power(invert(u), -k)
     if k == 1:
         return u
     core, conj = cyclic_reduce(u)
-    tiled = _tile_runs(core.runs, k)
-    if conj.is_empty:
-        return Word._from_run_list(u.alphabet, tiled)
-    acc = list(conj.runs)
-    _append_runs(acc, tiled)
-    _append_runs(acc, invert(conj).runs)
-    return Word._from_run_list(u.alphabet, acc)
+    return Word._from_run_list(u.alphabet, _power_runs(core.runs, conj.runs, k))
 
 
 def conjugate(u: Word, by: Word) -> Word:
@@ -504,9 +528,16 @@ def _divisors(n: int) -> list[int]:
 # -- conjugacy witnesses --------------------------------------------------
 
 
-def _encode_letters(letters: list[int]) -> str:
-    # chr() mapping gives C-speed substring search through str.find
-    return "".join(chr(0x100 + g) for g in letters)
+def _encode_letters(letters) -> str:
+    # chr() mapping gives C-speed substring search through str.find; letters
+    # a_k, a_k^-1 become code points 2k, 2k+1, one byte each while k < 128
+    return "".join(chr(2 * g if g > 0 else 1 - 2 * g) for g in letters)
+
+
+def _is_cyclic_shift(enc: str, doubled: str) -> bool:
+    """Whether the encoded word ``enc`` is a cyclic shift of the word b whose
+    encoding, doubled, is ``doubled``: |enc| = |b| and enc occurs in bb."""
+    return 2 * len(enc) == len(doubled) and enc in doubled
 
 
 def conjugacy_witnesses(u: Word, v: Word, letter_budget: int = DEFAULT_LETTER_BUDGET):

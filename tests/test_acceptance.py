@@ -7,9 +7,13 @@ apart.  Runtime expectations are asserted too, with slack only where the
 criterion text grants none at all.
 """
 
+from pathlib import Path
+
 import pytest
 
 from relfree import report
+
+EXPECTED_REPORT_KV = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "report_kv.txt"
 
 BUDGETS = {  # seconds, from the criterion statements
     "C01": 1.0,
@@ -82,3 +86,5 @@ def test_cli_report_agrees_with_library(capsys):
     for cid, _, _, _ in report.CRITERIA:
         assert f"criterion={cid}" in out
     assert "pass=false" not in out
+    # the kv report is byte-stable: it must match the recorded copy exactly
+    assert out == EXPECTED_REPORT_KV.read_text(encoding="utf-8")

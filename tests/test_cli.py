@@ -1,6 +1,9 @@
 from fractions import Fraction
 
+import pytest
+
 from relfree import cli, ledger
+from relfree.errors import RelfreeError
 from relfree.verbal import ParamSet, make_w1
 from relfree.words import Alphabet, Word
 
@@ -219,3 +222,53 @@ def test_kv_output_is_stable(capsys):
     code2, out2, _ = run(capsys, "word", "root", "a1 a2 a1 a2", "--output", "kv")
     assert (code1, out1) == (code2, out2)
     assert "root=" in out1 and "k=2" in out1
+
+
+# -- malformed input ends in an error, not a traceback ---------------------------
+
+def test_params_file_missing_a_name_is_an_error(capsys, tmp_path):
+    params = tmp_path / "p.txt"
+    params.write_text("h = 20\nd = 2\n")
+    code, _, err = run(capsys, "endo", "check", "--params", str(params))
+    assert code == 1
+    assert str(params) in err and "n" in err
+
+
+def test_graded_dehn_without_word_file_is_usage_error(capsys, tmp_path):
+    rel = tmp_path / "rel.txt"
+    rel.write_text("a1 a2 a1^-1 a2^-1\n")
+    code, _, err = run(capsys, "graded", "dehn", "--relators", str(rel))
+    assert code == 2
+    assert "word file" in err
+
+
+def test_graded_without_relators_is_usage_error(capsys, tmp_path):
+    words = tmp_path / "words.txt"
+    words.write_text("a1\n")
+    for argv in (("graded", "dehn", str(words)), ("graded", "pieces")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "--relators" in err
+
+
+def test_graded_dehn_with_empty_relator_file_is_an_error(capsys, tmp_path):
+    rel = tmp_path / "rel.txt"
+    rel.write_text("# no relators\n")
+    words = tmp_path / "words.txt"
+    words.write_text("a1\n")
+    code, _, err = run(capsys, "graded", "dehn", str(words), "--relators", str(rel))
+    assert code == 1
+    assert str(rel) in err
+
+
+def test_presentation_period_before_rank_names_file_and_line(tmp_path):
+    from relfree.graded import load_presentation
+
+    path = tmp_path / "pres.txt"
+    for body, lineno in (("alphabet 2\nparams h=20 d=2 n=3\nperiod a1\n", 3),
+                         ("alphabet 2\nparams h=20 d=2 n=3\nmode toy\n"
+                          "relator z*=1 A=a1 f=1 j=1 T=a2 U=a2\n", 4),
+                         ("period a1\nalphabet 2\n", 1)):
+        path.write_text(body)
+        with pytest.raises(RelfreeError, match=f"{path}:{lineno}:"):
+            load_presentation(path)

@@ -13,7 +13,7 @@ from relfree.diagrams import (
     random_corruption,
     save_certificate,
 )
-from relfree.errors import MalformedCertificate, TraceMismatch, Unsupported
+from relfree.errors import EmptyWord, MalformedCertificate, TraceMismatch, Unsupported
 from relfree.graded import DehnStep, dehn_reduce_trace
 from relfree.words import Alphabet, Word, concat, conjugate, power
 
@@ -23,18 +23,19 @@ AB4 = Alphabet(4)
 GENUS2 = Word.parse(AB4, "a1 a2 a1^-1 a2^-1 a3 a4 a3^-1 a4^-1")
 
 
-def one_face_disk():
-    """Face and boundary both read the commutator; sides glued in parallel."""
+def one_face_disk(word=COMM):
+    """Face and boundary both read ``word``; sides glued in parallel."""
+    n = word.letter_length
     labels = {}
-    for i, g in enumerate(COMM.to_letters(), start=1):
-        labels[i] = g          # face sides 1..4
-        labels[i + 4] = g      # boundary sides 5..8
+    for i, g in enumerate(word.to_letters(), start=1):
+        labels[i] = g          # face sides 1..n
+        labels[i + n] = g      # boundary sides n+1..2n
     return DiagramCertificate(
         AB, labels,
-        faces=[[1, 2, 3, 4]],
-        boundaries=[[5, 6, 7, 8]],
-        pairs=[(1, 5), (2, 6), (3, 7), (4, 8)],
-        claim=EqualityClaim(COMM))
+        faces=[list(range(1, n + 1))],
+        boundaries=[list(range(n + 1, 2 * n + 1))],
+        pairs=[(i, i + n) for i in range(1, n + 1)],
+        claim=EqualityClaim(word))
 
 
 def zero_face_annulus():
@@ -57,6 +58,15 @@ def test_one_face_disk_accepts():
 def test_rotation_annulus_accepts():
     out = check_certificate(zero_face_annulus(), [])
     assert out.accepted, out.reason
+
+
+def test_annulus_second_boundary_must_read_the_inverse():
+    # the second boundary reads the claimed v itself, not v^-1
+    cert = zero_face_annulus()
+    cert.claim = ConjugacyClaim(Word.parse(AB, "a1 a2"), Word.parse(AB, "a1^-1 a2^-1"))
+    out = check_certificate(cert, [])
+    assert not out.accepted
+    assert out.reason == "boundaries do not read the claimed word and inverse word"
 
 
 def test_removed_pairing_breaks_euler():
@@ -182,6 +192,44 @@ def test_multi_step_trace_round_trip():
     cert = certify_dehn_trace(w, [GENUS2], res.steps)
     assert len(cert.faces) == len(res.steps) == 2
     assert check_certificate(cert, [GENUS2]).accepted
+
+
+def test_trace_round_trip_over_relator_not_cyclically_reduced():
+    # faces read shifts of the cyclic core, which is what rewriting matched
+    a3 = Word.parse(AB4, "a3")
+    relator = conjugate(GENUS2, a3)
+    assert not relator.is_cyclically_reduced()
+    w = concat(conjugate(GENUS2, Word.parse(AB4, "a3 a1")), power(GENUS2, -1))
+    res = dehn_reduce_trace(w, [relator])
+    assert res.word.is_empty
+    cert = certify_dehn_trace(w, [relator], res.steps)
+    out = check_certificate(cert, [relator])
+    assert out.accepted, out.reason
+
+
+def test_faces_are_matched_against_relator_cores():
+    conjugated = conjugate(COMM, Word.parse(AB, "a1"))
+    # a face reading the cyclic core of the relator is accepted ...
+    assert check_certificate(one_face_disk(), [conjugated]).accepted
+    # ... and one reading the relator as written is not
+    out = check_certificate(one_face_disk(conjugated), [conjugated])
+    assert not out.accepted
+    assert out.reason == "face 0 does not read a relator shift"
+
+
+def test_trace_round_trip_over_a_large_alphabet():
+    ab = Alphabet(300)
+    relator = Word.parse(ab, "a299 a300 a299^-1 a300^-1")
+    w = conjugate(relator, Word.parse(ab, "a1"))
+    res = dehn_reduce_trace(w, [relator])
+    assert res.word.is_empty
+    cert = certify_dehn_trace(w, [relator], res.steps)
+    assert check_certificate(cert, [relator]).accepted
+
+
+def test_freely_trivial_relator_raises():
+    with pytest.raises(EmptyWord):
+        check_certificate(one_face_disk(), [Word.parse(AB, "a1 a1^-1")])
 
 
 def test_tampered_trace_rejected():
