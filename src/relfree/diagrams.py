@@ -37,7 +37,7 @@ import shlex
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import EmptyInput, MalformedCertificate, TraceMismatch, Unsupported
+from .errors import EmptyInput, MalformedCertificate, RelfreeError, TraceMismatch, Unsupported
 from .graded import DehnStep, _RelatorTable
 from .words import Alphabet, Word, _encode_letters, _is_cyclic_shift, free_reduce, invert
 
@@ -461,7 +461,18 @@ def save_certificate(cert: DiagramCertificate, path) -> None:
                      + " ".join(shlex.quote(str(w)) for w in claim.words) + "\n")
 
 
+def _fields(tokens: list[str], count: int) -> list[str]:
+    """The ``count`` fields after the head of a certificate line."""
+    if len(tokens) != count + 1:
+        raise MalformedCertificate(f"{tokens[0]} takes {count} field(s), got {len(tokens) - 1}")
+    return tokens[1:]
+
+
 def load_certificate(path) -> DiagramCertificate:
+    """Parse the text format written by :func:`save_certificate`.
+
+    A line that cannot be read raises :class:`MalformedCertificate` naming
+    the file and line."""
     alphabet = None
     labels: dict[int, int] = {}
     faces: list[list[int]] = []
@@ -469,40 +480,48 @@ def load_certificate(path) -> DiagramCertificate:
     pairs: list[tuple[int, int]] = []
     claim: Claim | None = None
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            tokens = shlex.split(line)
-            head = tokens[0]
-            if head == "alphabet":
-                alphabet = Alphabet(int(tokens[1]))
-            elif head == "edge":
-                side = int(tokens[1])
-                word = Word.parse(alphabet, tokens[2])
-                if word.letter_length != 1:
-                    raise MalformedCertificate(
-                        f"edge label must be a single letter, got {tokens[2]!r}")
-                labels[side] = word.to_letters()[0]
-            elif head == "pair":
-                pairs.append((int(tokens[1]), int(tokens[2])))
-            elif head == "face":
-                faces.append([int(t) for t in tokens[1:]])
-            elif head == "boundary":
-                boundaries.append([int(t) for t in tokens[1:]])
-            elif head == "claim":
-                if tokens[1] == "equality":
-                    claim = EqualityClaim(Word.parse(alphabet, tokens[2]))
-                elif tokens[1] == "conjugacy":
-                    claim = ConjugacyClaim(Word.parse(alphabet, tokens[2]),
-                                           Word.parse(alphabet, tokens[3]))
-                elif tokens[1] == "punctured":
-                    claim = PuncturedSphereClaim(
-                        tuple(Word.parse(alphabet, t) for t in tokens[2:]))
+            try:
+                tokens = shlex.split(line)
+                head = tokens[0]
+                if head in ("edge", "claim") and alphabet is None:
+                    raise MalformedCertificate(f"{head} line before the alphabet line")
+                if head == "alphabet":
+                    alphabet = Alphabet(int(_fields(tokens, 1)[0]))
+                elif head == "edge":
+                    side, token = _fields(tokens, 2)
+                    word = Word.parse(alphabet, token)
+                    if word.letter_length != 1:
+                        raise MalformedCertificate(
+                            f"edge label must be a single letter, got {token!r}")
+                    labels[int(side)] = word.to_letters()[0]
+                elif head == "pair":
+                    s, t = _fields(tokens, 2)
+                    pairs.append((int(s), int(t)))
+                elif head == "face":
+                    faces.append([int(t) for t in tokens[1:]])
+                elif head == "boundary":
+                    boundaries.append([int(t) for t in tokens[1:]])
+                elif head == "claim":
+                    kind = tokens[1] if len(tokens) > 1 else None
+                    if kind == "equality":
+                        claim = EqualityClaim(Word.parse(alphabet, _fields(tokens[1:], 1)[0]))
+                    elif kind == "conjugacy":
+                        u, v = _fields(tokens[1:], 2)
+                        claim = ConjugacyClaim(Word.parse(alphabet, u), Word.parse(alphabet, v))
+                    elif kind == "punctured":
+                        claim = PuncturedSphereClaim(
+                            tuple(Word.parse(alphabet, t) for t in tokens[2:]))
+                    else:
+                        raise MalformedCertificate(f"unknown claim kind {kind!r}")
                 else:
-                    raise MalformedCertificate(f"unknown claim kind {tokens[1]!r}")
-            else:
-                raise MalformedCertificate(f"unrecognized line {raw!r}")
+                    raise MalformedCertificate("unrecognized line")
+            except (RelfreeError, ValueError) as exc:
+                raise MalformedCertificate(
+                    f"{path}:{lineno}: cannot read {line!r}: {exc}") from exc
     if alphabet is None or claim is None:
-        raise MalformedCertificate("certificate needs an alphabet and a claim")
+        raise MalformedCertificate(f"{path}: a certificate needs an alphabet and a claim")
     return DiagramCertificate(alphabet, labels, faces, boundaries, pairs, claim)

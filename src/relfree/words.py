@@ -99,32 +99,36 @@ def _tile_runs(runs, k: int) -> list:
     return [runs[0]] + mid + ([(fg, fe + le)] + mid) * (k - 1) + [runs[-1]]
 
 
-def _rle_letter_cmp(runs_a, runs_b) -> int:
-    """Compare two equal-length run sequences letterwise in shortlex letter order."""
-    ia = ib = 0
-    off_a = off_b = 0
-    na, nb = len(runs_a), len(runs_b)
-    while ia < na and ib < nb:
-        ga, ea = runs_a[ia]
-        gb, eb = runs_b[ib]
-        ka = (ga, 0) if ea > 0 else (ga, 1)
-        kb = (gb, 0) if eb > 0 else (gb, 1)
-        if ka != kb:
-            return -1 if ka < kb else 1
-        take = min(abs(ea) - off_a, abs(eb) - off_b)
-        off_a += take
-        off_b += take
-        if off_a == abs(ea):
-            ia += 1
-            off_a = 0
-        if off_b == abs(eb):
-            ib += 1
-            off_b = 0
-    if ia < na:
-        return 1
-    if ib < nb:
-        return -1
-    return 0
+def _run_keys(runs, after) -> list:
+    """One comparable key per run, such that comparing two run sequences of
+    equal letter length key by key agrees with comparing them letterwise.
+
+    A run of ``c`` letters ``l`` followed by a letter ``l' != l`` gets
+    ``(l, 0, c)`` when ``l' < l`` and ``(l, 1, -c)`` when ``l' > l``, with
+    letters ordered a1 < a1^-1 < a2 < ... (``2g`` and ``2g + 1``).  At the
+    first key that differs the letters decide, or else the shorter run meets
+    its follower first, so the first ``min(c) + 1`` letters of the two runs
+    decide the same way.  The letter after the last run is the first run's
+    letter when ``after`` is None (a cyclic word), else ``after``.
+    """
+    ls = [2 * g if e > 0 else 2 * g + 1 for g, e in runs]
+    ls.append(ls[0] if after is None else after)
+    return [(l, 0, abs(e)) if nl < l else (l, 1, -abs(e))
+            for (_, e), l, nl in zip(runs, ls, ls[1:])]
+
+
+# Keys the letter after the last run of a linear word as larger than every letter.
+_END = float("inf")
+
+
+def _seam_merged(runs: tuple) -> tuple:
+    """The runs of a cyclically reduced core read as a cyclic word: when the
+    first and last runs share a generator, cyclic reducedness makes their
+    signs equal and they join into one run, put first."""
+    if len(runs) >= 3 and runs[0][0] == runs[-1][0]:
+        g, e = runs[0]
+        return ((g, e + runs[-1][1]),) + runs[1:-1]
+    return runs
 
 
 class Word:
@@ -429,59 +433,78 @@ def exponent_sum(u: Word, g: int) -> int:
 
 
 def cyclic_reduce(u: Word) -> tuple[Word, Word]:
-    """Split u = conj * core * conj^-1 with the core cyclically reduced."""
-    runs = list(u.runs)
+    """Split u = conj * core * conj^-1 with the core cyclically reduced.
+
+    Peels matching end runs by index, so the time is linear in the number of
+    runs however long the conjugator is."""
+    runs = u.runs
+    i, j = 0, len(runs) - 1
     conj: list = []
-    while len(runs) >= 2:
-        g1, e1 = runs[0]
-        g2, e2 = runs[-1]
+    core = None
+    while i < j:
+        g1, e1 = runs[i]
+        g2, e2 = runs[j]
         if g1 != g2 or (e1 > 0) == (e2 > 0):
             break
         if e1 + e2 == 0:
             conj.append((g1, e1))
-            runs = runs[1:-1]
+            i += 1
+            j -= 1
         elif abs(e1) < abs(e2):
             conj.append((g1, e1))
-            runs = runs[1:-1] + [(g2, e1 + e2)]
+            core = runs[i + 1:j] + ((g2, e1 + e2),)
             break
         else:
             conj.append((g1, -e2))
-            runs = [(g1, e1 + e2)] + runs[1:-1]
+            core = ((g1, e1 + e2),) + runs[i + 1:j]
             break
     return (
-        Word._from_run_list(u.alphabet, runs),
+        Word(u.alphabet, runs[i:j + 1] if core is None else core),
         Word._from_run_list(u.alphabet, conj),
     )
-
-
-def _rotations(core: Word) -> Iterator[tuple[int, tuple]]:
-    """Run sequences of all run-boundary rotations of a cyclically reduced core."""
-    runs = core.runs
-    n = len(runs)
-    for r in range(n):
-        if r == 0:
-            yield 0, runs
-            continue
-        rot = list(runs[r:])
-        _append_runs(rot, runs[:r])
-        yield r, tuple(rot)
 
 
 def canonical_cyclic(u: Word) -> CyclicWord:
     """Shortlex-least rotation of the cyclically reduced core.
 
-    The minimum over rotations is attained at a run boundary: moving the
-    start into the middle of a run either repeats the same least letter or
-    is beaten by starting right after the run.
+    The minimum over rotations starts at a run of the core read as a cyclic
+    word (first and last runs joined when they share a generator): a start
+    inside a run of ``l`` is beaten by the run's own start when the letter
+    after the run is larger than ``l``, and by that letter's start when it
+    is smaller.  Comparing such rotations letterwise is comparing their
+    cyclic run keys (see :func:`_run_keys`), so the least rotation of the
+    key list, found by the two-pointer minimum-expression scan, names the
+    run to start at.  Time and memory are linear in the number of runs.
+
+    >>> ab = Alphabet(2)
+    >>> str(canonical_cyclic(Word.parse(ab, "a1 a2 a1")))
+    'a1^2 a2'
     """
     core, _ = cyclic_reduce(u)
     if len(core.runs) <= 1:
         return CyclicWord(core)
-    best = None
-    for _, rot in _rotations(core):
-        if best is None or _rle_letter_cmp(rot, best) < 0:
-            best = rot
-    return CyclicWord(Word(u.alphabet, best))
+    runs = _seam_merged(core.runs)
+    keys = _run_keys(runs, None)
+    n = len(keys)
+    keys += keys
+    # i < j are the two candidate starts agreeing on k keys; a mismatch rules
+    # out the larger side's start and the k starts after it
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = keys[i + k], keys[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        elif i > j:
+            i, j = j, i
+        k = 0
+    return CyclicWord(Word(u.alphabet, runs[i:] + runs[:i]))
 
 
 def conjugate_in_free(u: Word, v: Word) -> bool:
@@ -493,6 +516,14 @@ def conjugate_in_free(u: Word, v: Word) -> bool:
 def primitive_root(u: Word) -> tuple[Word, int]:
     """Write a cyclically reduced u as root**k with k maximal.
 
+    u is a k-th power iff the cyclic word it reads is invariant under a
+    rotation by |u|/k letters, which carries runs to runs: iff its runs, read
+    cyclically with the seam joined, are a block of runs repeated k times.
+    The smallest period p of that run tuple comes from the KMP failure
+    function, and k = N / p when p divides the number N of runs, else 1; a
+    single run (g, e) is a_g^(+-1) to the power |e|.  Time is linear in the
+    number of runs, whatever the exponents.
+
     >>> ab = Alphabet(2)
     >>> w = Word.parse(ab, "a1 a2 a1 a2 a1 a2")
     >>> root, k = primitive_root(w)
@@ -503,26 +534,25 @@ def primitive_root(u: Word) -> tuple[Word, int]:
         raise EmptyWord("the empty word has no primitive root")
     if not u.is_cyclically_reduced():
         raise EmptyWord("primitive_root expects a cyclically reduced word")
-    n = u.letter_length
-    for ell in _divisors(n):
-        if ell == n:
-            break
-        cand = u.prefix(ell)
-        if power(cand, n // ell) == u:
-            return cand, n // ell
-    return u, 1
-
-
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    runs = _seam_merged(u.runs)
+    n = len(runs)
+    if n == 1:
+        k = abs(runs[0][1])
+    else:
+        fail = [0] * (n + 1)
+        f = 0
+        for i in range(1, n):
+            r = runs[i]
+            while f and runs[f] != r:
+                f = fail[f]
+            if runs[f] == r:
+                f += 1
+            fail[i + 1] = f
+        p = n - f
+        k = n // p if n % p == 0 else 1
+    if k == 1:
+        return u, 1
+    return u.prefix(u.letter_length // k), k
 
 
 # -- conjugacy witnesses --------------------------------------------------
@@ -599,13 +629,13 @@ def minimal_conjugacy_witness(u: Word, v: Word) -> Word | None:
 def _shortlex_less(u: Word, v: Word) -> bool:
     if u.letter_length != v.letter_length:
         return u.letter_length < v.letter_length
-    return _rle_letter_cmp(u.runs, v.runs) < 0
+    return _run_keys(u.runs, _END) < _run_keys(v.runs, _END)
 
 
 def shortlex_key(u: Word) -> tuple:
-    """Sort key for the shortlex order on words (length, then letter order)."""
-    letters = u.to_letters()
-    return (len(letters), tuple(letter_key(g) for g in letters))
+    """Sort key for the shortlex order on words (length, then letter order),
+    built from run keys without materializing letters."""
+    return (u.letter_length, _run_keys(u.runs, _END))
 
 
 def enumerate_reduced_words(alphabet: Alphabet, max_len: int,

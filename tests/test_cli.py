@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import relfree
 from relfree import cli, ledger
 from relfree.errors import RelfreeError
 from relfree.verbal import ParamSet, make_w1
@@ -272,3 +277,43 @@ def test_presentation_period_before_rank_names_file_and_line(tmp_path):
         path.write_text(body)
         with pytest.raises(RelfreeError, match=f"{path}:{lineno}:"):
             load_presentation(path)
+
+
+@pytest.mark.parametrize("body, lineno", [
+    ("alphabet 2\npair 1\n", 2),
+    ("edge 1 a1\nalphabet 2\n", 1),
+    ("alphabet 2\nedge x a1\n", 2),
+    ("alphabet 2\nface 1 -y\n", 2),
+    ("alphabet 2\nboundary 1.5\n", 2),
+    ("alphabet 2\nclaim conjugacy a1\n", 2),
+    ("alphabet 2\n# unterminated quote\nclaim equality 'a1 a2\n", 3),
+], ids=["pair-missing-side", "edge-before-alphabet", "side-not-integer",
+        "face-entry-not-integer", "boundary-entry-not-integer",
+        "claim-missing-word", "unterminated-quote"])
+def test_malformed_certificate_names_file_and_line(capsys, tmp_path, body, lineno):
+    rel = tmp_path / "rel.txt"
+    rel.write_text("a1 a2 a1^-1 a2^-1\n")
+    cert = tmp_path / "cert.txt"
+    cert.write_text(body)
+    code, _, err = run(capsys, "vkd", "check", str(cert), "--relators", str(rel))
+    assert code == 1
+    assert f"{cert}:{lineno}:" in err
+
+
+# -- huge exponents: answered from the runs, never by scanning letters -----------
+
+def run_cli_process(*argv, timeout=10):
+    """Run ``relfree`` in a fresh interpreter, so that a hang fails the test."""
+    env = dict(os.environ, PYTHONPATH=str(Path(relfree.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "relfree.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("word, root, k", [
+    (f"a1^{2 ** 70}", "a1", 2 ** 70),
+    (f"a1^{2 ** 70} a2 a1^{2 ** 70} a2", f"a1^{2 ** 70} a2", 2),
+], ids=["single-run", "square"])
+def test_word_root_with_a_huge_exponent(word, root, k):
+    proc = run_cli_process("word", "root", word)
+    assert proc.returncode == 0
+    assert proc.stdout == f"root: {root}\nk: {k}\n"

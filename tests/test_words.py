@@ -3,7 +3,13 @@ import random
 import pytest
 
 from relfree.errors import AlphabetMismatch, BudgetExceeded, EmptyWord, InvalidLetter
-from relfree.report import naive_conjugate, naive_cyclic_core, naive_primitive_root, naive_reduce
+from relfree.report import (
+    naive_conjugacy_key,
+    naive_conjugate,
+    naive_cyclic_core,
+    naive_primitive_root,
+    naive_reduce,
+)
 from relfree.words import (
     Alphabet,
     Word,
@@ -18,8 +24,10 @@ from relfree.words import (
     exponent_sum,
     free_reduce,
     invert,
+    letter_key,
     power,
     primitive_root,
+    shortlex_key,
 )
 
 AB = Alphabet(2)
@@ -30,6 +38,17 @@ A2 = Word.generator(AB, 2)
 def rand_letters(rng, n, m=2):
     return [rng.choice([s * g for g in range(1, m + 1) for s in (1, -1)])
             for _ in range(n)]
+
+
+def seam_letters(rng, m=3, emax=5):
+    """A cyclically reduced letter sequence whose first and last runs share a
+    generator and sign, so that they join across the seam."""
+    g = rng.choice([s * k for k in range(1, m + 1) for s in (1, -1)])
+    inner = []
+    while not inner or inner[0] in (g, -g) or inner[-1] in (g, -g):
+        inner = naive_reduce(rand_letters(rng, rng.randint(1, 6), m))
+    return ([g] * rng.randint(1, emax) + inner * rng.randint(1, emax)
+            + [g] * rng.randint(1, emax))
 
 
 # -- reduction ---------------------------------------------------------------
@@ -203,6 +222,32 @@ def test_canonical_cyclic_conjugation_invariant():
         assert canonical_cyclic(u) == canonical_cyclic(conjugate(u, g))
 
 
+def test_canonical_rotation_matches_naive_key_exhaustively():
+    for w in enumerate_reduced_words(AB, 7):
+        assert tuple(canonical_cyclic(w).rep.to_letters()) == \
+            naive_conjugacy_key(w.to_letters())
+
+
+def test_canonical_rotation_matches_naive_key_across_the_seam():
+    ab3 = Alphabet(3)
+    rng = random.Random(12)
+    for _ in range(500):
+        seq = naive_reduce(seam_letters(rng))
+        w = free_reduce(ab3, seq)
+        assert len(canonical_cyclic(w).rep.runs) == len(w.runs) - 1
+        assert tuple(canonical_cyclic(w).rep.to_letters()) == naive_conjugacy_key(seq)
+        g = free_reduce(ab3, rand_letters(rng, rng.randint(0, 4), 3))
+        assert canonical_cyclic(conjugate(w, g)) == canonical_cyclic(w)
+
+
+def test_shortlex_key_orders_like_letters():
+    words = list(enumerate_reduced_words(AB, 6))
+    random.Random(13).shuffle(words)
+    naive = sorted(words, key=lambda w: (w.letter_length,
+                                          [letter_key(g) for g in w.to_letters()]))
+    assert sorted(words, key=shortlex_key) == naive
+
+
 def test_conjugate_in_free_examples():
     assert conjugate_in_free(Word.parse(AB, "a1 a2"), Word.parse(AB, "a2 a1"))
     assert not conjugate_in_free(A1, A2)
@@ -250,6 +295,17 @@ def test_primitive_root_exhaustive_vs_divisor_oracle():
         root, k = primitive_root(w)
         nroot, nk = naive_primitive_root(w.to_letters())
         assert (tuple(root.to_letters()), k) == (nroot, nk)
+
+
+def test_primitive_root_across_the_seam():
+    root, k = primitive_root(power(Word.parse(AB, "a1 a2 a1"), 3))
+    assert (str(root), k) == ("a1 a2 a1", 3)
+    ab3 = Alphabet(3)
+    rng = random.Random(14)
+    for _ in range(300):
+        seq = naive_reduce(seam_letters(rng)) * rng.randint(1, 4)
+        root, k = primitive_root(free_reduce(ab3, seq))
+        assert (tuple(root.to_letters()), k) == naive_primitive_root(seq)
 
 
 def test_primitive_root_is_primitive():
