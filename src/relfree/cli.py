@@ -14,7 +14,14 @@ import shlex
 import sys
 
 from . import diagrams, endo, graded, ledger, report
-from .errors import BudgetExceeded, EmptyInput, InvalidParams, RelfreeError, Unsatisfiable
+from .errors import (
+    BudgetExceeded,
+    EmptyInput,
+    InvalidLetter,
+    InvalidParams,
+    RelfreeError,
+    Unsatisfiable,
+)
 from .verbal import ParamSet, epsilon, make_v, make_w1, make_w2, word_length_symbolic
 from .words import Alphabet, Word, canonical_cyclic, conjugate_in_free, primitive_root
 
@@ -28,12 +35,11 @@ def _infer_alphabet(texts: list[str], m: int | None) -> Alphabet:
     if m is not None:
         return Alphabet(m)
     best = 1
-    for text in texts:
-        for token in text.split():
-            if token.startswith("a"):
-                body = token.partition("^")[0][1:]
-                if body.isdigit():
-                    best = max(best, int(body))
+    for token in {token for text in texts for token in text.split()}:
+        if token.startswith("a"):
+            body = token.partition("^")[0][1:]
+            if body.isdecimal():
+                best = max(best, int(body))
     return Alphabet(best)
 
 
@@ -71,12 +77,28 @@ def _params_from_args(args) -> ParamSet:
     return ParamSet(args.h, args.d, args.n)
 
 
-def _read_relators(path, m: int | None = None) -> list[Word]:
+def _read_word_lines(path) -> list[tuple[int, str]]:
+    """(line number, text) of every line of a word file that is neither blank
+    nor a ``#`` comment; line numbers count every line of the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        texts = [line.strip() for line in fh
-                 if line.strip() and not line.startswith("#")]
-    ab = _infer_alphabet(texts, m)
-    return [Word.parse(ab, text) for text in texts]
+        return [(lineno, line.strip()) for lineno, line in enumerate(fh, start=1)
+                if line.strip() and not line.startswith("#")]
+
+
+def _parse_word_lines(path, lines: list[tuple[int, str]], ab: Alphabet) -> list[Word]:
+    words = []
+    for lineno, text in lines:
+        try:
+            words.append(Word.parse(ab, text))
+        except InvalidLetter as exc:
+            raise InvalidLetter(f"{path}:{lineno}: {exc}") from exc
+    return words
+
+
+def _read_relators(path, m: int | None = None) -> list[Word]:
+    lines = _read_word_lines(path)
+    ab = _infer_alphabet([text for _, text in lines], m)
+    return _parse_word_lines(path, lines, ab)
 
 
 def _enforce_ledger_mode(args) -> int | None:
@@ -206,14 +228,12 @@ def _cmd_graded(args) -> int:
     # dehn over a word file
     if not relators:
         raise EmptyInput(f"{args.relators}: no relators")
-    ab = relators[0].alphabet
+    words = _parse_word_lines(args.words, _read_word_lines(args.words),
+                              relators[0].alphabet)
+    table = graded._RelatorTable(relators)
     indeterminate = False
-    with open(args.words, "r", encoding="utf-8") as fh:
-        texts = [line.strip() for line in fh
-                 if line.strip() and not line.startswith("#")]
-    for text in texts:
-        w = Word.parse(ab, text)
-        res = graded.dehn_reduce_trace(w, relators, args.budget_dehn)
+    for w in words:
+        res = graded.dehn_reduce_trace(w, relators, args.budget_dehn, _table=table)
         status = "indeterminate" if res.exhausted else "reduced"
         indeterminate = indeterminate or res.exhausted
         _emit(args, [(status, str(res.word))])

@@ -39,7 +39,16 @@ from typing import Iterable
 
 from .errors import EmptyInput, MalformedCertificate, RelfreeError, TraceMismatch, Unsupported
 from .graded import DehnStep, _RelatorTable
-from .words import Alphabet, Word, _encode_letters, _is_cyclic_shift, free_reduce, invert
+from .words import (
+    Alphabet,
+    Word,
+    _decode_letters,
+    _encode_letters,
+    _encode_word,
+    _is_cyclic_shift,
+    free_reduce,
+    invert,
+)
 
 _MAX_BOUNDARIES = 3
 
@@ -282,7 +291,7 @@ def _rotate(cycle: list[int], pos: int) -> list[int]:
 
 
 def _doubled(w: Word) -> str:
-    enc = _encode_letters(w.to_letters())
+    enc = _encode_word(w)
     return enc + enc
 
 
@@ -333,9 +342,7 @@ def certify_dehn_trace(w: Word, relators: list[Word],
     if w.is_empty:
         raise EmptyInput("nothing to certify for the empty word")
     table = _RelatorTable(relators)
-    by_key = {}
-    for idx, sign, ls, _enc in table.entries:
-        by_key[(idx, sign)] = ls
+    by_key = {(idx, sign): (rlen, doubled) for idx, sign, rlen, doubled in table.entries}
 
     labels: dict[int, int] = {}
     faces: list[list[int]] = []
@@ -360,11 +367,10 @@ def certify_dehn_trace(w: Word, relators: list[Word],
         key = (step.relator_index, step.sign)
         if key not in by_key:
             raise TraceMismatch(f"step references unknown relator variant {key}")
-        ls = by_key[key]
-        rlen = len(ls)
+        rlen, doubled = by_key[key]
         if not (0 < step.matched <= rlen) or not (0 <= step.offset < rlen):
             raise TraceMismatch("step indices out of range")
-        rotated = (ls + ls)[step.offset:step.offset + rlen]
+        rotated = _decode_letters(doubled[step.offset:step.offset + rlen])
         p_letters = rotated[:step.matched]
         q_letters = rotated[step.matched:]
         if step.pos < 0 or step.pos + step.matched > len(frontier):
@@ -471,10 +477,13 @@ def _fields(tokens: list[str], count: int) -> list[str]:
 def load_certificate(path) -> DiagramCertificate:
     """Parse the text format written by :func:`save_certificate`.
 
-    A line that cannot be read raises :class:`MalformedCertificate` naming
-    the file and line."""
+    Lines are split on whitespace; only ``claim`` lines, whose words
+    :func:`save_certificate` quotes, go through :func:`shlex.split`, so a
+    quoted field on any other line is an error.  A line that cannot be read
+    raises :class:`MalformedCertificate` naming the file and line."""
     alphabet = None
     labels: dict[int, int] = {}
+    letters: dict[str, int] = {}  # edge label -> letter, for the current alphabet
     faces: list[list[int]] = []
     boundaries: list[list[int]] = []
     pairs: list[tuple[int, int]] = []
@@ -485,19 +494,23 @@ def load_certificate(path) -> DiagramCertificate:
             if not line or line.startswith("#"):
                 continue
             try:
-                tokens = shlex.split(line)
+                tokens = line.split()
                 head = tokens[0]
                 if head in ("edge", "claim") and alphabet is None:
                     raise MalformedCertificate(f"{head} line before the alphabet line")
                 if head == "alphabet":
                     alphabet = Alphabet(int(_fields(tokens, 1)[0]))
+                    letters.clear()
                 elif head == "edge":
                     side, token = _fields(tokens, 2)
-                    word = Word.parse(alphabet, token)
-                    if word.letter_length != 1:
-                        raise MalformedCertificate(
-                            f"edge label must be a single letter, got {token!r}")
-                    labels[int(side)] = word.to_letters()[0]
+                    letter = letters.get(token)
+                    if letter is None:
+                        word = Word.parse(alphabet, token)
+                        if word.letter_length != 1:
+                            raise MalformedCertificate(
+                                f"edge label must be a single letter, got {token!r}")
+                        letter = letters[token] = word.to_letters()[0]
+                    labels[int(side)] = letter
                 elif head == "pair":
                     s, t = _fields(tokens, 2)
                     pairs.append((int(s), int(t)))
@@ -506,6 +519,7 @@ def load_certificate(path) -> DiagramCertificate:
                 elif head == "boundary":
                     boundaries.append([int(t) for t in tokens[1:]])
                 elif head == "claim":
+                    tokens = shlex.split(line)
                     kind = tokens[1] if len(tokens) > 1 else None
                     if kind == "equality":
                         claim = EqualityClaim(Word.parse(alphabet, _fields(tokens[1:], 1)[0]))

@@ -37,7 +37,10 @@ from .verbal import ParamSet, build_w1_like, build_w2_like, make_v, make_w1, mak
 from .words import (
     Alphabet,
     Word,
+    _decode_letters,
     _encode_letters,
+    _encode_word,
+    _inverse_codes,
     _is_cyclic_shift,
     canonical_cyclic,
     concat_all,
@@ -152,21 +155,26 @@ class _RelatorTable:
 
     Relators are replaced by their cyclic cores (the normal closure is the
     same and the symmetrized set is built from cyclic words anyway); each
-    core and its inverse is one entry.  Dehn rewriting, certificate building
-    and certificate checking all read relator shifts from this one table."""
+    core and its inverse is one entry ``(index, sign, length, doubled)``.
+    Cores are encoded from their runs and inverses derived from the strings,
+    so no relator is expanded letter by letter.  Dehn rewriting, certificate
+    building and certificate checking all read relator shifts from this one
+    table."""
 
     def __init__(self, relators: list[Word]):
         if not relators:
             raise EmptyInput("need at least one relator")
         self.entries = []
+        self._inverse: dict = {}
         for idx, r in enumerate(relators):
             core, _ = cyclic_reduce(r)
             if core.is_empty:
                 raise EmptyWord(f"relator {idx} is freely trivial")
-            letters = tuple(core.to_letters())
-            inv = tuple(-g for g in reversed(letters))
-            for sign, ls in ((1, letters), (-1, inv)):
-                self.entries.append((idx, sign, ls, _encode_letters(ls + ls)))
+            enc = _encode_word(core)
+            self._inverse.update(_inverse_codes(enc))
+            inv = enc[::-1].translate(self._inverse)
+            for sign, e in ((1, enc), (-1, inv)):
+                self.entries.append((idx, sign, len(e), e + e))
 
     def reads_relator(self, letters) -> bool:
         """Whether ``letters`` is a cyclic shift of an entry."""
@@ -179,8 +187,7 @@ class _RelatorTable:
         Returns (matched, relator_index, sign, offset, replacement_letters).
         """
         best = None
-        for idx, sign, ls, doubled in self.entries:
-            rlen = len(ls)
+        for idx, sign, rlen, doubled in self.entries:
             cap = min(rlen, length - pos)
             if 2 * cap <= rlen:
                 continue
@@ -200,10 +207,14 @@ class _RelatorTable:
             excess = 2 * matched - rlen
             key = (-excess, idx, 0 if sign > 0 else 1, offset)
             if best is None or key < best[0]:
-                rest = (ls + ls)[offset + matched:offset + rlen]
-                replacement = tuple(-g for g in reversed(rest))
-                best = (key, (matched, idx, sign, offset, replacement))
-        return None if best is None else best[1]
+                best = (key, matched, idx, sign, offset, rlen, doubled)
+        if best is None:
+            return None
+        _, matched, idx, sign, offset, rlen, doubled = best
+        # the inverse of the rest of the rotated entry
+        rest = doubled[offset + matched:offset + rlen]
+        replacement = tuple(_decode_letters(rest[::-1].translate(self._inverse)))
+        return matched, idx, sign, offset, replacement
 
 
 def _splice_reduce(letters: list[int], pos: int, matched: int, replacement) -> list[int]:

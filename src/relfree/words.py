@@ -131,6 +131,28 @@ def _seam_merged(runs: tuple) -> tuple:
     return runs
 
 
+def _parse_token(alphabet: Alphabet, tok: str) -> tuple[int, int]:
+    """The run ``(k, e)`` that one token ``a<k>`` or ``a<k>^<e>`` stands for
+    (``e`` may be 0)."""
+    body = tok
+    exponent = 1
+    if "^" in tok:
+        body, _, etext = tok.partition("^")
+        try:
+            exponent = int(etext)
+        except ValueError:
+            raise InvalidLetter(f"bad exponent in token {tok!r}") from None
+    if not body.startswith("a"):
+        raise InvalidLetter(f"bad token {tok!r}")
+    try:
+        k = int(body[1:])
+    except ValueError:
+        raise InvalidLetter(f"bad token {tok!r}") from None
+    if k < 1 or k > alphabet.m:
+        raise InvalidLetter(f"generator a{k} outside alphabet of {alphabet.m}")
+    return (k, exponent)
+
+
 class Word:
     """A freely reduced word, immutable after construction.
 
@@ -180,26 +202,28 @@ class Word:
         tokens = text.split()
         if tokens == ["1"]:
             return cls.identity(alphabet)
+        # each distinct token is parsed once; runs go onto a reduced stack,
+        # where a run can only merge with or cancel the top run
+        parsed: dict = {}
+        get = parsed.get
         acc: list = []
+        push = acc.append
+        top = 0  # generator of the top run, 0 when the stack is empty
         for tok in tokens:
-            body = tok
-            exponent = 1
-            if "^" in tok:
-                body, _, etext = tok.partition("^")
-                try:
-                    exponent = int(etext)
-                except ValueError:
-                    raise InvalidLetter(f"bad exponent in token {tok!r}") from None
-            if not body.startswith("a"):
-                raise InvalidLetter(f"bad token {tok!r}")
-            try:
-                k = int(body[1:])
-            except ValueError:
-                raise InvalidLetter(f"bad token {tok!r}") from None
-            if k < 1 or k > alphabet.m:
-                raise InvalidLetter(f"generator a{k} outside alphabet of {alphabet.m}")
-            if exponent != 0:
-                _append_runs(acc, ((k, exponent),))
+            run = get(tok)
+            if run is None:
+                run = parsed[tok] = _parse_token(alphabet, tok)
+            g, e = run
+            if g == top:
+                s = acc[-1][1] + e
+                if s:
+                    acc[-1] = (g, s)
+                else:
+                    acc.pop()
+                    top = acc[-1][0] if acc else 0
+            elif e:
+                push(run)
+                top = g
         return cls._from_run_list(alphabet, acc)
 
     # -- queries ------------------------------------------------------
@@ -231,11 +255,16 @@ class Word:
             self._sums = sums
         return self._sums
 
-    def to_letters(self, limit: int | None = DEFAULT_LETTER_BUDGET) -> list[int]:
-        """Materialize the signed-letter sequence.  Guarded by ``limit``."""
+    def _check_budget(self, limit: int | None) -> None:
+        """Raise :class:`BudgetExceeded` when the word has more than ``limit``
+        letters (no limit when None)."""
         if limit is not None and self.letter_length > limit:
             raise BudgetExceeded(
                 f"word has {self.letter_length} letters, over the budget of {limit}")
+
+    def to_letters(self, limit: int | None = DEFAULT_LETTER_BUDGET) -> list[int]:
+        """Materialize the signed-letter sequence.  Guarded by ``limit``."""
+        self._check_budget(limit)
         out: list[int] = []
         for g, e in self.runs:
             out.extend([g if e > 0 else -g] * abs(e))
@@ -564,6 +593,35 @@ def _encode_letters(letters) -> str:
     return "".join(chr(2 * g if g > 0 else 1 - 2 * g) for g in letters)
 
 
+def _encode_word(w: Word, limit: int | None = DEFAULT_LETTER_BUDGET) -> str:
+    """``_encode_letters(w.to_letters(limit))``, built run by run: the budget
+    is checked before anything is built, and each distinct run's string is
+    made once."""
+    w._check_budget(limit)
+    pieces: dict = {}
+    out = []
+    for run in w.runs:
+        piece = pieces.get(run)
+        if piece is None:
+            g, e = run
+            piece = pieces[run] = chr(2 * g if e > 0 else 2 * g + 1) * abs(e)
+        out.append(piece)
+    return "".join(out)
+
+
+def _inverse_codes(enc: str) -> dict:
+    """``str.translate`` table swapping the code of each letter of ``enc``
+    with its inverse's; the inverse of an encoded word is its reverse,
+    translated.  Built from the letters that occur, not from the alphabet,
+    whose size a file may set arbitrarily large."""
+    return {c: c ^ 1 for c in map(ord, set(enc))}
+
+
+def _decode_letters(enc: str) -> list[int]:
+    """The signed letters of an encoded word (inverse of :func:`_encode_letters`)."""
+    return [-(c >> 1) if c & 1 else c >> 1 for c in map(ord, enc)]
+
+
 def _is_cyclic_shift(enc: str, doubled: str) -> bool:
     """Whether the encoded word ``enc`` is a cyclic shift of the word b whose
     encoding, doubled, is ``doubled``: |enc| = |b| and enc occurs in bb."""
@@ -581,8 +639,8 @@ def conjugacy_witnesses(u: Word, v: Word, letter_budget: int = DEFAULT_LETTER_BU
         if core_v.is_empty:
             yield Word.identity(u.alphabet)
         return
-    lu = _encode_letters(core_u.to_letters(letter_budget))
-    lv = _encode_letters(core_v.to_letters(letter_budget))
+    lu = _encode_word(core_u, letter_budget)
+    lv = _encode_word(core_v, letter_budget)
     doubled = lv + lv
     cv_inv = invert(cv)
     start = doubled.find(lu)

@@ -119,6 +119,25 @@ def test_graded_dehn_budget_exhaustion_is_exit_3(capsys, tmp_path):
     assert code == 3
 
 
+def test_graded_dehn_builds_one_relator_table_per_relator_file(capsys, tmp_path, monkeypatch):
+    from relfree import graded
+
+    built = []
+
+    class CountingTable(graded._RelatorTable):
+        def __init__(self, relators):
+            built.append(len(relators))
+            super().__init__(relators)
+
+    monkeypatch.setattr(graded, "_RelatorTable", CountingTable)
+    rel = tmp_path / "rel.txt"
+    rel.write_text("a1 a2 a1^-1 a2^-1\n")
+    words = tmp_path / "words.txt"
+    words.write_text("a1\na2\na1 a2 a1^-1 a2^-1\n")
+    code, out, _ = run(capsys, "graded", "dehn", str(words), "--relators", str(rel))
+    assert (code, out) == (0, "reduced: a1\nreduced: a2\nreduced: 1\n")
+    assert built == [1]
+
 def test_nonpositive_budget_is_usage_error(capsys, tmp_path):
     rel = tmp_path / "rel.txt"
     rel.write_text("a1 a2 a1^-1 a2^-1\n")
@@ -287,9 +306,11 @@ def test_presentation_period_before_rank_names_file_and_line(tmp_path):
     ("alphabet 2\nboundary 1.5\n", 2),
     ("alphabet 2\nclaim conjugacy a1\n", 2),
     ("alphabet 2\n# unterminated quote\nclaim equality 'a1 a2\n", 3),
+    # only claim lines are unquoted; save_certificate quotes nothing else
+    ("alphabet 2\nedge 1 'a1'\nclaim equality a1\n", 2),
 ], ids=["pair-missing-side", "edge-before-alphabet", "side-not-integer",
         "face-entry-not-integer", "boundary-entry-not-integer",
-        "claim-missing-word", "unterminated-quote"])
+        "claim-missing-word", "unterminated-quote", "quoted-edge-label"])
 def test_malformed_certificate_names_file_and_line(capsys, tmp_path, body, lineno):
     rel = tmp_path / "rel.txt"
     rel.write_text("a1 a2 a1^-1 a2^-1\n")
@@ -298,6 +319,83 @@ def test_malformed_certificate_names_file_and_line(capsys, tmp_path, body, linen
     code, _, err = run(capsys, "vkd", "check", str(cert), "--relators", str(rel))
     assert code == 1
     assert f"{cert}:{lineno}:" in err
+
+
+# blank and comment lines count, so the numbers are the file's own line numbers
+BAD_WORD_FILE = "a1 a2\n\n# a comment\na1 b2\n"
+
+
+def test_graded_dehn_names_the_bad_line_of_a_relator_file(capsys, tmp_path):
+    rel = tmp_path / "rel.txt"
+    rel.write_text(BAD_WORD_FILE)
+    words = tmp_path / "words.txt"
+    words.write_text("a1\n")
+    code, _, err = run(capsys, "graded", "dehn", str(words), "--relators", str(rel))
+    assert code == 1
+    assert f"{rel}:4: bad token 'b2'" in err
+
+
+def test_graded_dehn_names_the_bad_line_of_a_word_file(capsys, tmp_path):
+    rel = tmp_path / "rel.txt"
+    rel.write_text("a1 a2 a1^-1 a2^-1\n")
+    words = tmp_path / "words.txt"
+    words.write_text("a1\n# a comment\n\na2 a1^x\n")
+    code, out, err = run(capsys, "graded", "dehn", str(words), "--relators", str(rel))
+    assert code == 1
+    assert f"{words}:4: bad exponent in token 'a1^x'" in err
+
+
+def test_graded_pieces_names_the_bad_line_of_a_relator_file(capsys, tmp_path):
+    rel = tmp_path / "rel.txt"
+    rel.write_text(BAD_WORD_FILE)
+    code, _, err = run(capsys, "graded", "pieces", "--relators", str(rel))
+    assert code == 1
+    assert f"{rel}:4: bad token 'b2'" in err
+
+
+def test_vkd_check_names_the_bad_line_of_a_relator_file(capsys, tmp_path):
+    from relfree.diagrams import certify_dehn_trace, save_certificate
+    from relfree.graded import dehn_reduce_trace
+
+    comm = Word.parse(Alphabet(2), "a1 a2 a1^-1 a2^-1")
+    cert = certify_dehn_trace(comm, [comm], dehn_reduce_trace(comm, [comm]).steps)
+    cert_path = tmp_path / "cert.txt"
+    save_certificate(cert, cert_path)
+    rel = tmp_path / "rel.txt"
+    rel.write_text("# relators\na1 a2 a1^-1 a3^-1\n")  # the certificate has two generators
+    code, _, err = run(capsys, "vkd", "check", str(cert_path), "--relators", str(rel))
+    assert code == 1
+    assert f"{rel}:2: generator a3 outside alphabet of 2" in err
+
+
+def test_word_with_a_non_ascii_digit_is_a_bad_token(capsys):
+    code, _, err = run(capsys, "word", "reduce", "a\u00b2")
+    assert code == 1
+    assert "bad token" in err
+
+
+# -- byte-stable presentation file -------------------------------------------------
+
+PRESENTATION_20_2_3_SHA256 = \
+    "68bb6ac4e9b6952af3bb5177602a7dca768a7b626bbdeef9543e4bbec22b7401"
+
+
+def test_graded_build_presentation_file_is_byte_stable(capsys, tmp_path):
+    import hashlib
+
+    from relfree.graded import build_presentation, load_presentation
+    from relfree.verbal import ParamSet
+
+    out_file = tmp_path / "pres.txt"
+    code, _, _ = run(capsys, "graded", "build", "--rank", "2", "--pair-budget", "1",
+                     "--h", "20", "--d", "2", "--n", "3", "--out", str(out_file))
+    assert code == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == PRESENTATION_20_2_3_SHA256
+    built = build_presentation(Alphabet(2), ParamSet(20, 2, 3), max_rank=2, pair_budget=1)
+    loaded = load_presentation(out_file)
+    assert [str(rec.relator) for rec in loaded.all_relators()] \
+        == [str(rec.relator) for rec in built.all_relators()]
+    assert len(loaded.all_relators()) == 16
 
 
 # -- huge exponents: answered from the runs, never by scanning letters -----------
@@ -317,3 +415,32 @@ def test_word_root_with_a_huge_exponent(word, root, k):
     proc = run_cli_process("word", "root", word)
     assert proc.returncode == 0
     assert proc.stdout == f"root: {root}\nk: {k}\n"
+
+
+def test_vkd_check_under_a_huge_alphabet_line(tmp_path):
+    # the certificate's alphabet line sets the alphabet the relators are read in
+    from relfree.diagrams import certify_dehn_trace, save_certificate
+    from relfree.graded import dehn_reduce_trace
+
+    comm = Word.parse(Alphabet(2), "a1 a2 a1^-1 a2^-1")
+    cert = certify_dehn_trace(comm, [comm], dehn_reduce_trace(comm, [comm]).steps)
+    cert_path = tmp_path / "cert.txt"
+    save_certificate(cert, cert_path)
+    lines = cert_path.read_text().splitlines()
+    assert lines[0] == "alphabet 2"
+    cert_path.write_text("\n".join(["alphabet 100000000"] + lines[1:]) + "\n")
+    rel = tmp_path / "rel.txt"
+    rel.write_text(str(comm) + "\n")
+    proc = run_cli_process("vkd", "check", str(cert_path), "--relators", str(rel))
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("verdict: ACCEPT")
+
+
+def test_graded_dehn_over_a_huge_relator_runs_out_of_budget(tmp_path):
+    rel = tmp_path / "rel.txt"
+    rel.write_text(f"a1^{2 ** 70} a2\n")
+    words = tmp_path / "words.txt"
+    words.write_text("a1\n")
+    proc = run_cli_process("graded", "dehn", str(words), "--relators", str(rel))
+    assert proc.returncode == 3
+    assert "over the budget of 10000000" in proc.stderr

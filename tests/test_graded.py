@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from relfree.errors import (
     BudgetExceeded,
@@ -15,6 +17,7 @@ from relfree.graded import (
     GradedPresentation,
     RelatorRecord,
     Verdict,
+    _RelatorTable,
     _pair_conjugacy_witness,
     build_presentation,
     build_relator,
@@ -33,11 +36,14 @@ from relfree.verbal import ParamSet, make_v, make_w1
 from relfree.words import (
     Alphabet,
     Word,
+    _decode_letters,
     concat,
     concat_all,
     conjugate,
+    cyclic_reduce,
     exponent_sum,
     free_reduce,
+    invert,
     power,
 )
 
@@ -293,6 +299,24 @@ def test_dehn_trace_is_deterministic():
     r1 = dehn_reduce_trace(w, [GENUS2])
     r2 = dehn_reduce_trace(w, [GENUS2])
     assert r1.steps == r2.steps
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.integers(1, 300), st.integers(-3, 3).filter(bool)),
+                         min_size=1, max_size=12), min_size=1, max_size=4))
+def test_relator_table_entries_decode_to_cores_and_inverses(rels):
+    ab = Alphabet(300)
+    relators = [free_reduce(ab, [g if e > 0 else -g for g, e in runs for _ in range(abs(e))])
+                for runs in rels]
+    cores = [cyclic_reduce(r)[0] for r in relators]
+    assume(all(not core.is_empty for core in cores))
+    want = []
+    for idx, core in enumerate(cores):
+        want += [(idx, 1, core.to_letters()), (idx, -1, invert(core).to_letters())]
+    table = _RelatorTable(relators)
+    assert [(idx, sign, _decode_letters(doubled[:rlen]))
+            for idx, sign, rlen, doubled in table.entries] == want
+    assert all(doubled == 2 * doubled[:rlen] for _, _, rlen, doubled in table.entries)
 
 
 # -- oracles -------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relfree.errors import AlphabetMismatch, BudgetExceeded, EmptyWord, InvalidLetter
 from relfree.report import (
@@ -13,11 +15,16 @@ from relfree.report import (
 from relfree.words import (
     Alphabet,
     Word,
+    _decode_letters,
+    _encode_letters,
+    _encode_word,
+    _inverse_codes,
     canonical_cyclic,
     commutator,
     concat,
     concat_all,
     conjugate,
+    conjugacy_witnesses,
     conjugate_in_free,
     cyclic_reduce,
     enumerate_reduced_words,
@@ -364,3 +371,110 @@ def test_letter_budget_guards_materialization():
 def test_words_are_hashable_values():
     seen = {A1, A2, concat(A1, A2)}
     assert Word.parse(AB, "a1 a2") in seen
+
+
+def test_conjugacy_witnesses_respect_the_letter_budget():
+    u = commutator(power(A1, 600), A2)
+    with pytest.raises(BudgetExceeded):
+        list(conjugacy_witnesses(u, u, letter_budget=100))
+
+
+# -- encoding and parsing, against letter-level references --------------------------
+
+M_BIG = 300  # past 127 generators the codes no longer fit in one byte
+BIG = Alphabet(M_BIG)
+
+# words over up to 300 generators, as runs with exponents of either sign
+runs_strategy = st.lists(
+    st.tuples(st.integers(1, M_BIG), st.integers(-4, 4).filter(bool)), max_size=30)
+
+
+def word_from_runs(runs) -> Word:
+    letters = []
+    for g, e in runs:
+        letters += [g if e > 0 else -g] * abs(e)
+    return free_reduce(BIG, letters)
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs_strategy)
+def test_encode_word_matches_the_letter_encoding(runs):
+    w = word_from_runs(runs)
+    enc = _encode_word(w)
+    assert enc == _encode_letters(w.to_letters())
+    assert _decode_letters(enc) == w.to_letters()
+    assert enc[::-1].translate(_inverse_codes(enc)) == _encode_word(invert(w))
+
+
+def test_encode_word_checks_the_budget_before_building():
+    w = Word.parse(AB, f"a1^{2 ** 70} a2")
+    with pytest.raises(BudgetExceeded, match="over the budget of 10000000"):
+        _encode_word(w)
+    assert _encode_word(power(A1, 5), limit=5) == _encode_letters([1] * 5)
+    with pytest.raises(BudgetExceeded):
+        _encode_word(power(A1, 5), limit=4)
+
+
+def token_text(g: int, e: int) -> str:
+    return f"a{g}" if e == 1 else f"a{g}^{e}"
+
+
+# tokens with repeats (drawn from a small pool), zero exponents and the
+# stream a1 a1^-1 a1, so that cancellation reaches across repeated tokens
+token_strategy = st.one_of(
+    st.tuples(st.integers(1, 3), st.integers(-3, 3)),
+    st.tuples(st.integers(1, M_BIG), st.integers(-3, 3)),
+)
+stream_strategy = st.lists(
+    st.one_of(token_strategy.map(lambda t: [t]),
+              st.just([(1, 1), (1, -1), (1, 1)])),
+    max_size=25).map(lambda chunks: [t for chunk in chunks for t in chunk])
+
+
+@settings(max_examples=300, deadline=None)
+@given(stream_strategy)
+def test_parse_matches_reduction_of_the_naive_expansion(stream):
+    letters = []
+    for g, e in stream:
+        letters += [g if e > 0 else -g] * abs(e)
+    text = " ".join(token_text(g, e) for g, e in stream)
+    assert Word.parse(BIG, text) == free_reduce(BIG, letters)
+
+
+def naive_token_error(tok: str, m: int) -> str | None:
+    """The message Word.parse gives for a bad token, checked in its order:
+    exponent, then the ``a`` prefix and index, then the alphabet."""
+    body, caret, etext = tok.partition("^")
+    if caret:
+        try:
+            int(etext)
+        except ValueError:
+            return f"bad exponent in token {tok!r}"
+    if not body.startswith("a"):
+        return f"bad token {tok!r}"
+    try:
+        k = int(body[1:])
+    except ValueError:
+        return f"bad token {tok!r}"
+    if k < 1 or k > m:
+        return f"generator a{k} outside alphabet of {m}"
+    return None
+
+
+BAD_TOKENS = ["b2", "a", "a0", "a4", "a1^", "a1^x", "^2", "a-1", "aa1", "a1^2^3", "a²"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(token_strategy.filter(lambda t: t[0] <= 3)
+                          .map(lambda t: token_text(*t)),
+                          st.sampled_from(BAD_TOKENS)), min_size=1, max_size=12))
+def test_parse_reports_the_first_bad_token(tokens):
+    ab3 = Alphabet(3)
+    errors = [msg for msg in (naive_token_error(t, 3) for t in tokens) if msg]
+    text = " ".join(tokens)
+    if not errors:
+        Word.parse(ab3, text)
+        return
+    with pytest.raises(InvalidLetter) as info:
+        Word.parse(ab3, text)
+    assert str(info.value) == errors[0]
