@@ -127,8 +127,9 @@ def surjectivity_witness(p: ParamSet) -> tuple[Word, bool]:
     x = Word.generator(target, 1)
     y = Word.generator(target, 2)
     v1 = make_v(1, x, y, p)
-    substituted = substitute(tail, [x, v1], target)
-    check = concat(y, substituted) == make_w2(x, y, p)
+    # no name holds the substituted tail, so its run tuple (9.6 MB at
+    # (40, 3, 5)) is freed before make_w2 builds a word of the same size
+    check = concat(y, substitute(tail, [x, v1], target)) == make_w2(x, y, p)
     return tail, check
 
 

@@ -40,7 +40,6 @@ from .words import (
     _decode_letters,
     _encode_letters,
     _encode_word,
-    _inverse_codes,
     _is_cyclic_shift,
     canonical_cyclic,
     concat_all,
@@ -156,23 +155,25 @@ class _RelatorTable:
     Relators are replaced by their cyclic cores (the normal closure is the
     same and the symmetrized set is built from cyclic words anyway); each
     core and its inverse is one entry ``(index, sign, length, doubled)``.
-    Cores are encoded from their runs and inverses derived from the strings,
-    so no relator is expanded letter by letter.  Dehn rewriting, certificate
-    building and certificate checking all read relator shifts from this one
-    table."""
+    Cores are encoded from their runs, so no relator is expanded letter by
+    letter; an entry's inverse is the entry next to it (list index ``k ^ 1``).
+    Dehn rewriting, certificate building and certificate checking all read
+    relator shifts from this one table."""
 
     def __init__(self, relators: list[Word]):
         if not relators:
             raise EmptyInput("need at least one relator")
         self.entries = []
-        self._inverse: dict = {}
         for idx, r in enumerate(relators):
             core, _ = cyclic_reduce(r)
             if core.is_empty:
                 raise EmptyWord(f"relator {idx} is freely trivial")
             enc = _encode_word(core)
-            self._inverse.update(_inverse_codes(enc))
-            inv = enc[::-1].translate(self._inverse)
+            # the inverse is the reverse with each code swapped for its
+            # inverse's (a_k, a_k^-1 are 2k, 2k+1); the swap covers every
+            # code of enc, hence of its reverse, and runs at C speed where
+            # _encode_word(invert(core)) builds a tuple per run
+            inv = enc[::-1].translate({c: c ^ 1 for c in map(ord, set(enc))})
             for sign, e in ((1, enc), (-1, inv)):
                 self.entries.append((idx, sign, len(e), e + e))
 
@@ -187,7 +188,7 @@ class _RelatorTable:
         Returns (matched, relator_index, sign, offset, replacement_letters).
         """
         best = None
-        for idx, sign, rlen, doubled in self.entries:
+        for k, (idx, sign, rlen, doubled) in enumerate(self.entries):
             cap = min(rlen, length - pos)
             if 2 * cap <= rlen:
                 continue
@@ -207,13 +208,15 @@ class _RelatorTable:
             excess = 2 * matched - rlen
             key = (-excess, idx, 0 if sign > 0 else 1, offset)
             if best is None or key < best[0]:
-                best = (key, matched, idx, sign, offset, rlen, doubled)
+                best = (key, matched, idx, sign, offset, rlen, k)
         if best is None:
             return None
-        _, matched, idx, sign, offset, rlen, doubled = best
-        # the inverse of the rest of the rotated entry
-        rest = doubled[offset + matched:offset + rlen]
-        replacement = tuple(_decode_letters(rest[::-1].translate(self._inverse)))
+        _, matched, idx, sign, offset, rlen, k = best
+        # the inverse of the rest doubled[offset+matched:offset+rlen] of the
+        # rotated entry is a slice of the opposite entry's doubled string
+        start = (rlen - offset) % rlen
+        opposite = self.entries[k ^ 1][3]
+        replacement = tuple(_decode_letters(opposite[start:start + rlen - matched]))
         return matched, idx, sign, offset, replacement
 
 

@@ -203,7 +203,8 @@ class Word:
         if tokens == ["1"]:
             return cls.identity(alphabet)
         # each distinct token is parsed once; runs go onto a reduced stack,
-        # where a run can only merge with or cancel the top run
+        # where a run can only merge with or cancel the top run (inline: an
+        # _append_runs call per token doubles the parse time of long relators)
         parsed: dict = {}
         get = parsed.get
         acc: list = []
@@ -607,14 +608,6 @@ def _encode_word(w: Word, limit: int | None = DEFAULT_LETTER_BUDGET) -> str:
             piece = pieces[run] = chr(2 * g if e > 0 else 2 * g + 1) * abs(e)
         out.append(piece)
     return "".join(out)
-
-
-def _inverse_codes(enc: str) -> dict:
-    """``str.translate`` table swapping the code of each letter of ``enc``
-    with its inverse's; the inverse of an encoded word is its reverse,
-    translated.  Built from the letters that occur, not from the alphabet,
-    whose size a file may set arbitrarily large."""
-    return {c: c ^ 1 for c in map(ord, set(enc))}
 
 
 def _decode_letters(enc: str) -> list[int]:

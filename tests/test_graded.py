@@ -37,6 +37,7 @@ from relfree.words import (
     Alphabet,
     Word,
     _decode_letters,
+    _encode_letters,
     concat,
     concat_all,
     conjugate,
@@ -317,6 +318,46 @@ def test_relator_table_entries_decode_to_cores_and_inverses(rels):
     assert [(idx, sign, _decode_letters(doubled[:rlen]))
             for idx, sign, rlen, doubled in table.entries] == want
     assert all(doubled == 2 * doubled[:rlen] for _, _, rlen, doubled in table.entries)
+
+
+def test_dehn_reduce_over_one_signed_generators():
+    # each generator occurs with one sign only, so an inverse entry holds
+    # letters the relator itself does not; a replacement taken from such an
+    # entry must still be the inverse of its rest
+    assert dehn_reduce(power(A1, -2), [power(A1, 3)]) == A1
+    r = Word.parse(AB, "a1 a2 a1 a2^-1")
+    assert dehn_reduce(Word.parse(AB, "a2 a1^-1 a2^-1"), [r]) == A1
+    oracle = DehnOracle([power(A1, 3)])
+    assert oracle.is_conjugate(power(A1, -2), power(A1, -1)) is Verdict.INDETERMINATE
+    assert oracle.is_conjugate(power(A1, -2), A1) is Verdict.YES
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.integers(1, 300), st.integers(-3, 3).filter(bool)),
+                         min_size=1, max_size=8), min_size=1, max_size=3),
+       st.data())
+def test_best_match_replacement_inverts_the_rest_of_the_rotated_entry(rels, data):
+    ab = Alphabet(300)
+    relators = [free_reduce(ab, [g if e > 0 else -g for g, e in runs for _ in range(abs(e))])
+                for runs in rels]
+    cores = [cyclic_reduce(r)[0] for r in relators]
+    assume(all(not core.is_empty for core in cores))
+    # the word is a more-than-half prefix of a rotated core or inverse core
+    idx = data.draw(st.integers(0, len(cores) - 1))
+    sign = data.draw(st.sampled_from([1, -1]))
+    letters = (cores[idx] if sign > 0 else invert(cores[idx])).to_letters()
+    n = len(letters)
+    offset = data.draw(st.integers(0, n - 1))
+    matched = data.draw(st.integers(n // 2 + 1, n))
+    word = (letters[offset:] + letters[:offset])[:matched]
+    table = _RelatorTable(relators)
+    got = table.best_match(_encode_letters(word), len(word), 0)
+    assert got is not None
+    m, i, s, o, replacement = got
+    entry = (cores[i] if s > 0 else invert(cores[i])).to_letters()
+    rotated = entry[o:] + entry[:o]
+    assert rotated[:m] == word[:m]
+    assert list(replacement) == [-g for g in reversed(rotated[m:])]
 
 
 # -- oracles -------------------------------------------------------------------------
