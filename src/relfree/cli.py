@@ -81,8 +81,9 @@ def _read_word_lines(path) -> list[tuple[int, str]]:
     """(line number, text) of every line of a word file that is neither blank
     nor a ``#`` comment; line numbers count every line of the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return [(lineno, line.strip()) for lineno, line in enumerate(fh, start=1)
-                if line.strip() and not line.startswith("#")]
+        stripped = [(lineno, line.strip()) for lineno, line in enumerate(fh, start=1)]
+    return [(lineno, text) for lineno, text in stripped
+            if text and not text.startswith("#")]
 
 
 def _parse_word_lines(path, lines: list[tuple[int, str]], ab: Alphabet) -> list[Word]:

@@ -23,7 +23,16 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import AlphabetMismatch, RankTooSmall
-from .verbal import ParamSet, build_w1_like, build_w2_tail, make_v, make_w1, make_w2
+from .graded import build_presentation, dehn_reduce_trace
+from .verbal import (
+    ParamSet,
+    build_w1_like,
+    build_w2_tail,
+    make_v,
+    make_w1,
+    make_w2,
+    word_length_symbolic,
+)
 from .words import Alphabet, Word, _PowerFactory, _append_runs, commutator, concat, power
 
 
@@ -152,8 +161,6 @@ def check_report(p: ParamSet, alphabet: Alphabet | None = None) -> list[Identity
     rewriting irreducibility of U over the toy relator set, when that set is
     small enough to build) and the CLI prints the claim as INDETERMINATE.
     """
-    from .verbal import word_length_symbolic
-
     ab = alphabet or Alphabet(2)
     u, kernel_ok = kernel_witness(p, ab)
     _, surj_ok = surjectivity_witness(p)
@@ -171,8 +178,6 @@ def check_report(p: ParamSet, alphabet: Alphabet | None = None) -> list[Identity
                       "U != 1 in the free group"),
     ]
     if ab.m == 2 and word_length_symbolic("w2", 1, 1, p) <= _EVIDENCE_SIZE_CAP:
-        from .graded import build_presentation, dehn_reduce_trace
-
         pres = build_presentation(ab, p, max_rank=1, pair_budget=1)
         relators = pres.relators_up_to(max(pres.ranks))
         res = dehn_reduce_trace(u, relators)

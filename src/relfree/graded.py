@@ -33,7 +33,17 @@ from .errors import (
     WitnessNotFound,
     ZeroExponent,
 )
-from .verbal import ParamSet, build_w1_like, build_w2_like, make_v, make_w1, make_w2
+from .ledger import bound_f
+from .verbal import (
+    ParamSet,
+    build_w1_like,
+    build_w2_like,
+    make_v,
+    make_w1,
+    make_w2,
+    w1_exponents,
+    w2_exponents,
+)
 from .words import (
     Alphabet,
     Word,
@@ -41,8 +51,10 @@ from .words import (
     _encode_letters,
     _encode_word,
     _is_cyclic_shift,
+    _seam_merged,
     canonical_cyclic,
     concat_all,
+    conjugacy_witnesses,
     conjugate,
     cyclic_reduce,
     enumerate_reduced_words,
@@ -483,24 +495,76 @@ def periods_rank(pres: GradedPresentation, i: int, oracle=None
 # -- pair classification ------------------------------------------------------
 
 
-def _pair_conjugacy_witness(u1: Word, w1: Word, u2: Word, w2: Word) -> Word | None:
-    """Free-group W with u1 = W u2 W^-1 and w1 = W w2 W^-1, if one exists."""
-    from .words import conjugacy_witnesses
+def _axis_prefix(runs: tuple, root: tuple) -> int:
+    """Number of leading letters that ``runs`` shares with root root root ...
+    for a nonempty cyclically reduced run tuple ``root``."""
+    if not runs:
+        return 0
+    expected = root[0]
+    if len(root) == 1:  # root^infinity is one unbounded run
+        g, e = runs[0]
+        return abs(e) if g == expected[0] and (e > 0) == (expected[1] > 0) else 0
+    # past its first run, root^infinity repeats the cyclic runs from the second
+    cyclic = _seam_merged(root)
+    cycle = cyclic[1:] + cyclic[:1]
+    d = 0
+    i = 0
+    for g, e in runs:
+        if (g, e) != expected:
+            if g == expected[0] and (e > 0) == (expected[1] > 0):
+                d += min(abs(e), abs(expected[1]))
+            return d
+        d += abs(e)
+        expected = cycle[i]
+        i = (i + 1) % len(cycle)
+    return d
 
+
+def _axis_index(z: Word, root: Word) -> int:
+    """floor(p / |root|), with p the signed letter count that z shares with
+    root root ... (p > 0) or with root^-1 root^-1 ... (p < 0).
+
+    p is the position, on the axis of the cyclically reduced root through
+    the identity, of the point where the path of z leaves that axis; the
+    first letter of z picks at most one of the two directions."""
+    n = root.letter_length
+    p = _axis_prefix(z.runs, root.runs) or -_axis_prefix(z.runs, invert(root).runs)
+    return p // n
+
+
+def _pair_conjugacy_witness(u1: Word, w1: Word, u2: Word, w2: Word) -> Word | None:
+    """Free-group W with u1 = W u2 W^-1 and w1 = W w2 W^-1, if one exists.
+
+    With u2 = c r^m c^-1 and r primitive, the solutions of the first
+    equation are w0 rho^k, rho = c r c^-1, for any one solution w0.  The
+    second equation then reads x = r^k y r^-k, with x = c^-1 w0^-1 w1 w0 c
+    and y = c^-1 w2 c.  When y is not a power of r, y and y r^-k lie on the
+    axis of y r y^-1, which meets the axis of r in fewer than |r| letters
+    (an overlap of |r| letters would make r^-1 y r^(+-1) y^-1 fix a point,
+    and the free action would force y into <r>).  So x = r^k (y r^-k) leaves
+    the axis of r k|r| letters, give or take fewer than |r|, further along
+    than y does, and k is within one of :func:`_axis_index` (x) minus
+    :func:`_axis_index` (y).  When y is a power of r, x must equal y and
+    k = 0 serves.  Each candidate k is checked by one conjugation, so a
+    returned W is always a solution.
+    """
     if u2.is_empty:
         if not u1.is_empty:
             return None
         return minimal_conjugacy_witness(w1, w2)
-    core2, conj2 = cyclic_reduce(u2)
+    w0 = next(conjugacy_witnesses(u1, u2), None)
+    if w0 is None:
+        return None
+    core2, c = cyclic_reduce(u2)
     root, _ = primitive_root(core2)
-    rho = conjugate(root, conj2)  # centralizer generator of u2
-    for w0 in conjugacy_witnesses(u1, u2):
-        # all solutions of the first equation are w0 * rho^k
-        residual = concat_all([invert(w0), w1, w0])
-        bound = (residual.letter_length + w2.letter_length) // max(1, root.letter_length) + 2
-        for k in range(-bound, bound + 1):
-            if conjugate(w2, power(rho, k)) == residual:
-                return concat_all([w0, power(rho, k)])
+    c_inv = invert(c)
+    x = concat_all([c_inv, invert(w0), w1, w0, c])
+    y = concat_all([c_inv, w2, c])
+    d = _axis_index(x, root) - _axis_index(y, root)
+    for k in (d, d - 1, d + 1):
+        rk = power(root, k)
+        if concat_all([rk, y, invert(rk)]) == x:
+            return concat_all([w0, c, rk, c_inv])
     return None
 
 
@@ -572,24 +636,27 @@ def classify_pairs(pres: GradedPresentation, i: int, z_star: int, L: int,
                 continue
             survivors.append((x, y, v_val, w_val))
 
+    def joins(group: list[int], v_val: Word, w_val: Word) -> bool:
+        _, _, v0, w0 = survivors[group[0]]
+        if oracle.is_free:
+            return _pair_conjugacy_witness(v0, w0, v_val, w_val) is not None
+        return (oracle.is_conjugate(v0, v_val) is Verdict.YES
+                and oracle.is_conjugate(w0, w_val) is Verdict.YES)
+
     groups: list[list[int]] = []
+    by_v_class: dict = {}
     for idx, (_, _, v_val, w_val) in enumerate(survivors):
-        placed = False
-        for group in groups:
-            x0, y0, v0, w0 = survivors[group[0]]
-            if oracle.is_free:
-                if _pair_conjugacy_witness(v0, w0, v_val, w_val) is not None:
-                    group.append(idx)
-                    placed = True
-                    break
-            else:
-                if (oracle.is_conjugate(v0, v_val) is Verdict.YES
-                        and oracle.is_conjugate(w0, w_val) is Verdict.YES):
-                    group.append(idx)
-                    placed = True
-                    break
-        if not placed:
-            groups.append([idx])
+        # joint conjugacy needs v conjugate to v0, so the free oracle tries
+        # only the groups whose v lies in the conjugacy class of v_val
+        near = (by_v_class.setdefault(canonical_cyclic(v_val), [])
+                if oracle.is_free else groups)
+        group = next((g for g in near if joins(g, v_val, w_val)), None)
+        if group is None:
+            group = []
+            groups.append(group)
+            if near is not groups:
+                near.append(group)
+        group.append(idx)
 
     # deterministic class records
     raw_classes = []
@@ -689,8 +756,6 @@ def _relator_word(z_star: int, a_word: Word, f: int, t_word: Word, u_word: Word,
 
 def relator_exponent_schedule(z_star: int, p: ParamSet) -> list[int]:
     """Period exponents (before multiplication by f) in template order."""
-    from .verbal import w1_exponents, w2_exponents
-
     if z_star == 1:
         return w1_exponents(p.h, p.n)
     if z_star == 2:
@@ -726,8 +791,6 @@ def build_relator(z_star: int, a_word: Word, f: int, t_word: Word, u_word: Word,
         if _is_power_of(word, a_word):
             warnings.append(f"{name} lies in the cyclic subgroup of A")
     if assign is not None:
-        from .ledger import bound_f
-
         if abs(f) > bound_f(assign):
             warnings.append(f"|f| = {abs(f)} > 100/zeta = {bound_f(assign)}")
     relator = _relator_word(z_star, a_word, f, t_word, u_word, p)

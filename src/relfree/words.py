@@ -588,10 +588,22 @@ def primitive_root(u: Word) -> tuple[Word, int]:
 # -- conjugacy witnesses --------------------------------------------------
 
 
+# a_k^-1 is code point 2k + 1, and code points end at 0x10FFFF
+_MAX_ENCODABLE = (0x10FFFF - 1) // 2
+
+
+def _unencodable(g: int) -> InvalidLetter:
+    return InvalidLetter(f"generator a{g} is past a{_MAX_ENCODABLE}, "
+                         f"the largest index whose letters can be encoded")
+
+
 def _encode_letters(letters) -> str:
     # chr() mapping gives C-speed substring search through str.find; letters
     # a_k, a_k^-1 become code points 2k, 2k+1, one byte each while k < 128
-    return "".join(chr(2 * g if g > 0 else 1 - 2 * g) for g in letters)
+    try:
+        return "".join(chr(2 * g if g > 0 else 1 - 2 * g) for g in letters)
+    except ValueError:
+        raise _unencodable(max(map(abs, letters))) from None
 
 
 def _encode_word(w: Word, limit: int | None = DEFAULT_LETTER_BUDGET) -> str:
@@ -605,6 +617,8 @@ def _encode_word(w: Word, limit: int | None = DEFAULT_LETTER_BUDGET) -> str:
         piece = pieces.get(run)
         if piece is None:
             g, e = run
+            if g > _MAX_ENCODABLE:
+                raise _unencodable(g)
             piece = pieces[run] = chr(2 * g if e > 0 else 2 * g + 1) * abs(e)
         out.append(piece)
     return "".join(out)
@@ -648,32 +662,31 @@ def conjugacy_witnesses(u: Word, v: Word, letter_budget: int = DEFAULT_LETTER_BU
 def minimal_conjugacy_witness(u: Word, v: Word) -> Word | None:
     """Shortest W with u = W v W^-1 (ties broken shortlex), or None.
 
-    All witnesses form a coset W0 <rho> with rho generating the centralizer
-    of v, so per alignment it suffices to sweep |k| up to the point where
-    |W0 rho^k| >= k|root| - 2|conj| - |W0| already exceeds |W0|: anything
-    longer than its own base cannot be the global minimum.
+    All witnesses form one coset W0 <rho>: with v = cv core cv^-1 and
+    core = root^m, rho = cv root cv^-1 generates the centralizer of v.  The
+    cores align in exactly m ways, one base W0 each, so |root| is |core|
+    over the number of bases.  As |W0 rho^k| >= |rho^k| - |W0| >=
+    |k| |root| - |W0|, each base is swept over k = +-1, +-2, ... only while
+    |k| |root| - |W0| <= |best|: every later candidate is longer than the
+    best one so far.  rho is built only when a candidate needs it.
     """
     base = list(conjugacy_witnesses(u, v))
     if not base:
         return None
+    best = min(base, key=shortlex_key)
     core_v, cv = cyclic_reduce(v)
-    best = None
-    if core_v.is_empty:
-        cands = base
-    else:
-        root, _ = primitive_root(core_v)
-        rho = conjugate(root, cv)
-        cands = []
-        for w0 in base:
-            cands.append(w0)
-            kmax = (2 * w0.letter_length + 2 * cv.letter_length) \
-                // root.letter_length + 1
-            for k in range(1, kmax + 1):
-                cands.append(concat(w0, power(rho, k)))
-                cands.append(concat(w0, power(rho, -k)))
-    for w in cands:
-        if best is None or _shortlex_less(w, best):
-            best = w
+    root_len = core_v.letter_length // len(base)
+    rho = None
+    for w0 in base:
+        k = 1
+        while root_len and k * root_len - w0.letter_length <= best.letter_length:
+            if rho is None:
+                rho = conjugate(core_v.prefix(root_len), cv)
+            for e in (k, -k):
+                w = concat(w0, power(rho, e))
+                if _shortlex_less(w, best):
+                    best = w
+            k += 1
     return best
 
 

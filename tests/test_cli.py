@@ -353,6 +353,39 @@ def test_graded_pieces_names_the_bad_line_of_a_relator_file(capsys, tmp_path):
     assert f"{rel}:4: bad token 'b2'" in err
 
 
+# an indented comment is a comment too, and still counts as a line
+INDENTED_COMMENT_FILE = "a1 a2 a1^-1 a2^-1 a3 a4 a3^-1 a4^-1\n  # a note\n\ta1 b2\n"
+
+
+def test_graded_pieces_skips_indented_comments_of_a_relator_file(capsys, tmp_path):
+    rel = tmp_path / "rel.txt"
+    rel.write_text("  # the genus-2 surface relator\na1 a2 a1^-1 a2^-1 a3 a4 a3^-1 a4^-1\n")
+    code, out, _ = run(capsys, "graded", "pieces", "--relators", str(rel), "--output", "kv")
+    assert code == 0
+    assert "lambda=1/8" in out
+    rel.write_text(INDENTED_COMMENT_FILE)
+    code, _, err = run(capsys, "graded", "pieces", "--relators", str(rel))
+    assert code == 1
+    assert f"{rel}:3: bad token 'b2'" in err
+
+
+def test_graded_dehn_skips_indented_comments_of_a_word_file(capsys, tmp_path):
+    rel = tmp_path / "rel.txt"
+    rel.write_text("a1 a2 a1^-1 a2^-1\n")
+    words = tmp_path / "words.txt"
+    words.write_text("a1 a2 a1^-1 a2^-1\n   # a note\na1\n")
+    code, out, _ = run(capsys, "graded", "dehn", str(words), "--relators", str(rel))
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 2
+    assert lines[0].endswith("1")
+    assert lines[1].endswith("a1")
+    words.write_text("a1\n\t# a note\na2 a1^x\n")
+    code, _, err = run(capsys, "graded", "dehn", str(words), "--relators", str(rel))
+    assert code == 1
+    assert f"{words}:3: bad exponent in token 'a1^x'" in err
+
+
 def test_vkd_check_names_the_bad_line_of_a_relator_file(capsys, tmp_path):
     from relfree.diagrams import certify_dehn_trace, save_certificate
     from relfree.graded import dehn_reduce_trace
@@ -444,3 +477,15 @@ def test_graded_dehn_over_a_huge_relator_runs_out_of_budget(tmp_path):
     proc = run_cli_process("graded", "dehn", str(words), "--relators", str(rel))
     assert proc.returncode == 3
     assert "over the budget of 10000000" in proc.stderr
+
+
+def test_graded_dehn_over_an_unencodable_generator_is_an_error(tmp_path):
+    # a_k^-1 is encoded as the code point 2k + 1, which ends at 0x10FFFF
+    rel = tmp_path / "rel.txt"
+    rel.write_text("a600000 a1\n")
+    words = tmp_path / "words.txt"
+    words.write_text("a1\n")
+    proc = run_cli_process("graded", "dehn", str(words), "--relators", str(rel))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "generator a600000 is past a557055" in proc.stderr

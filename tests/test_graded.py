@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,6 +22,7 @@ from relfree.graded import (
     RelatorRecord,
     Verdict,
     _RelatorTable,
+    _axis_index,
     _pair_conjugacy_witness,
     build_presentation,
     build_relator,
@@ -40,12 +45,15 @@ from relfree.words import (
     _encode_letters,
     concat,
     concat_all,
+    conjugacy_witnesses,
     conjugate,
     cyclic_reduce,
     exponent_sum,
     free_reduce,
     invert,
+    minimal_conjugacy_witness,
     power,
+    primitive_root,
 )
 
 AB = Alphabet(2)
@@ -132,6 +140,101 @@ def test_conjugated_pairs_are_jointly_equivalent():
         xg, yg = conjugate(x, g), conjugate(y, g)
         assert _pair_conjugacy_witness(
             make_v(1, xg, yg, P), make_w1(xg, yg, P), v_val, w_val) is not None
+
+
+def pair_witness_by_scan(u1, w1, u2, w2):
+    """Reference: try every alignment and every k up to a length bound."""
+    if u2.is_empty:
+        return minimal_conjugacy_witness(w1, w2) if u1.is_empty else None
+    core2, conj2 = cyclic_reduce(u2)
+    root, _ = primitive_root(core2)
+    rho = conjugate(root, conj2)
+    for w0 in conjugacy_witnesses(u1, u2):
+        residual = concat_all([invert(w0), w1, w0])
+        bound = (residual.letter_length + w2.letter_length) // root.letter_length + 2
+        for k in range(-bound, bound + 1):
+            if conjugate(w2, power(rho, k)) == residual:
+                return concat_all([w0, power(rho, k)])
+    return None
+
+
+def random_pair_problem(rng, ab):
+    """(u1, w1, u2, w2), mostly solvable: u2 = c r^m c^-1 for a primitive root
+    r of 1-4 letters, w2 often with copies of r at both ends."""
+    def rand_word(n):
+        return free_reduce(ab, [rng.choice([1, -1, 2, -2, 3, -3]) for _ in range(n)])
+
+    while True:
+        r = rand_word(rng.randint(1, 4))
+        if not r.is_empty and r.is_cyclically_reduced() and primitive_root(r)[1] == 1:
+            break
+    c = rand_word(rng.randint(0, 3))
+    u2 = conjugate(power(r, rng.randint(1, 3)), c)
+    w2 = rand_word(rng.randint(0, 6))
+    if rng.random() < 0.5:
+        w2 = concat_all([power(r, rng.randint(-3, 3)), w2, power(r, rng.randint(-3, 3))])
+    if rng.random() < 0.5:
+        w2 = conjugate(w2, c)
+    g = rand_word(rng.randint(0, 4))
+    w1 = conjugate(conjugate(w2, power(conjugate(r, c), rng.randint(-4, 4))), g)
+    u1 = conjugate(u2, g)
+    if rng.random() < 0.15:
+        w1 = rand_word(rng.randint(0, 10))
+    elif rng.random() < 0.05:
+        u1 = rand_word(rng.randint(1, 6))
+    return u1, w1, u2, w2
+
+
+def test_pair_witness_agrees_with_the_k_scan():
+    ab = Alphabet(3)
+    rng = random.Random(52)
+    solved = 0
+    for _ in range(400):
+        u1, w1, u2, w2 = random_pair_problem(rng, ab)
+        got = _pair_conjugacy_witness(u1, w1, u2, w2)
+        assert (got is None) == (pair_witness_by_scan(u1, w1, u2, w2) is None)
+        if got is not None:
+            solved += 1
+            assert conjugate(u2, got) == u1
+            assert conjugate(w2, got) == w1
+    assert solved > 250
+
+
+def test_pair_witness_exponent_needs_the_window():
+    # y starts with 3 letters of r^infinity, x = r^-3 y r^3 with 7 of r^-infinity:
+    # the axis indices floor(3/4) = 0 and floor(-7/4) = -2 put k = -3 one off;
+    # counting whole copies of r^-1 only (-1) would put it two off
+    r = Word.parse(AB, "a1^2 a2 a1")
+    y = Word.parse(AB, "a1^2 a2")
+    x = conjugate(y, power(r, -3))
+    assert _axis_index(x, r) - _axis_index(y, r) == -2
+    assert _pair_conjugacy_witness(r, x, r, y) == power(r, -3)
+
+
+def test_pair_witness_over_a_million_root_copies_is_solved_not_scanned():
+    # a scan over k would try about 2 * 10^6 exponents here
+    code = """
+import random
+from relfree.graded import _pair_conjugacy_witness
+from relfree.words import Alphabet, Word, conjugate, power
+ab = Alphabet(2)
+rng = random.Random(7)
+runs = tuple((2 if i % 2 == 0 else 1, rng.choice((1, -1)) * rng.randint(1, 4))
+             for i in range(1601))
+w2 = Word(ab, runs)
+a1 = Word.generator(ab, 1)
+w1 = conjugate(w2, power(a1, 10 ** 6))
+got = _pair_conjugacy_witness(a1, w1, a1, w2)
+assert conjugate(a1, got) == a1 and conjugate(w2, got) == w1
+print(w2.letter_length, len(w2.runs), got)
+"""
+    import relfree
+
+    env = dict(os.environ, PYTHONPATH=str(Path(relfree.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[2:] == ["a1^1000000"]
 
 
 def test_triples_decompose_core_powers():

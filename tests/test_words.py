@@ -31,6 +31,7 @@ from relfree.words import (
     free_reduce,
     invert,
     letter_key,
+    minimal_conjugacy_witness,
     power,
     primitive_root,
     shortlex_key,
@@ -333,8 +334,6 @@ def test_primitive_root_rejects_empty():
 # -- conjugacy witnesses ----------------------------------------------------------
 
 def test_conjugacy_witness_is_minimal():
-    from relfree.words import minimal_conjugacy_witness
-
     pool = list(enumerate_reduced_words(AB, 4))
     rng = random.Random(99)
     for _ in range(60):
@@ -346,15 +345,53 @@ def test_conjugacy_witness_is_minimal():
         w = minimal_conjugacy_witness(u, v)
         assert w is not None
         assert conjugate(v, w) == u
-        # brute force: nothing strictly shorter conjugates v to u
-        for cand in pool:
-            if cand.letter_length < w.letter_length:
-                assert conjugate(v, cand) != u
+        # brute force over the pool, which is in shortlex order: w is the first
+        # word that conjugates v to u
+        first = next(cand for cand in pool if conjugate(v, cand) == u)
+        assert first == w
+
+
+def coset_minimum(u: Word, v: Word, kmax: int) -> Word:
+    """The shortlex-least of w0 rho^k, |k| <= kmax, where w0 is one witness of
+    u = W v W^-1 and rho generates the centralizer of v."""
+    w0 = next(conjugacy_witnesses(u, v))
+    core, cv = cyclic_reduce(v)
+    root, _ = primitive_root(core)
+    rho = conjugate(root, cv)
+    return min((concat(w0, power(rho, k)) for k in range(-kmax, kmax + 1)),
+               key=shortlex_key)
+
+
+# proper powers, a core with the same generator at both ends, a commutator
+WITNESS_CORES = ["a1", "a1^3", "a1 a2", "a1 a2 a1 a2 a1 a2", "a1^2 a2^-1 a1",
+                 "a1 a2 a1^-1 a2^-1", "a1 a2^-1 a1 a2^-1"]
+
+
+def test_minimal_witness_is_the_least_of_its_coset():
+    ab = Alphabet(3)
+    rng = random.Random(41)
+    for _ in range(300):
+        if rng.random() < 0.5:
+            core = Word.parse(ab, rng.choice(WITNESS_CORES))
+        else:
+            core = cyclic_reduce(free_reduce(ab, rand_letters(rng, rng.randint(1, 5), 3)))[0]
+            if core.is_empty:
+                continue
+            core = power(core, rng.randint(1, 3))
+        v = conjugate(core, free_reduce(ab, rand_letters(rng, rng.randint(0, 3), 3)))
+        u = conjugate(v, free_reduce(ab, rand_letters(rng, rng.randint(0, 6), 3)))
+        kmax = u.letter_length + v.letter_length + 2
+        assert minimal_conjugacy_witness(u, v) == coset_minimum(u, v, kmax)
+
+
+def test_minimal_witness_breaks_length_ties_shortlex():
+    # a1^-1 and a2 = a1^-1 (a1 a2) both conjugate a1 a2 to a2 a1
+    u, v = Word.parse(AB, "a2 a1"), Word.parse(AB, "a1 a2")
+    assert conjugate(v, A2) == u
+    assert minimal_conjugacy_witness(u, v) == invert(A1)
 
 
 def test_conjugacy_witness_absent_for_nonconjugates():
-    from relfree.words import minimal_conjugacy_witness
-
     assert minimal_conjugacy_witness(A1, A2) is None
 
 
@@ -402,6 +439,18 @@ def test_encode_word_matches_the_letter_encoding(runs):
     enc = _encode_word(w)
     assert enc == _encode_letters(w.to_letters())
     assert _decode_letters(enc) == w.to_letters()
+
+
+def test_unencodable_generator_is_an_invalid_letter():
+    # a_k^-1 is encoded as the code point 2k + 1, and code points end at 0x10FFFF
+    ab = Alphabet(600_000)
+    w = Word.parse(ab, "a600000 a1")
+    with pytest.raises(InvalidLetter, match="generator a600000 is past a557055"):
+        list(conjugacy_witnesses(w, w))
+    with pytest.raises(InvalidLetter, match="generator a600000 is past a557055"):
+        _encode_letters([1, -600_000])
+    top = Word.parse(ab, "a557055^-2 a1")
+    assert _decode_letters(_encode_word(top)) == top.to_letters()
 
 
 def test_encode_word_checks_the_budget_before_building():
