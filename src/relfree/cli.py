@@ -168,6 +168,9 @@ def _cmd_verbal(args) -> int:
 
 
 def _cmd_lpp(args) -> int:
+    if args.action == "verify" and not args.assign:
+        print("lpp verify needs --assign <file>", file=sys.stderr)
+        return EXIT_USAGE
     cat = ledger.InequalityCatalog.from_path(args.catalog)
     if args.action == "solve":
         try:
@@ -202,15 +205,13 @@ def _cmd_graded(args) -> int:
                       if args.mode == "ledger" else None)
         pres = graded.build_presentation(
             Alphabet(args.m or 2), p, max_rank=args.rank,
-            pair_budget=args.pair_budget, mode=args.mode,
-            dehn_budget=args.budget_dehn, assign=assignment)
+            pair_budget=args.pair_budget, mode=args.mode, assign=assignment)
         pairs = []
         for idx in sorted(pres.ranks):
             data = pres.ranks[idx]
             pairs.append((f"rank{idx}",
                           f"provenance={data.provenance} periods={len(data.periods)} "
-                          f"relators={len(data.relators)} "
-                          f"indeterminate={len(data.indeterminate)}"))
+                          f"relators={len(data.relators)}"))
         _emit(args, pairs)
         if args.out:
             graded.save_presentation(pres, args.out)
@@ -341,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     gr.add_argument("--pair-budget", "--budget-pairs", type=int, default=1,
                     dest="pair_budget")
     gr.add_argument("--budget-dehn", type=int, default=graded.DEFAULT_DEHN_BUDGET,
-                    dest="budget_dehn")
+                    dest="budget_dehn",
+                    help="rewriting steps per word (graded dehn only)")
     gr.add_argument("--mode", choices=("toy", "ledger"), default="toy")
     gr.add_argument("--assign", help="ledger assignment (required in ledger mode)")
     gr.add_argument("--catalog", help="inequality catalog (ledger mode)")

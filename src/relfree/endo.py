@@ -73,21 +73,10 @@ class Endomorphism:
         return apply(self, w)
 
 
-def identity_endo(alphabet: Alphabet) -> Endomorphism:
-    return Endomorphism(alphabet, tuple(alphabet.generators()))
-
-
 def apply(e: Endomorphism, w: Word) -> Word:
     if w.alphabet != e.alphabet:
         raise AlphabetMismatch("word and endomorphism alphabets differ")
     return substitute(w, e.images, e.alphabet)
-
-
-def compose(e1: Endomorphism, e2: Endomorphism) -> Endomorphism:
-    """e1 after e2: apply(compose(e1, e2), w) == apply(e1, apply(e2, w))."""
-    if e1.alphabet != e2.alphabet:
-        raise AlphabetMismatch("cannot compose over different alphabets")
-    return Endomorphism(e1.alphabet, tuple(apply(e1, img) for img in e2.images))
 
 
 def psi_infinity(alphabet: Alphabet, p: ParamSet) -> Endomorphism:

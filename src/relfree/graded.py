@@ -2,12 +2,12 @@
 
 Rank i contributes a maximal set of length-i *periods* (cyclically reduced,
 primitive, pairwise non-conjugate even up to inversion) and a set of
-relators, each an interleaved power word around one period.  Conjugacy
-questions "in rank i-1" are answered by a stratified oracle: exact free
-group algebra while no relators exist below, and a budgeted Dehn rewriter
-with three-valued verdicts (YES / NO / INDETERMINATE) once they do.  The
-desk-scale pipeline never pretends the rewriter decides anything it cannot:
-indeterminate candidates are excluded and reported, never guessed.
+relators, each an interleaved power word around one period.  Periods and
+pair classes are taken up to conjugacy in the rank-(i-1) group, which is
+free at every rank desk scale can enumerate (relators land at ranks 77 and
+308 at (h, d, n) = (20, 2, 3)), so exact free-group algebra decides them.
+:class:`DehnOracle` is a separate, budgeted rewriting oracle over a given
+relator set, with verdicts YES / NO / INDETERMINATE.
 
 Relators found by pair classification live at the rank equal to their
 period's length.  Those ranks are usually far beyond anything exhaustively
@@ -29,7 +29,6 @@ from .errors import (
     EmptyWord,
     InvalidParams,
     RelfreeError,
-    Unsupported,
     WitnessNotFound,
     ZeroExponent,
 )
@@ -41,8 +40,6 @@ from .verbal import (
     make_v,
     make_w1,
     make_w2,
-    w1_exponents,
-    w2_exponents,
 )
 from .words import (
     Alphabet,
@@ -68,6 +65,7 @@ from .words import (
 
 DEFAULT_DEHN_BUDGET = 10_000
 _PIECE_BUDGET = 2_000_000  # total letters across the materialized symmetrized set
+_Z_SEARCH_CAP = 3  # a class triple's conjugator Z is searched up to this length
 
 
 class Verdict(enum.Enum):
@@ -76,23 +74,11 @@ class Verdict(enum.Enum):
     INDETERMINATE = "indeterminate"
 
 
-# -- oracles ---------------------------------------------------------------
-
-
-class FreeOracle:
-    """Exact rank-0 oracle: plain free-group algebra."""
-
-    is_free = True
-
-    def is_identity(self, w: Word) -> Verdict:
-        return Verdict.YES if w.is_empty else Verdict.NO
-
-    def is_conjugate(self, u: Word, v: Word) -> Verdict:
-        return Verdict.YES if canonical_cyclic(u) == canonical_cyclic(v) else Verdict.NO
+# -- rewriting oracle --------------------------------------------------------
 
 
 class DehnOracle:
-    """Budgeted rewriting oracle over a fixed relator set.
+    """Budgeted rewriting oracle for the group given by a fixed relator set.
 
     YES answers are sound (rewriting preserves the group element, so equal
     cyclic normal forms certify conjugacy).  NO answers are only issued for
@@ -100,8 +86,6 @@ class DehnOracle:
     nonempty word is classically nontrivial.  Everything else is
     INDETERMINATE.
     """
-
-    is_free = False
 
     def __init__(self, relators: list[Word], budget: int = DEFAULT_DEHN_BUDGET):
         if not relators:
@@ -282,15 +266,6 @@ def dehn_reduce_trace(w: Word, relators: list[Word],
     return DehnResult(free_reduce(w.alphabet, letters), tuple(steps), exhausted)
 
 
-def dehn_reduce(w: Word, relators: list[Word],
-                budget: int = DEFAULT_DEHN_BUDGET) -> Word:
-    """Like :func:`dehn_reduce_trace` but raises when the budget runs out."""
-    res = dehn_reduce_trace(w, relators, budget)
-    if res.exhausted:
-        raise BudgetExceeded(f"no fixed point within {budget} rewriting steps")
-    return res.word
-
-
 # -- small cancellation metrics ---------------------------------------------
 
 
@@ -363,7 +338,7 @@ class TripleRecord:
 
     X is graphically a power of base_X[0]; the class's second word is
     Z * Y * Z^-1 with Y a power of base_Y[0].  Z minimality is rechecked by
-    breadth-first search up to ``z_search_cap`` letters.
+    breadth-first search up to ``_Z_SEARCH_CAP`` letters.
     """
 
     X: Word
@@ -371,7 +346,6 @@ class TripleRecord:
     Z: Word
     base_X: tuple[Word, int]
     base_Y: tuple[Word, int]
-    z_search_cap: int = 0
 
     @property
     def y_bar(self) -> Word:
@@ -384,7 +358,6 @@ class RankData:
     periods: list[Word] = field(default_factory=list)
     provenance: str = "enumerated"
     relators: list[RelatorRecord] = field(default_factory=list)
-    indeterminate: list[Word] = field(default_factory=list)
 
 
 @dataclass
@@ -410,86 +383,29 @@ class GradedPresentation:
     def all_relators(self) -> list[RelatorRecord]:
         return [rec for idx in sorted(self.ranks) for rec in self.ranks[idx].relators]
 
-    def oracle_for_rank(self, i: int, budget: int = DEFAULT_DEHN_BUDGET):
-        """Exact free oracle while no relators exist at or below rank i."""
-        relators = self.relators_up_to(i)
-        if not relators:
-            return FreeOracle()
-        return DehnOracle(relators, budget)
-
 
 # -- periods ----------------------------------------------------------------
 
 
-def _conjugate_to_shorter_power(cand: Word, i: int, oracle) -> Verdict:
-    """Is ``cand`` conjugate (in the oracle's rank) to a power of a shorter word?
+def periods_rank(pres: GradedPresentation, i: int) -> list[Word]:
+    """Maximal period set of rank i.
 
-    Exact for the free oracle (primitivity of the cyclic core).  For rewriting
-    oracles the power range is capped at |cand| letters, the honest reach of a
-    Dehn-style search; anything unresolved surfaces as INDETERMINATE.
-    """
-    if oracle.is_free:
-        if not cand.is_cyclically_reduced():
-            core, _ = cyclic_reduce(cand)
-            cand = core
-        if cand.is_empty:
-            return Verdict.YES
-        _, k = primitive_root(cand)
-        return Verdict.YES if k > 1 else Verdict.NO
-    saw_indeterminate = False
-    for b in enumerate_reduced_words(cand.alphabet, i - 1, include_empty=False):
-        if not b.is_cyclically_reduced() or b.letter_length >= i:
-            continue
-        kmax = max(1, i // b.letter_length)
-        for k in range(-kmax, kmax + 1):
-            if k == 0:
-                continue
-            verdict = oracle.is_conjugate(cand, power(b, k))
-            if verdict is Verdict.YES:
-                return Verdict.YES
-            if verdict is Verdict.INDETERMINATE:
-                saw_indeterminate = True
-    return Verdict.INDETERMINATE if saw_indeterminate else Verdict.NO
-
-
-def periods_rank(pres: GradedPresentation, i: int, oracle=None
-                 ) -> tuple[list[Word], list[Word]]:
-    """Maximal period set of rank i and the candidates the oracle could not
-    settle (excluded from the kept set, reported to the caller).
-
-    Candidates run in shortlex order; each must avoid being conjugate to a
-    power of anything shorter and to earlier kept periods or their inverses.
+    Candidates run in shortlex order; each must be primitive (not conjugate
+    to a power of anything shorter) and not conjugate to an earlier kept
+    period or its inverse.
     """
     if i < 1:
         raise InvalidParams("rank must be positive")
-    oracle = oracle or pres.oracle_for_rank(i - 1)
     kept: list[Word] = []
-    indeterminate: list[Word] = []
+    taken: set = set()  # conjugacy classes of the kept periods and their inverses
     for cand in enumerate_reduced_words(pres.alphabet, i, include_empty=False):
         if cand.letter_length != i or not cand.is_cyclically_reduced():
             continue
-        verdict = _conjugate_to_shorter_power(cand, i, oracle)
-        if verdict is Verdict.YES:
+        if primitive_root(cand)[1] != 1 or (key := canonical_cyclic(cand)) in taken:
             continue
-        if verdict is Verdict.INDETERMINATE:
-            indeterminate.append(cand)
-            continue
-        ok = True
-        for b in kept:
-            for other in (b, invert(b)):
-                verdict = oracle.is_conjugate(cand, other)
-                if verdict is Verdict.YES:
-                    ok = False
-                elif verdict is Verdict.INDETERMINATE:
-                    ok = False
-                    indeterminate.append(cand)
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            kept.append(cand)
-    return kept, indeterminate
+        kept.append(cand)
+        taken.update((key, canonical_cyclic(invert(cand))))
+    return kept
 
 
 # -- pair classification ------------------------------------------------------
@@ -588,7 +504,6 @@ class ClassifyResult:
     classes: tuple[PairClass, ...]
     discarded_trivial: int
     skipped_degenerate: tuple[tuple[Word, Word], ...]
-    skipped_indeterminate: tuple[tuple[Word, Word], ...]
 
 
 def _minimal_z_by_bfs(ybar: Word, coreY: Word, cap: int) -> Word | None:
@@ -599,63 +514,50 @@ def _minimal_z_by_bfs(ybar: Word, coreY: Word, cap: int) -> Word | None:
     return None
 
 
-def classify_pairs(pres: GradedPresentation, i: int, z_star: int, L: int,
-                   oracle=None, z_search_cap: int = 3) -> ClassifyResult:
+def classify_pairs(pres: GradedPresentation, z_star: int, L: int) -> ClassifyResult:
     """Partition pairs (X, Y) with |X|, |Y| <= L into joint conjugacy classes
-    of their (v, w) values, discarding pairs whose w value dies in rank i-1.
+    of their (v, w) values in the free group, discarding pairs whose w value
+    is trivial and setting aside those whose v value is.
 
     Class keys are the shortlex-least member pair; j indices within one
-    (period, exponent) group follow key order.  Only the exact rank-0 oracle
-    merges classes; rewriting oracles would at worst split them (their YES
-    answers are sound but rare), which is reported, not hidden.
+    (period, exponent) group follow key order.
     """
     if z_star not in (1, 2):
         raise InvalidParams(f"z* must be 1 or 2, got {z_star}")
-    oracle = oracle or pres.oracle_for_rank(i - 1)
     p = pres.params
     make_w = make_w1 if z_star == 1 else make_w2
 
     words_pool = [w for w in enumerate_reduced_words(pres.alphabet, L)]
     discarded = 0
     degenerate: list[tuple[Word, Word]] = []
-    indeterminate: list[tuple[Word, Word]] = []
     survivors: list[tuple[Word, Word, Word, Word]] = []  # (X, Y, v, w)
     for x in words_pool:
         for y in words_pool:
             w_val = make_w(x, y, p)
-            verdict = oracle.is_identity(w_val)
-            if verdict is Verdict.YES:
+            if w_val.is_empty:
                 discarded += 1
                 continue
-            if verdict is Verdict.INDETERMINATE:
-                indeterminate.append((x, y))
-                continue
             v_val = make_v(z_star, x, y, p)
-            if oracle.is_identity(v_val) is Verdict.YES:
+            if v_val.is_empty:
                 degenerate.append((x, y))
                 continue
             survivors.append((x, y, v_val, w_val))
 
     def joins(group: list[int], v_val: Word, w_val: Word) -> bool:
         _, _, v0, w0 = survivors[group[0]]
-        if oracle.is_free:
-            return _pair_conjugacy_witness(v0, w0, v_val, w_val) is not None
-        return (oracle.is_conjugate(v0, v_val) is Verdict.YES
-                and oracle.is_conjugate(w0, w_val) is Verdict.YES)
+        return _pair_conjugacy_witness(v0, w0, v_val, w_val) is not None
 
     groups: list[list[int]] = []
     by_v_class: dict = {}
     for idx, (_, _, v_val, w_val) in enumerate(survivors):
-        # joint conjugacy needs v conjugate to v0, so the free oracle tries
-        # only the groups whose v lies in the conjugacy class of v_val
-        near = (by_v_class.setdefault(canonical_cyclic(v_val), [])
-                if oracle.is_free else groups)
+        # joint conjugacy needs v conjugate to v0, so only the groups whose v
+        # lies in the conjugacy class of v_val are tried
+        near = by_v_class.setdefault(canonical_cyclic(v_val), [])
         group = next((g for g in near if joins(g, v_val, w_val)), None)
         if group is None:
             group = []
             groups.append(group)
-            if near is not groups:
-                near.append(group)
+            near.append(group)
         group.append(idx)
 
     # deterministic class records
@@ -676,7 +578,7 @@ def classify_pairs(pres: GradedPresentation, i: int, z_star: int, L: int,
         x_rep = core_x
         ybar = conjugate(y0, invert(gx))
         core_y, z_conj = cyclic_reduce(ybar)
-        z_min = _minimal_z_by_bfs(ybar, core_y, min(z_search_cap, z_conj.letter_length))
+        z_min = _minimal_z_by_bfs(ybar, core_y, min(_Z_SEARCH_CAP, z_conj.letter_length))
         if z_min is not None:
             z_conj = z_min
         triple = TripleRecord(
@@ -685,7 +587,6 @@ def classify_pairs(pres: GradedPresentation, i: int, z_star: int, L: int,
             Z=z_conj,
             base_X=primitive_root(core_x) if not core_x.is_empty else (core_x, 1),
             base_Y=primitive_root(core_y) if not core_y.is_empty else (core_y, 1),
-            z_search_cap=z_search_cap,
         )
         v_rep = make_v(z_star, triple.X, triple.y_bar, p)
         w_rep = make_w1(triple.X, triple.y_bar, p) if z_star == 1 \
@@ -707,8 +608,7 @@ def classify_pairs(pres: GradedPresentation, i: int, z_star: int, L: int,
             z_star=z_star, key=key, members=tuple(members), triple=triple,
             A=a_word, f=f_val, j=counters[jkey], witness=witness,
             v_rep=v_rep, w_rep=w_rep))
-    return ClassifyResult(z_star, tuple(classes), discarded,
-                          tuple(degenerate), tuple(indeterminate))
+    return ClassifyResult(z_star, tuple(classes), discarded, tuple(degenerate))
 
 
 class _PeriodRegistry:
@@ -752,15 +652,6 @@ def _relator_word(z_star: int, a_word: Word, f: int, t_word: Word, u_word: Word,
     if z_star == 1:
         return build_w1_like(t_word, block, p)
     return build_w2_like(u_word, t_word, block, p)
-
-
-def relator_exponent_schedule(z_star: int, p: ParamSet) -> list[int]:
-    """Period exponents (before multiplication by f) in template order."""
-    if z_star == 1:
-        return w1_exponents(p.h, p.n)
-    if z_star == 2:
-        return w2_exponents(p.h, p.n)
-    raise InvalidParams(f"z* must be 1 or 2, got {z_star}")
 
 
 def build_relator(z_star: int, a_word: Word, f: int, t_word: Word, u_word: Word,
@@ -807,14 +698,10 @@ def _is_power_of(w: Word, a_word: Word) -> bool:
     return w == power(a_word, k) or w == power(a_word, -k)
 
 
-def verbal_membership_witness(rec: RelatorRecord, triple: TripleRecord,
-                              oracle=None) -> Word:
-    """Conjugator W with W * relator * W^-1 equal (rank 0) to the identity
-    word evaluated at the class representative.  Exact; a failure on a
-    freshly built record means the construction itself is broken."""
-    oracle = oracle or FreeOracle()
-    if not getattr(oracle, "is_free", False):
-        raise Unsupported("witness search is implemented for the exact rank-0 oracle")
+def verbal_membership_witness(rec: RelatorRecord, triple: TripleRecord) -> Word:
+    """Conjugator W with W * relator * W^-1 equal in the free group to the
+    identity word evaluated at the class representative.  Exact; a failure
+    on a freshly built record means the construction itself is broken."""
     p = rec.params
     target = make_w1(triple.X, triple.y_bar, p) if rec.z_star == 1 \
         else make_w2(triple.X, triple.y_bar, p)
@@ -829,9 +716,8 @@ def verbal_membership_witness(rec: RelatorRecord, triple: TripleRecord,
 
 
 def build_presentation(alphabet: Alphabet, p: ParamSet, max_rank: int = 2,
-                       pair_budget: int = 1, z_stars=(1, 2), mode: str = "toy",
-                       dehn_budget: int = DEFAULT_DEHN_BUDGET,
-                       z_search_cap: int = 3, assign=None) -> GradedPresentation:
+                       pair_budget: int = 1, mode: str = "toy",
+                       assign=None) -> GradedPresentation:
     """Enumerate periods up to ``max_rank`` and attach all relators found by
     classifying pairs up to ``pair_budget`` letters per coordinate.
 
@@ -839,14 +725,9 @@ def build_presentation(alphabet: Alphabet, p: ParamSet, max_rank: int = 2,
     warning check for every synthesized relator."""
     pres = GradedPresentation(alphabet=alphabet, params=p, mode=mode)
     for i in range(1, max_rank + 1):
-        oracle = pres.oracle_for_rank(i - 1, dehn_budget)
-        kept, indet = periods_rank(pres, i, oracle)
-        data = pres.rank_data(i)
-        data.periods = kept
-        data.indeterminate = indet
-    for z_star in z_stars:
-        result = classify_pairs(pres, 1, z_star, pair_budget,
-                                z_search_cap=z_search_cap)
+        pres.rank_data(i).periods = periods_rank(pres, i)
+    for z_star in (1, 2):
+        result = classify_pairs(pres, z_star, pair_budget)
         for cls in result.classes:
             t_word, u_word = slot_words(cls, p)
             rec = build_relator(z_star, cls.A, cls.f, t_word, u_word, p,

@@ -43,6 +43,9 @@ _CHAIN_POS = {name: i for i, name in enumerate(PARAM_NAMES)}
 
 # Search limits for solve(); generous for any sane catalog.
 _MAX_HALVINGS = 512
+# Power size bound, in bits (|exponent| x bit lengths of the base's numerator and
+# denominator): the shipped catalog reaches 216 (n^2), zeta^7 after 512 halvings 3 633.
+_MAX_POWER_BITS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -118,7 +121,8 @@ _ALLOWED_CMPOPS = (ast.Gt, ast.GtE, ast.Lt, ast.LtE)
 def _parse_expr(text: str) -> ast.expr:
     try:
         tree = ast.parse(text.replace("^", "**"), mode="eval")
-    except SyntaxError as exc:
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+        # ValueError: a null byte on Python 3.10; the last two: nesting too deep
         raise InvalidParams(f"unparsable expression {text!r}: {exc}") from None
     for node in ast.walk(tree):
         if isinstance(node, (ast.operator, ast.cmpop, ast.unaryop, ast.expr_context)):
@@ -139,18 +143,18 @@ def _parse_expr(text: str) -> ast.expr:
     return tree.body
 
 
-def _eval_expr(node: ast.expr, env: Mapping[str, Fraction]) -> Fraction:
+def _eval_expr(node: ast.expr, env: Mapping[str, Fraction], item_id: str) -> Fraction:
     if isinstance(node, ast.Constant):
         return Fraction(node.value)
     if isinstance(node, ast.Name):
         if node.id not in env:
-            raise InvalidParams(f"unknown name {node.id!r} in expression")
+            raise InvalidParams(f"item {item_id!r}: unknown name {node.id!r}")
         return env[node.id]
     if isinstance(node, ast.UnaryOp):
-        return -_eval_expr(node.operand, env)
+        return -_eval_expr(node.operand, env, item_id)
     if isinstance(node, ast.BinOp):
-        left = _eval_expr(node.left, env)
-        right = _eval_expr(node.right, env)
+        left = _eval_expr(node.left, env, item_id)
+        right = _eval_expr(node.right, env, item_id)
         if isinstance(node.op, ast.Add):
             return left + right
         if isinstance(node.op, ast.Sub):
@@ -158,11 +162,18 @@ def _eval_expr(node: ast.expr, env: Mapping[str, Fraction]) -> Fraction:
         if isinstance(node.op, ast.Mult):
             return left * right
         if isinstance(node.op, ast.Div):
+            if not right:
+                raise InvalidParams(f"item {item_id!r} divides by zero")
             return left / right
         if isinstance(node.op, ast.Pow):
             if right.denominator != 1:
-                raise InvalidParams("exponents must be integers")
-            return left ** int(right)
+                raise InvalidParams(f"item {item_id!r}: exponents must be integers")
+            if not left and right.numerator < 0:
+                raise InvalidParams(f"item {item_id!r} raises 0 to a negative power")
+            bits = left.numerator.bit_length() + left.denominator.bit_length()
+            if abs(right.numerator) * bits > _MAX_POWER_BITS:
+                raise InvalidParams(f"item {item_id!r}: a power exceeds {_MAX_POWER_BITS} bits")
+            return left ** right.numerator
     raise InvalidParams(f"cannot evaluate node {ast.dump(node)}")
 
 
@@ -181,8 +192,11 @@ class CatalogItem:
         return max(self.params, key=_CHAIN_POS.__getitem__)
 
     def evaluate(self, env: Mapping[str, Fraction]) -> tuple[bool, Fraction, Fraction]:
-        lhs = _eval_expr(self._lhs, env)
-        rhs = _eval_expr(self._rhs, env)
+        try:
+            lhs = _eval_expr(self._lhs, env, self.id)
+            rhs = _eval_expr(self._rhs, env, self.id)
+        except RecursionError:
+            raise InvalidParams(f"item {self.id!r} is nested too deeply") from None
         if self._op == ">":
             return lhs > rhs, lhs, rhs
         if self._op == ">=":
@@ -415,6 +429,8 @@ def parse_assignment_text(text: str) -> LppAssignment:
         name = name.strip()
         if name not in PARAM_NAMES:
             raise InvalidParams(f"line {lineno}: unknown parameter {name!r}")
+        if "e" in rhs.lower():  # Fraction would expand 1e<k> to 10^k, for any k
+            raise InvalidParams(f"line {lineno}: bad rational {rhs.strip()!r}")
         try:
             values[name] = Fraction(rhs.strip())
         except (ValueError, ZeroDivisionError):
@@ -443,13 +459,3 @@ def bound_f(assign: LppAssignment) -> int:
     """Upper bound 100/zeta on the period exponent |f| in a relator."""
     value = 100 / assign.zeta
     return int(value) if value.denominator == 1 else int(value) + 1
-
-
-def bound_TU(a_len: int, assign: LppAssignment) -> int:
-    """Upper bound d*|A| on the lengths of the two conjugated slot words."""
-    return assign.d * a_len
-
-
-def period_floor(assign: LppAssignment) -> int:
-    """Periods carrying relators are strictly longer than d."""
-    return assign.d

@@ -271,17 +271,6 @@ class Word:
             out.extend([g if e > 0 else -g] * abs(e))
         return out
 
-    def letter_at(self, i: int) -> int:
-        """Signed letter at position ``i`` without materializing the word."""
-        if i < 0 or i >= self.letter_length:
-            raise IndexError(i)
-        for g, e in self.runs:
-            a = abs(e)
-            if i < a:
-                return g if e > 0 else -g
-            i -= a
-        raise IndexError(i)  # pragma: no cover
-
     def prefix(self, length: int) -> "Word":
         """The first ``length`` letters as a word (necessarily reduced)."""
         if length < 0 or length > self.letter_length:

@@ -85,6 +85,26 @@ def test_lpp_solve_round_trips_through_files(capsys, tmp_path):
     assert rep.passed
 
 
+def test_lpp_verify_needs_an_assignment(capsys, tmp_path):
+    cat = tmp_path / "cat.txt"
+    cat.write_text("L1 | n^2 > 100*(n+h)/zeta | Lemma 1\n")
+    code, out, err = run(capsys, "lpp", "verify", str(cat))
+    assert (code, out) == (2, "")
+    assert err == "lpp verify needs --assign <file>\n"
+
+
+@pytest.mark.parametrize("expression, message", [
+    ("alpha > 1/0", "item 'x' divides by zero"),
+    ("alpha > 0^-1 + alpha - alpha", "item 'x' raises 0 to a negative power"),
+], ids=["zero-divisor", "zero-to-negative"])
+def test_lpp_solve_refuses_a_zero_divisor(capsys, tmp_path, expression, message):
+    cat = tmp_path / "cat.txt"
+    cat.write_text(f"x | {expression} | a\n")
+    code, out, err = run(capsys, "lpp", "solve", str(cat))
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
 def test_graded_pieces(capsys, tmp_path):
     rel = tmp_path / "rel.txt"
     rel.write_text("a1 a2 a1^-1 a2^-1 a3 a4 a3^-1 a4^-1\n")
@@ -489,3 +509,13 @@ def test_graded_dehn_over_an_unencodable_generator_is_an_error(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "generator a600000 is past a557055" in proc.stderr
+
+
+def test_lpp_solve_refuses_a_power_tower(tmp_path):
+    # 2^2^2^2^2^2 = 2^(2^65536): evaluating it would never finish
+    cat = tmp_path / "cat.txt"
+    cat.write_text("x | alpha > 2^2^2^2^2^2 | a\n")
+    proc = run_cli_process("lpp", "solve", str(cat))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: item 'x': a power exceeds 65536 bits\n"

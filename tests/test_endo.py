@@ -6,8 +6,6 @@ from relfree.endo import (
     Endomorphism,
     apply,
     check_report,
-    compose,
-    identity_endo,
     kernel_witness,
     psi_infinity,
     substitute,
@@ -36,14 +34,6 @@ def rand_endo(rng):
 
 # -- substitution mechanics ------------------------------------------------------
 
-def test_identity_endomorphism_fixes_words():
-    rng = random.Random(20)
-    e = identity_endo(AB)
-    for _ in range(50):
-        w = rand_word(rng, rng.randint(0, 10))
-        assert apply(e, w) == w
-
-
 def test_swap_is_an_involution():
     swap = Endomorphism(AB, (A2, A1))
     rng = random.Random(21)
@@ -68,18 +58,10 @@ def test_apply_is_multiplicative():
         assert apply(e, concat(u, v)) == concat(apply(e, u), apply(e, v))
 
 
-def test_compose_functoriality():
-    rng = random.Random(24)
-    for _ in range(50):
-        e1, e2 = rand_endo(rng), rand_endo(rng)
-        w = rand_word(rng, rng.randint(0, 6))
-        assert apply(compose(e1, e2), w) == apply(e1, apply(e2, w))
-
-
 def test_alphabet_mismatch_rejected():
     other = Alphabet(3)
     with pytest.raises(AlphabetMismatch):
-        apply(identity_endo(AB), Word.generator(other, 1))
+        apply(Endomorphism(AB, tuple(AB.generators())), Word.generator(other, 1))
     with pytest.raises(AlphabetMismatch):
         substitute(A1, [Word.generator(other, 1)], AB)
     with pytest.raises(AlphabetMismatch):

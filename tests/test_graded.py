@@ -10,14 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from relfree.errors import (
-    BudgetExceeded,
     EmptyInput,
     WitnessNotFound,
     ZeroExponent,
 )
 from relfree.graded import (
     DehnOracle,
-    FreeOracle,
     GradedPresentation,
     RelatorRecord,
     Verdict,
@@ -27,17 +25,15 @@ from relfree.graded import (
     build_presentation,
     build_relator,
     classify_pairs,
-    dehn_reduce,
     dehn_reduce_trace,
     load_presentation,
     periods_rank,
     piece_stats,
-    relator_exponent_schedule,
     save_presentation,
     slot_words,
     verbal_membership_witness,
 )
-from relfree.verbal import ParamSet, make_v, make_w1
+from relfree.verbal import ParamSet, make_v, make_w1, w1_exponents, w2_exponents
 from relfree.words import (
     Alphabet,
     Word,
@@ -72,39 +68,37 @@ def fresh_pres(alphabet=AB, params=P):
 # -- periods -------------------------------------------------------------------
 
 def test_rank_one_periods():
-    kept, indet = periods_rank(fresh_pres(), 1)
+    kept = periods_rank(fresh_pres(), 1)
     assert kept == [A1, A2]
-    assert indet == []
 
 
 def test_rank_two_periods():
-    kept, indet = periods_rank(fresh_pres(), 2)
+    kept = periods_rank(fresh_pres(), 2)
     assert kept == [Word.parse(AB, "a1 a2"), Word.parse(AB, "a1 a2^-1")]
-    assert indet == []
 
 
 def test_rank_two_periods_exclude_proper_powers():
-    kept, _ = periods_rank(fresh_pres(), 2)
+    kept = periods_rank(fresh_pres(), 2)
     assert Word.parse(AB, "a1^2") not in kept
     assert Word.parse(AB, "a2^2") not in kept
 
 
 def test_single_generator_has_no_higher_periods():
     pres = fresh_pres(Alphabet(1))
-    kept, _ = periods_rank(pres, 2)
+    kept = periods_rank(pres, 2)
     assert kept == []
 
 
 def test_periods_deterministic():
-    a, _ = periods_rank(fresh_pres(), 2)
-    b, _ = periods_rank(fresh_pres(), 2)
+    a = periods_rank(fresh_pres(), 2)
+    b = periods_rank(fresh_pres(), 2)
     assert a == b
 
 
 # -- pair classification ----------------------------------------------------------
 
 def test_classify_discards_trivial_pairs():
-    res = classify_pairs(fresh_pres(), 1, 1, 1)
+    res = classify_pairs(fresh_pres(), 1, 1)
     # (x, x) and (x, x^-1) make the first identity word collapse
     keys = {cls.key for cls in res.classes}
     assert ("a1", "a1") not in keys
@@ -113,14 +107,13 @@ def test_classify_discards_trivial_pairs():
 
 def test_classify_finds_eight_classes_per_kind():
     for z_star in (1, 2):
-        res = classify_pairs(fresh_pres(), 1, z_star, 1)
+        res = classify_pairs(fresh_pres(), z_star, 1)
         assert len(res.classes) == 8
         assert not res.skipped_degenerate
-        assert not res.skipped_indeterminate
 
 
 def test_class_values_are_conjugate_to_period_powers():
-    res = classify_pairs(fresh_pres(), 1, 1, 1)
+    res = classify_pairs(fresh_pres(), 1, 1)
     for cls in res.classes:
         assert conjugate(power(cls.A, cls.f), cls.witness) == cls.v_rep
         assert cls.A.is_cyclically_reduced()
@@ -238,7 +231,7 @@ print(w2.letter_length, len(w2.runs), got)
 
 
 def test_triples_decompose_core_powers():
-    res = classify_pairs(fresh_pres(), 1, 2, 1)
+    res = classify_pairs(fresh_pres(), 2, 1)
     for cls in res.classes:
         t = cls.triple
         root, k = t.base_X
@@ -257,9 +250,9 @@ def test_relator_schedule_sums():
         n = rng.randint(1, 500)
         f = rng.choice([-1, 1]) * rng.randint(1, 20)
         p = ParamSet(h, 2, n)
-        assert sum(relator_exponent_schedule(1, p)) * f == 0
+        assert sum(w1_exponents(p.h, p.n)) * f == 0
         want = f * (h * n * n + h * (h + 1) // 2)
-        assert sum(relator_exponent_schedule(2, p)) * f == want
+        assert sum(w2_exponents(p.h, p.n)) * f == want
 
 
 def test_built_relator_exponent_sums_match_schedule():
@@ -292,7 +285,7 @@ def test_relator_warnings_for_toy_violations():
 
 def test_relator_round_trip_is_byte_identical():
     for z_star in (1, 2):
-        res = classify_pairs(fresh_pres(), 1, z_star, 1)
+        res = classify_pairs(fresh_pres(), z_star, 1)
         for cls in res.classes:
             t_word, u_word = slot_words(cls, P)
             rec = build_relator(z_star, cls.A, cls.f, t_word, u_word, P, j=cls.j)
@@ -304,7 +297,7 @@ def test_every_rank_one_relator_has_witness():
     from relfree.verbal import make_w2
 
     for z_star in (1, 2):
-        res = classify_pairs(fresh_pres(), 1, z_star, 1)
+        res = classify_pairs(fresh_pres(), z_star, 1)
         for cls in res.classes:
             t_word, u_word = slot_words(cls, P)
             rec = build_relator(z_star, cls.A, cls.f, t_word, u_word, P, j=cls.j)
@@ -314,7 +307,7 @@ def test_every_rank_one_relator_has_witness():
 
 
 def test_corrupted_relator_has_no_witness():
-    res = classify_pairs(fresh_pres(), 1, 1, 1)
+    res = classify_pairs(fresh_pres(), 1, 1)
     cls = res.classes[0]
     t_word, u_word = slot_words(cls, P)
     rec = build_relator(1, cls.A, cls.f, t_word, u_word, P, j=cls.j)
@@ -360,12 +353,14 @@ def test_pieces_reject_empty_input():
 # -- Dehn rewriting ---------------------------------------------------------------------
 
 def test_dehn_kills_the_relator_itself():
-    assert dehn_reduce(GENUS2, [GENUS2]).is_empty
+    res = dehn_reduce_trace(GENUS2, [GENUS2])
+    assert res.word.is_empty and not res.exhausted
 
 
 def test_dehn_leaves_short_words_alone():
     a1 = Word.generator(AB4, 1)
-    assert dehn_reduce(a1, [GENUS2]) == a1
+    res = dehn_reduce_trace(a1, [GENUS2])
+    assert res.word == a1 and not res.exhausted
 
 
 def test_dehn_empties_random_identity_words():
@@ -377,7 +372,8 @@ def test_dehn_empties_random_identity_words():
             g = free_reduce(AB4, [rng.choice(pool) for _ in range(rng.randint(0, 2))])
             parts.append(conjugate(power(GENUS2, rng.choice([1, -1])), g))
         w = concat_all(parts)
-        assert dehn_reduce(w, [GENUS2]).is_empty
+        res = dehn_reduce_trace(w, [GENUS2])
+        assert res.word.is_empty and not res.exhausted
 
 
 def test_dehn_never_grows_and_is_idempotent():
@@ -385,15 +381,15 @@ def test_dehn_never_grows_and_is_idempotent():
     pool = [s * g for g in range(1, 5) for s in (1, -1)]
     for _ in range(50):
         w = free_reduce(AB4, [rng.choice(pool) for _ in range(rng.randint(0, 20))])
-        res = dehn_reduce(w, [GENUS2])
-        assert res.letter_length <= w.letter_length
-        assert dehn_reduce(res, [GENUS2]) == res
+        res = dehn_reduce_trace(w, [GENUS2])
+        assert not res.exhausted
+        assert res.word.letter_length <= w.letter_length
+        again = dehn_reduce_trace(res.word, [GENUS2])
+        assert again.word == res.word and not again.exhausted
 
 
 def test_dehn_budget_raises():
     w = concat(GENUS2, conjugate(GENUS2, Word.generator(AB4, 1)))
-    with pytest.raises(BudgetExceeded):
-        dehn_reduce(w, [GENUS2], budget=1)
     res = dehn_reduce_trace(w, [GENUS2], budget=1)
     assert res.exhausted
 
@@ -427,9 +423,11 @@ def test_dehn_reduce_over_one_signed_generators():
     # each generator occurs with one sign only, so an inverse entry holds
     # letters the relator itself does not; a replacement taken from such an
     # entry must still be the inverse of its rest
-    assert dehn_reduce(power(A1, -2), [power(A1, 3)]) == A1
+    res = dehn_reduce_trace(power(A1, -2), [power(A1, 3)])
+    assert res.word == A1 and not res.exhausted
     r = Word.parse(AB, "a1 a2 a1 a2^-1")
-    assert dehn_reduce(Word.parse(AB, "a2 a1^-1 a2^-1"), [r]) == A1
+    res = dehn_reduce_trace(Word.parse(AB, "a2 a1^-1 a2^-1"), [r])
+    assert res.word == A1 and not res.exhausted
     oracle = DehnOracle([power(A1, 3)])
     assert oracle.is_conjugate(power(A1, -2), power(A1, -1)) is Verdict.INDETERMINATE
     assert oracle.is_conjugate(power(A1, -2), A1) is Verdict.YES
@@ -465,14 +463,6 @@ def test_best_match_replacement_inverts_the_rest_of_the_rotated_entry(rels, data
 
 # -- oracles -------------------------------------------------------------------------
 
-def test_free_oracle_basics():
-    oracle = FreeOracle()
-    assert oracle.is_identity(Word.identity(AB)) is Verdict.YES
-    assert oracle.is_identity(A1) is Verdict.NO
-    assert oracle.is_conjugate(Word.parse(AB, "a1 a2"), Word.parse(AB, "a2 a1")) \
-        is Verdict.YES
-
-
 def test_dehn_oracle_three_values():
     oracle = DehnOracle([GENUS2])
     assert oracle.is_identity(GENUS2) is Verdict.YES
@@ -482,19 +472,12 @@ def test_dehn_oracle_three_values():
     assert tiny.is_identity(GENUS2) is Verdict.INDETERMINATE
 
 
-def test_presentation_oracle_stratification():
-    pres = fresh_pres()
-    assert isinstance(pres.oracle_for_rank(0), FreeOracle)
-    assert isinstance(pres.oracle_for_rank(50), FreeOracle)  # no relators yet
-
-
 def test_dehn_oracle_accepts_unreduced_toy_relators():
     # the second-kind relators are not cyclically reduced as written; the
     # oracle must still come up (cores are taken internally)
     pres = build_presentation(AB, P, max_rank=1, pair_budget=1)
     top = max(pres.ranks)
-    oracle = pres.oracle_for_rank(top)
-    assert isinstance(oracle, DehnOracle)
+    oracle = DehnOracle(pres.relators_up_to(top))
     rec = pres.all_relators()[0]
     assert oracle.is_identity(rec.relator) is Verdict.YES
     assert oracle.is_conjugate(A1, conjugate(A1, A2)) is Verdict.YES

@@ -1,12 +1,16 @@
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relfree.errors import (
     BrokenChainOrder,
     EmptyInput,
     InvalidParams,
     NonPositiveParameter,
+    RelfreeError,
     Unsatisfiable,
 )
 from relfree.ledger import (
@@ -14,10 +18,8 @@ from relfree.ledger import (
     LppAssignment,
     PARAM_NAMES,
     bound_f,
-    bound_TU,
     load_default_catalog,
     parse_assignment_text,
-    period_floor,
     solve,
     verify,
 )
@@ -74,6 +76,36 @@ def test_expression_evaluation_is_exact():
     assert item.lhs == Fraction(160) ** 2
     assert item.rhs == Fraction(100 * 320, 3)
     assert item.passed
+
+
+@pytest.mark.parametrize("expression, message", [
+    ("alpha > 1/0", "item 'x' divides by zero"),
+    ("alpha > 1/(zeta - zeta)", "item 'x' divides by zero"),
+    ("alpha > 0^-1 + alpha - alpha", "item 'x' raises 0 to a negative power"),
+    ("alpha > 2^2^2^2^2^2", "item 'x': a power exceeds 65536 bits"),
+    ("alpha > (-1)^(10^30)", "item 'x': a power exceeds 65536 bits"),
+], ids=["zero-divisor", "zero-difference", "zero-to-negative", "tower", "unit-base"])
+def test_evaluation_errors_name_the_item(expression, message):
+    cat = InequalityCatalog.from_text(f"x | {expression} | anchor")
+    with pytest.raises(InvalidParams, match=re.escape(message)):
+        verify(chain(), cat)
+    with pytest.raises(InvalidParams, match=re.escape(message)):
+        solve(cat)
+
+
+def test_power_bound_is_on_the_size_of_the_result():
+    # 2 has a 2-bit numerator and a 1-bit denominator: 2^21845 is 65 535 bits
+    # by the measure, one under the bound, and 2^21846 one over it
+    assert verify(chain(), InequalityCatalog.from_text("x | 2^21845 > alpha | a")).passed
+    with pytest.raises(InvalidParams, match="a power exceeds"):
+        verify(chain(), InequalityCatalog.from_text("x | 2^21846 > alpha | a"))
+    assert verify(chain(), InequalityCatalog.from_text("x | 0^0 > alpha | a")).passed
+
+
+@pytest.mark.parametrize("depth", [2000, 50000])
+def test_deeply_nested_items_are_refused(depth):
+    with pytest.raises(InvalidParams):
+        verify(chain(), InequalityCatalog.from_text(f"x | alpha > {'-' * depth}1 | a"))
 
 
 # -- verify ---------------------------------------------------------------------
@@ -192,14 +224,47 @@ def test_assignment_parse_errors():
         parse_assignment_text("alpha = 1/2")  # missing the rest
     with pytest.raises(InvalidParams):
         parse_assignment_text("omega = 1/2")
+    with pytest.raises(InvalidParams):  # Fraction would expand 10^(10^12)
+        parse_assignment_text("alpha = 1e1000000000000")
 
 
 def test_bound_f_example():
     assert bound_f(chain(zeta=Fraction(1, 100), eta=Fraction(1, 320))) == 10_000
 
 
-def test_bound_TU_example():
-    a = chain()
-    d = a.d
-    assert bound_TU(d + 1, a) == d * (d + 1)
-    assert period_floor(a) == d
+# -- arbitrary input: a value or a RelfreeError, never another exception -------------
+
+SOLVED = solve(load_default_catalog())
+CATALOG_TOKENS = st.one_of(
+    st.sampled_from([*PARAM_NAMES, "h", "d", "n", "+", "-", "*", "/", "^", "(", ")", ">"]),
+    st.integers(-10 ** 6, 10 ** 6).map(str))
+
+
+def read_or_refuse(parse, text):
+    try:
+        return parse(text)
+    except RelfreeError:
+        return None
+
+
+def verify_catalog_text(text):
+    return verify(SOLVED, InequalityCatalog.from_text(text))
+
+
+@settings(max_examples=300, deadline=2000)
+@given(st.lists(CATALOG_TOKENS, min_size=1, max_size=24).map(" ".join))
+def test_catalog_token_soup_is_read_or_refused(expression):
+    read_or_refuse(verify_catalog_text, f"x | {expression} | anchor")
+
+
+@settings(max_examples=300, deadline=2000)
+@given(st.text())
+def test_catalog_text_is_read_or_refused(text):
+    read_or_refuse(verify_catalog_text, text)
+
+
+@settings(max_examples=300, deadline=2000)
+@given(st.one_of(st.text(), st.lists(st.sampled_from(
+    [*PARAM_NAMES, "=", "/", "-", "0", "1", "7", "e", ".", " ", "#", "\n"])).map("".join)))
+def test_assignment_text_is_read_or_refused(text):
+    read_or_refuse(parse_assignment_text, text)
