@@ -10,8 +10,8 @@ model and its conventions:
   traverses the shared edge in opposite directions (as-referenced labels
   mutually inverse), while a face side glued to a boundary side runs
   parallel to it (labels equal);
-- vertices are implicit: corner orbits of the side-endpoint incidences,
-  computed during checking;
+- vertices are implicit: classes of numbered corners (side i has tail 2i and
+  head 2i + 1) joined by the cycles and the gluing, computed while checking;
 - accepting requires the gluing to be a fixed-point-free partial involution
   covering every face side, a connected complex with Euler characteristic
   2 - k for k boundary cycles, every face reading a cyclic shift of the
@@ -92,28 +92,11 @@ class CheckResult:
 # -- construction of the incidence structure --------------------------------
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, x):
-        parent = self.parent
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
-def _validate_structure(cert: DiagramCertificate) -> dict[int, tuple[str, int, int]]:
+def _validate_structure(cert: DiagramCertificate) -> dict[int, tuple[str, int, int, int]]:
     """Well-formedness that has no geometric meaning; raises MalformedCertificate.
 
-    Returns side id -> (cycle kind, cycle index, position)."""
-    occurrences: dict[int, tuple[str, int, int]] = {}
+    Returns side id -> (cycle kind, cycle index, position, signed ref)."""
+    occurrences: dict[int, tuple[str, int, int, int]] = {}
     for kind, cycles in (("face", cert.faces), ("boundary", cert.boundaries)):
         for ci, cycle in enumerate(cycles):
             if not cycle:
@@ -124,7 +107,7 @@ def _validate_structure(cert: DiagramCertificate) -> dict[int, tuple[str, int, i
                     raise MalformedCertificate(f"{kind} {ci} references unknown side {ref}")
                 if side in occurrences:
                     raise MalformedCertificate(f"side {side} referenced more than once")
-                occurrences[side] = (kind, ci, pos)
+                occurrences[side] = (kind, ci, pos, ref)
     for side in cert.labels:
         if side not in occurrences:
             raise MalformedCertificate(f"side {side} is declared but dangling")
@@ -181,9 +164,8 @@ def check_certificate(cert: DiagramCertificate, relators: list[Word]) -> CheckRe
     # label compatibility, per slot kinds
     paired = set(seen)
     for s, t in cert.pairs:
-        kind_s, kind_t = occurrences[s][0], occurrences[t][0]
-        ref_s = _signed_ref(cert, occurrences, s)
-        ref_t = _signed_ref(cert, occurrences, t)
+        kind_s, _, _, ref_s = occurrences[s]
+        kind_t, _, _, ref_t = occurrences[t]
         read_s, read_t = _as_read(cert, ref_s), _as_read(cert, ref_t)
         if kind_s == kind_t:  # face-face or boundary-boundary: anti-parallel
             if read_s != -read_t:
@@ -194,37 +176,38 @@ def check_certificate(cert: DiagramCertificate, relators: list[Word]) -> CheckRe
                 return CheckResult(
                     False, f"boundary side of {s},{t} does not repeat the face label")
 
-    # corner orbits -> vertices
-    uf = _UnionFind()
-    for kind, cycles in (("face", cert.faces), ("boundary", cert.boundaries)):
-        for cycle in cycles:
-            for pos, ref in enumerate(cycle):
-                nxt = cycle[(pos + 1) % len(cycle)]
-                uf.union(_end_corner(ref), _start_corner(nxt))
-    for s, t in cert.pairs:
-        kind_s, kind_t = occurrences[s][0], occurrences[t][0]
-        ref_s = _signed_ref(cert, occurrences, s)
-        ref_t = _signed_ref(cert, occurrences, t)
-        if kind_s == kind_t:  # anti-parallel traversal
-            uf.union(_start_corner(ref_s), _end_corner(ref_t))
-            uf.union(_end_corner(ref_s), _start_corner(ref_t))
-        else:                 # parallel traversal
-            uf.union(_start_corner(ref_s), _start_corner(ref_t))
-            uf.union(_end_corner(ref_s), _end_corner(ref_t))
+    # corner orbits -> vertices.  Side number i has tail 2i and head 2i + 1;
+    # a signed reference starts at 2i + (ref < 0) and ends at that ^ 1.
+    number = {side: i for i, side in enumerate(cert.labels)}
+    parent = list(range(2 * len(number)))
 
-    vertices = {uf.find(("tail", side)) for side in cert.labels}
-    vertices |= {uf.find(("head", side)) for side in cert.labels}
-    v_count = len(vertices)
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for cycle in itertools.chain(cert.faces, cert.boundaries):
+        starts = [2 * number[abs(ref)] + (ref < 0) for ref in cycle]
+        for start, nxt in zip(starts, starts[1:] + starts[:1]):
+            parent[find(start ^ 1)] = find(nxt)
+    for s, t in cert.pairs:
+        kind_s, _, _, ref_s = occurrences[s]
+        kind_t, _, _, ref_t = occurrences[t]
+        # parallel traversal joins start to start; anti-parallel, start to end
+        a = 2 * number[s] + (ref_s < 0)
+        b = 2 * number[t] + (ref_t < 0) ^ (kind_s == kind_t)
+        parent[find(a)] = find(b)
+        parent[find(a ^ 1)] = find(b ^ 1)
+
+    v_count = len({find(c) for c in range(len(parent))})
     e_count = len(cert.pairs) + sum(1 for side in cert.labels if side not in paired)
     f_count = len(cert.faces)
 
-    # connectivity of the side graph (through gluings and shared corners)
-    comp = _UnionFind()
-    for side in cert.labels:
-        comp.union(("side", side), uf.find(("tail", side)))
-        comp.union(("side", side), uf.find(("head", side)))
-    roots = {comp.find(("side", side)) for side in cert.labels}
-    if len(roots) > 1:
+    # connectivity of the side graph (through gluings and shared corners):
+    # joining each side's two corners leaves one class per component
+    for i in range(len(number)):
+        parent[find(2 * i)] = find(2 * i + 1)
+    if len({find(c) for c in range(len(parent))}) > 1:
         return CheckResult(False, "diagram is disconnected")
 
     euler = v_count - e_count + f_count
@@ -255,39 +238,28 @@ def check_certificate(cert: DiagramCertificate, relators: list[Word]) -> CheckRe
     return CheckResult(True, None, warnings)
 
 
-def _signed_ref(cert: DiagramCertificate, occurrences, side: int) -> int:
-    kind, ci, pos = occurrences[side]
-    cycle = cert.faces[ci] if kind == "face" else cert.boundaries[ci]
-    return cycle[pos]
-
-
-def _start_corner(ref: int):
-    return ("tail", abs(ref)) if ref > 0 else ("head", abs(ref))
-
-
-def _end_corner(ref: int):
-    return ("head", abs(ref)) if ref > 0 else ("tail", abs(ref))
-
-
 def _reducedness_warnings(cert: DiagramCertificate, occurrences) -> list[str]:
+    # Face t read forward from t is face s read backward from s and inverted
+    # iff read(t_i) = -read(s_(pos_s + pos_t - i)) for every i, so one test
+    # serves each alignment (face s, face t, pos_s + pos_t mod |face s|).
     warnings = []
+    mirrors: dict[tuple[int, int, int], bool] = {}
     for s, t in cert.pairs:
-        kind_s, ci_s, pos_s = occurrences[s]
-        kind_t, ci_t, pos_t = occurrences[t]
+        kind_s, ci_s, pos_s, _ = occurrences[s]
+        kind_t, ci_t, pos_t, _ = occurrences[t]
         if kind_s != "face" or kind_t != "face":
             continue
-        w1 = _cycle_word(cert, _rotate(cert.faces[ci_s], pos_s))
-        w2 = _cycle_word(cert, _rotate(cert.faces[ci_t], pos_t))
-        mirrored = [-g for g in reversed(w1)]
-        mirrored = mirrored[-1:] + mirrored[:-1]
-        if w2 == mirrored:
+        face_s, face_t = cert.faces[ci_s], cert.faces[ci_t]
+        n = len(face_s)
+        key = (ci_s, ci_t, (pos_s + pos_t) % n)
+        if key not in mirrors:
+            mirrors[key] = len(face_t) == n and all(
+                _as_read(cert, face_t[i]) == -_as_read(cert, face_s[(key[2] - i) % n])
+                for i in range(n))
+        if mirrors[key]:
             warnings.append(
                 f"faces {ci_s} and {ci_t} are mirror-glued along {s},{t} (diagram unreduced)")
     return warnings
-
-
-def _rotate(cycle: list[int], pos: int) -> list[int]:
-    return cycle[pos:] + cycle[:pos]
 
 
 def _doubled(w: Word) -> str:

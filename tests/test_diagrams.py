@@ -1,6 +1,11 @@
+import os
 import random
+import tempfile
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relfree.diagrams import (
     ConjugacyClaim,
@@ -13,9 +18,15 @@ from relfree.diagrams import (
     random_corruption,
     save_certificate,
 )
-from relfree.errors import EmptyWord, MalformedCertificate, TraceMismatch, Unsupported
+from relfree.errors import (
+    EmptyWord,
+    MalformedCertificate,
+    RelfreeError,
+    TraceMismatch,
+    Unsupported,
+)
 from relfree.graded import DehnStep, dehn_reduce_trace
-from relfree.words import Alphabet, Word, concat, conjugate, power
+from relfree.words import Alphabet, Word, concat, concat_all, conjugate, free_reduce, power
 
 AB = Alphabet(2)
 COMM = Word.parse(AB, "a1 a2 a1^-1 a2^-1")
@@ -176,6 +187,119 @@ def test_mirror_pair_reported_as_warning():
     assert any("mirror-glued" in w for w in out.warnings)
 
 
+def mirror_disk(length):
+    """Faces r and r^-1 glued along all but one side; the two sides left over
+    meet the boundary, which reads x x^-1 for the last letter x of r."""
+    rng = random.Random(length)
+    r = []
+    while len(r) < length:
+        g = rng.choice((1, -1, 2, -2))
+        if (not r or g != -r[-1]) and (len(r) < length - 1 or g != -r[0]):
+            r.append(g)
+    inv = [-g for g in reversed(r)]
+    labels = {i: g for i, g in enumerate(r + inv + [r[-1], inv[0]], start=1)}
+    pairs = [(i, 2 * length + 1 - i) for i in range(1, length)]
+    pairs += [(length, 2 * length + 1), (length + 1, 2 * length + 2)]
+    cert = DiagramCertificate(
+        AB, labels,
+        faces=[list(range(1, length + 1)), list(range(length + 1, 2 * length + 1))],
+        boundaries=[[2 * length + 1, 2 * length + 2]],
+        pairs=pairs,
+        claim=EqualityClaim(Word.identity(AB)))
+    return cert, [free_reduce(AB, r)]
+
+
+def test_mirror_warnings_take_one_comparison_per_alignment():
+    # every face-face pair of this disk has the same alignment; rebuilding
+    # both face words per pair took 16 s at this length
+    cert, relators = mirror_disk(8000)
+    start = time.perf_counter()
+    out = check_certificate(cert, relators)
+    assert time.perf_counter() - start < 5
+    assert out.reason == "the empty word needs no certificate"
+    assert len(out.warnings) == 7999
+    assert all("mirror-glued" in w for w in out.warnings)
+
+
+# -- every reason a rejection can give -----------------------------------------
+
+def _empty(cert):
+    return DiagramCertificate(AB, {}, [], [], [], EqualityClaim(COMM))
+
+
+def _glued_twice_before_label(cert):
+    cert.labels[1] = -cert.labels[1]  # pair (1, 5) no longer matches ...
+    cert.pairs.append((1, 6))         # ... but side 1 is reused, and that comes first
+    return cert
+
+
+def _anti_parallel_label(cert):
+    cert.labels[3] = 1
+    return cert
+
+
+def _parallel_label(cert):
+    cert.labels[1] = -cert.labels[1]
+    return cert
+
+
+def _disconnected(cert):
+    # a second component: a boundary 2-gon whose sides are glued to each other
+    cert.labels.update({9: 1, 10: -1})
+    cert.boundaries.append([9, 10])
+    cert.pairs.append((9, 10))
+    return cert
+
+
+def _dropped_pair(cert):
+    cert.pairs.pop()
+    return cert
+
+
+def _claim(claim):
+    def change(cert):
+        cert.claim = claim
+        return cert
+    return change
+
+
+A1 = Word.parse(AB, "a1")
+REASONS = [
+    (one_face_disk, _empty, [COMM], "no boundary cycle"),
+    (one_face_disk, _glued_twice_before_label, [COMM], "side 1 glued more than once"),
+    (zero_face_annulus, _anti_parallel_label, [],
+     "glued sides 1,3 do not carry inverse labels"),
+    (one_face_disk, _parallel_label, [COMM],
+     "boundary side of 1,5 does not repeat the face label"),
+    (one_face_disk, _disconnected, [COMM], "diagram is disconnected"),
+    (zero_face_annulus, _dropped_pair, [], "Euler characteristic -1 differs from 2-k = 0"),
+    (one_face_disk, lambda cert: cert, [Word.parse(AB, "a1 a2 a1 a2")],
+     "face 0 does not read a relator shift"),
+    (zero_face_annulus, _claim(EqualityClaim(COMM)), [],
+     "equality claim needs one boundary cycle, found 2"),
+    (one_face_disk, _claim(EqualityClaim(Word.identity(AB))), [COMM],
+     "the empty word needs no certificate"),
+    (one_face_disk, _claim(EqualityClaim(Word.parse(AB, "a1 a2"))), [COMM],
+     "boundary does not read the claimed word"),
+    (one_face_disk, _claim(ConjugacyClaim(COMM, COMM)), [COMM],
+     "conjugacy claim needs two boundary cycles, found 1"),
+    (zero_face_annulus, _claim(ConjugacyClaim(A1, A1)), [],
+     "boundaries do not read the claimed word and inverse word"),
+    (one_face_disk, _claim(PuncturedSphereClaim((COMM, COMM))), [COMM],
+     "claim lists 2 boundary words, diagram has 1"),
+    (one_face_disk, _claim(PuncturedSphereClaim((A1,))), [COMM],
+     "boundary words do not match the claimed tuple"),
+]
+
+
+@pytest.mark.parametrize("make, change, relators, reason", REASONS,
+                         ids=[reason for *_, reason in REASONS])
+def test_rejection_reasons(make, change, relators, reason):
+    out = check_certificate(change(make()), relators)
+    assert not out.accepted
+    assert out.reason == reason
+
+
 # -- traces --------------------------------------------------------------------
 
 def test_single_step_trace_round_trip():
@@ -265,6 +389,46 @@ def test_corruptions_always_rejected():
             pass
 
 
+def random_relator(rng, length):
+    """A cyclically reduced word of ``length`` letters over a1, a2."""
+    while True:
+        letters = []
+        while len(letters) < length:
+            g = rng.choice((1, -1, 2, -2))
+            if not letters or g != -letters[-1]:
+                letters.append(g)
+        if letters[0] != -letters[-1]:
+            return letters
+
+
+def test_corruptions_rejected_over_random_relators():
+    # products of conjugated relators of 60, 50, 40 and 12 letters, as the
+    # benchmark's certificate jobs build them at a smaller scale
+    rng = random.Random(6)
+    certs = []
+    while len(certs) < 10:
+        rels = [free_reduce(AB, random_relator(rng, k)) for k in (60, 50, 40, 12)]
+        parts = []
+        for r in rels:
+            c = free_reduce(AB, random_relator(rng, 5))
+            parts.append(conjugate(r if rng.random() < 0.5 else power(r, -1), c))
+        w = concat_all(parts)
+        res = dehn_reduce_trace(w, rels)
+        if not res.word.is_empty:
+            continue  # rewriting did not decide this word
+        cert = certify_dehn_trace(w, rels, res.steps)
+        out = check_certificate(cert, rels)
+        assert out.accepted, out.reason
+        certs.append((cert, rels))
+    for i in range(50):
+        cert, rels = certs[i % len(certs)]
+        bad = random_corruption(cert, rng)
+        try:
+            assert not check_certificate(bad, rels).accepted
+        except RelfreeError:
+            pass
+
+
 # -- files ---------------------------------------------------------------------
 
 def test_certificate_file_round_trip(tmp_path):
@@ -287,3 +451,61 @@ def test_conjugacy_certificate_file(tmp_path):
     save_certificate(cert, path)
     loaded = load_certificate(path)
     assert check_certificate(loaded, []).accepted
+
+
+# -- arbitrary input: a value or a RelfreeError, never another exception -------------
+
+CERT_FIELDS = st.one_of(
+    st.integers(-4, 8).map(str),
+    st.sampled_from(["a1", "a2", "a1^-1", "a2^-1", "a2^3", "a3", "1", "'a1 a2'", "'", "#"]))
+CERT_LINES = st.builds(
+    lambda head, fields: " ".join([head, *fields]),
+    st.sampled_from(["alphabet", "edge", "pair", "face", "boundary", "claim equality",
+                     "claim conjugacy", "claim punctured", "claim", "#", ""]),
+    st.lists(CERT_FIELDS, max_size=5))
+
+
+@st.composite
+def certificate_texts(draw):
+    """Sides 1..n cut into signed cycles, random pairs and a claim, with
+    lines from the grammar mixed in, so that many texts reach the checker."""
+    n = draw(st.integers(1, 8))
+    lines = ["alphabet 2"]
+    lines += [f"edge {i} {draw(st.sampled_from(['a1', 'a2', 'a1^-1', 'a2^-1']))}"
+              for i in range(1, n + 1)]
+    order = draw(st.permutations(range(1, n + 1)))
+    cuts = [0, *sorted(draw(st.sets(st.integers(1, n))) | {n})]
+    for lo, hi in zip(cuts, cuts[1:]):
+        refs = [str(side if draw(st.booleans()) else -side) for side in order[lo:hi]]
+        lines.append(" ".join([draw(st.sampled_from(["face", "boundary"])), *refs]))
+    sides = st.integers(1, n)
+    lines += [f"pair {s} {t}" for s, t in draw(st.lists(st.tuples(sides, sides), max_size=n))]
+    lines.append(draw(st.sampled_from([
+        "claim equality 'a1 a2 a1^-1 a2^-1'", "claim equality a1", "claim conjugacy a1 a1",
+        "claim punctured a1 a2^-1 'a2 a1'", "claim punctured"])))
+    for line in draw(st.lists(CERT_LINES, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join(lines)
+
+
+def load_and_check(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cert.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            return check_certificate(load_certificate(path), [COMM])
+        except RelfreeError:
+            return None
+
+
+@settings(max_examples=300, deadline=2000)
+@given(st.text())
+def test_certificate_text_is_read_or_refused(text):
+    load_and_check(text)
+
+
+@settings(max_examples=300, deadline=2000)
+@given(st.one_of(st.lists(CERT_LINES, max_size=30).map("\n".join), certificate_texts()))
+def test_certificate_token_soup_is_read_or_refused(text):
+    load_and_check(text)
