@@ -22,7 +22,9 @@ A cyclic shift is tested one way throughout: a word a is a shift of b iff
 |a| = |b| and a occurs in bb.  Faces are matched against the relator table
 that Dehn rewriting uses (cyclic cores, so a face reads exactly what a
 rewriting step of :func:`certify_dehn_trace` puts there); claim words are
-matched as given.
+matched as given.  The table encodes an entry on first use, so a check
+encodes only the entries as long as some face, and a certificate build only
+the entries its trace names.
 
 Mirror-glued face pairs make a diagram unreduced; that is reported as a
 warning, not a failure, since an unreduced diagram still certifies its
@@ -307,14 +309,14 @@ def certify_dehn_trace(w: Word, relators: list[Word],
                        trace: Iterable[DehnStep]) -> DiagramCertificate:
     """Disk certificate with one face per rewriting step.
 
-    Replays the trace with the same deterministic splice-and-fold pass as the
-    rewriter; any divergence (wrong letters under a match, leftover boundary)
-    raises :class:`~relfree.errors.TraceMismatch`.
+    Replays the trace, splicing each step in and folding the cancelled
+    letters into glued pairs in one left-to-right pass, which leaves the same
+    reduced word as the rewriter; any divergence (wrong letters under a
+    match, leftover boundary) raises :class:`~relfree.errors.TraceMismatch`.
     """
     if w.is_empty:
         raise EmptyInput("nothing to certify for the empty word")
     table = _RelatorTable(relators)
-    by_key = {(idx, sign): (rlen, doubled) for idx, sign, rlen, doubled in table.entries}
 
     labels: dict[int, int] = {}
     faces: list[list[int]] = []
@@ -337,12 +339,13 @@ def certify_dehn_trace(w: Word, relators: list[Word],
 
     for step in trace:
         key = (step.relator_index, step.sign)
-        if key not in by_key:
+        if key not in table.keys:
             raise TraceMismatch(f"step references unknown relator variant {key}")
-        rlen, doubled = by_key[key]
+        k = table.keys[key]
+        rlen = table.lengths[k]
         if not (0 < step.matched <= rlen) or not (0 <= step.offset < rlen):
             raise TraceMismatch("step indices out of range")
-        rotated = _decode_letters(doubled[step.offset:step.offset + rlen])
+        rotated = _decode_letters(table.doubled(k)[step.offset:step.offset + rlen])
         p_letters = rotated[:step.matched]
         q_letters = rotated[step.matched:]
         if step.pos < 0 or step.pos + step.matched > len(frontier):

@@ -42,8 +42,10 @@ from .verbal import (
     make_w2,
 )
 from .words import (
+    DEFAULT_LETTER_BUDGET,
     Alphabet,
     Word,
+    _check_encodable,
     _decode_letters,
     _encode_letters,
     _encode_word,
@@ -150,44 +152,64 @@ class _RelatorTable:
 
     Relators are replaced by their cyclic cores (the normal closure is the
     same and the symmetrized set is built from cyclic words anyway); each
-    core and its inverse is one entry ``(index, sign, length, doubled)``.
-    Cores are encoded from their runs, so no relator is expanded letter by
-    letter; an entry's inverse is the entry next to it (list index ``k ^ 1``).
-    Dehn rewriting, certificate building and certificate checking all read
-    relator shifts from this one table."""
+    core and its inverse is one entry.  Entry ``k`` is relator ``k >> 1``,
+    inverted when ``k`` is odd, so an entry's inverse is entry ``k ^ 1``.
+    Building the table reduces the cores, measures them and checks that they
+    can be encoded; an entry is encoded from its runs, together with its
+    inverse, the first time :meth:`doubled` is asked for it.  A Dehn step
+    over a word of n letters matches more than half of an entry, so entries
+    of 2n letters or more are never encoded for it.  Dehn rewriting,
+    certificate building and certificate checking all read relator shifts
+    from this one table."""
 
     def __init__(self, relators: list[Word]):
         if not relators:
             raise EmptyInput("need at least one relator")
-        self.entries = []
+        self.cores = []
         for idx, r in enumerate(relators):
             core, _ = cyclic_reduce(r)
             if core.is_empty:
                 raise EmptyWord(f"relator {idx} is freely trivial")
-            enc = _encode_word(core)
+            core._check_budget(DEFAULT_LETTER_BUDGET)
+            _check_encodable(core)
+            self.cores.append(core)
+        self.lengths = [core.letter_length for core in self.cores for _ in (1, -1)]
+        self.keys = {(k >> 1, -1 if k & 1 else 1): k for k in range(len(self.lengths))}
+        self.shortest = min(self.lengths)
+        self._doubled: list[str | None] = [None] * len(self.lengths)
+
+    def doubled(self, k: int) -> str:
+        """Entry ``k`` encoded and doubled; encodes it and its inverse on first use."""
+        got = self._doubled[k]
+        if got is None:
+            enc = _encode_word(self.cores[k >> 1])
             # the inverse is the reverse with each code swapped for its
             # inverse's (a_k, a_k^-1 are 2k, 2k+1); the swap covers every
             # code of enc, hence of its reverse, and runs at C speed where
             # _encode_word(invert(core)) builds a tuple per run
             inv = enc[::-1].translate({c: c ^ 1 for c in map(ord, set(enc))})
-            for sign, e in ((1, enc), (-1, inv)):
-                self.entries.append((idx, sign, len(e), e + e))
+            self._doubled[k & ~1], self._doubled[k | 1] = enc + enc, inv + inv
+            got = self._doubled[k]
+        return got
 
     def reads_relator(self, letters) -> bool:
         """Whether ``letters`` is a cyclic shift of an entry."""
         enc = _encode_letters(letters)
-        return any(_is_cyclic_shift(enc, doubled) for _, _, _, doubled in self.entries)
+        return any(_is_cyclic_shift(enc, self.doubled(k))
+                   for k, rlen in enumerate(self.lengths) if rlen == len(enc))
 
     def best_match(self, enc: str, length: int, pos: int):
         """Longest half-exceeding match at ``pos``; None when there is none.
 
-        Returns (matched, relator_index, sign, offset, replacement_letters).
+        Returns (matched, relator_index, sign, offset, replacement), the
+        replacement encoded.
         """
         best = None
-        for k, (idx, sign, rlen, doubled) in enumerate(self.entries):
+        for k, rlen in enumerate(self.lengths):
             cap = min(rlen, length - pos)
             if 2 * cap <= rlen:
                 continue
+            doubled = self._doubled[k] or self.doubled(k)
             lo, hi = rlen // 2 + 1, cap  # shortest useful, longest possible
             if doubled.find(enc[pos:pos + lo]) == -1:
                 continue
@@ -201,36 +223,29 @@ class _RelatorTable:
             offset = doubled.find(enc[pos:pos + matched])
             if offset >= rlen:
                 offset -= rlen
-            excess = 2 * matched - rlen
-            key = (-excess, idx, 0 if sign > 0 else 1, offset)
+            # ties by relator index, then the relator before its inverse:
+            # that is entry order
+            key = (rlen - 2 * matched, k, offset)
             if best is None or key < best[0]:
-                best = (key, matched, idx, sign, offset, rlen, k)
+                best = (key, matched, offset, rlen, k)
         if best is None:
             return None
-        _, matched, idx, sign, offset, rlen, k = best
+        _, matched, offset, rlen, k = best
         # the inverse of the rest doubled[offset+matched:offset+rlen] of the
         # rotated entry is a slice of the opposite entry's doubled string
         start = (rlen - offset) % rlen
-        opposite = self.entries[k ^ 1][3]
-        replacement = tuple(_decode_letters(opposite[start:start + rlen - matched]))
-        return matched, idx, sign, offset, replacement
+        replacement = self.doubled(k ^ 1)[start:start + rlen - matched]
+        return matched, k >> 1, -1 if k & 1 else 1, offset, replacement
 
 
-def _splice_reduce(letters: list[int], pos: int, matched: int, replacement) -> list[int]:
-    """Replace letters[pos:pos+matched] and freely reduce, deterministically
-    (single left-to-right pass; mirrored by the certificate builder)."""
-    stack = letters[:pos]
-    for g in replacement:
-        if stack and stack[-1] == -g:
-            stack.pop()
-        else:
-            stack.append(g)
-    for g in letters[pos + matched:]:
-        if stack and stack[-1] == -g:
-            stack.pop()
-        else:
-            stack.append(g)
-    return stack
+def _join_reduced(u: str, v: str) -> str:
+    """The reduced encoding of uv, for reduced encodings u and v: only
+    letters at the seam can cancel."""
+    k = 0
+    top = min(len(u), len(v))
+    while k < top and ord(u[-1 - k]) ^ 1 == ord(v[k]):
+        k += 1
+    return u[:len(u) - k] + v[k:]
 
 
 def dehn_reduce_trace(w: Word, relators: list[Word],
@@ -242,28 +257,30 @@ def dehn_reduce_trace(w: Word, relators: list[Word],
     relator index, original relator before inverse, smallest rotation.
     Result length never grows; on a C'(1/6) set an empty result is exactly
     the identity certificate (classical guarantee, relied on, not proved).
+    The word is rewritten in its encoding and decoded once, at the end.
     """
     table = _table if _table is not None else _RelatorTable(relators)
-    letters = list(w.to_letters())
+    enc = _encode_word(w)
+    # a match covers more than half of an entry, so none starts later than this
+    reach = table.shortest // 2
     steps: list[DehnStep] = []
     exhausted = False
-    while letters:
+    while enc:
         if len(steps) >= budget:
             exhausted = True
             break
-        enc = _encode_letters(letters)
-        found = None
-        for pos in range(len(letters)):
-            got = table.best_match(enc, len(letters), pos)
+        n = len(enc)
+        for pos in range(n - reach):
+            got = table.best_match(enc, n, pos)
             if got is not None:
-                found = (pos, got)
                 break
-        if found is None:
+        else:
             break
-        pos, (matched, idx, sign, offset, replacement) = found
+        matched, idx, sign, offset, replacement = got
         steps.append(DehnStep(pos, matched, idx, sign, offset))
-        letters = _splice_reduce(letters, pos, matched, replacement)
-    return DehnResult(free_reduce(w.alphabet, letters), tuple(steps), exhausted)
+        # prefix, replacement and suffix are each reduced
+        enc = _join_reduced(_join_reduced(enc[:pos], replacement), enc[pos + matched:])
+    return DehnResult(free_reduce(w.alphabet, _decode_letters(enc)), tuple(steps), exhausted)
 
 
 # -- small cancellation metrics ---------------------------------------------

@@ -16,6 +16,7 @@ negative.  The text format is whitespace-separated tokens ``a<k>`` or
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import AlphabetMismatch, BudgetExceeded, EmptyWord, InvalidLetter
@@ -23,6 +24,8 @@ from .errors import AlphabetMismatch, BudgetExceeded, EmptyWord, InvalidLetter
 # Letter materialization is opt-in; this guards accidental expansion of
 # words whose RLE exponents are astronomically large.
 DEFAULT_LETTER_BUDGET = 10_000_000
+
+_exponent = itemgetter(1)  # of a run
 
 
 @dataclass(frozen=True)
@@ -233,7 +236,7 @@ class Word:
     def letter_length(self) -> int:
         """Total letter count sum(|exponent|), computed without materializing letters."""
         if self._len is None:
-            self._len = sum(abs(e) for _, e in self.runs)
+            self._len = sum(map(abs, map(_exponent, self.runs)))
         return self._len
 
     @property
@@ -312,7 +315,9 @@ class Word:
     def __str__(self) -> str:
         if not self.runs:
             return "1"
-        return " ".join(f"a{g}" if e == 1 else f"a{g}^{e}" for g, e in self.runs)
+        # long words repeat few distinct runs, so each run's text is made once
+        text = {(g, e): f"a{g}" if e == 1 else f"a{g}^{e}" for g, e in set(self.runs)}
+        return " ".join(map(text.__getitem__, self.runs))
 
     def __repr__(self) -> str:
         return f"Word({self})"
@@ -595,19 +600,27 @@ def _encode_letters(letters) -> str:
         raise _unencodable(max(map(abs, letters))) from None
 
 
+def _check_encodable(w: Word) -> None:
+    """Raise :class:`InvalidLetter` naming the first generator of ``w`` past
+    the largest encodable index; free when the alphabet stays below it."""
+    if w.alphabet.m > _MAX_ENCODABLE:
+        for g, _ in w.runs:
+            if g > _MAX_ENCODABLE:
+                raise _unencodable(g)
+
+
 def _encode_word(w: Word, limit: int | None = DEFAULT_LETTER_BUDGET) -> str:
     """``_encode_letters(w.to_letters(limit))``, built run by run: the budget
-    is checked before anything is built, and each distinct run's string is
-    made once."""
+    and the alphabet are checked before anything is built, and each distinct
+    run's string is made once."""
     w._check_budget(limit)
+    _check_encodable(w)
     pieces: dict = {}
     out = []
     for run in w.runs:
         piece = pieces.get(run)
         if piece is None:
             g, e = run
-            if g > _MAX_ENCODABLE:
-                raise _unencodable(g)
             piece = pieces[run] = chr(2 * g if e > 0 else 2 * g + 1) * abs(e)
         out.append(piece)
     return "".join(out)

@@ -1,10 +1,14 @@
+import argparse
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relfree
 from relfree import cli, ledger
@@ -23,6 +27,12 @@ def test_word_reduce(capsys):
     code, out, _ = run(capsys, "word", "reduce", "a1 a1^-1")
     assert code == 0
     assert out.strip() == "1"
+
+
+def test_word_conj_without_a_second_word_is_usage_error(capsys):
+    code, out, err = run(capsys, "word", "conj", "a1")
+    assert (code, out) == (2, "")
+    assert "second word" in err
 
 
 def test_word_reduce_matches_library(capsys):
@@ -157,6 +167,17 @@ def test_graded_dehn_builds_one_relator_table_per_relator_file(capsys, tmp_path,
     code, out, _ = run(capsys, "graded", "dehn", str(words), "--relators", str(rel))
     assert (code, out) == (0, "reduced: a1\nreduced: a2\nreduced: 1\n")
     assert built == [1]
+
+
+@pytest.mark.parametrize("action", ["build", "pieces"])
+def test_budget_dehn_outside_graded_dehn_is_usage_error(capsys, tmp_path, action):
+    rel = tmp_path / "rel.txt"
+    rel.write_text("a1 a2 a1^-1 a2^-1\n")
+    code, out, err = run(capsys, "graded", action, "--relators", str(rel),
+                         "--budget-dehn", "5")
+    assert (code, out) == (2, "")
+    assert "--budget-dehn" in err and f"graded {action}" in err
+
 
 def test_nonpositive_budget_is_usage_error(capsys, tmp_path):
     rel = tmp_path / "rel.txt"
@@ -519,3 +540,47 @@ def test_lpp_solve_refuses_a_power_tower(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr == "error: item 'x': a power exceeds 65536 bits\n"
+
+
+# -- input fuzzing ------------------------------------------------------------
+
+
+def read_text_with(read, text):
+    """``read(path)`` of a file holding ``text``; None when it is refused with
+    a RelfreeError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            return read(path)
+        except RelfreeError:
+            return None
+
+
+RELATOR_TOKENS = st.sampled_from([
+    "a1", "a2^-1", "a3^2", "a1^0", "1", "a0", "a-1", "a+2", "a1^", "^2", "a", "#", "# a1",
+    "a1^2^3", "a1^x", "a٣", "a²", f"a{10 ** 30}", f"a1^{10 ** 30}", "a" + "9" * 5000,
+    "a1^" + "9" * 5000, "a600000", "\n", "\t", "\r", " "])
+
+
+@settings(max_examples=300, deadline=2000)
+@given(st.one_of(st.text(), st.lists(st.one_of(RELATOR_TOKENS, st.text(max_size=3)),
+                                     max_size=20).map(" ".join)))
+def test_relator_file_text_is_read_or_refused(text):
+    got = read_text_with(cli._read_relators, text)
+    assert got is None or all(isinstance(w, Word) for w in got)
+
+
+PARAM_LINES = st.one_of(
+    st.sampled_from(["h = 20", "d=2", "n = 3", "h=40", "h = -20", "d = 0", "n=x", "# c",
+                     "=", "h", "h = 1e3", "h = ٢٠", "n = 1_000", "d = " + "9" * 5000, ""]),
+    st.text(max_size=8))
+
+
+@settings(max_examples=300, deadline=2000)
+@given(st.one_of(st.text(), st.lists(PARAM_LINES, max_size=8).map("\n".join)))
+def test_params_file_text_is_read_or_refused(text):
+    got = read_text_with(lambda path: cli._params_from_args(argparse.Namespace(params=path)),
+                         text)
+    assert got is None or isinstance(got, ParamSet)

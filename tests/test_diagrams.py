@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relfree import diagrams
 from relfree.diagrams import (
     ConjugacyClaim,
     DiagramCertificate,
@@ -25,7 +26,7 @@ from relfree.errors import (
     TraceMismatch,
     Unsupported,
 )
-from relfree.graded import DehnStep, dehn_reduce_trace
+from relfree.graded import DehnStep, _RelatorTable, dehn_reduce_trace
 from relfree.words import Alphabet, Word, concat, concat_all, conjugate, free_reduce, power
 
 AB = Alphabet(2)
@@ -367,6 +368,30 @@ def test_tampered_trace_rejected():
     ):
         with pytest.raises(TraceMismatch):
             certify_dehn_trace(w, [GENUS2], [bad] + list(res.steps[1:]))
+
+
+def test_certify_and_check_encode_only_the_entries_they_read(monkeypatch):
+    tables = []
+
+    class RecordingTable(_RelatorTable):
+        def __init__(self, relators):
+            super().__init__(relators)
+            tables.append(self)
+
+    monkeypatch.setattr(diagrams, "_RelatorTable", RecordingTable)
+    # 12, 8 and 15 letters: every face of the certificate reads GENUS2
+    long = Word.parse(AB4, "a1^3 a2^2 a3 a4^-1 a1 a2 a3^2 a4")
+    longer = Word.parse(AB4, "a4^4 a3^3 a2^2 a1 a2 a3^2 a4 a1")
+    relators = [long, GENUS2, longer]
+    w = concat(conjugate(GENUS2, Word.parse(AB4, "a3 a1")), power(GENUS2, -1))
+    res = dehn_reduce_trace(w, relators)
+    assert res.word.is_empty
+    assert {step.relator_index for step in res.steps} == {1}
+    cert = certify_dehn_trace(w, relators, res.steps)
+    assert check_certificate(cert, relators).accepted
+    assert len(tables) == 2  # one built by certify, one by check
+    for table in tables:
+        assert [k for k, d in enumerate(table._doubled) if d is not None] == [2, 3]
 
 
 def test_incomplete_trace_rejected():

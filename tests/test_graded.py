@@ -15,7 +15,9 @@ from relfree.errors import (
     ZeroExponent,
 )
 from relfree.graded import (
+    DEFAULT_DEHN_BUDGET,
     DehnOracle,
+    DehnStep,
     GradedPresentation,
     RelatorRecord,
     Verdict,
@@ -414,9 +416,11 @@ def test_relator_table_entries_decode_to_cores_and_inverses(rels):
     for idx, core in enumerate(cores):
         want += [(idx, 1, core.to_letters()), (idx, -1, invert(core).to_letters())]
     table = _RelatorTable(relators)
+    entries = [(idx, sign, table.lengths[k], table.doubled(k))
+               for (idx, sign), k in table.keys.items()]
     assert [(idx, sign, _decode_letters(doubled[:rlen]))
-            for idx, sign, rlen, doubled in table.entries] == want
-    assert all(doubled == 2 * doubled[:rlen] for _, _, rlen, doubled in table.entries)
+            for idx, sign, rlen, doubled in entries] == want
+    assert all(doubled == 2 * doubled[:rlen] for _, _, rlen, doubled in entries)
 
 
 def test_dehn_reduce_over_one_signed_generators():
@@ -458,7 +462,135 @@ def test_best_match_replacement_inverts_the_rest_of_the_rotated_entry(rels, data
     entry = (cores[i] if s > 0 else invert(cores[i])).to_letters()
     rotated = entry[o:] + entry[:o]
     assert rotated[:m] == word[:m]
-    assert list(replacement) == [-g for g in reversed(rotated[m:])]
+    assert _decode_letters(replacement) == [-g for g in reversed(rotated[m:])]
+
+
+def reference_dehn(w, relators, budget=DEFAULT_DEHN_BUDGET):
+    """The letter-list Dehn loop that the encoded rewriter replaced, kept as
+    its reference: every entry is encoded up front, the word is re-encoded
+    after each step, every position is scanned, and each replacement is
+    spliced in and reduced letter by letter."""
+    entries = []
+    for idx, r in enumerate(relators):
+        core = cyclic_reduce(r)[0]
+        for sign, letters in ((1, core.to_letters()), (-1, invert(core).to_letters())):
+            enc = _encode_letters(letters)
+            entries.append((idx, sign, len(enc), enc + enc))
+
+    def best_match(enc, length, pos):
+        best = None
+        for k, (idx, sign, rlen, doubled) in enumerate(entries):
+            cap = min(rlen, length - pos)
+            if 2 * cap <= rlen:
+                continue
+            lo, hi = rlen // 2 + 1, cap
+            if doubled.find(enc[pos:pos + lo]) == -1:
+                continue
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if doubled.find(enc[pos:pos + mid]) == -1:
+                    hi = mid - 1
+                else:
+                    lo = mid
+            offset = doubled.find(enc[pos:pos + lo])
+            if offset >= rlen:
+                offset -= rlen
+            key = (rlen - 2 * lo, idx, 0 if sign > 0 else 1, offset)
+            if best is None or key < best[0]:
+                best = (key, lo, idx, sign, offset, rlen, k)
+        if best is None:
+            return None
+        _, matched, idx, sign, offset, rlen, k = best
+        start = (rlen - offset) % rlen
+        opposite = entries[k ^ 1][3]
+        return matched, idx, sign, offset, _decode_letters(
+            opposite[start:start + rlen - matched])
+
+    letters = w.to_letters()
+    steps = []
+    exhausted = False
+    while letters:
+        if len(steps) >= budget:
+            exhausted = True
+            break
+        enc = _encode_letters(letters)
+        found = None
+        for pos in range(len(letters)):
+            got = best_match(enc, len(letters), pos)
+            if got is not None:
+                found = (pos, got)
+                break
+        if found is None:
+            break
+        pos, (matched, idx, sign, offset, replacement) = found
+        steps.append(DehnStep(pos, matched, idx, sign, offset))
+        stack = letters[:pos]
+        for g in replacement + letters[pos + matched:]:
+            if stack and stack[-1] == -g:
+                stack.pop()
+            else:
+                stack.append(g)
+        letters = stack
+    return free_reduce(w.alphabet, letters), tuple(steps), exhausted
+
+
+@st.composite
+def dehn_problems(draw):
+    """Relators (random, proper powers, one-sign powers like a1^3, of unequal
+    lengths) and a word built from conjugated relators and random letters,
+    so that it is sometimes shorter and sometimes longer than half of them."""
+    m = draw(st.integers(1, 3))
+    ab = Alphabet(m)
+    letter = st.integers(1, m).flatmap(lambda g: st.sampled_from([g, -g]))
+    relators = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["random", "power", "one-sign"]))
+        if kind == "one-sign":
+            r = Word.generator(ab, draw(st.integers(1, m)), draw(st.integers(2, 5)))
+        else:
+            r = free_reduce(ab, draw(st.lists(letter, min_size=1, max_size=12)))
+            if kind == "power":
+                r = power(r, draw(st.integers(2, 3)))
+        assume(not cyclic_reduce(r)[0].is_empty)
+        relators.append(r)
+    parts = [Word.identity(ab)]
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            r = power(draw(st.sampled_from(relators)), draw(st.sampled_from([1, -1])))
+            parts.append(conjugate(r, free_reduce(ab, draw(st.lists(letter, max_size=3)))))
+        else:
+            parts.append(free_reduce(ab, draw(st.lists(letter, max_size=8))))
+    budget = draw(st.sampled_from([1, 2, DEFAULT_DEHN_BUDGET]))
+    return concat_all(parts), relators, budget
+
+
+@settings(max_examples=400, deadline=None)
+@given(dehn_problems())
+def test_dehn_reduce_trace_agrees_with_the_letter_list_loop(problem):
+    w, relators, budget = problem
+    res = dehn_reduce_trace(w, relators, budget)
+    assert (res.word, res.steps, res.exhausted) == reference_dehn(w, relators, budget)
+
+
+def encoded_entries(table):
+    return [k for k in range(len(table.lengths)) if table._doubled[k] is not None]
+
+
+def test_dehn_encodes_only_entries_shorter_than_twice_the_word():
+    # 8, 8 and 12 letters; entries stay unencoded until a word reaches them
+    long = Word.parse(AB4, "a1^3 a2^2 a3 a4^-1 a1 a2 a3^2 a4")
+    relators = [GENUS2, long]
+    table = _RelatorTable(relators)
+    assert (table.lengths, table.shortest) == ([8, 8, 12, 12], 8)
+    assert encoded_entries(table) == []
+    half = Word.parse(AB4, "a1 a2 a1^-1 a2^-1")  # 2|w| <= every core
+    res = dehn_reduce_trace(half, relators, _table=table)
+    assert (res.word, res.steps) == (half, ())
+    assert encoded_entries(table) == []
+    longer = Word.parse(AB4, "a1 a2 a1^-1 a2^-1 a3")  # reaches GENUS2 only
+    res = dehn_reduce_trace(longer, relators, _table=table)
+    assert res.word == Word.parse(AB4, "a4 a3 a4^-1") and len(res.steps) == 1
+    assert encoded_entries(table) == [0, 1]
 
 
 # -- oracles -------------------------------------------------------------------------
