@@ -21,6 +21,7 @@ from .errors import (
     InvalidParams,
     RelfreeError,
     Unsatisfiable,
+    open_text,
 )
 from .verbal import ParamSet, epsilon, make_v, make_w1, make_w2, word_length_symbolic
 from .words import Alphabet, Word, canonical_cyclic, conjugate_in_free, primitive_root
@@ -61,7 +62,7 @@ def _emit(args, pairs: list[tuple[str, str]]) -> None:
 def _params_from_args(args) -> ParamSet:
     if getattr(args, "params", None):
         kv = {}
-        with open(args.params, "r", encoding="utf-8") as fh:
+        with open_text(args.params) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -83,7 +84,7 @@ def _params_from_args(args) -> ParamSet:
 def _read_word_lines(path) -> list[tuple[int, str]]:
     """(line number, text) of every line of a word file that is neither blank
     nor a ``#`` comment; line numbers count every line of the file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         stripped = [(lineno, line.strip()) for lineno, line in enumerate(fh, start=1)]
     return [(lineno, text) for lineno, text in stripped
             if text and not text.startswith("#")]

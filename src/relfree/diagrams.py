@@ -39,7 +39,14 @@ import shlex
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import EmptyInput, MalformedCertificate, RelfreeError, TraceMismatch, Unsupported
+from .errors import (
+    EmptyInput,
+    MalformedCertificate,
+    RelfreeError,
+    TraceMismatch,
+    Unsupported,
+    open_text,
+)
 from .graded import DehnStep, _RelatorTable
 from .words import (
     Alphabet,
@@ -244,12 +251,15 @@ def _reducedness_warnings(cert: DiagramCertificate, occurrences) -> list[str]:
     # Face t read forward from t is face s read backward from s and inverted
     # iff read(t_i) = -read(s_(pos_s + pos_t - i)) for every i, so one test
     # serves each alignment (face s, face t, pos_s + pos_t mod |face s|).
+    # One warning names each pair of faces, however many sides they share.
     warnings = []
+    warned: set[tuple[int, int]] = set()
     mirrors: dict[tuple[int, int, int], bool] = {}
     for s, t in cert.pairs:
         kind_s, ci_s, pos_s, _ = occurrences[s]
         kind_t, ci_t, pos_t, _ = occurrences[t]
-        if kind_s != "face" or kind_t != "face":
+        faces = (min(ci_s, ci_t), max(ci_s, ci_t))
+        if kind_s != "face" or kind_t != "face" or faces in warned:
             continue
         face_s, face_t = cert.faces[ci_s], cert.faces[ci_t]
         n = len(face_s)
@@ -259,8 +269,9 @@ def _reducedness_warnings(cert: DiagramCertificate, occurrences) -> list[str]:
                 _as_read(cert, face_t[i]) == -_as_read(cert, face_s[(key[2] - i) % n])
                 for i in range(n))
         if mirrors[key]:
+            warned.add(faces)
             warnings.append(
-                f"faces {ci_s} and {ci_t} are mirror-glued along {s},{t} (diagram unreduced)")
+                f"faces {faces[0]} and {faces[1]} are mirror-glued (diagram unreduced)")
     return warnings
 
 
@@ -463,7 +474,7 @@ def load_certificate(path) -> DiagramCertificate:
     boundaries: list[list[int]] = []
     pairs: list[tuple[int, int]] = []
     claim: Claim | None = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

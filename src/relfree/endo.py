@@ -33,7 +33,16 @@ from .verbal import (
     make_w2,
     word_length_symbolic,
 )
-from .words import Alphabet, Word, _PowerFactory, _append_runs, commutator, concat, power
+from .words import (
+    Alphabet,
+    Word,
+    _PowerFactory,
+    _append_runs,
+    _check_run_budget,
+    commutator,
+    concat,
+    power,
+)
 
 
 def substitute(w: Word, images: Sequence[Word], target: Alphabet) -> Word:
@@ -51,6 +60,7 @@ def substitute(w: Word, images: Sequence[Word], target: Alphabet) -> Word:
         if fac is None:
             fac = factories[g] = _PowerFactory(images[g - 1])
         _append_runs(acc, fac.runs(e))
+        _check_run_budget(len(acc), "a substitution")
     return Word._from_run_list(target, acc)
 
 

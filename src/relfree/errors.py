@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and :func:`open_text`, the
+one place where input files are decoded."""
+
+from contextlib import contextmanager
 
 
 class RelfreeError(Exception):
@@ -71,3 +74,19 @@ class TraceMismatch(RelfreeError):
 
 class Unsupported(RelfreeError):
     """The input is well-formed but outside the supported fragment."""
+
+
+class UndecodableFile(RelfreeError):
+    """An input file's bytes are not UTF-8 text."""
+
+
+@contextmanager
+def open_text(path):
+    """Open ``path`` for reading UTF-8 text.  Bytes that do not decode, met
+    anywhere in the ``with`` body, raise :class:`UndecodableFile` naming the
+    path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise UndecodableFile(f"{path}: not UTF-8 text ({exc.reason})") from None

@@ -31,6 +31,7 @@ from .errors import (
     RelfreeError,
     WitnessNotFound,
     ZeroExponent,
+    open_text,
 )
 from .ledger import bound_f
 from .verbal import (
@@ -67,7 +68,6 @@ from .words import (
 
 DEFAULT_DEHN_BUDGET = 10_000
 _PIECE_BUDGET = 2_000_000  # total letters across the materialized symmetrized set
-_Z_SEARCH_CAP = 3  # a class triple's conjugator Z is searched up to this length
 
 
 class Verdict(enum.Enum):
@@ -353,16 +353,18 @@ class RelatorRecord:
 class TripleRecord:
     """Canonical representative of one pair class.
 
-    X is graphically a power of base_X[0]; the class's second word is
-    Z * Y * Z^-1 with Y a power of base_Y[0].  Z minimality is rechecked by
-    breadth-first search up to ``_Z_SEARCH_CAP`` letters.
+    X and Y are cyclically reduced, and the class's second word is
+    y_bar = Z Y Z^-1, with Z the conjugator that :func:`cyclic_reduce` peels
+    off y_bar.  That Z is the shortest conjugator: y_bar = Z Y Z^-1 is
+    reduced as written, every conjugator is Z root^k with root the primitive
+    root of Y, and no letter cancels between Z and root^k, so it has
+    |Z| + |k| |root| letters (Lyndon-Schupp, Ch. I.1).  When Y is trivial,
+    so is Z.
     """
 
     X: Word
     Y: Word
     Z: Word
-    base_X: tuple[Word, int]
-    base_Y: tuple[Word, int]
 
     @property
     def y_bar(self) -> Word:
@@ -505,14 +507,12 @@ def _pair_conjugacy_witness(u1: Word, w1: Word, u2: Word, w2: Word) -> Word | No
 class PairClass:
     z_star: int
     key: tuple[str, str]
-    members: tuple[tuple[Word, Word], ...]
     triple: TripleRecord
     A: Word
     f: int
     j: int
     witness: Word  # v_{z*}(X, y_bar) = witness * A^f * witness^-1
     v_rep: Word
-    w_rep: Word
 
 
 @dataclass(frozen=True)
@@ -523,28 +523,22 @@ class ClassifyResult:
     skipped_degenerate: tuple[tuple[Word, Word], ...]
 
 
-def _minimal_z_by_bfs(ybar: Word, coreY: Word, cap: int) -> Word | None:
-    """Shortlex-first conjugator realizing ybar = Z coreY Z^-1, length <= cap."""
-    for z in enumerate_reduced_words(ybar.alphabet, cap):
-        if conjugate(coreY, z) == ybar:
-            return z
-    return None
-
-
 def classify_pairs(pres: GradedPresentation, z_star: int, L: int) -> ClassifyResult:
     """Partition pairs (X, Y) with |X|, |Y| <= L into joint conjugacy classes
     of their (v, w) values in the free group, discarding pairs whose w value
     is trivial and setting aside those whose v value is.
 
-    Class keys are the shortlex-least member pair; j indices within one
-    (period, exponent) group follow key order.
+    Class keys are the shortlex-least member pair (x0, y0); j indices within
+    one (period, exponent) group follow key order.  With x0 = g X g^-1 and X
+    cyclically reduced, Z is the conjugator :func:`cyclic_reduce` peels off
+    y_bar = g^-1 y0 g = Z Y Z^-1, the shortest one (see :class:`TripleRecord`).
     """
     if z_star not in (1, 2):
         raise InvalidParams(f"z* must be 1 or 2, got {z_star}")
     p = pres.params
     make_w = make_w1 if z_star == 1 else make_w2
 
-    words_pool = [w for w in enumerate_reduced_words(pres.alphabet, L)]
+    words_pool = list(enumerate_reduced_words(pres.alphabet, L))
     discarded = 0
     degenerate: list[tuple[Word, Word]] = []
     survivors: list[tuple[Word, Word, Word, Word]] = []  # (X, Y, v, w)
@@ -560,71 +554,45 @@ def classify_pairs(pres: GradedPresentation, z_star: int, L: int) -> ClassifyRes
                 continue
             survivors.append((x, y, v_val, w_val))
 
-    def joins(group: list[int], v_val: Word, w_val: Word) -> bool:
-        _, _, v0, w0 = survivors[group[0]]
-        return _pair_conjugacy_witness(v0, w0, v_val, w_val) is not None
-
     groups: list[list[int]] = []
     by_v_class: dict = {}
     for idx, (_, _, v_val, w_val) in enumerate(survivors):
         # joint conjugacy needs v conjugate to v0, so only the groups whose v
-        # lies in the conjugacy class of v_val are tried
+        # lies in the conjugacy class of v_val are tried against their first
         near = by_v_class.setdefault(canonical_cyclic(v_val), [])
-        group = next((g for g in near if joins(g, v_val, w_val)), None)
+        group = next((g for g in near if _pair_conjugacy_witness(
+            *survivors[g[0]][2:], v_val, w_val) is not None), None)
         if group is None:
             group = []
             groups.append(group)
             near.append(group)
         group.append(idx)
 
-    # deterministic class records
-    raw_classes = []
-    for group in groups:
-        members = sorted(
-            ((survivors[g][0], survivors[g][1]) for g in group),
-            key=lambda xy: (shortlex_key(xy[0]), shortlex_key(xy[1])))
-        x0, y0 = members[0]
-        key = (str(x0), str(y0))
-        raw_classes.append((key, members, x0, y0))
-    raw_classes.sort(key=lambda c: c[0])
-
+    # each class's least member pair, in key order: the registry adds periods
+    # to pres, and j counts within each (A, f) group, in that order
+    least = sorted((min((survivors[g][:2] for g in group),
+                        key=lambda xy: (shortlex_key(xy[0]), shortlex_key(xy[1])))
+                    for group in groups), key=lambda xy: (str(xy[0]), str(xy[1])))
     registry = _PeriodRegistry(pres)
-    enriched = []
-    for key, members, x0, y0 in raw_classes:
+    counters: dict[tuple[str, int], int] = {}
+    classes = []
+    for x0, y0 in least:
+        key = (str(x0), str(y0))
         core_x, gx = cyclic_reduce(x0)
-        x_rep = core_x
-        ybar = conjugate(y0, invert(gx))
-        core_y, z_conj = cyclic_reduce(ybar)
-        z_min = _minimal_z_by_bfs(ybar, core_y, min(_Z_SEARCH_CAP, z_conj.letter_length))
-        if z_min is not None:
-            z_conj = z_min
-        triple = TripleRecord(
-            X=x_rep,
-            Y=core_y,
-            Z=z_conj,
-            base_X=primitive_root(core_x) if not core_x.is_empty else (core_x, 1),
-            base_Y=primitive_root(core_y) if not core_y.is_empty else (core_y, 1),
-        )
-        v_rep = make_v(z_star, triple.X, triple.y_bar, p)
-        w_rep = make_w1(triple.X, triple.y_bar, p) if z_star == 1 \
-            else make_w2(triple.X, triple.y_bar, p)
+        y_bar = conjugate(y0, invert(gx))
+        core_y, z_word = cyclic_reduce(y_bar)
+        triple = TripleRecord(X=core_x, Y=core_y, Z=z_word)
+        v_rep = make_v(z_star, core_x, y_bar, p)
         a_word, f_val = registry.resolve(v_rep)
         witness = minimal_conjugacy_witness(v_rep, power(a_word, f_val))
         if witness is None:
             raise WitnessNotFound(
                 f"no conjugator from the period power to the class value {key}")
-        enriched.append((key, members, triple, a_word, f_val, witness, v_rep, w_rep))
-
-    # j indices: per (A, f) group, in class-key order
-    counters: dict[tuple[str, int], int] = {}
-    classes = []
-    for key, members, triple, a_word, f_val, witness, v_rep, w_rep in enriched:
         jkey = (str(a_word), f_val)
         counters[jkey] = counters.get(jkey, 0) + 1
         classes.append(PairClass(
-            z_star=z_star, key=key, members=tuple(members), triple=triple,
-            A=a_word, f=f_val, j=counters[jkey], witness=witness,
-            v_rep=v_rep, w_rep=w_rep))
+            z_star=z_star, key=key, triple=triple, A=a_word, f=f_val,
+            j=counters[jkey], witness=witness, v_rep=v_rep))
     return ClassifyResult(z_star, tuple(classes), discarded, tuple(degenerate))
 
 
@@ -647,11 +615,9 @@ class _PeriodRegistry:
         cw = canonical_cyclic(root)
         cwi = canonical_cyclic(invert(root))
         if cw in self._by_class:
-            a_word = self._by_class[cw]
-            return a_word, k
+            return self._by_class[cw], k
         if cwi in self._by_class:
-            a_word = self._by_class[cwi]
-            return a_word, -k
+            return self._by_class[cwi], -k
         a_word = cw.rep if shortlex_key(cw.rep) <= shortlex_key(cwi.rep) else cwi.rep
         sign = 1 if a_word == cw.rep else -1
         self._by_class[canonical_cyclic(a_word)] = a_word
@@ -785,9 +751,10 @@ def save_presentation(pres: GradedPresentation, path) -> None:
 def load_presentation(path) -> GradedPresentation:
     """Parse the text format; relator words are regenerated, never stored.
 
-    A line that cannot be read raises :class:`InvalidParams` naming the file
+    A line that cannot be read raises :class:`InvalidParams`, and one whose
+    relator is too large to build :class:`BudgetExceeded`, naming the file
     and line."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         lines = fh.read().splitlines()
     alphabet = None
     params = None
@@ -832,6 +799,8 @@ def load_presentation(path) -> GradedPresentation:
                 current.relators.append(rec)
             else:
                 raise InvalidParams("unrecognized line")
+        except BudgetExceeded as exc:
+            raise BudgetExceeded(f"{path}:{lineno}: {exc}") from exc
         except (RelfreeError, ValueError, KeyError, IndexError) as exc:
             raise InvalidParams(f"{path}:{lineno}: cannot read {line!r}: {exc!r}") from exc
     if alphabet is None or params is None:

@@ -35,6 +35,7 @@ from .errors import (
     InvalidParams,
     NonPositiveParameter,
     Unsatisfiable,
+    open_text,
 )
 
 PARAM_NAMES = ("alpha", "beta", "gamma", "delta", "eps", "zeta", "eta", "iota")
@@ -252,7 +253,7 @@ class InequalityCatalog:
 
     @classmethod
     def from_path(cls, path) -> "InequalityCatalog":
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             return cls.from_text(fh.read())
 
     def by_least_param(self, name: str) -> list[CatalogItem]:
@@ -442,7 +443,7 @@ def parse_assignment_text(text: str) -> LppAssignment:
 
 
 def load_assignment(path) -> LppAssignment:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return parse_assignment_text(fh.read())
 
 

@@ -23,7 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AlphabetMismatch, InvalidIndex, InvalidParams
-from .words import Word, _PowerFactory, _append_runs, commutator, concat, power
+from .words import (
+    Word,
+    _PowerFactory,
+    _append_runs,
+    _check_run_budget,
+    commutator,
+    concat,
+    power,
+)
 
 
 @dataclass(frozen=True)
@@ -52,23 +60,25 @@ def epsilon(i: int) -> int:
     return 1 if i % 10 in (1, 2, 3, 5, 6) else -1
 
 
+def _w1_slots(h: int, n: int):
+    """(sign index, block exponent) of each of the h slots of the first
+    identity word, one at a time."""
+    half = h // 2
+    for i in range(half - 1):
+        yield i + 1, n + 2 * i
+    yield half, (n + h - 2) + half
+    for i in range(half):
+        yield i + 1, -(n + 1 + 2 * i)
+
+
 def w1_exponents(h: int, n: int) -> list[int]:
     """The h block exponents of the first identity word.
 
     Positive half n, n+2, ..., n+h-4 with the last raised by h/2; then the
     negative half -(n+1), -(n+3), ..., -(n+h-1).  The halves telescope to a
-    zero total.
+    zero total, so each half sums to (h/2)(n + h/2).
     """
-    half = h // 2
-    pos = [n + 2 * i for i in range(half - 1)] + [(n + h - 2) + half]
-    neg = [-(n + 1 + 2 * i) for i in range(half)]
-    return pos + neg
-
-
-def w1_sign_indices(h: int) -> list[int]:
-    """Indices into the sign schedule for the h base-letter slots (1..h/2 twice)."""
-    half = h // 2
-    return list(range(1, half + 1)) * 2
+    return [e for _, e in _w1_slots(h, n)]
 
 
 def w2_exponents(h: int, n: int) -> list[int]:
@@ -104,12 +114,14 @@ def build_w1_like(base: Word, block: Word, p: ParamSet) -> Word:
     """
     if base.alphabet != block.alphabet:
         raise AlphabetMismatch("template slots must share one alphabet")
+    _check_run_budget(p.h, "a template's slots")
     bf = _PowerFactory(base)
     vf = _PowerFactory(block)
     acc: list = []
-    for idx, e in zip(w1_sign_indices(p.h), w1_exponents(p.h, p.n)):
+    for idx, e in _w1_slots(p.h, p.n):
         _append_runs(acc, bf.runs(epsilon(idx)))
         _append_runs(acc, vf.runs(e))
+        _check_run_budget(len(acc), "a template")
     return Word._from_run_list(base.alphabet, acc)
 
 
@@ -119,13 +131,15 @@ def build_w2_tail(sep: Word, block: Word, p: ParamSet) -> Word:
     """
     if sep.alphabet != block.alphabet:
         raise AlphabetMismatch("template slots must share one alphabet")
+    _check_run_budget(p.h, "a template's slots")
     sf = _PowerFactory(sep)
     vf = _PowerFactory(block)
-    exps = w2_exponents(p.h, p.n)
-    acc: list = list(vf.runs(exps[0]))
+    nn = p.n * p.n  # slot i has block exponent n^2 + i
+    acc: list = list(vf.runs(nn + 1))
     for i in range(2, p.h + 1):
         _append_runs(acc, sf.runs(epsilon(i)))
-        _append_runs(acc, vf.runs(exps[i - 1]))
+        _append_runs(acc, vf.runs(nn + i))
+        _check_run_budget(len(acc), "a template")
     return Word._from_run_list(sep.alphabet, acc)
 
 
@@ -162,8 +176,9 @@ def word_length_symbolic(which: str, lx: int, ly: int, p: ParamSet) -> int:
         return len_v1
     if which == "v2":
         return len_v2
+    # closed forms of sum |w1_exponents| and sum w2_exponents, so any h answers
     if which == "w1":
-        return h * lx + len_v1 * sum(abs(e) for e in w1_exponents(h, n))
+        return h * lx + len_v1 * h * (n + h // 2)
     if which == "w2":
-        return ly + (h - 1) * len_v1 + len_v2 * sum(w2_exponents(h, n))
+        return ly + (h - 1) * len_v1 + len_v2 * (h * n * n + h * (h + 1) // 2)
     raise InvalidIndex(f"unknown template {which!r}")

@@ -24,6 +24,11 @@ from .errors import AlphabetMismatch, BudgetExceeded, EmptyWord, InvalidLetter
 # Letter materialization is opt-in; this guards accidental expansion of
 # words whose RLE exponents are astronomically large.
 DEFAULT_LETTER_BUDGET = 10_000_000
+# Run sequences are built without materializing letters, but a power of a
+# word with several runs, or a template over h slots, still holds one entry
+# per run or per slot: those are capped here (a list of this many entries
+# takes 80 MB of pointers).
+DEFAULT_RUN_BUDGET = 10_000_000
 
 _exponent = itemgetter(1)  # of a run
 
@@ -85,6 +90,14 @@ def _append_runs(acc: list, runs) -> None:
         acc.extend(runs)
 
 
+def _check_run_budget(count: int, what: str) -> None:
+    """Raise :class:`BudgetExceeded` when ``count`` runs or slots of ``what``
+    are more than :data:`DEFAULT_RUN_BUDGET`."""
+    if count > DEFAULT_RUN_BUDGET:
+        raise BudgetExceeded(
+            f"{what} would need {count} entries, over the budget of {DEFAULT_RUN_BUDGET}")
+
+
 def _tile_runs(runs, k: int) -> list:
     """Concatenate ``k >= 1`` copies of a cyclically reduced run sequence."""
     if not runs:
@@ -92,6 +105,7 @@ def _tile_runs(runs, k: int) -> list:
     if len(runs) == 1:
         g, e = runs[0]
         return [(g, e * k)]
+    _check_run_budget(len(runs) * k, "a power")
     fg, fe = runs[0]
     lg, le = runs[-1]
     if fg != lg:

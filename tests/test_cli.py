@@ -7,13 +7,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import relfree
 from relfree import cli, ledger
 from relfree.errors import RelfreeError
-from relfree.verbal import ParamSet, make_w1
+from relfree.verbal import ParamSet, make_w1, word_length_symbolic
 from relfree.words import Alphabet, Word
 
 
@@ -542,6 +542,92 @@ def test_lpp_solve_refuses_a_power_tower(tmp_path):
     assert proc.stderr == "error: item 'x': a power exceeds 65536 bits\n"
 
 
+# -- sizes too large to build: exit 3, never MemoryError -------------------------
+
+def run_capped(*args, timeout=60):
+    """Run ``python args`` in a fresh interpreter whose address space is capped
+    at 1 GiB, so that an allocation too large for the host fails in the child
+    and not on the host."""
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(relfree.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, *args], env=env, preexec_fn=cap,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verbal", "build", "--which", "w1", "--d", "1000000000000"),
+    ("endo", "check", "--n", "100000000000000"),
+    ("graded", "build", "--h", "2000000000000"),
+], ids=["verbal-build-d", "endo-check-n", "graded-build-h"])
+def test_sizes_too_large_to_build_run_out_of_budget(argv):
+    proc = run_capped("-m", "relfree.cli", *argv)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "over the budget of 10000000" in proc.stderr
+
+
+def test_verbal_length_answers_at_any_h():
+    proc = run_capped("-m", "relfree.cli", "verbal", "length", "--which", "w1",
+                      "--h", "20000000000000")
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == word_length_symbolic("w1", 1, 1, ParamSet(20000000000000, 2, 3))
+
+
+def test_presentation_relator_too_large_to_build_runs_out_of_budget(tmp_path):
+    path = tmp_path / "pres.txt"
+    path.write_text("alphabet 2\nparams h=20 d=2 n=3\nmode toy\nrank 2\n"
+                    "relator z*=1 A='a1 a2' f=1000000000000 j=1 T=a1 U=a2\n")
+    code = ("import sys\nfrom relfree import errors, graded\n"
+            "try:\n    graded.load_presentation(sys.argv[1])\n"
+            "except errors.BudgetExceeded as exc:\n    print(exc)\n")
+    proc = run_capped("-c", code, str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"{path}:5: ")
+    assert "over the budget of 10000000" in proc.stdout
+
+
+# -- files that are not UTF-8 ---------------------------------------------------
+
+NOT_UTF8 = b"\xff\xfealphabet 2\n"
+
+
+@pytest.mark.parametrize("reader", [
+    "graded-pieces-relators", "graded-dehn-words", "endo-check-params", "vkd-check-certificate",
+    "lpp-verify-catalog", "lpp-verify-assignment"])
+def test_a_file_that_is_not_utf8_is_named_in_an_error(capsys, tmp_path, reader):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(NOT_UTF8)
+    rel = tmp_path / "rel.txt"
+    rel.write_text("a1 a2 a1^-1 a2^-1\n")
+    cat = tmp_path / "cat.txt"
+    cat.write_text("x | alpha > 0 | a\n")
+    argv = {
+        "graded-pieces-relators": ("graded", "pieces", "--relators", str(bad)),
+        "graded-dehn-words": ("graded", "dehn", str(bad), "--relators", str(rel)),
+        "endo-check-params": ("endo", "check", "--params", str(bad)),
+        "vkd-check-certificate": ("vkd", "check", str(bad), "--relators", str(rel)),
+        "lpp-verify-catalog": ("lpp", "verify", str(bad), "--assign", str(rel)),
+        "lpp-verify-assignment": ("lpp", "verify", str(cat), "--assign", str(bad)),
+    }[reader]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
+
+
+def test_a_presentation_file_that_is_not_utf8_is_named_in_an_error(tmp_path):
+    from relfree.errors import UndecodableFile
+    from relfree.graded import load_presentation
+
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(NOT_UTF8)
+    with pytest.raises(UndecodableFile, match=f"{bad}: not UTF-8 text"):
+        load_presentation(bad)
+
+
 # -- input fuzzing ------------------------------------------------------------
 
 
@@ -584,3 +670,33 @@ def test_params_file_text_is_read_or_refused(text):
     got = read_text_with(lambda path: cli._params_from_args(argparse.Namespace(params=path)),
                          text)
     assert got is None or isinstance(got, ParamSet)
+
+
+PRESENTATION_LINES = st.one_of(
+    st.sampled_from([
+        "alphabet 2", "alphabet 0", "alphabet x", "alphabet " + "9" * 5000, "alphabet",
+        "params h=20 d=2 n=3", "params h=40 d=3 n=5", "params h=20 d=2", "params h=30 d=2 n=3",
+        "params h=2000000000000 d=2 n=3", "params h d=2 n=3", "mode toy", "mode",
+        "rank 1 provenance=enumerated", "rank 77 provenance=classified", "rank x", "rank 2 p",
+        "rank", "period a1", "period 'a1 a2'", "period a3", "period", "period 'a1",
+        "relator z*=1 A=a1 f=1 j=1 T=a2 U=a2", "relator z*=2 A='a1 a2' f=-2 j=1 T='a2 a1' U=a2",
+        "relator z*=1 A='a1 a2' f=1000000000000 j=1 T=a1 U=a2",
+        "relator z*=1 A='a1 a2' f=1 j=1 T=a1^1000000000000 U=a2",
+        "relator z*=3 A=a1 f=1 j=1 T=a2 U=a2", "relator z*=1 A=a1 f=0 j=1 T=a2 U=a2",
+        "relator z*=1 A=1 f=1 j=1 T=a2 U=a2", "relator z*=1 A=a1 f=1 j=1 T=1 U=a2",
+        "relator z*=1 A=a1", "relator A", "relator z*=1 A=a1 f=x j=1 T=a2 U=a2",
+        "# comment", "  ", ""]),
+    st.text(max_size=12))
+
+
+@settings(max_examples=300, deadline=2000)
+@given(st.one_of(st.text(), st.lists(PRESENTATION_LINES, max_size=10).map("\n".join)))
+@example("alphabet 2\nparams h=20 d=2 n=3\nmode toy\nrank 2\n"
+         "relator z*=1 A='a1 a2' f=1000000000000 j=1 T=a1 U=a2\n")
+@example("alphabet 2\nparams h=2000000000000 d=2 n=3\nmode toy\nrank 2\n"
+         "relator z*=1 A='a1 a2' f=1 j=1 T=a1 U=a2\n")
+def test_presentation_file_text_is_read_or_refused(text):
+    from relfree.graded import GradedPresentation, load_presentation
+
+    got = read_text_with(load_presentation, text)
+    assert got is None or isinstance(got, GradedPresentation)

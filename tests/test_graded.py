@@ -233,14 +233,31 @@ print(w2.letter_length, len(w2.runs), got)
 
 
 def test_triples_decompose_core_powers():
-    res = classify_pairs(fresh_pres(), 2, 1)
-    for cls in res.classes:
-        t = cls.triple
-        root, k = t.base_X
-        assert power(root, k) == t.X
-        root, k = t.base_Y
-        assert power(root, k) == t.Y
-        assert conjugate(t.Y, t.Z) == t.y_bar
+    for z_star in (1, 2):
+        for cls in classify_pairs(fresh_pres(), z_star, 1).classes:
+            t = cls.triple
+            for core in (t.X, t.Y):
+                assert core.is_cyclically_reduced()
+                if not core.is_empty:
+                    root, k = primitive_root(core)
+                    assert power(root, k) == core
+            assert conjugate(t.Y, t.Z) == t.y_bar
+            assert t.Z == minimal_conjugacy_witness(t.y_bar, t.Y)
+
+
+AB3 = Alphabet(3)
+LETTERS3 = st.sampled_from([1, -1, 2, -2, 3, -3])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(LETTERS3, max_size=10), st.lists(LETTERS3, max_size=8), st.integers(1, 3))
+def test_peeled_conjugator_is_the_minimal_witness(core_letters, conj_letters, k):
+    # a class triple's Z is the conjugator cyclic_reduce peels off y_bar,
+    # taken to be the shortest one
+    y_bar = conjugate(power(free_reduce(AB3, core_letters), k), free_reduce(AB3, conj_letters))
+    core, peeled = cyclic_reduce(y_bar)
+    assert conjugate(core, peeled) == y_bar
+    assert minimal_conjugacy_witness(y_bar, core) == peeled
 
 
 # -- relators -----------------------------------------------------------------------
@@ -636,6 +653,14 @@ def test_presentation_relator_ranks_match_period_length():
     for rec in pres.all_relators():
         assert rec.rank == rec.A.letter_length
         assert rec.A in pres.ranks[rec.rank].periods
+
+
+def test_presentation_file_matches_the_pinned_file(tmp_path):
+    # the graded build --out file at (20, 2, 3) with pair budget 1, 43 lines
+    path = tmp_path / "pres.txt"
+    save_presentation(build_presentation(AB, P, max_rank=2, pair_budget=1), path)
+    pinned = Path(__file__).parent / "data" / "presentation_20_2_3.txt"
+    assert path.read_bytes() == pinned.read_bytes()
 
 
 def test_presentation_build_is_deterministic(tmp_path):

@@ -12,7 +12,6 @@ from relfree.verbal import (
     make_w1,
     make_w2,
     w1_exponents,
-    w1_sign_indices,
     w2_exponents,
     word_length_symbolic,
 )
@@ -51,7 +50,8 @@ def naive_v2(x, y, d):
 def naive_w1(x, y, h, d, n):
     v1 = naive_v1(x, y, d)
     out = []
-    for idx, e in zip(w1_sign_indices(h), w1_exponents(h, n)):
+    # the h base-letter slots take sign indices 1..h/2, twice
+    for idx, e in zip(list(range(1, h // 2 + 1)) * 2, w1_exponents(h, n)):
         out += n_pow(x, epsilon(idx)) + n_pow(v1, e)
     return out
 
@@ -214,6 +214,18 @@ def test_symbolic_length_exact_for_unreduced_templates():
     }
     for which, want in cases.items():
         assert word_length_symbolic(which, 1, 1, P) == want
+
+
+@pytest.mark.parametrize("h", [20, 40, 60, 200, 1000])
+@pytest.mark.parametrize("d, n", [(1, 1), (2, 3), (3, 5), (7, 11)])
+def test_symbolic_length_closed_forms_sum_the_exponent_lists(h, d, n):
+    p = ParamSet(h, d, n)
+    len_v1 = word_length_symbolic("v1", 2, 3, p)
+    len_v2 = word_length_symbolic("v2", 2, 3, p)
+    assert word_length_symbolic("w1", 2, 3, p) == \
+        h * 2 + len_v1 * sum(abs(e) for e in w1_exponents(h, n))
+    assert word_length_symbolic("w2", 2, 3, p) == \
+        3 + (h - 1) * len_v1 + len_v2 * sum(w2_exponents(h, n))
 
 
 def test_symbolic_length_v0():
