@@ -17,34 +17,18 @@ from . import diagrams, endo, graded, ledger, report
 from .errors import (
     BudgetExceeded,
     EmptyInput,
-    InvalidLetter,
     InvalidParams,
     RelfreeError,
     Unsatisfiable,
     open_text,
 )
 from .verbal import ParamSet, epsilon, make_v, make_w1, make_w2, word_length_symbolic
-from .words import Alphabet, Word, canonical_cyclic, conjugate_in_free, primitive_root
+from .words import Alphabet, Word, canonical_cyclic, conjugate_in_free, parse_words, primitive_root
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INDETERMINATE = 3
-
-
-def _infer_alphabet(texts: list[str], m: int | None) -> Alphabet:
-    if m is not None:
-        return Alphabet(m)
-    best = 1
-    for token in {token for text in texts for token in text.split()}:
-        if token.startswith("a"):
-            body = token.partition("^")[0][1:]
-            if body.isdecimal():
-                try:
-                    best = max(best, int(body))
-                except ValueError:  # too many digits for int(): the parser names it
-                    pass
-    return Alphabet(best)
 
 
 def _emit(args, pairs: list[tuple[str, str]]) -> None:
@@ -81,32 +65,18 @@ def _params_from_args(args) -> ParamSet:
     return ParamSet(args.h, args.d, args.n)
 
 
-def _read_word_lines(path) -> list[tuple[int, str]]:
-    """(line number, text) of every line of a word file that is neither blank
-    nor a ``#`` comment; line numbers count every line of the file."""
+def _word_lines(path):
+    """(``path:line``, text) of every line of a word file that is neither
+    blank nor a ``#`` comment; line numbers count every line of the file."""
     with open_text(path) as fh:
-        stripped = [(lineno, line.strip()) for lineno, line in enumerate(fh, start=1)]
-    return [(lineno, text) for lineno, text in stripped
-            if text and not text.startswith("#")]
-
-
-def _parse_word_lines(path, lines: list[tuple[int, str]], ab: Alphabet) -> list[Word]:
-    # lines are split again here rather than kept split from alphabet
-    # inference: holding every token of the toy relator file doubles the
-    # peak memory of `graded dehn` (27 -> 55 MB) to save about 25 ms
-    words = []
-    for lineno, text in lines:
-        try:
-            words.append(Word.parse(ab, text))
-        except InvalidLetter as exc:
-            raise InvalidLetter(f"{path}:{lineno}: {exc}") from exc
-    return words
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if text and not text.startswith("#"):
+                yield f"{path}:{lineno}", text
 
 
 def _read_relators(path, m: int | None = None) -> list[Word]:
-    lines = _read_word_lines(path)
-    ab = _infer_alphabet([text for _, text in lines], m)
-    return _parse_word_lines(path, lines, ab)
+    return parse_words(_word_lines(path), m)
 
 
 def _enforce_ledger_mode(args) -> int | None:
@@ -134,8 +104,8 @@ def _cmd_word(args) -> int:
     if args.action == "conj" and args.other is None:
         print("word conj needs a second word", file=sys.stderr)
         return EXIT_USAGE
-    ab = _infer_alphabet([args.word] + ([args.other] if args.other else []), args.m)
-    w = Word.parse(ab, args.word)
+    texts = [args.word] + ([args.other] if args.action == "conj" else [])
+    w, *other = parse_words([("", text) for text in texts], args.m)
     if args.action == "reduce":
         print(w)
         return EXIT_OK
@@ -151,8 +121,7 @@ def _cmd_word(args) -> int:
         _emit(args, [("root", str(root)), ("k", k)])
         return EXIT_OK
     if args.action == "conj":
-        v = Word.parse(ab, args.other)
-        verdict = conjugate_in_free(w, v)
+        verdict = conjugate_in_free(w, other[0])
         _emit(args, [("conjugate", str(verdict).lower())])
         return EXIT_OK if verdict else EXIT_FAIL
     raise AssertionError(args.action)
@@ -166,8 +135,7 @@ def _cmd_verbal(args) -> int:
     if args.action == "length":
         print(word_length_symbolic(args.which, args.lx, args.ly, p))
         return EXIT_OK
-    ab = _infer_alphabet([args.x, args.y], args.m)
-    x, y = Word.parse(ab, args.x), Word.parse(ab, args.y)
+    x, y = parse_words([("", args.x), ("", args.y)], args.m)
     if args.which in ("v0", "v1", "v2"):
         print(make_v(int(args.which[1]), x, y, p))
     elif args.which == "w1":
@@ -244,8 +212,7 @@ def _cmd_graded(args) -> int:
     # dehn over a word file
     if not relators:
         raise EmptyInput(f"{args.relators}: no relators")
-    words = _parse_word_lines(args.words, _read_word_lines(args.words),
-                              relators[0].alphabet)
+    words = parse_words(_word_lines(args.words), relators[0].alphabet.m)
     table = graded._RelatorTable(relators)
     budget = graded.DEFAULT_DEHN_BUDGET if args.budget_dehn is None else args.budget_dehn
     indeterminate = False

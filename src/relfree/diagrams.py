@@ -46,6 +46,7 @@ from .errors import (
     TraceMismatch,
     Unsupported,
     open_text,
+    split_fields,
 )
 from .graded import DehnStep, _RelatorTable
 from .words import (
@@ -464,9 +465,11 @@ def load_certificate(path) -> DiagramCertificate:
     """Parse the text format written by :func:`save_certificate`.
 
     Lines are split on whitespace; only ``claim`` lines, whose words
-    :func:`save_certificate` quotes, go through :func:`shlex.split`, so a
-    quoted field on any other line is an error.  A line that cannot be read
-    raises :class:`MalformedCertificate` naming the file and line."""
+    :func:`save_certificate` quotes, go through :func:`errors.split_fields`,
+    which reads exactly what :func:`shlex.quote` writes, so a quoted field
+    on any other line is an error.  Each distinct edge label is parsed once.
+    A line that cannot be read raises :class:`MalformedCertificate` naming
+    the file and line."""
     alphabet = None
     labels: dict[int, int] = {}
     letters: dict[str, int] = {}  # edge label -> letter, for the current alphabet
@@ -475,12 +478,11 @@ def load_certificate(path) -> DiagramCertificate:
     pairs: list[tuple[int, int]] = []
     claim: Claim | None = None
     with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+        for lineno, line in enumerate(fh, start=1):
+            tokens = line.split()
+            if not tokens or tokens[0].startswith("#"):
                 continue
             try:
-                tokens = line.split()
                 head = tokens[0]
                 if head in ("edge", "claim") and alphabet is None:
                     raise MalformedCertificate(f"{head} line before the alphabet line")
@@ -505,7 +507,7 @@ def load_certificate(path) -> DiagramCertificate:
                 elif head == "boundary":
                     boundaries.append([int(t) for t in tokens[1:]])
                 elif head == "claim":
-                    tokens = shlex.split(line)
+                    tokens = split_fields(line)
                     kind = tokens[1] if len(tokens) > 1 else None
                     if kind == "equality":
                         claim = EqualityClaim(Word.parse(alphabet, _fields(tokens[1:], 1)[0]))
@@ -521,7 +523,7 @@ def load_certificate(path) -> DiagramCertificate:
                     raise MalformedCertificate("unrecognized line")
             except (RelfreeError, ValueError) as exc:
                 raise MalformedCertificate(
-                    f"{path}:{lineno}: cannot read {line!r}: {exc}") from exc
+                    f"{path}:{lineno}: cannot read {line.strip()!r}: {exc}") from exc
     if alphabet is None or claim is None:
         raise MalformedCertificate(f"{path}: a certificate needs an alphabet and a claim")
     return DiagramCertificate(alphabet, labels, faces, boundaries, pairs, claim)

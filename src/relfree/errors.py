@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and :func:`open_text`, the
-one place where input files are decoded."""
+"""Exception types shared across the package, and the two readers every
+input shares: :func:`open_text` decodes files, :func:`split_fields` splits
+quoted fields."""
 
 from contextlib import contextmanager
 
@@ -90,3 +91,22 @@ def open_text(path):
             yield fh
     except UnicodeDecodeError as exc:
         raise UndecodableFile(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def split_fields(line: str) -> list[str]:
+    """Split ``line`` into whitespace-separated fields, where text in single
+    quotes is literal and joins the field around it: what :func:`shlex.quote`
+    writes, read as :func:`shlex.split` reads it.  An unbalanced quote raises
+    :class:`RelfreeError`."""
+    parts = line.split("'")
+    if not len(parts) % 2:
+        raise RelfreeError("no closing quotation")
+    fields: list[str] = []
+    joined = False  # the last field runs up to the current part
+    for i, part in enumerate(parts):
+        words = [part] if i % 2 else part.split()
+        if joined and words and (i % 2 or not part[0].isspace()):
+            fields[-1] += words.pop(0)
+        fields += words
+        joined = bool(i % 2) or (not part[-1].isspace() if part else joined)
+    return fields

@@ -32,6 +32,7 @@ from .errors import (
     WitnessNotFound,
     ZeroExponent,
     open_text,
+    split_fields,
 )
 from .ledger import bound_f
 from .verbal import (
@@ -673,12 +674,16 @@ def build_relator(z_star: int, a_word: Word, f: int, t_word: Word, u_word: Word,
 
 
 def _is_power_of(w: Word, a_word: Word) -> bool:
+    """Whether w = A^k or A^-k for k = |w|/|A|, without building the power:
+    the conjugators are equal, and the cores are powers of one root."""
     if w.is_empty:
         return True
     if a_word.is_empty or w.letter_length % a_word.letter_length:
         return False
-    k = w.letter_length // a_word.letter_length
-    return w == power(a_word, k) or w == power(a_word, -k)
+    (w_core, w_conj), (a_core, a_conj) = cyclic_reduce(w), cyclic_reduce(a_word)
+    (w_root, w_k), (a_root, a_k) = primitive_root(w_core), primitive_root(a_core)
+    return w_conj == a_conj and w_k == w.letter_length // a_word.letter_length * a_k \
+        and (w_root == a_root or w_root == invert(a_root))
 
 
 def verbal_membership_witness(rec: RelatorRecord, triple: TripleRecord) -> Word:
@@ -766,7 +771,7 @@ def load_presentation(path) -> GradedPresentation:
         if not line or line.startswith("#"):
             continue
         try:
-            tokens = shlex.split(line)
+            tokens = split_fields(line)
             head = tokens[0]
             if head in ("mode", "rank", "period", "relator") \
                     and (alphabet is None or params is None):

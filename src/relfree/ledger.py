@@ -187,6 +187,7 @@ class CatalogItem:
     _rhs: ast.expr = field(repr=False, compare=False)
     _op: str = field(repr=False, compare=False)
     params: frozenset = field(repr=False, compare=False)
+    where: str = field(default="", repr=False, compare=False)  # 'path:line: ', errors' prefix
 
     @property
     def least_param(self) -> str:
@@ -197,7 +198,9 @@ class CatalogItem:
             lhs = _eval_expr(self._lhs, env, self.id)
             rhs = _eval_expr(self._rhs, env, self.id)
         except RecursionError:
-            raise InvalidParams(f"item {self.id!r} is nested too deeply") from None
+            raise InvalidParams(f"{self.where}item {self.id!r} is nested too deeply") from None
+        except InvalidParams as exc:
+            raise InvalidParams(f"{self.where}{exc}") from None
         if self._op == ">":
             return lhs > rhs, lhs, rhs
         if self._op == ">=":
@@ -211,7 +214,7 @@ def _names_in(node: ast.expr) -> set[str]:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
 
-def parse_item(id_: str, expression: str, anchor: str) -> CatalogItem:
+def parse_item(id_: str, expression: str, anchor: str, where: str = "") -> CatalogItem:
     compare = _parse_expr(expression)
     if not isinstance(compare, ast.Compare):
         raise InvalidParams(f"item {id_!r} is not an inequality: {expression!r}")
@@ -224,7 +227,7 @@ def parse_item(id_: str, expression: str, anchor: str) -> CatalogItem:
     params = frozenset(_DERIVED.get(n, n) for n in names)
     if not params:
         raise InvalidParams(f"item {id_!r} mentions no chain parameter")
-    return CatalogItem(id_, expression.strip(), anchor.strip(), lhs, rhs, op, params)
+    return CatalogItem(id_, expression.strip(), anchor.strip(), lhs, rhs, op, params, where)
 
 
 @dataclass(frozen=True)
@@ -239,22 +242,27 @@ class InequalityCatalog:
             seen.add(item.id)
 
     @classmethod
-    def from_text(cls, text: str) -> "InequalityCatalog":
+    def from_text(cls, text: str, path=None) -> "InequalityCatalog":
+        """Errors of an item, in parsing or evaluating it, name its line."""
         items = []
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
+            where = f"line {lineno}: " if path is None else f"{path}:{lineno}: "
             parts = [part.strip() for part in line.split("|", 2)]
             if len(parts) != 3:
-                raise InvalidParams(f"line {lineno}: need 'id | expression | anchor'")
-            items.append(parse_item(*parts))
+                raise InvalidParams(f"{where}need 'id | expression | anchor'")
+            try:
+                items.append(parse_item(*parts, where))
+            except InvalidParams as exc:
+                raise InvalidParams(f"{where}{exc}") from None
         return cls(tuple(items))
 
     @classmethod
     def from_path(cls, path) -> "InequalityCatalog":
         with open_text(path) as fh:
-            return cls.from_text(fh.read())
+            return cls.from_text(fh.read(), path)
 
     def by_least_param(self, name: str) -> list[CatalogItem]:
         return [item for item in self.items if item.least_param == name]

@@ -15,8 +15,10 @@ negative.  The text format is whitespace-separated tokens ``a<k>`` or
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import compress, count, islice
+from operator import eq, itemgetter
 from typing import Iterable, Iterator
 
 from .errors import AlphabetMismatch, BudgetExceeded, EmptyWord, InvalidLetter
@@ -30,7 +32,9 @@ DEFAULT_LETTER_BUDGET = 10_000_000
 # takes 80 MB of pointers).
 DEFAULT_RUN_BUDGET = 10_000_000
 
-_exponent = itemgetter(1)  # of a run
+_generator = itemgetter(0)  # of a run
+_exponent = itemgetter(1)
+_SHARED = re.compile(rb"(.)(?=\1)", re.DOTALL)  # a byte the next one repeats
 
 
 @dataclass(frozen=True)
@@ -148,26 +152,82 @@ def _seam_merged(runs: tuple) -> tuple:
     return runs
 
 
-def _parse_token(alphabet: Alphabet, tok: str) -> tuple[int, int]:
+def _parse_token(tok: str) -> tuple[int, int]:
     """The run ``(k, e)`` that one token ``a<k>`` or ``a<k>^<e>`` stands for
-    (``e`` may be 0)."""
-    body = tok
-    exponent = 1
-    if "^" in tok:
-        body, _, etext = tok.partition("^")
-        try:
-            exponent = int(etext)
-        except ValueError:
-            raise InvalidLetter(f"bad exponent in token {tok!r}") from None
-    if not body.startswith("a"):
-        raise InvalidLetter(f"bad token {tok!r}")
+    (``e`` may be 0, and ``k`` is not checked against an alphabet)."""
+    body, caret, etext = tok.partition("^")
     try:
-        k = int(body[1:])
+        exponent = int(etext) if caret else 1
     except ValueError:
-        raise InvalidLetter(f"bad token {tok!r}") from None
-    if k < 1 or k > alphabet.m:
-        raise InvalidLetter(f"generator a{k} outside alphabet of {alphabet.m}")
-    return (k, exponent)
+        raise InvalidLetter(f"bad exponent in token {tok!r}") from None
+    try:
+        if body.startswith("a"):
+            return (int(body[1:]), exponent)
+    except ValueError:
+        pass
+    raise InvalidLetter(f"bad token {tok!r}")
+
+
+class _TokenRuns(dict):
+    """Token -> run, each distinct token parsed on first use, shared by all
+    the texts of one input.  ``m`` bounds the generators; when it is None,
+    ``top`` (the largest generator parsed) gives the alphabet afterwards."""
+
+    def __init__(self, m: int | None):
+        self.m = m
+        self.top = 1
+        self.zero = False  # some token has exponent 0
+
+    def __missing__(self, tok: str) -> tuple:
+        k, e = run = self[tok] = _parse_token(tok)  # an error ends the input
+        if k < 1 or (self.m is not None and k > self.m):
+            raise InvalidLetter(f"generator a{k} outside alphabet of {self.m or self.top}")
+        self.top = max(self.top, k)
+        self.zero = self.zero or not e
+        return run
+
+    def runs(self, text: str) -> tuple:
+        """The reduced runs of one text, split once and mapped to runs at C
+        speed (new tokens are parsed in text order, so the first bad one is
+        named).  Runs of exponent 0 are dropped, and the runs are cut where
+        adjacent ones share a generator into reduced pieces, joined by
+        :func:`_append_runs`."""
+        tokens = text.split()
+        if tokens == ["1"]:
+            return ()
+        runs = tuple(map(self.__getitem__, tokens))
+        if self.zero:
+            runs = tuple(filter(_exponent, runs))
+        gens = list(map(_generator, runs))
+        try:  # generators below 256 are bytes, searched in C
+            cuts = [hit.end() for hit in _SHARED.finditer(bytes(gens))]
+        except ValueError:
+            cuts = list(compress(count(1), map(eq, gens, islice(gens, 1, None))))
+        if not cuts:
+            return runs
+        acc: list = []
+        for start, stop in zip([0] + cuts, cuts + [len(runs)]):
+            _append_runs(acc, runs[start:stop])
+        return tuple(acc)
+
+
+def parse_words(texts: Iterable[tuple[str, str]], m: int | None = None) -> list["Word"]:
+    """Parse ``(where, text)`` pairs as words over one alphabet: ``m``
+    generators, or when ``m`` is None the largest generator any text names.
+    Each distinct token is parsed once over all the texts, and only their
+    runs are kept.  An error names its ``where`` first, when that is set."""
+    alphabet = None if m is None else Alphabet(m)
+    tokens = _TokenRuns(m)
+    runs = []
+    for where, text in texts:
+        try:
+            runs.append(tokens.runs(text))
+        except InvalidLetter as exc:
+            if not where:
+                raise
+            raise InvalidLetter(f"{where}: {exc}") from exc
+    alphabet = alphabet or Alphabet(tokens.top)
+    return [Word(alphabet, r) for r in runs]
 
 
 class Word:
@@ -210,39 +270,16 @@ class Word:
     def parse(cls, alphabet: Alphabet, text: str) -> "Word":
         """Parse the text format; the input is freely reduced on the way in.
 
+        One pass at C speed (see :meth:`_TokenRuns.runs`); a bad token
+        raises :class:`InvalidLetter` naming the first one in text order.
+
         >>> ab = Alphabet(2)
         >>> str(Word.parse(ab, "a1^3 a2^-1 a1"))
         'a1^3 a2^-1 a1'
         >>> str(Word.parse(ab, "a1 a1^-1"))
         '1'
         """
-        tokens = text.split()
-        if tokens == ["1"]:
-            return cls.identity(alphabet)
-        # each distinct token is parsed once; runs go onto a reduced stack,
-        # where a run can only merge with or cancel the top run (inline: an
-        # _append_runs call per token doubles the parse time of long relators)
-        parsed: dict = {}
-        get = parsed.get
-        acc: list = []
-        push = acc.append
-        top = 0  # generator of the top run, 0 when the stack is empty
-        for tok in tokens:
-            run = get(tok)
-            if run is None:
-                run = parsed[tok] = _parse_token(alphabet, tok)
-            g, e = run
-            if g == top:
-                s = acc[-1][1] + e
-                if s:
-                    acc[-1] = (g, s)
-                else:
-                    acc.pop()
-                    top = acc[-1][0] if acc else 0
-            elif e:
-                push(run)
-                top = g
-        return cls._from_run_list(alphabet, acc)
+        return cls(alphabet, _TokenRuns(alphabet.m).runs(text))
 
     # -- queries ------------------------------------------------------
 

@@ -112,7 +112,31 @@ def test_lpp_solve_refuses_a_zero_divisor(capsys, tmp_path, expression, message)
     cat.write_text(f"x | {expression} | a\n")
     code, out, err = run(capsys, "lpp", "solve", str(cat))
     assert (code, out) == (1, "")
-    assert err == f"error: {message}\n"
+    assert err == f"error: {cat}:1: {message}\n"
+
+
+CHAIN_ASSIGNMENT = ("alpha = 1/2\nbeta = 1/4\ngamma = 1/8\ndelta = 1/20\n"
+                    "eps = 1/40\nzeta = 1/160\neta = 1/200\niota = 1/201\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("x | alpha > 1/0 | a", "item 'x' divides by zero"),
+    ("x | alpha > 2^2^2^2^2^2 | a", "item 'x': a power exceeds 65536 bits"),
+    ("y | alpha > zz | a", "item 'y' uses unknown names ['zz']"),
+    ("y | alpha + 1 | a", "item 'y' is not an inequality: 'alpha + 1'"),
+    ("y | alpha > | a", "unparsable expression 'alpha >'"),
+], ids=["zero-divisor", "tower", "unknown-name", "not-an-inequality", "unparsable"])
+@pytest.mark.parametrize("action", ["solve", "verify"])
+def test_catalog_errors_name_the_file_and_line(capsys, tmp_path, line, message, action):
+    # the item sits on line 4, after a comment, a blank line and a good item
+    cat = tmp_path / "cat.txt"
+    cat.write_text(f"# catalog\n\nL1 | n^2 > 100*(n+h)/zeta | Lemma 1\n{line}\n")
+    assign = tmp_path / "assign.txt"
+    assign.write_text(CHAIN_ASSIGNMENT)
+    extra = ["--assign", str(assign)] if action == "verify" else []
+    code, out, err = run(capsys, "lpp", action, str(cat), *extra)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {cat}:4: {message}")
 
 
 def test_graded_pieces(capsys, tmp_path):
@@ -442,6 +466,52 @@ def test_vkd_check_names_the_bad_line_of_a_relator_file(capsys, tmp_path):
     assert f"{rel}:2: generator a3 outside alphabet of 2" in err
 
 
+def test_a_generator_named_only_on_the_last_line_sets_the_alphabet(capsys, tmp_path):
+    rel = tmp_path / "rel.txt"
+    rel.write_text("a1 a2 a1^-1 a2^-1\n# a5 in a comment\n\na5^3\n")
+    assert {w.alphabet for w in cli._read_relators(rel)} == {Alphabet(5)}
+    words = tmp_path / "words.txt"
+    words.write_text("a5^3 a1\n")
+    code, out, _ = run(capsys, "graded", "dehn", str(words), "--relators", str(rel))
+    assert (code, out) == (0, "reduced: a1\n")
+
+
+def test_an_alphabet_smaller_than_a_used_generator_names_the_line(capsys, tmp_path):
+    rel = tmp_path / "rel.txt"
+    rel.write_text("a1 a2\n# a comment\n\na1 a3\n")
+    code, out, err = run(capsys, "graded", "pieces", "--relators", str(rel), "--m", "2")
+    assert (code, out) == (1, "")
+    assert err == f"error: {rel}:4: generator a3 outside alphabet of 2\n"
+
+
+@pytest.mark.parametrize("argv", [["word", "reduce", "a0"], ["word", "reduce", "a1 a0^2"],
+                                  ["verbal", "build", "--x", "a0"]])
+def test_generator_a0_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: generator a0 outside alphabet of ")
+
+
+def test_generator_a0_in_a_relator_file_names_the_line(capsys, tmp_path):
+    rel = tmp_path / "rel.txt"
+    rel.write_text("a1 a2\na2 a0\n")
+    code, _, err = run(capsys, "graded", "pieces", "--relators", str(rel))
+    assert code == 1
+    assert err.startswith(f"error: {rel}:2: generator a0 outside alphabet of ")
+
+
+@pytest.mark.parametrize("which", ["relators", "words"])
+def test_blank_and_comment_lines_keep_the_line_numbers_counting(capsys, tmp_path, which):
+    good = tmp_path / "good.txt"
+    good.write_text("a1 a2 a1^-1 a2^-1\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_text("a1\n\n   \n# a comment\n\t# an indented one\n\na2 a1^x\n")
+    rel, words = (bad, good) if which == "relators" else (good, bad)
+    code, _, err = run(capsys, "graded", "dehn", str(words), "--relators", str(rel))
+    assert code == 1
+    assert err == f"error: {bad}:7: bad exponent in token 'a1^x'\n"
+
+
 def test_word_with_a_non_ascii_digit_is_a_bad_token(capsys):
     code, _, err = run(capsys, "word", "reduce", "a\u00b2")
     assert code == 1
@@ -539,7 +609,7 @@ def test_lpp_solve_refuses_a_power_tower(tmp_path):
     proc = run_cli_process("lpp", "solve", str(cat))
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
-    assert proc.stderr == "error: item 'x': a power exceeds 65536 bits\n"
+    assert proc.stderr == f"error: {cat}:1: item 'x': a power exceeds 65536 bits\n"
 
 
 # -- sizes too large to build: exit 3, never MemoryError -------------------------
@@ -656,6 +726,106 @@ RELATOR_TOKENS = st.sampled_from([
 def test_relator_file_text_is_read_or_refused(text):
     got = read_text_with(cli._read_relators, text)
     assert got is None or all(isinstance(w, Word) for w in got)
+
+
+# -- the quoted-field splitter -------------------------------------------------
+
+small_words = st.lists(st.tuples(st.integers(1, 12), st.integers(-300, 300)), max_size=5).map(
+    lambda runs: Word.parse(Alphabet(12), " ".join(f"a{g}^{e}" for g, e in runs)))
+
+
+@st.composite
+def saved_presentations(draw):
+    from relfree.graded import GradedPresentation, RelatorRecord
+
+    p = ParamSet(20, 2, 3)
+    pres = GradedPresentation(Alphabet(12), p, draw(st.sampled_from(["toy", "ledger"])))
+    for rank in draw(st.lists(st.integers(1, 400), max_size=3, unique=True)):
+        data = pres.rank_data(rank, draw(st.sampled_from(["enumerated", "classified"])))
+        data.periods += draw(st.lists(small_words, max_size=3))
+        for _ in range(draw(st.integers(0, 3))):
+            z, j = draw(st.integers(1, 2)), draw(st.integers(1, 9))
+            f = draw(st.integers(-10**6, 10**6))
+            a, t, u = draw(small_words), draw(small_words), draw(small_words)
+            data.relators.append(RelatorRecord(z, a, f, j, t, u, p, a))
+    return pres
+
+
+@st.composite
+def saved_certificates(draw):
+    from relfree.diagrams import (ConjugacyClaim, DiagramCertificate, EqualityClaim,
+                                  PuncturedSphereClaim)
+
+    sides = draw(st.lists(st.integers(1, 10**6), max_size=6, unique=True))
+    labels = {s: draw(st.sampled_from([1, -1, 2, -12])) for s in sides}
+    refs = st.lists(st.integers(-10**6, 10**6).filter(bool), min_size=1, max_size=6)
+    claim = draw(st.one_of(
+        small_words.map(EqualityClaim),
+        st.tuples(small_words, small_words).map(lambda uv: ConjugacyClaim(*uv)),
+        st.lists(small_words, min_size=1, max_size=3).map(
+            lambda ws: PuncturedSphereClaim(tuple(ws)))))
+    return DiagramCertificate(Alphabet(12), labels, draw(st.lists(refs, max_size=3)),
+                              draw(st.lists(refs, max_size=3)),
+                              draw(st.lists(st.tuples(st.integers(), st.integers()), max_size=3)),
+                              claim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(saved_presentations(), saved_certificates()))
+def test_split_fields_reads_what_the_writers_quote(saved):
+    """Every line that save_presentation or save_certificate writes splits as
+    shlex.split splits it."""
+    import shlex
+
+    from relfree.diagrams import save_certificate
+    from relfree.errors import split_fields
+    from relfree.graded import save_presentation
+
+    save = save_certificate if hasattr(saved, "claim") else save_presentation
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "saved.txt")
+        save(saved, path)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    for line in lines:
+        assert split_fields(line) == shlex.split(line)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.text(alphabet="' \t\r\na1=^-")))
+@example("period 'a1")
+@example("claim equality 'a1 a2'' a3")
+@example("x='a1 a2'y z")
+def test_split_fields_gives_fields_or_refuses(line):
+    """Any text gives fields or a RelfreeError; without double quotes,
+    backslashes and whitespace other than shlex's, the fields are shlex's."""
+    import shlex
+
+    from relfree.errors import split_fields
+
+    try:
+        fields = split_fields(line)
+    except RelfreeError:
+        fields = None
+    assert fields is None or all(isinstance(f, str) for f in fields)
+    if '"' in line or "\\" in line or any(c.isspace() and c not in " \t\r\n" for c in line):
+        return
+    try:
+        assert fields == shlex.split(line)
+    except ValueError:  # an unbalanced quote
+        assert fields is None
+
+
+def test_a_long_relator_slot_that_is_no_power_of_its_period_loads(tmp_path):
+    # T = a1^(10^12) against A = a1 a2: deciding that T is no power of A
+    # must not build A^(|T|/|A|)
+    from relfree.graded import load_presentation
+
+    path = tmp_path / "pres.txt"
+    path.write_text("alphabet 2\nparams h=20 d=2 n=3\nmode toy\nrank 2 provenance=classified\n"
+                    "relator z*=1 A='a1 a2' f=1 j=1 T=a1^1000000000000 U=a2\n")
+    (rec,) = load_presentation(path).ranks[2].relators
+    assert rec.warnings == ("|A| = 2 <= d = 2", "|T| = 1000000000000 >= d|A| = 4")
 
 
 PARAM_LINES = st.one_of(

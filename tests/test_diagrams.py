@@ -2,6 +2,7 @@ import os
 import random
 import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,16 @@ from relfree.errors import (
     Unsupported,
 )
 from relfree.graded import DehnStep, _RelatorTable, dehn_reduce_trace
-from relfree.words import Alphabet, Word, concat, concat_all, conjugate, free_reduce, power
+from relfree.words import (
+    Alphabet,
+    Word,
+    concat,
+    concat_all,
+    conjugate,
+    free_reduce,
+    invert,
+    power,
+)
 
 AB = Alphabet(2)
 COMM = Word.parse(AB, "a1 a2 a1^-1 a2^-1")
@@ -302,6 +312,22 @@ def test_rejection_reasons(make, change, relators, reason):
 
 
 # -- traces --------------------------------------------------------------------
+
+def test_certificate_file_matches_the_pinned_file(tmp_path):
+    # a product of two conjugated relators over three generators, certified
+    # from its Dehn trace: 32 lines, one claim line with a quoted word
+    ab = Alphabet(3)
+    comm = Word.parse(ab, "a1 a2 a1^-1 a2^-1")
+    rel = Word.parse(ab, "a1^2 a3 a1 a3^-1")
+    word = concat_all([conjugate(comm, Word.parse(ab, "a3 a2^-1")), invert(rel)])
+    cert = certify_dehn_trace(word, [comm, rel], dehn_reduce_trace(word, [comm, rel]).steps)
+    assert check_certificate(cert, [comm, rel]).accepted
+    path = tmp_path / "cert.txt"
+    save_certificate(cert, path)
+    pinned = Path(__file__).parent / "data" / "certificate_product.txt"
+    assert path.read_bytes() == pinned.read_bytes()
+    assert load_certificate(pinned) == cert
+
 
 def test_single_step_trace_round_trip():
     res = dehn_reduce_trace(COMM, [COMM])

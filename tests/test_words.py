@@ -525,3 +525,37 @@ def test_parse_reports_the_first_bad_token(tokens):
     with pytest.raises(InvalidLetter) as info:
         Word.parse(ab3, text)
     assert str(info.value) == errors[0]
+
+
+# token soup: repeated generators (some past 255, where shared generators are
+# found without the byte search), exponent 0, negative and large exponents,
+# a1^1, the identity token 1 and odd whitespace; bad tokens among them
+SOUP_GOOD = st.tuples(st.sampled_from([1, 2, 3, 299, 300]),
+                      st.one_of(st.integers(-3, 3), st.integers(-400, 400))).map(
+    lambda t: f"a{t[0]}^{t[1]}" if t[1] != 1 or t[0] == 2 else f"a{t[0]}")
+SOUP_SPACE = st.sampled_from([" ", "  ", "\t", "\n", "\r\n", "\x0b", " ", "　"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(SOUP_GOOD, SOUP_GOOD, SOUP_GOOD, st.just("1"),
+                          st.sampled_from(BAD_TOKENS)), max_size=30),
+       st.lists(SOUP_SPACE, min_size=31, max_size=31))
+def test_parse_of_token_soup_matches_the_naive_reduction(tokens, spaces):
+    text = spaces[-1] + "".join(t + s for t, s in zip(tokens, spaces))
+    errors = [] if tokens == ["1"] else \
+        [msg for msg in (naive_token_error(t, M_BIG) for t in tokens) if msg]
+    if errors:
+        with pytest.raises(InvalidLetter) as info:
+            Word.parse(BIG, text)
+        assert str(info.value) == errors[0]
+        return
+    letters = []
+    for tok in tokens if tokens != ["1"] else []:
+        body, _, etext = tok.partition("^")
+        g, e = int(body[1:]), int(etext or 1)
+        letters += [g if e > 0 else -g] * abs(e)
+    w = Word.parse(BIG, text)
+    assert w.to_letters() == naive_reduce(letters)
+    # and the runs are the normal form: no exponent 0, no generator twice in a row
+    assert all(e for _, e in w.runs)
+    assert all(a[0] != b[0] for a, b in zip(w.runs, w.runs[1:]))
