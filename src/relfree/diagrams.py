@@ -466,10 +466,10 @@ def load_certificate(path) -> DiagramCertificate:
 
     Lines are split on whitespace; only ``claim`` lines, whose words
     :func:`save_certificate` quotes, go through :func:`errors.split_fields`,
-    which reads exactly what :func:`shlex.quote` writes, so a quoted field
-    on any other line is an error.  Each distinct edge label is parsed once.
-    A line that cannot be read raises :class:`MalformedCertificate` naming
-    the file and line."""
+    which reads what :func:`shlex.quote` writes for a word, so a quoted
+    field on any other line is an error.  Each distinct edge label is
+    parsed once.  A line that cannot be read raises
+    :class:`MalformedCertificate` naming the file and line."""
     alphabet = None
     labels: dict[int, int] = {}
     letters: dict[str, int] = {}  # edge label -> letter, for the current alphabet

@@ -96,7 +96,9 @@ def open_text(path):
 def split_fields(line: str) -> list[str]:
     """Split ``line`` into whitespace-separated fields, where text in single
     quotes is literal and joins the field around it: what :func:`shlex.quote`
-    writes, read as :func:`shlex.split` reads it.  An unbalanced quote raises
+    writes for text without a single quote (every field the two writers
+    quote), read as :func:`shlex.split` reads it.  An unbalanced quote,
+    including the one ``shlex.quote`` writes for a single quote, raises
     :class:`RelfreeError`."""
     parts = line.split("'")
     if not len(parts) % 2:

@@ -15,7 +15,6 @@ negative.  The text format is whitespace-separated tokens ``a<k>`` or
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import compress, count, islice
 from operator import eq, itemgetter
@@ -34,7 +33,6 @@ DEFAULT_RUN_BUDGET = 10_000_000
 
 _generator = itemgetter(0)  # of a run
 _exponent = itemgetter(1)
-_SHARED = re.compile(rb"(.)(?=\1)", re.DOTALL)  # a byte the next one repeats
 
 
 @dataclass(frozen=True)
@@ -199,10 +197,7 @@ class _TokenRuns(dict):
         if self.zero:
             runs = tuple(filter(_exponent, runs))
         gens = list(map(_generator, runs))
-        try:  # generators below 256 are bytes, searched in C
-            cuts = [hit.end() for hit in _SHARED.finditer(bytes(gens))]
-        except ValueError:
-            cuts = list(compress(count(1), map(eq, gens, islice(gens, 1, None))))
+        cuts = list(compress(count(1), map(eq, gens, islice(gens, 1, None))))
         if not cuts:
             return runs
         acc: list = []

@@ -816,6 +816,18 @@ def test_split_fields_gives_fields_or_refuses(line):
         assert fields is None
 
 
+def test_split_fields_refuses_a_quoted_single_quote():
+    """shlex.quote writes a single quote as '"'"'; split_fields reads only what
+    it writes for text without one, which is every field the writers quote."""
+    import shlex
+
+    from relfree.errors import split_fields
+
+    assert shlex.split("claim equality " + shlex.quote("a1'a2")) == ["claim", "equality", "a1'a2"]
+    with pytest.raises(RelfreeError, match="no closing quotation"):
+        split_fields("claim equality " + shlex.quote("a1'a2"))
+
+
 def test_a_long_relator_slot_that_is_no_power_of_its_period_loads(tmp_path):
     # T = a1^(10^12) against A = a1 a2: deciding that T is no power of A
     # must not build A^(|T|/|A|)
