@@ -155,7 +155,12 @@ def _cycle_word(cert: DiagramCertificate, cycle: list[int]) -> list[int]:
 def check_certificate(cert: DiagramCertificate, relators: list[Word]) -> CheckResult:
     """ACCEPT iff the complex is a genuine k-punctured sphere whose faces read
     relators and whose boundary matches the claim; REJECT names the first
-    violated condition."""
+    violated condition.
+
+    A side glued to nothing needs no test: every corner meets at most two
+    others, so a connected complex with its k boundary cycles capped is a
+    connected surface.  A free side makes it one with boundary, whose Euler
+    characteristic V - E + F + k is at most 1, not 2."""
     occurrences = _validate_structure(cert)
     k = len(cert.boundaries)
     if k < 1:
@@ -224,11 +229,6 @@ def check_certificate(cert: DiagramCertificate, relators: list[Word]) -> CheckRe
     if euler != 2 - k:
         return CheckResult(
             False, f"Euler characteristic {euler} differs from 2-k = {2 - k}")
-
-    # a side glued to nothing would be an edge with the surface on neither side
-    unmatched = [side for side in occurrences if side not in paired]
-    if unmatched:
-        return CheckResult(False, f"side {unmatched[0]} is not glued")
 
     # faces must read relator shifts (or freely trivial boundary words)
     table = _RelatorTable(relators) if relators and cert.faces else None

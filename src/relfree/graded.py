@@ -57,6 +57,7 @@ from .words import (
     concat_all,
     conjugacy_witnesses,
     conjugate,
+    conjugate_in_free,
     cyclic_reduce,
     enumerate_reduced_words,
     free_reduce,
@@ -117,7 +118,7 @@ class DehnOracle:
     def is_conjugate(self, u: Word, v: Word) -> Verdict:
         ru = dehn_reduce_trace(u, self.relators, self.budget, _table=self._table)
         rv = dehn_reduce_trace(v, self.relators, self.budget, _table=self._table)
-        if canonical_cyclic(ru.word) == canonical_cyclic(rv.word):
+        if conjugate_in_free(ru.word, rv.word):
             return Verdict.YES
         return Verdict.INDETERMINATE
 
@@ -341,10 +342,6 @@ class RelatorRecord:
     @property
     def rank(self) -> int:
         return self.A.letter_length
-
-    @property
-    def ledger_compliant(self) -> bool:
-        return not self.warnings
 
     def regenerate(self) -> Word:
         return _relator_word(self.z_star, self.A, self.f, self.T, self.U, self.params)

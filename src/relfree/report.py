@@ -26,7 +26,6 @@ from .words import (
     conjugate_in_free,
     exponent_sum,
     free_reduce,
-    letter_key,
     power,
     primitive_root,
 )
@@ -77,8 +76,9 @@ def naive_conjugacy_key(letters) -> tuple:
     core = naive_cyclic_core(letters)
     if not core:
         return ()
-    shifts = [tuple(core[k:] + core[:k]) for k in range(len(core))]
-    return min(shifts, key=lambda s: [letter_key(g) for g in s])
+    keys = [(abs(g), g < 0) for g in core]  # a1 < a1^-1 < a2 < ...
+    k = min(range(len(core)), key=lambda k: keys[k:] + keys[:k])
+    return tuple(core[k:] + core[:k])
 
 
 def naive_conjugate(a, b) -> bool:

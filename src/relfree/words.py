@@ -54,11 +54,6 @@ class Alphabet:
         return [Word.generator(self, k) for k in range(1, self.m + 1)]
 
 
-def letter_key(g: int) -> tuple[int, int]:
-    """Sort key realizing the letter order a1 < a1^-1 < a2 < a2^-1 < ..."""
-    return (abs(g), 0 if g > 0 else 1)
-
-
 def _check_same_alphabet(u: "Word", v: "Word") -> Alphabet:
     if u.alphabet != v.alphabet:
         raise AlphabetMismatch(f"alphabets differ: {u.alphabet} vs {v.alphabet}")
@@ -389,17 +384,35 @@ class CyclicWord:
 def free_reduce(alphabet: Alphabet, letters: Iterable[int]) -> Word:
     """Reduce a signed-letter sequence to its unique normal form.
 
+    One pass; a letter that is no ``int`` in range goes through
+    :meth:`Alphabet.check_letter`, so the first bad one raises.
+
     >>> ab = Alphabet(2)
     >>> str(free_reduce(ab, [1, -1]))
     '1'
     >>> str(free_reduce(ab, [1, 2, -2, 1]))
     'a1^2'
     """
+    m = alphabet.m
     acc: list = []
+    tg, te = 0, 0  # the top run, held apart from acc; no generator is 0
     for g in letters:
-        alphabet.check_letter(g)
-        run = (g, 1) if g > 0 else (-g, -1)
-        _append_runs(acc, (run,))
+        if type(g) is not int or not g or not -m <= g <= m:
+            alphabet.check_letter(g)  # raises on a bad letter
+        if g > 0:
+            k, e = g, 1
+        else:
+            k, e = -g, -1
+        if k == tg:
+            te += e
+            if not te:
+                tg, te = acc.pop() if acc else (0, 0)
+        else:
+            if tg:
+                acc.append((tg, te))
+            tg, te = k, e
+    if tg:
+        acc.append((tg, te))
     return Word._from_run_list(alphabet, acc)
 
 
@@ -578,9 +591,20 @@ def canonical_cyclic(u: Word) -> CyclicWord:
 
 
 def conjugate_in_free(u: Word, v: Word) -> bool:
-    """True iff u and v are conjugate in the free group."""
+    """True iff u and v are conjugate in the free group: iff their cyclic
+    cores are cyclic shifts of each other (Lyndon-Schupp I.1).  A core of
+    two or more runs, read cyclically (:func:`_seam_merged`), has maximal
+    runs that a rotation carries to maximal runs, so the shift test runs on
+    one code per distinct run: a character from 0x10000 up, then one below,
+    so a match starts only at a code.  No letter is built."""
     _check_same_alphabet(u, v)
-    return canonical_cyclic(u) == canonical_cyclic(v)
+    ru, rv = (_seam_merged(cyclic_reduce(w)[0].runs) for w in (u, v))
+    if len(ru) != len(rv) or len(ru) <= 1:
+        return ru == rv
+    codes = {run: chr(0x10000 + (i >> 16)) + chr(i & 0xFFFF)
+             for i, run in enumerate(dict.fromkeys(ru + rv))}
+    enc_u, enc_v = ("".join(map(codes.__getitem__, r)) for r in (ru, rv))
+    return _is_cyclic_shift(enc_u, enc_v + enc_v)
 
 
 def primitive_root(u: Word) -> tuple[Word, int]:
@@ -755,8 +779,7 @@ def enumerate_reduced_words(alphabet: Alphabet, max_len: int,
     """All freely reduced words of length <= max_len in shortlex order."""
     if include_empty:
         yield Word.identity(alphabet)
-    letters = sorted(
-        [g for k in range(1, alphabet.m + 1) for g in (k, -k)], key=letter_key)
+    letters = [g for k in range(1, alphabet.m + 1) for g in (k, -k)]  # in letter order
     frontier: list[list[int]] = [[]]
     for _ in range(max_len):
         nxt = []

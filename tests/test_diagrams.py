@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import tempfile
@@ -309,6 +310,70 @@ def test_rejection_reasons(make, change, relators, reason):
     out = check_certificate(change(make()), relators)
     assert not out.accepted
     assert out.reason == reason
+
+
+def _partial_matchings(sides):
+    if not sides:
+        yield []
+        return
+    first, rest = sides[0], sides[1:]
+    yield from _partial_matchings(rest)
+    for i, t in enumerate(rest):
+        for m in _partial_matchings(rest[:i] + rest[i + 1:]):
+            yield [(first, t)] + m
+
+
+def _unglued_structures(max_sides, rng):
+    """Every complex of 1..max_sides sides with at least one side left
+    unpaired: each permutation of the sides gives the cycles, each choice of
+    1..3 of them the boundaries, each partial matching the gluing.  Signs
+    are drawn from ``rng`` and labels chosen so that every glued pair
+    carries compatible labels."""
+    ab = Alphabet(1)
+    for n in range(1, max_sides + 1):
+        sides = list(range(1, n + 1))
+        gluings = [m for m in _partial_matchings(sides) if 2 * len(m) < n]
+        for perm in itertools.permutations(range(n)):
+            cycles, seen = [], set()
+            for start in range(n):
+                cycle, i = [], start
+                while i not in seen:
+                    seen.add(i)
+                    cycle.append(i + 1)
+                    i = perm[i]
+                if cycle:
+                    cycles.append(cycle)
+            for kinds in itertools.product((False, True), repeat=len(cycles)):
+                if not 1 <= sum(kinds) <= 3:
+                    continue
+                kind = {side: b for c, b in zip(cycles, kinds) for side in c}
+                for pairs in gluings:
+                    sign = {side: rng.choice((1, -1)) for side in sides}
+                    labels = dict.fromkeys(sides, 1)
+                    for s, t in pairs:
+                        read_s = labels[s] * sign[s]
+                        labels[t] = (-read_s if kind[s] == kind[t] else read_s) * sign[t]
+                    yield DiagramCertificate(
+                        ab, labels,
+                        faces=[[sign[x] * x for x in c] for c, b in zip(cycles, kinds) if not b],
+                        boundaries=[[sign[x] * x for x in c] for c, b in zip(cycles, kinds) if b],
+                        pairs=pairs, claim=EqualityClaim(Word.identity(ab)))
+
+
+def test_a_side_left_unglued_fails_the_topology_checks():
+    # With its boundary cycles capped, the checked complex is a connected
+    # surface, and a free side leaves it a boundary, so its Euler
+    # characteristic is at most 1 where 2 is required: every such
+    # certificate with at most 5 sides is refused as disconnected or by
+    # Euler characteristic, before any label, face or claim is read.
+    count = 0
+    for cert in _unglued_structures(5, random.Random(0)):
+        out = check_certificate(cert, [])
+        assert not out.accepted
+        assert (out.reason == "diagram is disconnected"
+                or out.reason.startswith("Euler characteristic")), (out.reason, cert)
+        count += 1
+    assert count == 15_926
 
 
 # -- traces --------------------------------------------------------------------

@@ -30,7 +30,6 @@ from relfree.words import (
     exponent_sum,
     free_reduce,
     invert,
-    letter_key,
     minimal_conjugacy_witness,
     power,
     primitive_root,
@@ -73,6 +72,52 @@ def test_reduce_matches_stack_oracle_on_random_words():
     for _ in range(1000):
         seq = rand_letters(rng, 12)
         assert free_reduce(AB, seq).to_letters() == naive_reduce(seq)
+
+
+def letter_runs(letters) -> tuple:
+    """The runs of a reduced letter list, grouped one letter at a time."""
+    runs: list = []
+    for g in letters:
+        if runs and runs[-1][0] == g:
+            runs[-1][1] += 1
+        else:
+            runs.append([g, 1])
+    return tuple((abs(g), c if g > 0 else -c) for g, c in runs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=40))
+def test_reduce_runs_match_the_stack_oracle(letters):
+    assert free_reduce(Alphabet(3), letters).runs == letter_runs(naive_reduce(letters))
+
+
+def first_letter_error(alphabet, letters):
+    for g in letters:
+        try:
+            alphabet.check_letter(g)
+        except InvalidLetter as exc:
+            return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([1, -1, 2, -2, 0, 3, -3, 1.0, True]), max_size=10))
+def test_reduce_refuses_exactly_what_check_letter_refuses(letters):
+    want = first_letter_error(AB, letters)
+    if want is None:
+        assert free_reduce(AB, letters).to_letters() == naive_reduce(letters)
+    else:
+        with pytest.raises(InvalidLetter) as info:
+            free_reduce(AB, letters)
+        assert str(info.value) == want
+
+
+@pytest.mark.parametrize("letters, bad", [
+    ([1, 0, 3, 1.0], "0"), ([2, 3, 0, 1.0], "3"), ([1, -1, 1.0, 0, 3], "1.0"),
+    ([-3, 1.0], "-3")])
+def test_reduce_names_the_first_bad_letter(letters, bad):
+    with pytest.raises(InvalidLetter, match=rf"^letter {bad} outside"):
+        free_reduce(AB, letters)
 
 
 def test_reduce_idempotent():
@@ -251,7 +296,7 @@ def test_shortlex_key_orders_like_letters():
     words = list(enumerate_reduced_words(AB, 6))
     random.Random(13).shuffle(words)
     naive = sorted(words, key=lambda w: (w.letter_length,
-                                          [letter_key(g) for g in w.to_letters()]))
+                                          [(abs(g), g < 0) for g in w.to_letters()]))
     assert sorted(words, key=shortlex_key) == naive
 
 
@@ -285,6 +330,73 @@ def test_conjugacy_is_equivalence_on_sample():
             for w in words:
                 if conjugate_in_free(u, v) and conjugate_in_free(v, w):
                     assert conjugate_in_free(u, w)
+
+
+AB3 = Alphabet(3)
+runs3_strategy = st.lists(st.tuples(st.integers(1, 3), st.integers(-3, 3).filter(bool)),
+                          max_size=8)
+
+
+def word3(runs) -> Word:
+    return free_reduce(AB3, [g if e > 0 else -g for g, e in runs for _ in range(abs(e))])
+
+
+@settings(max_examples=400, deadline=None)
+@given(runs3_strategy, runs3_strategy, runs3_strategy, st.integers(0, 30),
+       st.sampled_from(["rotated", "other", "one-letter-more"]))
+def test_conjugate_in_free_agrees_with_canonical_forms(a, b, g, shift, how):
+    # v is a conjugate of a letter rotation of u (which may cut a run), an
+    # unrelated word, or that conjugate with one letter added
+    u = word3(a)
+    letters = u.to_letters()
+    if how == "other":
+        v = word3(b)
+    else:
+        k = shift % len(letters) if letters else 0
+        v = conjugate(free_reduce(AB3, letters[k:] + letters[:k]), word3(g))
+        if how == "one-letter-more":
+            v = concat(v, Word.generator(AB3, 1))
+    want = canonical_cyclic(u) == canonical_cyclic(v)
+    assert conjugate_in_free(u, v) == conjugate_in_free(v, u) == want
+    assert want == naive_conjugate(u.to_letters(), v.to_letters())
+
+
+@pytest.mark.parametrize("u, v, want", [
+    ("1", "1", True),
+    ("1", "a1", False),
+    ("a2 a2^-1", "a1 a1^-1", True),
+    ("a1^5", "a1^5", True),
+    ("a1^5", "a1^-5", False),
+    ("a1^5", "a1^4", False),
+    ("a1^5", "a2 a1^5 a2^-1", True),
+    ("a1^5", "a2^5", False),
+    ("a1 a2 a1^2", "a1^3 a2", True),       # the ends of the first core merge
+    ("a1 a2 a1^2", "a1^2 a2 a1", True),
+    ("a1 a2 a1^2", "a1^3 a2^-1", False),
+    ("a1 a2 a1 a2", "a1^2 a2^2", False),   # 4 runs against 2, equal lengths
+    ("a1 a2 a1 a2^-1", "a1^2 a2^2", False),
+    ("a1 a2^2", "a2 a1 a2", True),         # 2 runs against 3 before the seam
+])
+def test_conjugate_in_free_examples_over_runs(u, v, want):
+    u, v = Word.parse(AB, u), Word.parse(AB, v)
+    assert conjugate_in_free(u, v) == conjugate_in_free(v, u) == want
+    assert (canonical_cyclic(u) == canonical_cyclic(v)) == want
+
+
+def test_conjugacy_over_more_distinct_runs_than_code_points():
+    # 2n > 0x110000 distinct runs (1, i), (2, i), so one code point per run
+    # could not name them all
+    n = 0x110000 // 2 + 1
+    runs = tuple(r for i in range(1, n + 1) for r in ((1, i), (2, i)))
+    u = Word(AB, runs)
+    # a rotation that cuts the run (1, 700) in two across the seam
+    k = 2 * 699
+    v = Word(AB, ((1, 300),) + runs[k + 1:] + runs[:k] + ((1, 400),))
+    assert conjugate_in_free(u, v)
+    # the same runs with (1, 2) and (1, 3) swapped: (1, 1) pins the only
+    # rotation that could match, and it does not
+    w = Word(AB, runs[:2] + (runs[4], runs[3], runs[2]) + runs[5:])
+    assert not conjugate_in_free(u, w)
 
 
 # -- primitive roots ------------------------------------------------------------
