@@ -79,9 +79,6 @@ class Endomorphism:
             if img.alphabet != self.alphabet:
                 raise AlphabetMismatch("image words must live in the same alphabet")
 
-    def __call__(self, w: Word) -> Word:
-        return apply(self, w)
-
 
 def apply(e: Endomorphism, w: Word) -> Word:
     if w.alphabet != e.alphabet:

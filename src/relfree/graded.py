@@ -6,8 +6,6 @@ relators, each an interleaved power word around one period.  Periods and
 pair classes are taken up to conjugacy in the rank-(i-1) group, which is
 free at every rank desk scale can enumerate (relators land at ranks 77 and
 308 at (h, d, n) = (20, 2, 3)), so exact free-group algebra decides them.
-:class:`DehnOracle` is a separate, budgeted rewriting oracle over a given
-relator set, with verdicts YES / NO / INDETERMINATE.
 
 Relators found by pair classification live at the rank equal to their
 period's length.  Those ranks are usually far beyond anything exhaustively
@@ -18,7 +16,6 @@ ranks only the periods that classification actually produced).
 
 from __future__ import annotations
 
-import enum
 import shlex
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -57,7 +54,6 @@ from .words import (
     concat_all,
     conjugacy_witnesses,
     conjugate,
-    conjugate_in_free,
     cyclic_reduce,
     enumerate_reduced_words,
     free_reduce,
@@ -70,57 +66,6 @@ from .words import (
 
 DEFAULT_DEHN_BUDGET = 10_000
 _PIECE_BUDGET = 2_000_000  # total letters across the materialized symmetrized set
-
-
-class Verdict(enum.Enum):
-    YES = "yes"
-    NO = "no"
-    INDETERMINATE = "indeterminate"
-
-
-# -- rewriting oracle --------------------------------------------------------
-
-
-class DehnOracle:
-    """Budgeted rewriting oracle for the group given by a fixed relator set.
-
-    YES answers are sound (rewriting preserves the group element, so equal
-    cyclic normal forms certify conjugacy).  NO answers are only issued for
-    identity questions over a verified C'(1/6) set, where an irreducible
-    nonempty word is classically nontrivial.  Everything else is
-    INDETERMINATE.
-    """
-
-    def __init__(self, relators: list[Word], budget: int = DEFAULT_DEHN_BUDGET):
-        if not relators:
-            raise EmptyInput("DehnOracle needs at least one relator")
-        self.relators = list(relators)
-        self.budget = budget
-        self._table = _RelatorTable(self.relators)
-        try:
-            cores = [cyclic_reduce(r)[0] for r in self.relators]
-            _, lam = piece_stats(cores)
-            self._small_cancellation = lam < Fraction(1, 6)
-        except BudgetExceeded:
-            # cannot certify the small-cancellation hypothesis; NO verdicts off
-            self._small_cancellation = False
-
-    def is_identity(self, w: Word) -> Verdict:
-        res = dehn_reduce_trace(w, self.relators, self.budget, _table=self._table)
-        if res.word.is_empty:
-            return Verdict.YES
-        if res.exhausted:
-            return Verdict.INDETERMINATE
-        if self._small_cancellation:
-            return Verdict.NO
-        return Verdict.INDETERMINATE
-
-    def is_conjugate(self, u: Word, v: Word) -> Verdict:
-        ru = dehn_reduce_trace(u, self.relators, self.budget, _table=self._table)
-        rv = dehn_reduce_trace(v, self.relators, self.budget, _table=self._table)
-        if conjugate_in_free(ru.word, rv.word):
-            return Verdict.YES
-        return Verdict.INDETERMINATE
 
 
 # -- Dehn rewriting --------------------------------------------------------
@@ -160,9 +105,9 @@ class _RelatorTable:
     can be encoded; an entry is encoded from its runs, together with its
     inverse, the first time :meth:`doubled` is asked for it.  A Dehn step
     over a word of n letters matches more than half of an entry, so entries
-    of 2n letters or more are never encoded for it.  Dehn rewriting,
-    certificate building and certificate checking all read relator shifts
-    from this one table."""
+    of 2n letters or more are never encoded for it.  Dehn rewriting, piece
+    statistics, certificate building and certificate checking all read
+    relator shifts from this one table."""
 
     def __init__(self, relators: list[Word]):
         if not relators:
@@ -290,27 +235,17 @@ def dehn_reduce_trace(w: Word, relators: list[Word],
 
 def piece_stats(relators: list[Word]) -> tuple[int, Fraction]:
     """Longest common prefix between distinct symmetrized elements, and the
-    ratio lambda = (that length) / (shortest relator length)."""
-    if not relators:
-        raise EmptyInput("need at least one relator")
-    total = 0
-    for r in relators:
-        if r.is_empty:
-            raise EmptyWord("relators must be nonempty")
-        if not r.is_cyclically_reduced():
-            raise InvalidParams("relators must be cyclically reduced")
-        total += 2 * r.letter_length * r.letter_length
+    ratio lambda = (that length) / (shortest relator length).
+
+    Relators are taken as their cyclic cores, as in :class:`_RelatorTable`,
+    and each rotation of an entry is a slice of its doubled string."""
+    table = _RelatorTable(relators)
+    total = sum(n * n for n in table.lengths)
     if total > _PIECE_BUDGET:
         raise BudgetExceeded(
             f"symmetrized set would hold {total} letters, over {_PIECE_BUDGET}")
-    symmetrized = set()
-    for r in relators:
-        letters = tuple(r.to_letters())
-        inv = tuple(-g for g in reversed(letters))
-        for ls in (letters, inv):
-            for k in range(len(ls)):
-                symmetrized.add(ls[k:] + ls[:k])
-    ordered = sorted(symmetrized)
+    ordered = sorted({table.doubled(k)[o:o + n]
+                      for k, n in enumerate(table.lengths) for o in range(n)})
     max_piece = 0
     for a, b in zip(ordered, ordered[1:]):
         lcp = 0
@@ -319,7 +254,7 @@ def piece_stats(relators: list[Word]) -> tuple[int, Fraction]:
                 break
             lcp += 1
         max_piece = max(max_piece, lcp)
-    return max_piece, Fraction(max_piece, min(r.letter_length for r in relators))
+    return max_piece, Fraction(max_piece, table.shortest)
 
 
 # -- presentation data ------------------------------------------------------

@@ -84,11 +84,7 @@ class LppAssignment:
         return self._derived_int("n")
 
     def environment(self) -> dict[str, Fraction]:
-        env = self.values()
-        env["h"] = 1 / self.delta
-        env["d"] = 1 / self.eta
-        env["n"] = 1 / self.iota
-        return env
+        return _env_of(self.values())
 
     def check_structure(self) -> None:
         """Raise unless the chain is positive and strictly descending."""
@@ -267,9 +263,6 @@ class InequalityCatalog:
     def by_least_param(self, name: str) -> list[CatalogItem]:
         return [item for item in self.items if item.least_param == name]
 
-    def prefix(self, k: int) -> "InequalityCatalog":
-        return InequalityCatalog(self.items[:k])
-
 
 def load_default_catalog() -> InequalityCatalog:
     """The catalog shipped with the package."""
@@ -348,7 +341,7 @@ def _integerize(name: str, partial: dict[str, Fraction], items, upper: int,
 
     def ok(k: int) -> bool:
         trial = dict(partial)
-        trial[_param_of(name)] = Fraction(1, k)
+        trial[_DERIVED[name]] = Fraction(1, k)
         return _items_pass(items, _env_of(trial)) is None
 
     if not ok(hi):
@@ -364,29 +357,14 @@ def _integerize(name: str, partial: dict[str, Fraction], items, upper: int,
     return hi
 
 
-def _param_of(derived: str) -> str:
-    return _DERIVED[derived]
-
-
-def solve(cat: InequalityCatalog,
-          fixed: Mapping[str, int | Fraction] | None = None) -> LppAssignment:
+def solve(cat: InequalityCatalog) -> LppAssignment:
     """Greedy chain instantiation: halve each parameter until its items pass,
     then shrink h, d, n to the least admissible integers.
 
-    ``fixed`` may pin chain parameters by name, or h/d/n directly.
     Deterministic; raises :class:`Unsatisfiable` naming the first blocking
     item (which signals a transcription error in the catalog, not a defect
     in the underlying construction).
     """
-    pinned: dict[str, Fraction] = {}
-    for key, value in (fixed or {}).items():
-        if key in _DERIVED:
-            pinned[_DERIVED[key]] = Fraction(1, int(value))
-        elif key in PARAM_NAMES:
-            pinned[key] = Fraction(value)
-        else:
-            raise InvalidParams(f"unknown fixed parameter {key!r}")
-
     partial: dict[str, Fraction] = {}
     prev = Fraction(1)
     for name in PARAM_NAMES:
@@ -395,16 +373,6 @@ def solve(cat: InequalityCatalog,
             later = [q for q in item.params if _CHAIN_POS[q] > _CHAIN_POS[name]]
             if later:  # pragma: no cover - catalog structure guard
                 raise Unsatisfiable(item.id, "item references parameters after its least")
-        if name in pinned:
-            value = pinned[name]
-            if not value < prev:
-                raise BrokenChainOrder(f"pinned {name} = {value} breaks the chain")
-            partial[name] = value
-            blocking = _items_pass(items, _env_of(partial))
-            if blocking is not None:
-                raise Unsatisfiable(blocking.id, f"pinned {name} violates {blocking.id}")
-            prev = value
-            continue
         candidate = prev / 2
         blocking = None
         for _ in range(_MAX_HALVINGS):

@@ -46,7 +46,7 @@ class Alphabet:
             raise InvalidLetter(f"alphabet needs at least one generator, got m={self.m}")
 
     def check_letter(self, g: int) -> int:
-        if not isinstance(g, int) or g == 0 or abs(g) > self.m:
+        if type(g) is not int or g == 0 or abs(g) > self.m:
             raise InvalidLetter(f"letter {g!r} outside alphabet of {self.m} generators")
         return g
 
@@ -331,15 +331,6 @@ class Word:
         return Word._from_run_list(self.alphabet, acc)
 
     # -- dunder sugar ---------------------------------------------------
-
-    def __mul__(self, other: "Word") -> "Word":
-        return concat(self, other)
-
-    def __invert__(self) -> "Word":
-        return invert(self)
-
-    def __pow__(self, k: int) -> "Word":
-        return power(self, k)
 
     def __eq__(self, other) -> bool:
         return (

@@ -155,6 +155,41 @@ def test_graded_pieces(capsys, tmp_path):
     assert "lambda=1/8" in out
 
 
+def test_graded_pieces_take_cyclic_cores(capsys, tmp_path):
+    rel = tmp_path / "rel.txt"
+    rel.write_text("a3 a1 a2 a1^-1 a2^-1 a3^-1\n")
+    code, out, err = run(capsys, "graded", "pieces", "--relators", str(rel))
+    assert (code, out, err) == (0, "max_piece: 1\nlambda: 1/4\n", "")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a1 a2\na1 a1^-1\n", "relator 1 is freely trivial"),
+    ("a600000 a1\n",
+     "generator a600000 is past a557055, the largest index whose letters can be encoded")])
+def test_graded_pieces_refuse_what_graded_dehn_refuses(capsys, tmp_path, text, message):
+    rel = tmp_path / "rel.txt"
+    rel.write_text(text)
+    words = tmp_path / "words.txt"
+    words.write_text("a1\n")
+    for argv in (("graded", "pieces"), ("graded", "dehn", str(words))):
+        code, out, err = run(capsys, *argv, "--relators", str(rel))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_graded_pieces_refuse_the_toy_cores_over_budget(capsys, tmp_path):
+    from relfree.graded import build_presentation
+    from relfree.words import cyclic_reduce
+
+    pres = build_presentation(Alphabet(2), ParamSet(20, 2, 3), 2, 1)
+    rel = tmp_path / "rel.txt"
+    rel.write_text("".join(f"{cyclic_reduce(rec.relator)[0]}\n"
+                           for rec in pres.all_relators()))
+    code, out, err = run(capsys, "graded", "pieces", "--relators", str(rel))
+    assert (code, out) == (3, "")
+    assert err == ("indeterminate: symmetrized set would hold 236995882048 letters, "
+                   "over 2000000\n")
+
+
 def test_graded_dehn_reduces_words(capsys, tmp_path):
     rel = tmp_path / "rel.txt"
     rel.write_text("a1 a2 a1^-1 a2^-1 a3 a4 a3^-1 a4^-1\n")

@@ -10,17 +10,19 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from relfree.errors import (
+    BudgetExceeded,
     EmptyInput,
+    EmptyWord,
+    InvalidParams,
     WitnessNotFound,
     ZeroExponent,
 )
 from relfree.graded import (
     DEFAULT_DEHN_BUDGET,
-    DehnOracle,
+    _PIECE_BUDGET,
     DehnStep,
     GradedPresentation,
     RelatorRecord,
-    Verdict,
     _RelatorTable,
     _axis_index,
     _is_power_of,
@@ -409,6 +411,85 @@ def test_pieces_reject_empty_input():
         piece_stats([])
 
 
+def reference_piece_stats(relators):
+    """The letter-tuple piece statistics that the relator table replaced,
+    kept as their reference: every rotation of every cyclically reduced
+    relator and of its inverse is a tuple, and the tuples are sorted."""
+    if not relators:
+        raise EmptyInput("need at least one relator")
+    total = 0
+    for r in relators:
+        if r.is_empty:
+            raise EmptyWord("relators must be nonempty")
+        if not r.is_cyclically_reduced():
+            raise InvalidParams("relators must be cyclically reduced")
+        total += 2 * r.letter_length * r.letter_length
+    if total > _PIECE_BUDGET:
+        raise BudgetExceeded(
+            f"symmetrized set would hold {total} letters, over {_PIECE_BUDGET}")
+    symmetrized = set()
+    for r in relators:
+        letters = tuple(r.to_letters())
+        inv = tuple(-g for g in reversed(letters))
+        for ls in (letters, inv):
+            for k in range(len(ls)):
+                symmetrized.add(ls[k:] + ls[:k])
+    ordered = sorted(symmetrized)
+    max_piece = 0
+    for a, b in zip(ordered, ordered[1:]):
+        lcp = 0
+        for x, y in zip(a, b):
+            if x != y:
+                break
+            lcp += 1
+        max_piece = max(max_piece, lcp)
+    return max_piece, Fraction(max_piece, min(r.letter_length for r in relators))
+
+
+def _relators_from(raw, alphabet):
+    """Nonempty relators from run lists, dropping the freely trivial ones."""
+    words = [Word.parse(alphabet, " ".join(f"a{g}^{e}" for g, e in runs)) for runs in raw]
+    return [w for w in words if not w.is_empty]
+
+
+_RUNS = st.lists(st.tuples(st.integers(1, 4), st.integers(-3, 3).filter(bool)),
+                 min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_RUNS, min_size=1, max_size=4), st.sampled_from(["", "inverse", "rotation"]),
+       st.integers(0, 3), st.integers(0, 23))
+@example(raw=[[(1, 3)]], extra="", i=0, k=0)  # a1^3
+@example(raw=[[(1, 1), (2, 1), (1, 1), (2, 1)]], extra="", i=0, k=0)  # (a1 a2)^2
+@example(raw=[[(1, 1), (2, 1), (1, -1), (2, -1)]] * 2, extra="", i=0, k=0)  # duplicated
+@example(raw=[[(3, 1), (1, 1), (2, 1), (1, -1), (2, -1), (3, -1)]], extra="", i=0,
+         k=0)  # not cyclically reduced
+@example(raw=[[(1, 2), (2, -1), (3, 1)]], extra="inverse", i=0, k=0)
+@example(raw=[[(1, 2), (2, -1), (3, 1)]], extra="rotation", i=0, k=2)
+def test_pieces_match_the_letter_tuple_reference(raw, extra, i, k):
+    rels = _relators_from(raw, Alphabet(4))
+    assume(rels)
+    if extra:
+        # next to one relator, its inverse or one of its rotations
+        r = rels[i % len(rels)]
+        letters = r.to_letters()
+        k %= len(letters)
+        rels.append(invert(r) if extra == "inverse"
+                    else free_reduce(r.alphabet, letters[k:] + letters[:k]))
+    cores = [cyclic_reduce(r)[0] for r in rels]
+    assume(all(not c.is_empty for c in cores))
+    assert piece_stats(rels) == reference_piece_stats(cores)
+
+
+def test_pieces_refuse_over_budget_with_the_reference_message():
+    rels = [power(Word.parse(AB4, "a1 a2 a3"), 200), power(Word.parse(AB4, "a4 a3"), 401)]
+    with pytest.raises(BudgetExceeded) as want:
+        reference_piece_stats(rels)
+    with pytest.raises(BudgetExceeded) as got:
+        piece_stats(rels)
+    assert str(got.value) == str(want.value)
+
+
 # -- Dehn rewriting ---------------------------------------------------------------------
 
 def test_dehn_kills_the_relator_itself():
@@ -489,9 +570,6 @@ def test_dehn_reduce_over_one_signed_generators():
     r = Word.parse(AB, "a1 a2 a1 a2^-1")
     res = dehn_reduce_trace(Word.parse(AB, "a2 a1^-1 a2^-1"), [r])
     assert res.word == A1 and not res.exhausted
-    oracle = DehnOracle([power(A1, 3)])
-    assert oracle.is_conjugate(power(A1, -2), power(A1, -1)) is Verdict.INDETERMINATE
-    assert oracle.is_conjugate(power(A1, -2), A1) is Verdict.YES
 
 
 @settings(max_examples=200, deadline=None)
@@ -650,26 +728,15 @@ def test_dehn_encodes_only_entries_shorter_than_twice_the_word():
     assert encoded_entries(table) == [0, 1]
 
 
-# -- oracles -------------------------------------------------------------------------
-
-def test_dehn_oracle_three_values():
-    oracle = DehnOracle([GENUS2])
-    assert oracle.is_identity(GENUS2) is Verdict.YES
-    # C'(1/8) lets irreducible nonempty words be pronounced nontrivial
-    assert oracle.is_identity(Word.generator(AB4, 1)) is Verdict.NO
-    tiny = DehnOracle([GENUS2], budget=0)
-    assert tiny.is_identity(GENUS2) is Verdict.INDETERMINATE
-
-
-def test_dehn_oracle_accepts_unreduced_toy_relators():
+def test_dehn_reduce_accepts_unreduced_toy_relators():
     # the second-kind relators are not cyclically reduced as written; the
-    # oracle must still come up (cores are taken internally)
+    # relator table takes their cores, and a relator still rewrites to 1
     pres = build_presentation(AB, P, max_rank=1, pair_budget=1)
-    top = max(pres.ranks)
-    oracle = DehnOracle(pres.relators_up_to(top))
+    relators = pres.relators_up_to(max(pres.ranks))
+    assert any(not r.is_cyclically_reduced() for r in relators)
     rec = pres.all_relators()[0]
-    assert oracle.is_identity(rec.relator) is Verdict.YES
-    assert oracle.is_conjugate(A1, conjugate(A1, A2)) is Verdict.YES
+    res = dehn_reduce_trace(rec.relator, relators)
+    assert res.word.is_empty and not res.exhausted
 
 
 # -- presentation round trip -------------------------------------------------------------

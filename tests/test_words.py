@@ -114,10 +114,15 @@ def test_reduce_refuses_exactly_what_check_letter_refuses(letters):
 
 @pytest.mark.parametrize("letters, bad", [
     ([1, 0, 3, 1.0], "0"), ([2, 3, 0, 1.0], "3"), ([1, -1, 1.0, 0, 3], "1.0"),
-    ([-3, 1.0], "-3")])
+    ([-3, 1.0], "-3"), ([1, True], "True")])
 def test_reduce_names_the_first_bad_letter(letters, bad):
     with pytest.raises(InvalidLetter, match=rf"^letter {bad} outside"):
         free_reduce(AB, letters)
+
+
+def test_generator_refuses_a_bool():
+    with pytest.raises(InvalidLetter, match=r"^letter True outside"):
+        Word.generator(AB, True)
 
 
 def test_reduce_idempotent():
