@@ -10,8 +10,8 @@ model and its conventions:
   traverses the shared edge in opposite directions (as-referenced labels
   mutually inverse), while a face side glued to a boundary side runs
   parallel to it (labels equal);
-- vertices are implicit: classes of numbered corners (side i has tail 2i and
-  head 2i + 1) joined by the cycles and the gluing, computed while checking;
+- vertices are implicit: classes of cycle junctions (junction p of a cycle is
+  the corner after its p-th reference) joined by the gluing, computed while checking;
 - accepting requires the gluing to be a fixed-point-free partial involution
   covering every face side, a connected complex with Euler characteristic
   2 - k for k boundary cycles, every face reading a cyclic shift of the
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import operator
 import shlex
 from dataclasses import dataclass
 from typing import Iterable
@@ -145,10 +146,6 @@ def _as_read(cert: DiagramCertificate, ref: int) -> int:
     return label if ref > 0 else -label
 
 
-def _cycle_word(cert: DiagramCertificate, cycle: list[int]) -> list[int]:
-    return [_as_read(cert, ref) for ref in cycle]
-
-
 # -- the checker -------------------------------------------------------------
 
 
@@ -169,63 +166,49 @@ def check_certificate(cert: DiagramCertificate, relators: list[Word]) -> CheckRe
         raise Unsupported(f"{k} boundary cycles; at most {_MAX_BOUNDARIES} supported")
 
     # gluing must be a partial involution without reuse
-    seen: dict[int, int] = {}
-    for s, t in cert.pairs:
-        for side in (s, t):
-            seen[side] = seen.get(side, 0) + 1
-            if seen[side] > 1:
-                return CheckResult(False, f"side {side} glued more than once")
+    seen: set[int] = set()
+    for side in itertools.chain.from_iterable(cert.pairs):
+        if side in seen:
+            return CheckResult(False, f"side {side} glued more than once")
+        seen.add(side)
 
-    # label compatibility, per slot kinds
-    paired = set(seen)
-    for s, t in cert.pairs:
-        kind_s, _, _, ref_s = occurrences[s]
-        kind_t, _, _, ref_t = occurrences[t]
-        read_s, read_t = _as_read(cert, ref_s), _as_read(cert, ref_t)
-        if kind_s == kind_t:  # face-face or boundary-boundary: anti-parallel
-            if read_s != -read_t:
-                return CheckResult(
-                    False, f"glued sides {s},{t} do not carry inverse labels")
-        else:  # face-boundary: parallel
-            if read_s != read_t:
-                return CheckResult(
-                    False, f"boundary side of {s},{t} does not repeat the face label")
-
-    # corner orbits -> vertices.  Side number i has tail 2i and head 2i + 1;
-    # a signed reference starts at 2i + (ref < 0) and ends at that ^ 1.
-    number = {side: i for i, side in enumerate(cert.labels)}
-    parent = list(range(2 * len(number)))
+    # Vertices are classes of junctions: junction p of a cycle is the corner
+    # after its p-th reference, so a reference at p runs from junction p - 1
+    # to junction p and the cycles need no joins.  Nodes n.. stand for the
+    # cycles, and the complex is connected iff the pairs join them into one.
+    cycles = cert.faces + cert.boundaries
+    first = [0, *itertools.accumulate(map(len, cycles))]
+    n, f_count = first[-1], len(cert.faces)
+    parent = list(range(n + len(cycles)))
 
     def find(x: int) -> int:
         while parent[x] != x:
             parent[x] = x = parent[parent[x]]
         return x
 
-    for cycle in itertools.chain(cert.faces, cert.boundaries):
-        starts = [2 * number[abs(ref)] + (ref < 0) for ref in cycle]
-        for start, nxt in zip(starts, starts[1:] + starts[:1]):
-            parent[find(start ^ 1)] = find(nxt)
     for s, t in cert.pairs:
-        kind_s, _, _, ref_s = occurrences[s]
-        kind_t, _, _, ref_t = occurrences[t]
-        # parallel traversal joins start to start; anti-parallel, start to end
-        a = 2 * number[s] + (ref_s < 0)
-        b = 2 * number[t] + (ref_t < 0) ^ (kind_s == kind_t)
-        parent[find(a)] = find(b)
-        parent[find(a ^ 1)] = find(b ^ 1)
+        kind_s, ci_s, pos_s, ref_s = occurrences[s]
+        kind_t, ci_t, pos_t, ref_t = occurrences[t]
+        read_s, read_t = _as_read(cert, ref_s), _as_read(cert, ref_t)
+        c_s = ci_s if kind_s == "face" else f_count + ci_s
+        c_t = ci_t if kind_t == "face" else f_count + ci_t
+        end_s, end_t = first[c_s] + pos_s, first[c_t] + pos_t
+        start_s = end_s - 1 if pos_s else first[c_s + 1] - 1
+        start_t = end_t - 1 if pos_t else first[c_t + 1] - 1
+        if kind_s == kind_t:  # face-face or boundary-boundary: anti-parallel
+            if read_s != -read_t:
+                return CheckResult(False, f"glued sides {s},{t} do not carry inverse labels")
+            start_t, end_t = end_t, start_t  # each start meets the other's end
+        elif read_s != read_t:  # face-boundary: parallel
+            return CheckResult(False, f"boundary side of {s},{t} does not repeat the face label")
+        parent[find(start_s)] = find(start_t)
+        parent[find(end_s)] = find(end_t)
+        parent[find(n + c_s)] = find(n + c_t)
 
-    v_count = len({find(c) for c in range(len(parent))})
-    e_count = len(cert.pairs) + sum(1 for side in cert.labels if side not in paired)
-    f_count = len(cert.faces)
-
-    # connectivity of the side graph (through gluings and shared corners):
-    # joining each side's two corners leaves one class per component
-    for i in range(len(number)):
-        parent[find(2 * i)] = find(2 * i + 1)
-    if len({find(c) for c in range(len(parent))}) > 1:
+    if sum(map(operator.eq, parent[n:], range(n, len(parent)))) > 1:
         return CheckResult(False, "diagram is disconnected")
-
-    euler = v_count - e_count + f_count
+    v_count = sum(map(operator.eq, parent[:n], range(n)))
+    euler = v_count - (n - len(cert.pairs)) + f_count  # V - E + F
     if euler != 2 - k:
         return CheckResult(
             False, f"Euler characteristic {euler} differs from 2-k = {2 - k}")
@@ -233,7 +216,7 @@ def check_certificate(cert: DiagramCertificate, relators: list[Word]) -> CheckRe
     # faces must read relator shifts (or freely trivial boundary words)
     table = _RelatorTable(relators) if relators and cert.faces else None
     for ci, cycle in enumerate(cert.faces):
-        letters = _cycle_word(cert, cycle)
+        letters = [_as_read(cert, ref) for ref in cycle]
         if table is not None and table.reads_relator(letters):
             continue
         if free_reduce(cert.alphabet, letters).is_empty:
@@ -283,7 +266,7 @@ def _doubled(w: Word) -> str:
 
 def _claim_mismatch(cert: DiagramCertificate) -> str | None:
     k = len(cert.boundaries)
-    read = [_encode_letters(_cycle_word(cert, b)) for b in cert.boundaries]
+    read = [_encode_letters([_as_read(cert, ref) for ref in b]) for b in cert.boundaries]
     claim = cert.claim
     if isinstance(claim, EqualityClaim):
         if k != 1:
@@ -461,51 +444,63 @@ def _fields(tokens: list[str], count: int) -> list[str]:
     return tokens[1:]
 
 
+def _ints(tokens: list[str], linenos: list[int], refusals: list) -> list[int]:
+    """``tokens`` as integers up to the first ``int`` refuses, whose line goes to ``refusals``."""
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        for i, token in enumerate(tokens):
+            try:
+                int(token)
+            except ValueError as exc:
+                refusals.append((linenos[i], exc))
+                return list(map(int, tokens[:i]))
+        raise
+
+
 def load_certificate(path) -> DiagramCertificate:
     """Parse the text format written by :func:`save_certificate`.
 
-    Lines are split on whitespace; only ``claim`` lines, whose words
+    Each line is split once on whitespace; only ``claim`` lines, whose words
     :func:`save_certificate` quotes, go through :func:`errors.split_fields`,
-    which reads what :func:`shlex.quote` writes for a word, so a quoted
-    field on any other line is an error.  Each distinct edge label is
-    parsed once.  A line that cannot be read raises
-    :class:`MalformedCertificate` naming the file and line."""
+    so a quoted field on any other line is an error.  ``edge`` and ``pair``
+    fields are converted in bulk after the loop, each distinct label parsed
+    once.  The first line that cannot be read, or that declares a side or
+    the alphabet again, raises :class:`MalformedCertificate` naming the
+    file and line."""
     alphabet = None
-    labels: dict[int, int] = {}
-    letters: dict[str, int] = {}  # edge label -> letter, for the current alphabet
-    faces: list[list[int]] = []
-    boundaries: list[list[int]] = []
-    pairs: list[tuple[int, int]] = []
+    # the fields of edge and pair lines and their line numbers
+    sides, tokens_of, edge_lines, firsts, seconds, pair_lines = [], [], [], [], [], []
+    cycles: dict[str, list[list[int]]] = {"face": [], "boundary": []}
     claim: Claim | None = None
+    refusals: list[tuple[int, Exception]] = []  # (line number, error)
     with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens or tokens[0].startswith("#"):
-                continue
+        lines = fh.read().split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        head = tokens[0]
+        if head == "edge" and len(tokens) == 3 and alphabet is not None:
+            sides.append(tokens[1])
+            tokens_of.append(tokens[2])
+            edge_lines.append(lineno)
+        elif head == "pair" and len(tokens) == 3:
+            firsts.append(tokens[1])
+            seconds.append(tokens[2])
+            pair_lines.append(lineno)
+        elif not head.startswith("#"):
             try:
-                head = tokens[0]
                 if head in ("edge", "claim") and alphabet is None:
                     raise MalformedCertificate(f"{head} line before the alphabet line")
                 if head == "alphabet":
+                    if alphabet is not None:
+                        raise MalformedCertificate("a second alphabet line")
                     alphabet = Alphabet(int(_fields(tokens, 1)[0]))
-                    letters.clear()
-                elif head == "edge":
-                    side, token = _fields(tokens, 2)
-                    letter = letters.get(token)
-                    if letter is None:
-                        word = Word.parse(alphabet, token)
-                        if word.letter_length != 1:
-                            raise MalformedCertificate(
-                                f"edge label must be a single letter, got {token!r}")
-                        letter = letters[token] = word.to_letters()[0]
-                    labels[int(side)] = letter
-                elif head == "pair":
-                    s, t = _fields(tokens, 2)
-                    pairs.append((int(s), int(t)))
-                elif head == "face":
-                    faces.append([int(t) for t in tokens[1:]])
-                elif head == "boundary":
-                    boundaries.append([int(t) for t in tokens[1:]])
+                elif head in ("edge", "pair"):
+                    _fields(tokens, 2)  # raises: the field count is wrong
+                elif head in cycles:
+                    cycles[head].append(list(map(int, tokens[1:])))
                 elif head == "claim":
                     tokens = split_fields(line)
                     kind = tokens[1] if len(tokens) > 1 else None
@@ -522,8 +517,32 @@ def load_certificate(path) -> DiagramCertificate:
                 else:
                     raise MalformedCertificate("unrecognized line")
             except (RelfreeError, ValueError) as exc:
-                raise MalformedCertificate(
-                    f"{path}:{lineno}: cannot read {line.strip()!r}: {exc}") from exc
+                refusals.append((lineno, exc))
+                break
+
+    # Every edge and pair line read precedes the loop's refusal, if any; the
+    # first refusal in file order is raised.
+    letters: dict[str, int] = {}
+    for token in dict.fromkeys(tokens_of):
+        try:
+            word = Word.parse(alphabet, token)
+            if word.letter_length != 1:
+                raise MalformedCertificate(f"edge label must be a single letter, got {token!r}")
+            letters[token] = word.to_letters()[0]
+        except (RelfreeError, ValueError) as exc:
+            refusals.append((edge_lines[tokens_of.index(token)], exc))
+            break
+    side_ids = _ints(sides, edge_lines, refusals)
+    labels = dict(zip(side_ids, map(letters.get, tokens_of)))
+    if len(labels) < len(side_ids):
+        seen: set[int] = set()
+        again = next(j for j, side in enumerate(side_ids) if side in seen or seen.add(side))
+        refusals.append((edge_lines[again], MalformedCertificate("the side is declared twice")))
+    pairs = list(zip(_ints(firsts, pair_lines, refusals), _ints(seconds, pair_lines, refusals)))
+    if refusals:
+        lineno, exc = min(refusals, key=lambda refusal: refusal[0])
+        raise MalformedCertificate(
+            f"{path}:{lineno}: cannot read {lines[lineno - 1].strip()!r}: {exc}") from exc
     if alphabet is None or claim is None:
         raise MalformedCertificate(f"{path}: a certificate needs an alphabet and a claim")
-    return DiagramCertificate(alphabet, labels, faces, boundaries, pairs, claim)
+    return DiagramCertificate(alphabet, labels, cycles["face"], cycles["boundary"], pairs, claim)

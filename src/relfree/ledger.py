@@ -40,6 +40,7 @@ from .errors import (
 
 PARAM_NAMES = ("alpha", "beta", "gamma", "delta", "eps", "zeta", "eta", "iota")
 _DERIVED = {"h": "delta", "d": "eta", "n": "iota"}
+_DERIVED_FROM = {base: derived for derived, base in _DERIVED.items()}
 _CHAIN_POS = {name: i for i, name in enumerate(PARAM_NAMES)}
 
 # Search limits for solve(); generous for any sane catalog.
@@ -383,9 +384,8 @@ def solve(cat: InequalityCatalog) -> LppAssignment:
             candidate /= 2
         if blocking is not None:
             raise Unsatisfiable(blocking.id)
-        if name in ("delta", "eta", "iota"):
-            derived = {"delta": "h", "eta": "d", "iota": "n"}[name]
-            k = _integerize(derived, partial, items,
+        if name in _DERIVED_FROM:
+            k = _integerize(_DERIVED_FROM[name], partial, items,
                             upper=int(1 / candidate) + 1, lower_exclusive=prev)
             partial[name] = Fraction(1, k)
         prev = partial[name]

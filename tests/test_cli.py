@@ -414,9 +414,18 @@ def test_presentation_period_before_rank_names_file_and_line(tmp_path):
     ("alphabet 2\n# unterminated quote\nclaim equality 'a1 a2\n", 3),
     # only claim lines are unquoted; save_certificate quotes nothing else
     ("alphabet 2\nedge 1 'a1'\nclaim equality a1\n", 2),
+    # a side declared twice: a reader keeping the last label would accept
+    # this annulus, whose second boundary reads (a2 a1)^-1
+    ("alphabet 2\nedge 1 a2\nedge 1 a1\nedge 2 a2\nedge 3 a1^-1\nedge 4 a2^-1\n"
+     "pair 1 3\npair 2 4\nboundary 1 2\nboundary 3 4\nclaim conjugacy 'a1 a2' 'a2 a1'\n", 3),
+    # a second alphabet line, after edges read under the first: kept, the
+    # face's letter 3 would be refused with no file or line named
+    ("alphabet 3\nedge 1 a3\nedge 2 a3\nalphabet 2\npair 1 2\nface 1\nboundary 2\n"
+     "claim equality a1\n", 4),
 ], ids=["pair-missing-side", "edge-before-alphabet", "side-not-integer",
         "face-entry-not-integer", "boundary-entry-not-integer",
-        "claim-missing-word", "unterminated-quote", "quoted-edge-label"])
+        "claim-missing-word", "unterminated-quote", "quoted-edge-label",
+        "side-declared-twice", "second-alphabet"])
 def test_malformed_certificate_names_file_and_line(capsys, tmp_path, body, lineno):
     rel = tmp_path / "rel.txt"
     rel.write_text("a1 a2 a1^-1 a2^-1\n")

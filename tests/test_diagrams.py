@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import random
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from relfree import diagrams
 from relfree.diagrams import (
+    CheckResult,
     ConjugacyClaim,
     DiagramCertificate,
     EqualityClaim,
@@ -369,6 +371,7 @@ def test_a_side_left_unglued_fails_the_topology_checks():
     count = 0
     for cert in _unglued_structures(5, random.Random(0)):
         out = check_certificate(cert, [])
+        assert out == reference_check_certificate(cert, [])
         assert not out.accepted
         assert (out.reason == "diagram is disconnected"
                 or out.reason.startswith("Euler characteristic")), (out.reason, cert)
@@ -625,3 +628,205 @@ def test_certificate_text_is_read_or_refused(text):
 @given(st.one_of(st.lists(CERT_LINES, max_size=30).map("\n".join), certificate_texts()))
 def test_certificate_token_soup_is_read_or_refused(text):
     load_and_check(text)
+
+
+# -- the corner union-find, kept as the reference of the junction count --------
+
+def reference_check_certificate(cert, relators):
+    """The checker as it counted vertices before cycle junctions: side i has
+    corners 2i (tail) and 2i + 1 (head), one union-find joins the corners
+    along every cycle and across every glued pair, and a second pass joins
+    each side's two corners to decide connectivity."""
+    occurrences = diagrams._validate_structure(cert)
+    k = len(cert.boundaries)
+    if k < 1:
+        return CheckResult(False, "no boundary cycle")
+    if k > diagrams._MAX_BOUNDARIES:
+        raise Unsupported(f"{k} boundary cycles; at most {diagrams._MAX_BOUNDARIES} supported")
+    seen = {}
+    for s, t in cert.pairs:
+        for side in (s, t):
+            seen[side] = seen.get(side, 0) + 1
+            if seen[side] > 1:
+                return CheckResult(False, f"side {side} glued more than once")
+    paired = set(seen)
+    for s, t in cert.pairs:
+        kind_s, _, _, ref_s = occurrences[s]
+        kind_t, _, _, ref_t = occurrences[t]
+        read_s, read_t = diagrams._as_read(cert, ref_s), diagrams._as_read(cert, ref_t)
+        if kind_s == kind_t:
+            if read_s != -read_t:
+                return CheckResult(False, f"glued sides {s},{t} do not carry inverse labels")
+        elif read_s != read_t:
+            return CheckResult(
+                False, f"boundary side of {s},{t} does not repeat the face label")
+
+    # a signed reference starts at 2i + (ref < 0) and ends at that ^ 1
+    number = {side: i for i, side in enumerate(cert.labels)}
+    parent = list(range(2 * len(number)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for cycle in itertools.chain(cert.faces, cert.boundaries):
+        starts = [2 * number[abs(ref)] + (ref < 0) for ref in cycle]
+        for start, nxt in zip(starts, starts[1:] + starts[:1]):
+            parent[find(start ^ 1)] = find(nxt)
+    for s, t in cert.pairs:
+        kind_s, _, _, ref_s = occurrences[s]
+        kind_t, _, _, ref_t = occurrences[t]
+        # parallel traversal joins start to start; anti-parallel, start to end
+        a = 2 * number[s] + (ref_s < 0)
+        b = 2 * number[t] + (ref_t < 0) ^ (kind_s == kind_t)
+        parent[find(a)] = find(b)
+        parent[find(a ^ 1)] = find(b ^ 1)
+    v_count = len({find(c) for c in range(len(parent))})
+    e_count = len(cert.pairs) + sum(1 for side in cert.labels if side not in paired)
+    for i in range(len(number)):
+        parent[find(2 * i)] = find(2 * i + 1)
+    if len({find(c) for c in range(len(parent))}) > 1:
+        return CheckResult(False, "diagram is disconnected")
+    euler = v_count - e_count + len(cert.faces)
+    if euler != 2 - k:
+        return CheckResult(False, f"Euler characteristic {euler} differs from 2-k = {2 - k}")
+
+    table = _RelatorTable(relators) if relators and cert.faces else None
+    for ci, cycle in enumerate(cert.faces):
+        letters = [diagrams._as_read(cert, ref) for ref in cycle]
+        if table is not None and table.reads_relator(letters):
+            continue
+        if free_reduce(cert.alphabet, letters).is_empty:
+            continue
+        return CheckResult(False, f"face {ci} does not read a relator shift")
+    warnings = tuple(diagrams._reducedness_warnings(cert, occurrences))
+    reason = diagrams._claim_mismatch(cert)
+    if reason is not None:
+        return CheckResult(False, reason, warnings)
+    return CheckResult(True, None, warnings)
+
+
+def outcome(check, cert, relators):
+    """What ``check`` gives: its result, or the type and text of its error."""
+    try:
+        return check(cert, relators)
+    except RelfreeError as exc:
+        return type(exc), str(exc)
+
+
+def with_glued_labels(cert):
+    """``cert`` with the label of each pair's second side set from its first,
+    so that most texts get past the label checks to the topology; None when
+    the structure is malformed."""
+    try:
+        occurrences = diagrams._validate_structure(cert)
+    except RelfreeError:
+        return None
+    labels = dict(cert.labels)
+    for s, t in cert.pairs:
+        kind_s, _, _, ref_s = occurrences[s]
+        kind_t, _, _, ref_t = occurrences[t]
+        read = labels[s] if ref_s > 0 else -labels[s]
+        if kind_s == kind_t:
+            read = -read
+        labels[t] = read if ref_t > 0 else -read
+    return dataclasses.replace(cert, labels=labels)
+
+
+@settings(max_examples=400, deadline=2000)
+@given(certificate_texts())
+def test_junction_count_agrees_with_the_corner_reference(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cert.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            cert = load_certificate(path)
+        except RelfreeError:
+            return
+    for case in filter(None, (cert, with_glued_labels(cert))):
+        for relators in ([COMM], []):
+            assert outcome(check_certificate, case, relators) \
+                == outcome(reference_check_certificate, case, relators)
+
+
+def test_junction_count_agrees_on_corruptions_of_a_product_certificate():
+    # a product of four conjugated random relators, as the benchmark's
+    # certificate jobs build them (at a tenth of their lengths)
+    rng = random.Random(13)
+    while True:
+        rels = [free_reduce(AB, random_relator(rng, k)) for k in (200, 180, 160, 12)]
+        parts = [conjugate(r if rng.random() < 0.5 else power(r, -1),
+                           free_reduce(AB, random_relator(rng, 5))) for r in rels]
+        w = concat_all(parts)
+        res = dehn_reduce_trace(w, rels)
+        if res.word.is_empty:
+            break
+    cert = certify_dehn_trace(w, rels, res.steps)
+    assert check_certificate(cert, rels) == reference_check_certificate(cert, rels)
+    assert check_certificate(cert, rels).accepted
+    reasons = set()
+    for _ in range(200):
+        bad = random_corruption(cert, rng)
+        got = outcome(check_certificate, bad, rels)
+        assert got == outcome(reference_check_certificate, bad, rels)
+        assert not (isinstance(got, CheckResult) and got.accepted)
+        reasons.add(got.reason if isinstance(got, CheckResult) else got[1])
+    assert len(reasons) > 3  # the corruptions reach several checks
+
+
+# -- reading a long certificate: each refusal names its own line ---------------
+
+@pytest.fixture(scope="module")
+def long_certificate_lines(tmp_path_factory):
+    """A saved one-face disk on 5 400 letters: 16 204 lines, of which lines
+    2-10 801 declare sides and 10 802-16 201 glue them."""
+    rng = random.Random(10)
+    word = free_reduce(AB, random_relator(rng, 5_400))
+    path = tmp_path_factory.mktemp("long") / "cert.txt"
+    save_certificate(one_face_disk(word), path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert len(lines) == 16_205 and lines[-1] == ""  # 16 204 lines and a final newline
+    assert lines[10_799].startswith("edge ") and lines[10_801].startswith("pair ")
+    return lines
+
+
+def _refused_at(tmp_path, lines):
+    path = tmp_path / "cert.txt"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(MalformedCertificate) as info:
+        load_certificate(path)
+    return str(info.value).removeprefix(f"{path}:").partition(":")[0]
+
+
+@pytest.mark.parametrize("lineno, change", [
+    (10_000, lambda line: line.replace(" a", " b")),          # edge label
+    (10_000, lambda line: line.replace("a1", "a3").replace("a2", "a3")),  # outside the alphabet
+    (10_000, lambda line: line.replace("edge ", "edge x")),   # side number
+    (10_000, lambda line: line.replace("edge 9999 ", "edge 17 ")),  # a side declared again
+    (10_900, lambda line: line + "x"),                        # second pair field
+    (10_901, lambda line: line.replace("pair ", "pair -x")),  # first pair field
+], ids=["edge-label", "edge-letter", "edge-side", "edge-side-again", "pair-second",
+        "pair-first"])
+def test_a_bad_field_deep_in_a_long_certificate_names_its_line(
+        tmp_path, long_certificate_lines, lineno, change):
+    lines = list(long_certificate_lines)
+    lines[lineno - 1] = change(lines[lineno - 1])
+    assert lines[lineno - 1] != long_certificate_lines[lineno - 1]
+    assert _refused_at(tmp_path, lines) == str(lineno)
+
+
+def test_the_first_bad_line_is_named_whatever_its_kind(tmp_path, long_certificate_lines):
+    lines = list(long_certificate_lines)
+    lines[9_999] = lines[9_999].replace("edge ", "edge x")
+    lines[10_900] += "x"
+    face = next(i for i, line in enumerate(lines) if line.startswith("face "))
+    bad_face = lines[face] + " y"
+    assert _refused_at(tmp_path, lines) == "10000"  # the edge line comes first
+    # a bad face line moved before the bad edge line is the one named
+    lines = [lines[0], bad_face, *lines[1:face], *lines[face + 1:]]
+    assert _refused_at(tmp_path, lines) == "2"
+    # and a bad pair line before both of them
+    lines.insert(1, "pair 1 z")
+    assert _refused_at(tmp_path, lines) == "2"
