@@ -33,7 +33,7 @@ boundary claim.
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 import itertools
 import operator
 import shlex
@@ -149,10 +149,12 @@ def _as_read(cert: DiagramCertificate, ref: int) -> int:
 # -- the checker -------------------------------------------------------------
 
 
-def check_certificate(cert: DiagramCertificate, relators: list[Word]) -> CheckResult:
+def check_certificate(cert: DiagramCertificate, relators: list[Word],
+                      _table: _RelatorTable | None = None) -> CheckResult:
     """ACCEPT iff the complex is a genuine k-punctured sphere whose faces read
     relators and whose boundary matches the claim; REJECT names the first
-    violated condition.
+    violated condition.  ``_table``, when given, is the relator table of
+    ``relators``, built once by a caller that checks many certificates.
 
     A side glued to nothing needs no test: every corner meets at most two
     others, so a connected complex with its k boundary cycles capped is a
@@ -214,7 +216,7 @@ def check_certificate(cert: DiagramCertificate, relators: list[Word]) -> CheckRe
             False, f"Euler characteristic {euler} differs from 2-k = {2 - k}")
 
     # faces must read relator shifts (or freely trivial boundary words)
-    table = _RelatorTable(relators) if relators and cert.faces else None
+    table = (_table or _RelatorTable(relators)) if relators and cert.faces else None
     for ci, cycle in enumerate(cert.faces):
         letters = [_as_read(cert, ref) for ref in cycle]
         if table is not None and table.reads_relator(letters):
@@ -300,18 +302,19 @@ def _match_boundaries(read: list[str], wanted: list[str]):
 # -- building certificates from rewriting traces ------------------------------
 
 
-def certify_dehn_trace(w: Word, relators: list[Word],
-                       trace: Iterable[DehnStep]) -> DiagramCertificate:
+def certify_dehn_trace(w: Word, relators: list[Word], trace: Iterable[DehnStep],
+                       _table: _RelatorTable | None = None) -> DiagramCertificate:
     """Disk certificate with one face per rewriting step.
 
     Replays the trace, splicing each step in and folding the cancelled
     letters into glued pairs in one left-to-right pass, which leaves the same
     reduced word as the rewriter; any divergence (wrong letters under a
     match, leftover boundary) raises :class:`~relfree.errors.TraceMismatch`.
+    ``_table`` is as in :func:`check_certificate`.
     """
     if w.is_empty:
         raise EmptyInput("nothing to certify for the empty word")
-    table = _RelatorTable(relators)
+    table = _table or _RelatorTable(relators)
 
     labels: dict[int, int] = {}
     faces: list[list[int]] = []
@@ -386,8 +389,11 @@ def certify_dehn_trace(w: Word, relators: list[Word],
 def random_corruption(cert: DiagramCertificate, rng) -> DiagramCertificate:
     """One structural perturbation guaranteed to break a valid certificate:
     a label flipped, a gluing dropped or retargeted, or a reference sign
-    flipped.  Used for soundness fuzzing of the checker."""
-    out = copy.deepcopy(cert)
+    flipped.  Used for soundness fuzzing of the checker.  The containers are
+    copied; the alphabet and the claim are shared."""
+    out = dataclasses.replace(
+        cert, labels=dict(cert.labels), faces=list(map(list, cert.faces)),
+        boundaries=list(map(list, cert.boundaries)), pairs=list(cert.pairs))
     kinds = ["flip-label", "drop-pair", "flip-ref"]
     if len(out.labels) > 2 and out.pairs:
         kinds.append("retarget-pair")

@@ -133,7 +133,7 @@ class _RelatorTable:
             # the inverse is the reverse with each code swapped for its
             # inverse's (a_k, a_k^-1 are 2k, 2k+1); the swap covers every
             # code of enc, hence of its reverse, and runs at C speed where
-            # _encode_word(invert(core)) builds a tuple per run
+            # _encode_word(invert(core)) would invert and encode the runs again
             inv = enc[::-1].translate({c: c ^ 1 for c in map(ord, set(enc))})
             self._doubled[k & ~1], self._doubled[k | 1] = enc + enc, inv + inv
             got = self._doubled[k]

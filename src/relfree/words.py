@@ -11,6 +11,12 @@ Letter order (used by shortlex and canonical rotations) is
 ``a1 < a1^-1 < a2 < a2^-1 < ...``: generator index first, positive before
 negative.  The text format is whitespace-separated tokens ``a<k>`` or
 ``a<k>^<e>``, with ``1`` denoting the empty word.
+
+Every run is the one object that the module's run table holds for its value,
+so equal runs are the same object: comparing two run tuples, or looking a run
+up in a dict, succeeds on identity.  The table stops growing at
+``_RUN_TABLE_BUDGET`` runs; a run built past it is a plain tuple, equal by
+value, only slower to compare.
 """
 
 from __future__ import annotations
@@ -33,6 +39,26 @@ DEFAULT_RUN_BUDGET = 10_000_000
 
 _generator = itemgetter(0)  # of a run
 _exponent = itemgetter(1)
+
+_RUN_TABLE_BUDGET = 65_536  # entries in one table
+
+
+class _Table(dict):
+    """Key -> ``make(key)``, made on first use and stored while the table
+    holds fewer than ``_RUN_TABLE_BUDGET`` entries."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self.make(key)
+        if len(self) < _RUN_TABLE_BUDGET:
+            self[key] = value
+        return value
+
+
+_RUNS = _Table(lambda run: run)  # run -> its one shared object
+_INVERSES = _Table(lambda run: _RUNS[(run[0], -run[1])])  # run -> its inverse's
 
 
 @dataclass(frozen=True)
@@ -78,7 +104,7 @@ def _append_runs(acc: list, runs) -> None:
             acc.pop()
             i += 1
         else:
-            acc[-1] = (tg, s)
+            acc[-1] = _RUNS[(tg, s)]
             i += 1
             break
     if i:
@@ -101,7 +127,7 @@ def _tile_runs(runs, k: int) -> list:
         return []
     if len(runs) == 1:
         g, e = runs[0]
-        return [(g, e * k)]
+        return [_RUNS[(g, e * k)]]
     _check_run_budget(len(runs) * k, "a power")
     fg, fe = runs[0]
     lg, le = runs[-1]
@@ -110,7 +136,7 @@ def _tile_runs(runs, k: int) -> list:
     # Same generator on both ends; cyclic reducedness makes the signs equal,
     # so copies merge at the seam without cancellation.
     mid = list(runs[1:-1])
-    return [runs[0]] + mid + ([(fg, fe + le)] + mid) * (k - 1) + [runs[-1]]
+    return [runs[0]] + mid + ([_RUNS[(fg, fe + le)]] + mid) * (k - 1) + [runs[-1]]
 
 
 def _run_keys(runs, after) -> list:
@@ -141,7 +167,7 @@ def _seam_merged(runs: tuple) -> tuple:
     signs equal and they join into one run, put first."""
     if len(runs) >= 3 and runs[0][0] == runs[-1][0]:
         g, e = runs[0]
-        return ((g, e + runs[-1][1]),) + runs[1:-1]
+        return (_RUNS[(g, e + runs[-1][1])],) + runs[1:-1]
     return runs
 
 
@@ -172,7 +198,7 @@ class _TokenRuns(dict):
         self.zero = False  # some token has exponent 0
 
     def __missing__(self, tok: str) -> tuple:
-        k, e = run = self[tok] = _parse_token(tok)  # an error ends the input
+        k, e = run = self[tok] = _RUNS[_parse_token(tok)]  # an error ends the input
         if k < 1 or (self.m is not None and k > self.m):
             raise InvalidLetter(f"generator a{k} outside alphabet of {self.m or self.top}")
         self.top = max(self.top, k)
@@ -250,7 +276,7 @@ class Word:
             k, exponent = -k, -exponent
         if exponent == 0:
             return cls(alphabet, ())
-        return cls(alphabet, ((k, exponent),))
+        return cls(alphabet, (_RUNS[(k, exponent)],))
 
     @classmethod
     def _from_run_list(cls, alphabet: Alphabet, runs: list) -> "Word":
@@ -321,12 +347,12 @@ class Word:
             raise IndexError(length)
         acc: list = []
         need = length
-        for g, e in self.runs:
+        for run in self.runs:
             if need == 0:
                 break
-            a = abs(e)
-            take = min(a, need)
-            acc.append((g, take if e > 0 else -take))
+            g, e = run
+            take = min(abs(e), need)
+            acc.append(run if take == abs(e) else _RUNS[(g, take if e > 0 else -take)])
             need -= take
         return Word._from_run_list(self.alphabet, acc)
 
@@ -404,7 +430,7 @@ def free_reduce(alphabet: Alphabet, letters: Iterable[int]) -> Word:
             tg, te = k, e
     if tg:
         acc.append((tg, te))
-    return Word._from_run_list(alphabet, acc)
+    return Word(alphabet, tuple(map(_RUNS.__getitem__, acc)))
 
 
 def concat(u: Word, v: Word) -> Word:
@@ -430,20 +456,20 @@ def concat_all(words: Iterable[Word]) -> Word:
 
 
 def invert(u: Word) -> Word:
-    return Word(u.alphabet, tuple((g, -e) for g, e in reversed(u.runs)))
+    return Word(u.alphabet, tuple(map(_INVERSES.__getitem__, reversed(u.runs))))
 
 
 def _power_runs(core: tuple, conj: tuple, k: int) -> list:
     """Runs of (conj core conj^-1)^k = conj core^k conj^-1 for a nonempty
     cyclically reduced ``core`` and ``k != 0``."""
     if k < 0:
-        core, k = tuple((g, -e) for g, e in reversed(core)), -k
+        core, k = tuple(map(_INVERSES.__getitem__, reversed(core))), -k
     tiled = _tile_runs(core, k)
     if not conj:
         return tiled
     out = list(conj)
     _append_runs(out, tiled)
-    _append_runs(out, tuple((g, -e) for g, e in reversed(conj)))
+    _append_runs(out, tuple(map(_INVERSES.__getitem__, reversed(conj))))
     return out
 
 
@@ -510,7 +536,9 @@ def cyclic_reduce(u: Word) -> tuple[Word, Word]:
     """Split u = conj * core * conj^-1 with the core cyclically reduced.
 
     Peels matching end runs by index, so the time is linear in the number of
-    runs however long the conjugator is."""
+    runs however long the conjugator is.  When nothing peels, the core is u
+    itself, with whatever u has cached; otherwise a cached |u| gives the
+    core's length as |u| - 2|conj|."""
     runs = u.runs
     i, j = 0, len(runs) - 1
     conj: list = []
@@ -521,21 +549,23 @@ def cyclic_reduce(u: Word) -> tuple[Word, Word]:
         if g1 != g2 or (e1 > 0) == (e2 > 0):
             break
         if e1 + e2 == 0:
-            conj.append((g1, e1))
+            conj.append(runs[i])
             i += 1
             j -= 1
         elif abs(e1) < abs(e2):
-            conj.append((g1, e1))
-            core = runs[i + 1:j] + ((g2, e1 + e2),)
+            conj.append(runs[i])
+            core = runs[i + 1:j] + (_RUNS[(g2, e1 + e2)],)
             break
         else:
-            conj.append((g1, -e2))
-            core = ((g1, e1 + e2),) + runs[i + 1:j]
+            conj.append(_INVERSES[runs[j]])
+            core = (_RUNS[(g1, e1 + e2)],) + runs[i + 1:j]
             break
-    return (
-        Word(u.alphabet, runs[i:j + 1] if core is None else core),
-        Word._from_run_list(u.alphabet, conj),
-    )
+    if not conj:
+        return u, Word(u.alphabet)
+    core_word = Word(u.alphabet, runs[i:j + 1] if core is None else core)
+    if u._len is not None:
+        core_word._len = u._len - 2 * sum(map(abs, map(_exponent, conj)))
+    return core_word, Word._from_run_list(u.alphabet, conj)
 
 
 def canonical_cyclic(u: Word) -> CyclicWord:
@@ -671,20 +701,13 @@ def _check_encodable(w: Word) -> None:
 
 
 def _encode_word(w: Word, limit: int | None = DEFAULT_LETTER_BUDGET) -> str:
-    """``_encode_letters(w.to_letters(limit))``, built run by run: the budget
-    and the alphabet are checked before anything is built, and each distinct
-    run's string is made once."""
+    """``_encode_letters(w.to_letters(limit))``, built from the runs at C
+    speed, each distinct run's letters made once: the budget and the alphabet
+    are checked before anything is built."""
     w._check_budget(limit)
     _check_encodable(w)
-    pieces: dict = {}
-    out = []
-    for run in w.runs:
-        piece = pieces.get(run)
-        if piece is None:
-            g, e = run
-            piece = pieces[run] = chr(2 * g if e > 0 else 2 * g + 1) * abs(e)
-        out.append(piece)
-    return "".join(out)
+    codes = _Table(lambda run: chr(2 * run[0] + (run[1] < 0)) * abs(run[1]))
+    return "".join(map(codes.__getitem__, w.runs))
 
 
 def _decode_letters(enc: str) -> list[int]:
@@ -701,13 +724,17 @@ def _is_cyclic_shift(enc: str, doubled: str) -> bool:
 def conjugacy_witnesses(u: Word, v: Word, letter_budget: int = DEFAULT_LETTER_BUDGET):
     """Yield words W with u = W v W^-1, one per cyclic alignment of the cores."""
     _check_same_alphabet(u, v)
-    core_u, cu = cyclic_reduce(u)
-    core_v, cv = cyclic_reduce(v)
+    yield from _aligned_witnesses(cyclic_reduce(u), cyclic_reduce(v), letter_budget)
+
+
+def _aligned_witnesses(split_u: tuple, split_v: tuple, letter_budget: int | None):
+    """:func:`conjugacy_witnesses` over the splits ``(core, conj)`` of u and v."""
+    (core_u, cu), (core_v, cv) = split_u, split_v
     if core_u.letter_length != core_v.letter_length:
         return
     if core_u.is_empty:
         if core_v.is_empty:
-            yield Word.identity(u.alphabet)
+            yield Word.identity(core_u.alphabet)
         return
     lu = _encode_word(core_u, letter_budget)
     lv = _encode_word(core_v, letter_budget)
@@ -733,11 +760,12 @@ def minimal_conjugacy_witness(u: Word, v: Word) -> Word | None:
     |k| |root| - |W0| <= |best|: every later candidate is longer than the
     best one so far.  rho is built only when a candidate needs it.
     """
-    base = list(conjugacy_witnesses(u, v))
+    _check_same_alphabet(u, v)
+    core_v, cv = split_v = cyclic_reduce(v)
+    base = list(_aligned_witnesses(cyclic_reduce(u), split_v, DEFAULT_LETTER_BUDGET))
     if not base:
         return None
     best = min(base, key=shortlex_key)
-    core_v, cv = cyclic_reduce(v)
     root_len = core_v.letter_length // len(base)
     rho = None
     for w0 in base:

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import os
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relfree import diagrams
+from relfree import diagrams, graded, report
 from relfree.diagrams import (
     CheckResult,
     ConjugacyClaim,
@@ -508,6 +509,44 @@ def test_corruptions_always_rejected():
             pass
 
 
+def test_a_corruption_leaves_its_certificate_unchanged():
+    # the containers are copied, the alphabet and the claim shared
+    w = concat(conjugate(GENUS2, Word.parse(AB4, "a3 a1")), power(GENUS2, -1))
+    cert = certify_dehn_trace(w, [GENUS2], dehn_reduce_trace(w, [GENUS2]).steps)
+    before = copy.deepcopy(cert)
+    rng = random.Random(41)
+    for _ in range(50):
+        bad = random_corruption(cert, rng)
+        assert bad != cert and cert == before
+        assert bad.alphabet is cert.alphabet and bad.claim is cert.claim
+
+
+def test_one_relator_table_serves_dehn_certify_and_check(monkeypatch):
+    built = []
+
+    class CountedTable(_RelatorTable):
+        def __init__(self, relators):
+            built.append(len(relators))
+            super().__init__(relators)
+
+    for module in (graded, diagrams):
+        monkeypatch.setattr(module, "_RelatorTable", CountedTable)
+    w = concat(conjugate(GENUS2, Word.parse(AB4, "a3 a1")), power(GENUS2, -1))
+    table = CountedTable([GENUS2])
+    steps = dehn_reduce_trace(w, [GENUS2], _table=table).steps
+    cert = certify_dehn_trace(w, [GENUS2], steps, _table=table)
+    assert check_certificate(cert, [GENUS2], _table=table).accepted
+    assert built == [1]
+    assert cert == certify_dehn_trace(w, [GENUS2], steps)
+    bad = random_corruption(cert, random.Random(3))
+    assert outcome(check_certificate, bad, [GENUS2]) \
+        == outcome(lambda c, r: check_certificate(c, r, _table=table), bad, [GENUS2])
+    built.clear()
+    passed, detail, _ = report.criterion_dehn_certificates(0)
+    assert passed, detail
+    assert built == [1]  # C09: one table for its relator, not three per word
+
+
 def random_relator(rng, length):
     """A cyclically reduced word of ``length`` letters over a1, a2."""
     while True:
@@ -586,8 +625,11 @@ CERT_LINES = st.builds(
 
 @st.composite
 def certificate_texts(draw):
-    """Sides 1..n cut into signed cycles, random pairs and a claim, with
-    lines from the grammar mixed in, so that many texts reach the checker."""
+    """Sides 1..n cut into signed cycles, pairs and a claim, with lines from
+    the grammar mixed in, so that many texts reach the checker.  The pairs
+    are mostly a partial matching of the sides, so that those texts reach
+    the topology checks; a quarter are drawn independently, so that sides
+    glued more than once stay covered."""
     n = draw(st.integers(1, 8))
     lines = ["alphabet 2"]
     lines += [f"edge {i} {draw(st.sampled_from(['a1', 'a2', 'a1^-1', 'a2^-1']))}"
@@ -597,8 +639,13 @@ def certificate_texts(draw):
     for lo, hi in zip(cuts, cuts[1:]):
         refs = [str(side if draw(st.booleans()) else -side) for side in order[lo:hi]]
         lines.append(" ".join([draw(st.sampled_from(["face", "boundary"])), *refs]))
-    sides = st.integers(1, n)
-    lines += [f"pair {s} {t}" for s, t in draw(st.lists(st.tuples(sides, sides), max_size=n))]
+    if draw(st.integers(0, 3)):
+        matched = draw(st.permutations(range(1, n + 1)))
+        pairs = list(zip(matched[0::2], matched[1::2]))[:draw(st.integers(0, n // 2))]
+    else:
+        sides = st.integers(1, n)
+        pairs = draw(st.lists(st.tuples(sides, sides), max_size=n))
+    lines += [f"pair {s} {t}" for s, t in pairs]
     lines.append(draw(st.sampled_from([
         "claim equality 'a1 a2 a1^-1 a2^-1'", "claim equality a1", "claim conjugacy a1 a1",
         "claim punctured a1 a2^-1 'a2 a1'", "claim punctured"])))

@@ -1,12 +1,16 @@
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relfree import endo, verbal
+from relfree import words as words_mod
 from relfree.errors import AlphabetMismatch, BudgetExceeded, EmptyWord, InvalidLetter
 from relfree.report import (
     naive_conjugacy_key,
+    naive_cyclic_core,
     naive_conjugate,
     naive_cyclic_core,
     naive_primitive_root,
@@ -31,6 +35,7 @@ from relfree.words import (
     free_reduce,
     invert,
     minimal_conjugacy_witness,
+    parse_words,
     power,
     primitive_root,
     shortlex_key,
@@ -676,3 +681,135 @@ def test_parse_of_token_soup_matches_the_naive_reduction(tokens, spaces):
     # and the runs are the normal form: no exponent 0, no generator twice in a row
     assert all(e for _, e in w.runs)
     assert all(a[0] != b[0] for a, b in zip(w.runs, w.runs[1:]))
+
+
+# -- the run table: one shared object per run value ----------------------------------
+
+@contextmanager
+def fresh_run_tables(budget: int = words_mod._RUN_TABLE_BUDGET):
+    """Empty run and inverse tables that stop growing at ``budget`` entries,
+    in place of the module's for the duration."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(words_mod, "_RUN_TABLE_BUDGET", budget)
+        mp.setattr(words_mod, "_RUNS", words_mod._Table(words_mod._RUNS.make))
+        mp.setattr(words_mod, "_INVERSES", words_mod._Table(words_mod._INVERSES.make))
+        yield words_mod._RUNS
+
+
+def run_text(runs) -> str:
+    return " ".join(token_text(g, e) for g, e in runs) or "1"
+
+
+def every_constructor(a, b, k) -> list[Word]:
+    """The words that each constructor of the word algebra, the verbal
+    builders and substitution return, from two drawn run lists over three
+    generators and an exponent."""
+    u, v = Word.parse(AB3, run_text(a)), parse_words([("", run_text(b))], 3)[0]
+    out = [u, v, free_reduce(AB3, word3(a).to_letters()), Word.generator(AB3, -2, k),
+           concat(u, v), concat_all([u, v, u]), invert(u), power(u, k), power(u, -k),
+           conjugate(u, v), commutator(u, v), *cyclic_reduce(concat_all([v, u, invert(v)])),
+           u.prefix(u.letter_length // 2)]
+    core = cyclic_reduce(u)[0]
+    if not core.is_empty:
+        out += [canonical_cyclic(u).rep, primitive_root(power(core, k))[0]]
+    x, y = Word.generator(AB3, 1), concat(Word.generator(AB3, 2), v)
+    p = verbal.ParamSet(20, 1, 1)
+    out += [verbal.make_v(z, x, y, p) for z in (0, 1, 2)]
+    out += [verbal.make_w1(x, y, p), verbal.make_w2(x, y, p),
+            verbal.build_w1_like(u, y, p), verbal.build_w2_like(v, x, y, p)]
+    out.append(endo.substitute(concat(u, v), [y, u, invert(v)], AB3))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(runs3_strategy, runs3_strategy, st.integers(1, 4))
+def test_every_run_of_every_word_is_the_tables_own_object(a, b, k):
+    with fresh_run_tables() as table:
+        for w in every_constructor(a, b, k):
+            assert all(table.get(run) is run for run in w.runs)
+            assert all(words_mod._INVERSES[run] is table[(run[0], -run[1])] for run in w.runs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(runs3_strategy, runs3_strategy, st.integers(1, 4), st.integers(0, 6))
+def test_past_the_table_budget_words_are_equal_by_value(a, b, k, budget):
+    with fresh_run_tables(budget) as table:
+        small = every_constructor(a, b, k)
+        assert len(table) <= budget and len(words_mod._INVERSES) <= budget
+    with fresh_run_tables():
+        assert every_constructor(a, b, k) == small
+
+
+def test_equal_runs_built_apart_are_one_object():
+    # two separately built copies of w1 share every run object
+    p = verbal.ParamSet(20, 2, 3)
+    x, y = Word.generator(AB, 1), Word.generator(AB, 2)
+    with fresh_run_tables():
+        w, again = verbal.make_w1(x, y, p), verbal.make_w1(x, y, p)
+        assert w.runs is not again.runs
+        assert all(map(lambda r, s: r is s, w.runs, again.runs))
+        inverses = map(words_mod._INVERSES.__getitem__, reversed(w.runs))
+        assert all(map(lambda r, s: r is s, invert(w).runs, inverses))
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs3_strategy, runs3_strategy, st.booleans())
+def test_a_core_keeps_what_its_word_knows(a, g, cached):
+    core = cyclic_reduce(word3(a))[0]
+    assert cyclic_reduce(core)[0] is core
+    u = conjugate(core, word3(g))
+    if cached:
+        assert u.letter_length == len(u.to_letters())
+    got, conj = cyclic_reduce(u)
+    assert conjugate(got, conj) == u
+    assert got.letter_length == sum(abs(e) for _, e in got.runs) == len(core.to_letters())
+    assert (got is u) == conj.is_empty
+
+
+# -- conjugacy witnesses against the letter-level reference ----------------------------
+
+def reference_conjugacy_witnesses(u: Word, v: Word) -> list[Word]:
+    """Every W with u = W v W^-1, one per cyclic alignment of the cores, in
+    order of the alignment's start in the doubled core of v; over letter
+    lists, with W = cu p^-1 cv^-1 where core_v = p s and s p = core_u."""
+    def split(w):
+        letters = naive_reduce(w.to_letters())
+        core = naive_cyclic_core(letters)
+        return core, letters[:(len(letters) - len(core)) // 2]
+
+    (core_u, cu), (core_v, cv) = split(u), split(v)
+    if len(core_u) != len(core_v):
+        return []
+    if not core_u:
+        return [Word.identity(u.alphabet)]
+    doubled = core_v + core_v
+    inverse = lambda letters: [-g for g in reversed(letters)]
+    return [free_reduce(u.alphabet, cu + inverse(core_v[:s]) + inverse(cv))
+            for s in range(len(core_v)) if doubled[s:s + len(core_u)] == core_u]
+
+
+conjugate_pair_strategy = st.tuples(
+    st.one_of(runs3_strategy,
+              st.integers(0, 10 ** 6).map(lambda seed: letter_runs(naive_reduce(
+                  seam_letters(random.Random(seed)))))),
+    st.integers(1, 3), runs3_strategy, runs3_strategy, st.booleans())
+
+
+@settings(max_examples=400, deadline=None)
+@given(conjugate_pair_strategy)
+def test_witnesses_agree_with_the_letter_reference(pair):
+    # v = g core^k g^-1 and u = h v h^-1: a proper power when k > 1, a core
+    # merged at the seam when drawn from seam_letters; or u unrelated to v
+    core_runs, k, g, h, related = pair
+    v = conjugate(power(word3(core_runs), k), word3(g))
+    u = conjugate(v, word3(h)) if related else word3(h)
+    want = reference_conjugacy_witnesses(u, v)
+    assert list(conjugacy_witnesses(u, v)) == want
+    best = minimal_conjugacy_witness(u, v)
+    if not want:
+        assert best is None
+        return
+    assert conjugate(v, best) == u
+    if not v.is_empty:
+        kmax = u.letter_length + v.letter_length + 2
+        assert best == coset_minimum(u, v, kmax)
