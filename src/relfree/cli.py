@@ -377,7 +377,7 @@ def main(argv=None) -> int:
     except RelfreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a path that is missing, a directory, or unreadable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

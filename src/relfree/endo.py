@@ -61,7 +61,7 @@ def substitute(w: Word, images: Sequence[Word], target: Alphabet) -> Word:
             fac = factories[g] = _PowerFactory(images[g - 1])
         _append_runs(acc, fac.runs(e))
         _check_run_budget(len(acc), "a substitution")
-    return Word._from_run_list(target, acc)
+    return Word(target, tuple(acc))
 
 
 @dataclass(frozen=True)

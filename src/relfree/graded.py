@@ -262,7 +262,9 @@ def piece_stats(relators: list[Word]) -> tuple[int, Fraction]:
 
 @dataclass(frozen=True)
 class RelatorRecord:
-    """One relator with the data that regenerates it byte-identically."""
+    """One relator as its template: template ``z_star`` with A^f in its power
+    slots and T, U in its other slots.  No word is stored: :attr:`relator`
+    builds it on each read, and records are equal when their templates are."""
 
     z_star: int
     A: Word
@@ -271,15 +273,19 @@ class RelatorRecord:
     T: Word
     U: Word
     params: ParamSet
-    relator: Word
-    warnings: tuple[str, ...] = ()
+    warnings: tuple[str, ...] = field(default=(), compare=False)
 
     @property
     def rank(self) -> int:
         return self.A.letter_length
 
-    def regenerate(self) -> Word:
-        return _relator_word(self.z_star, self.A, self.f, self.T, self.U, self.params)
+    @property
+    def relator(self) -> Word:
+        """The relator word, built from the template on every read."""
+        block = power(self.A, self.f)
+        if self.z_star == 1:
+            return build_w1_like(self.T, block, self.params)
+        return build_w2_like(self.U, self.T, block, self.params)
 
 
 @dataclass(frozen=True)
@@ -306,7 +312,6 @@ class TripleRecord:
 
 @dataclass
 class RankData:
-    index: int
     periods: list[Word] = field(default_factory=list)
     provenance: str = "enumerated"
     relators: list[RelatorRecord] = field(default_factory=list)
@@ -321,7 +326,7 @@ class GradedPresentation:
 
     def rank_data(self, i: int, provenance: str = "enumerated") -> RankData:
         if i not in self.ranks:
-            self.ranks[i] = RankData(index=i, provenance=provenance)
+            self.ranks[i] = RankData(provenance=provenance)
         return self.ranks[i]
 
     def relators_up_to(self, i: int) -> list[Word]:
@@ -445,7 +450,6 @@ class PairClass:
     f: int
     j: int
     witness: Word  # v_{z*}(X, y_bar) = witness * A^f * witness^-1
-    v_rep: Word
 
 
 @dataclass(frozen=True)
@@ -525,7 +529,7 @@ def classify_pairs(pres: GradedPresentation, z_star: int, L: int) -> ClassifyRes
         counters[jkey] = counters.get(jkey, 0) + 1
         classes.append(PairClass(
             z_star=z_star, key=key, triple=triple, A=a_word, f=f_val,
-            j=counters[jkey], witness=witness, v_rep=v_rep))
+            j=counters[jkey], witness=witness))
     return ClassifyResult(z_star, tuple(classes), discarded, tuple(degenerate))
 
 
@@ -562,17 +566,10 @@ class _PeriodRegistry:
 # -- relators ----------------------------------------------------------------
 
 
-def _relator_word(z_star: int, a_word: Word, f: int, t_word: Word, u_word: Word,
-                  p: ParamSet) -> Word:
-    block = power(a_word, f)
-    if z_star == 1:
-        return build_w1_like(t_word, block, p)
-    return build_w2_like(u_word, t_word, block, p)
-
-
 def build_relator(z_star: int, a_word: Word, f: int, t_word: Word, u_word: Word,
                   p: ParamSet, j: int = 1, assign=None) -> RelatorRecord:
-    """Instantiate the rank-(|A|) relator template for one classified pair class.
+    """Check and record the rank-(|A|) relator template for one classified
+    pair class; no relator word is built.
 
     Toy-scale magnitude violations of the enumeration bounds are recorded as
     warnings on the record instead of refusals, so the pipeline stays
@@ -600,9 +597,7 @@ def build_relator(z_star: int, a_word: Word, f: int, t_word: Word, u_word: Word,
     if assign is not None:
         if abs(f) > bound_f(assign):
             warnings.append(f"|f| = {abs(f)} > 100/zeta = {bound_f(assign)}")
-    relator = _relator_word(z_star, a_word, f, t_word, u_word, p)
-    return RelatorRecord(z_star, a_word, f, j, t_word, u_word, p, relator,
-                         tuple(warnings))
+    return RelatorRecord(z_star, a_word, f, j, t_word, u_word, p, tuple(warnings))
 
 
 def _is_power_of(w: Word, a_word: Word) -> bool:
@@ -625,8 +620,9 @@ def verbal_membership_witness(rec: RelatorRecord, triple: TripleRecord) -> Word:
     p = rec.params
     target = make_w1(triple.X, triple.y_bar, p) if rec.z_star == 1 \
         else make_w2(triple.X, triple.y_bar, p)
-    witness = minimal_conjugacy_witness(target, rec.relator)
-    if witness is None or concat_all([witness, rec.relator, invert(witness)]) != target:
+    relator = rec.relator
+    witness = minimal_conjugacy_witness(target, relator)
+    if witness is None or concat_all([witness, relator, invert(witness)]) != target:
         raise WitnessNotFound(
             f"relator (z*={rec.z_star}, j={rec.j}) is not conjugate to its class value")
     return witness
@@ -686,17 +682,19 @@ def save_presentation(pres: GradedPresentation, path) -> None:
 
 
 def load_presentation(path) -> GradedPresentation:
-    """Parse the text format; relator words are regenerated, never stored.
+    """Parse the text format into templates; relator words are stored nowhere.
 
-    A line that cannot be read raises :class:`InvalidParams`, and one whose
-    relator is too large to build :class:`BudgetExceeded`, naming the file
-    and line."""
+    A line that cannot be read, or a second ``alphabet``, ``params`` or
+    ``mode`` line, raises :class:`InvalidParams`, and a relator too large to
+    build (each is built once, and dropped) :class:`BudgetExceeded`, naming
+    the file and line."""
     with open_text(path) as fh:
         lines = fh.read().splitlines()
     alphabet = None
     params = None
     mode = "toy"
-    pres = None
+    seen: set[str] = set()
+    ranks: dict[int, RankData] = {}
     current: RankData | None = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -705,6 +703,9 @@ def load_presentation(path) -> GradedPresentation:
         try:
             tokens = split_fields(line)
             head = tokens[0]
+            if head in seen and head in ("alphabet", "params", "mode"):
+                raise InvalidParams(f"a second {head} line")
+            seen.add(head)
             if head in ("mode", "rank", "period", "relator") \
                     and (alphabet is None or params is None):
                 raise InvalidParams(f"{head} line before the alphabet and params lines")
@@ -717,13 +718,9 @@ def load_presentation(path) -> GradedPresentation:
                 params = ParamSet(int(kv["h"]), int(kv["d"]), int(kv["n"]))
             elif head == "mode":
                 mode = tokens[1]
-                pres = GradedPresentation(alphabet=alphabet, params=params, mode=mode)
             elif head == "rank":
-                if pres is None:
-                    pres = GradedPresentation(alphabet=alphabet, params=params, mode=mode)
                 kv = dict(tok.split("=", 1) for tok in tokens[2:])
-                current = pres.rank_data(int(tokens[1]),
-                                         provenance=kv.get("provenance", "enumerated"))
+                current = ranks.setdefault(int(tokens[1]), RankData())
                 current.provenance = kv.get("provenance", current.provenance)
             elif head == "period":
                 current.periods.append(Word.parse(alphabet, tokens[1]))
@@ -733,6 +730,7 @@ def load_presentation(path) -> GradedPresentation:
                     int(kv["z*"]), Word.parse(alphabet, kv["A"]), int(kv["f"]),
                     Word.parse(alphabet, kv["T"]), Word.parse(alphabet, kv["U"]),
                     params, j=int(kv["j"]))
+                rec.relator  # built and dropped: refuses a template too large to build
                 current.relators.append(rec)
             else:
                 raise InvalidParams("unrecognized line")
@@ -742,6 +740,4 @@ def load_presentation(path) -> GradedPresentation:
             raise InvalidParams(f"{path}:{lineno}: cannot read {line!r}: {exc!r}") from exc
     if alphabet is None or params is None:
         raise InvalidParams(f"{path}: a presentation needs alphabet and params lines")
-    if pres is None:
-        pres = GradedPresentation(alphabet=alphabet, params=params, mode=mode)
-    return pres
+    return GradedPresentation(alphabet, params, mode, ranks)

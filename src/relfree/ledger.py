@@ -395,32 +395,35 @@ def solve(cat: InequalityCatalog) -> LppAssignment:
 # -- assignment files -------------------------------------------------------
 
 
-def parse_assignment_text(text: str) -> LppAssignment:
-    """Parse ``name = p/q`` lines for the eight chain parameters."""
+def parse_assignment_text(text: str, path=None) -> LppAssignment:
+    """Parse ``name = p/q`` lines for the eight chain parameters; errors name
+    ``path`` when it is given."""
     values: dict[str, Fraction] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        where = f"line {lineno}: " if path is None else f"{path}:{lineno}: "
         name, _, rhs = line.partition("=")
         name = name.strip()
         if name not in PARAM_NAMES:
-            raise InvalidParams(f"line {lineno}: unknown parameter {name!r}")
+            raise InvalidParams(f"{where}unknown parameter {name!r}")
         if "e" in rhs.lower():  # Fraction would expand 1e<k> to 10^k, for any k
-            raise InvalidParams(f"line {lineno}: bad rational {rhs.strip()!r}")
+            raise InvalidParams(f"{where}bad rational {rhs.strip()!r}")
         try:
             values[name] = Fraction(rhs.strip())
         except (ValueError, ZeroDivisionError):
-            raise InvalidParams(f"line {lineno}: bad rational {rhs.strip()!r}") from None
+            raise InvalidParams(f"{where}bad rational {rhs.strip()!r}") from None
     missing = [name for name in PARAM_NAMES if name not in values]
     if missing:
-        raise InvalidParams(f"assignment misses parameters {missing}")
+        where = "" if path is None else f"{path}: "
+        raise InvalidParams(f"{where}assignment misses parameters {missing}")
     return LppAssignment(**values)
 
 
 def load_assignment(path) -> LppAssignment:
     with open_text(path) as fh:
-        return parse_assignment_text(fh.read())
+        return parse_assignment_text(fh.read(), path)
 
 
 def save_assignment(assign: LppAssignment, path) -> None:

@@ -122,7 +122,7 @@ def build_w1_like(base: Word, block: Word, p: ParamSet) -> Word:
         _append_runs(acc, bf.runs(epsilon(idx)))
         _append_runs(acc, vf.runs(e))
         _check_run_budget(len(acc), "a template")
-    return Word._from_run_list(base.alphabet, acc)
+    return Word(base.alphabet, tuple(acc))
 
 
 def build_w2_tail(sep: Word, block: Word, p: ParamSet) -> Word:
@@ -140,7 +140,7 @@ def build_w2_tail(sep: Word, block: Word, p: ParamSet) -> Word:
         _append_runs(acc, sf.runs(epsilon(i)))
         _append_runs(acc, vf.runs(nn + i))
         _check_run_budget(len(acc), "a template")
-    return Word._from_run_list(sep.alphabet, acc)
+    return Word(sep.alphabet, tuple(acc))
 
 
 def build_w2_like(lead: Word, sep: Word, block: Word, p: ParamSet) -> Word:

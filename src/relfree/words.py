@@ -279,10 +279,6 @@ class Word:
         return cls(alphabet, (_RUNS[(k, exponent)],))
 
     @classmethod
-    def _from_run_list(cls, alphabet: Alphabet, runs: list) -> "Word":
-        return cls(alphabet, tuple(runs))
-
-    @classmethod
     def parse(cls, alphabet: Alphabet, text: str) -> "Word":
         """Parse the text format; the input is freely reduced on the way in.
 
@@ -354,7 +350,7 @@ class Word:
             take = min(abs(e), need)
             acc.append(run if take == abs(e) else _RUNS[(g, take if e > 0 else -take)])
             need -= take
-        return Word._from_run_list(self.alphabet, acc)
+        return Word(self.alphabet, tuple(acc))
 
     # -- dunder sugar ---------------------------------------------------
 
@@ -437,7 +433,7 @@ def concat(u: Word, v: Word) -> Word:
     ab = _check_same_alphabet(u, v)
     acc = list(u.runs)
     _append_runs(acc, v.runs)
-    return Word._from_run_list(ab, acc)
+    return Word(ab, tuple(acc))
 
 
 def concat_all(words: Iterable[Word]) -> Word:
@@ -452,7 +448,7 @@ def concat_all(words: Iterable[Word]) -> Word:
         _append_runs(acc, w.runs)
     if ab is None:
         raise EmptyWord("empty product has no alphabet")
-    return Word._from_run_list(ab, acc)
+    return Word(ab, tuple(acc))
 
 
 def invert(u: Word) -> Word:
@@ -499,7 +495,7 @@ def power(u: Word, k: int) -> Word:
     if k == 1:
         return u
     core, conj = cyclic_reduce(u)
-    return Word._from_run_list(u.alphabet, _power_runs(core.runs, conj.runs, k))
+    return Word(u.alphabet, tuple(_power_runs(core.runs, conj.runs, k)))
 
 
 def conjugate(u: Word, by: Word) -> Word:
@@ -508,7 +504,7 @@ def conjugate(u: Word, by: Word) -> Word:
     acc = list(by.runs)
     _append_runs(acc, u.runs)
     _append_runs(acc, invert(by).runs)
-    return Word._from_run_list(ab, acc)
+    return Word(ab, tuple(acc))
 
 
 def commutator(u: Word, v: Word) -> Word:
@@ -518,7 +514,7 @@ def commutator(u: Word, v: Word) -> Word:
     _append_runs(acc, v.runs)
     _append_runs(acc, invert(u).runs)
     _append_runs(acc, invert(v).runs)
-    return Word._from_run_list(ab, acc)
+    return Word(ab, tuple(acc))
 
 
 def exponent_sum(u: Word, g: int) -> int:
@@ -565,7 +561,7 @@ def cyclic_reduce(u: Word) -> tuple[Word, Word]:
     core_word = Word(u.alphabet, runs[i:j + 1] if core is None else core)
     if u._len is not None:
         core_word._len = u._len - 2 * sum(map(abs, map(_exponent, conj)))
-    return core_word, Word._from_run_list(u.alphabet, conj)
+    return core_word, Word(u.alphabet, tuple(conj))
 
 
 def canonical_cyclic(u: Word) -> CyclicWord:
@@ -721,13 +717,13 @@ def _is_cyclic_shift(enc: str, doubled: str) -> bool:
     return 2 * len(enc) == len(doubled) and enc in doubled
 
 
-def conjugacy_witnesses(u: Word, v: Word, letter_budget: int = DEFAULT_LETTER_BUDGET):
+def conjugacy_witnesses(u: Word, v: Word):
     """Yield words W with u = W v W^-1, one per cyclic alignment of the cores."""
     _check_same_alphabet(u, v)
-    yield from _aligned_witnesses(cyclic_reduce(u), cyclic_reduce(v), letter_budget)
+    yield from _aligned_witnesses(cyclic_reduce(u), cyclic_reduce(v))
 
 
-def _aligned_witnesses(split_u: tuple, split_v: tuple, letter_budget: int | None):
+def _aligned_witnesses(split_u: tuple, split_v: tuple):
     """:func:`conjugacy_witnesses` over the splits ``(core, conj)`` of u and v."""
     (core_u, cu), (core_v, cv) = split_u, split_v
     if core_u.letter_length != core_v.letter_length:
@@ -736,8 +732,8 @@ def _aligned_witnesses(split_u: tuple, split_v: tuple, letter_budget: int | None
         if core_v.is_empty:
             yield Word.identity(core_u.alphabet)
         return
-    lu = _encode_word(core_u, letter_budget)
-    lv = _encode_word(core_v, letter_budget)
+    lu = _encode_word(core_u)
+    lv = _encode_word(core_v)
     doubled = lv + lv
     cv_inv = invert(cv)
     start = doubled.find(lu)
@@ -762,7 +758,7 @@ def minimal_conjugacy_witness(u: Word, v: Word) -> Word | None:
     """
     _check_same_alphabet(u, v)
     core_v, cv = split_v = cyclic_reduce(v)
-    base = list(_aligned_witnesses(cyclic_reduce(u), split_v, DEFAULT_LETTER_BUDGET))
+    base = list(_aligned_witnesses(cyclic_reduce(u), split_v))
     if not base:
         return None
     best = min(base, key=shortlex_key)

@@ -592,6 +592,17 @@ def test_graded_build_presentation_file_is_byte_stable(capsys, tmp_path):
     assert len(loaded.all_relators()) == 16
 
 
+def test_graded_build_pair_budget_2_file_is_byte_stable(capsys, tmp_path):
+    import hashlib
+
+    out_file = tmp_path / "pres.txt"
+    code, _, _ = run(capsys, "graded", "build", "--rank", "2", "--pair-budget", "2",
+                     "--out", str(out_file))
+    assert code == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == \
+        "e38c82532ef71b64ad16c2c7daffaed628cf5a80d1a7d4f80796fb25098f8735"
+
+
 # -- huge exponents: answered from the runs, never by scanning letters -----------
 
 def run_cli_process(*argv, timeout=10):
@@ -738,6 +749,41 @@ def test_a_file_that_is_not_utf8_is_named_in_an_error(capsys, tmp_path, reader):
     assert err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
 
 
+@pytest.mark.parametrize("path_arg", [
+    "graded-pieces-relators", "vkd-check-certificate", "vkd-check-relators", "lpp-verify-catalog",
+    "lpp-verify-assignment", "endo-check-params", "graded-build-out"])
+def test_a_directory_in_place_of_a_file_is_named_in_an_error(capsys, tmp_path, path_arg):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    cat = tmp_path / "cat.txt"
+    cat.write_text("x | alpha > 0 | a\n")
+    cert = Path(__file__).parent / "data" / "certificate_product.txt"
+    argv = {
+        "graded-pieces-relators": ("graded", "pieces", "--relators", str(folder)),
+        "vkd-check-certificate": ("vkd", "check", str(folder), "--relators", str(folder)),
+        "vkd-check-relators": ("vkd", "check", str(cert), "--relators", str(folder)),
+        "lpp-verify-catalog": ("lpp", "verify", str(folder), "--assign", str(folder)),
+        "lpp-verify-assignment": ("lpp", "verify", str(cat), "--assign", str(folder)),
+        "endo-check-params": ("endo", "check", "--params", str(folder)),
+        "graded-build-out": ("graded", "build", "--rank", "1", "--out", str(folder)),
+    }[path_arg]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and f"{folder}'" in err and err.count("\n") == 1
+
+
+def test_an_assignment_error_names_its_file(capsys, tmp_path):
+    cat = tmp_path / "cat.txt"
+    cat.write_text("x | alpha > 0 | a\n")
+    bad = tmp_path / "bad.txt"
+    for text, message in (("alpha = 1/2\nbogus = 1\n", f"{bad}:2: unknown parameter 'bogus'"),
+                          ("alpha = 1/2\n", f"{bad}: assignment misses parameters ['beta',")):
+        bad.write_text(text)
+        code, out, err = run(capsys, "lpp", "verify", str(cat), "--assign", str(bad))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}")
+
+
 def test_a_presentation_file_that_is_not_utf8_is_named_in_an_error(tmp_path):
     from relfree.errors import UndecodableFile
     from relfree.graded import load_presentation
@@ -797,7 +843,7 @@ def saved_presentations(draw):
             z, j = draw(st.integers(1, 2)), draw(st.integers(1, 9))
             f = draw(st.integers(-10**6, 10**6))
             a, t, u = draw(small_words), draw(small_words), draw(small_words)
-            data.relators.append(RelatorRecord(z, a, f, j, t, u, p, a))
+            data.relators.append(RelatorRecord(z, a, f, j, t, u, p))
     return pres
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -38,7 +39,15 @@ from relfree.graded import (
     slot_words,
     verbal_membership_witness,
 )
-from relfree.verbal import ParamSet, make_v, make_w1, w1_exponents, w2_exponents
+from relfree.verbal import (
+    ParamSet,
+    build_w1_like,
+    build_w2_like,
+    make_v,
+    make_w1,
+    w1_exponents,
+    w2_exponents,
+)
 from relfree.words import (
     Alphabet,
     Word,
@@ -120,7 +129,8 @@ def test_classify_finds_eight_classes_per_kind():
 def test_class_values_are_conjugate_to_period_powers():
     res = classify_pairs(fresh_pres(), 1, 1)
     for cls in res.classes:
-        assert conjugate(power(cls.A, cls.f), cls.witness) == cls.v_rep
+        assert conjugate(power(cls.A, cls.f), cls.witness) \
+            == make_v(1, cls.triple.X, cls.triple.y_bar, P)
         assert cls.A.is_cyclically_reduced()
 
 
@@ -350,8 +360,12 @@ def test_relator_round_trip_is_byte_identical():
         for cls in res.classes:
             t_word, u_word = slot_words(cls, P)
             rec = build_relator(z_star, cls.A, cls.f, t_word, u_word, P, j=cls.j)
-            assert rec.regenerate() == rec.relator
+            block = power(cls.A, cls.f)
+            assert rec.relator == (build_w1_like(t_word, block, P) if z_star == 1
+                                   else build_w2_like(u_word, t_word, block, P))
             assert rec.rank == cls.A.letter_length
+    # the record stores no word: its relator is derived from the template
+    assert "relator" not in {fld.name for fld in dataclasses.fields(RelatorRecord)}
 
 
 def test_every_rank_one_relator_has_witness():
@@ -372,8 +386,7 @@ def test_corrupted_relator_has_no_witness():
     cls = res.classes[0]
     t_word, u_word = slot_words(cls, P)
     rec = build_relator(1, cls.A, cls.f, t_word, u_word, P, j=cls.j)
-    tampered = RelatorRecord(rec.z_star, rec.A, rec.f, rec.j, rec.T, rec.U,
-                             rec.params, concat(rec.relator, cls.A), rec.warnings)
+    tampered = dataclasses.replace(rec, f=rec.f + 1)
     with pytest.raises(WitnessNotFound):
         verbal_membership_witness(tampered, cls.triple)
 
@@ -760,6 +773,34 @@ def test_presentation_relator_ranks_match_period_length():
     for rec in pres.all_relators():
         assert rec.rank == rec.A.letter_length
         assert rec.A in pres.ranks[rec.rank].periods
+
+
+def test_building_and_saving_a_presentation_builds_no_relator_word(tmp_path, monkeypatch):
+    import relfree.graded as graded_mod
+
+    calls = []
+    for name in ("build_w1_like", "build_w2_like"):
+        def counted(*args, _build=getattr(graded_mod, name)):
+            calls.append(1)
+            return _build(*args)
+        monkeypatch.setattr(graded_mod, name, counted)
+    pres = build_presentation(AB, P, max_rank=2, pair_budget=1)
+    save_presentation(pres, tmp_path / "pres.txt")
+    assert calls == []
+    relators = pres.relators_up_to(max(pres.ranks))
+    assert len(calls) == len(relators) == 16
+
+
+def test_presentation_refuses_a_repeated_header_line(tmp_path):
+    head = "alphabet 2\nparams h=20 d=2 n=3\nmode toy\n"
+    path = tmp_path / "pres.txt"
+    for body, lineno, what in (
+            (head + "rank 1\nperiod a1\nmode ledger\nrank 2\n", 6, "mode"),
+            (head + "alphabet 3\nrank 1\nperiod a3\n", 4, "alphabet"),
+            (head + "params h=40 d=3 n=5\n", 4, "params")):
+        path.write_text(body)
+        with pytest.raises(InvalidParams, match=f"{path}:{lineno}: .*a second {what} line"):
+            load_presentation(path)
 
 
 def test_presentation_file_matches_the_pinned_file(tmp_path):

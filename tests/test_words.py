@@ -17,6 +17,7 @@ from relfree.report import (
     naive_reduce,
 )
 from relfree.words import (
+    DEFAULT_LETTER_BUDGET,
     Alphabet,
     Word,
     _decode_letters,
@@ -532,9 +533,9 @@ def test_words_are_hashable_values():
 
 
 def test_conjugacy_witnesses_respect_the_letter_budget():
-    u = commutator(power(A1, 600), A2)
+    u = power(A1, DEFAULT_LETTER_BUDGET + 1)  # one run: nothing is encoded
     with pytest.raises(BudgetExceeded):
-        list(conjugacy_witnesses(u, u, letter_budget=100))
+        list(conjugacy_witnesses(u, u))
 
 
 # -- encoding and parsing, against letter-level references --------------------------
