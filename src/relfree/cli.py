@@ -5,11 +5,18 @@ here.  Exit codes: 0 success / accept / all checks pass; 1 verification
 failure; 2 usage error; 3 indeterminate (a budget ran out).  Output is
 deterministic for a fixed invocation; ``--output kv`` switches to
 line-oriented ``key=value`` records meant for diffing in CI.
+
+A call builds the parser of the command its first argument names, and no
+other, and parses the rest intermixed, so options may come before or after
+the positionals.  The parser of all seven commands (``build_parser``) is
+built only when the first argument names no command: no arguments,
+``--help``, or an unknown command.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import shlex
 import sys
 
@@ -185,9 +192,18 @@ def _cmd_graded(args) -> int:
         p = _params_from_args(args)
         assignment = (ledger.load_assignment(args.assign)
                       if args.mode == "ledger" else None)
-        pres = graded.build_presentation(
-            Alphabet(args.m or 2), p, max_rank=args.rank,
-            pair_budget=args.pair_budget, mode=args.mode, assign=assignment)
+        # an unwritable --out path fails here, before the build; "a" truncates nothing
+        created = args.out and not os.path.exists(args.out)
+        if args.out:
+            open(args.out, "a", encoding="utf-8").close()
+        try:
+            pres = graded.build_presentation(
+                Alphabet(args.m or 2), p, max_rank=args.rank,
+                pair_budget=args.pair_budget, mode=args.mode, assign=assignment)
+        except BaseException:
+            if created:  # a build that stops leaves no file where there was none
+                os.remove(args.out)
+            raise
         pairs = []
         for idx in sorted(pres.ranks):
             data = pres.ranks[idx]
@@ -265,103 +281,100 @@ def _cmd_report(args) -> int:
 
 # -- parser --------------------------------------------------------------------
 
+_COMMANDS = {  # name -> (help line, handler), in the order the usage lists them
+    "word": ("free-group word operations", _cmd_word),
+    "verbal": ("identity-word constructors", _cmd_verbal),
+    "lpp": ("parameter-chain ledger", _cmd_lpp),
+    "graded": ("periods, relators, Dehn rewriting", _cmd_graded),
+    "endo": ("endomorphism witness checks", _cmd_endo),
+    "vkd": ("diagram certificate checking", _cmd_vkd),
+    "report": ("run the acceptance criteria", _cmd_report),
+}
 
-def _add_param_flags(sub) -> None:
-    sub.add_argument("--h", type=int, default=20)
-    sub.add_argument("--d", type=int, default=2)
-    sub.add_argument("--n", type=int, default=3)
-    sub.add_argument("--params", help="file with h=, d=, n= lines")
 
-
-def _add_common(sub) -> None:
+def _add_arguments(sub: argparse.ArgumentParser, name: str) -> None:
+    """Give ``sub`` the arguments of command ``name``, and its handler."""
+    if name == "word":
+        sub.add_argument("action", choices=("reduce", "canon", "root", "conj"))
+        sub.add_argument("word")
+        sub.add_argument("other", nargs="?", help="second word for conj")
+        sub.add_argument("--m", type=int, help="alphabet size (default: inferred)")
+    elif name == "verbal":
+        sub.add_argument("action", choices=("build", "length", "epsilon"))
+        sub.add_argument("--which", choices=("v0", "v1", "v2", "w1", "w2"),
+                         default="w1")
+        sub.add_argument("--x", default="a1")
+        sub.add_argument("--y", default="a2")
+        sub.add_argument("--lx", type=int, default=1)
+        sub.add_argument("--ly", type=int, default=1)
+        sub.add_argument("--i", type=int, default=1, help="index for epsilon")
+        sub.add_argument("--m", type=int)
+    elif name == "lpp":
+        sub.add_argument("action", choices=("verify", "solve"))
+        sub.add_argument("catalog", help="inequality catalog file")
+        sub.add_argument("--assign", help="assignment file (for verify)")
+        sub.add_argument("--out", help="write the solved assignment here")
+    elif name == "graded":
+        sub.add_argument("action", choices=("build", "dehn", "pieces"))
+        sub.add_argument("words", nargs="?", help="word file (for dehn)")
+        sub.add_argument("--relators", help="relator file (one word per line)")
+        sub.add_argument("--rank", type=int, default=2)
+        sub.add_argument("--pair-budget", "--budget-pairs", type=int, default=1,
+                         dest="pair_budget")
+        sub.add_argument("--budget-dehn", type=int, dest="budget_dehn",
+                         help="rewriting steps per word (graded dehn only; default "
+                              f"{graded.DEFAULT_DEHN_BUDGET})")
+        sub.add_argument("--mode", choices=("toy", "ledger"), default="toy")
+        sub.add_argument("--assign", help="ledger assignment (required in ledger mode)")
+        sub.add_argument("--catalog", help="inequality catalog (ledger mode)")
+        sub.add_argument("--m", type=int)
+        sub.add_argument("--out", help="write the presentation file here")
+    elif name == "endo":
+        sub.add_argument("action", choices=("check",))
+        sub.add_argument("--mode", choices=("toy", "ledger"), default="toy")
+        sub.add_argument("--assign")
+        sub.add_argument("--catalog")
+    elif name == "vkd":
+        sub.add_argument("action", choices=("check",))
+        sub.add_argument("certificate")
+        sub.add_argument("--relators", required=True)
+    if name in ("verbal", "graded", "endo"):
+        sub.add_argument("--h", type=int, default=20)
+        sub.add_argument("--d", type=int, default=2)
+        sub.add_argument("--n", type=int, default=3)
+        sub.add_argument("--params", help="file with h=, d=, n= lines")
     sub.add_argument("--output", choices=("text", "kv"), default="text")
     sub.add_argument("--seed", type=int, default=0)
+    sub.set_defaults(command=name, func=_COMMANDS[name][1])
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of all seven commands, as subparsers."""
     parser = argparse.ArgumentParser(
         prog="relfree",
         description="word algebra, identity-word templates, parameter ledger, "
                     "graded presentations, endomorphism witnesses, and diagram "
                     "certificates, from one deterministic command")
     subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, _) in _COMMANDS.items():
+        _add_arguments(subs.add_parser(name, help=help_line), name)
+    return parser
 
-    word = subs.add_parser("word", help="free-group word operations")
-    word.add_argument("action", choices=("reduce", "canon", "root", "conj"))
-    word.add_argument("word")
-    word.add_argument("other", nargs="?", help="second word for conj")
-    word.add_argument("--m", type=int, help="alphabet size (default: inferred)")
-    _add_common(word)
-    word.set_defaults(func=_cmd_word)
 
-    verbal = subs.add_parser("verbal", help="identity-word constructors")
-    verbal.add_argument("action", choices=("build", "length", "epsilon"))
-    verbal.add_argument("--which", choices=("v0", "v1", "v2", "w1", "w2"),
-                        default="w1")
-    verbal.add_argument("--x", default="a1")
-    verbal.add_argument("--y", default="a2")
-    verbal.add_argument("--lx", type=int, default=1)
-    verbal.add_argument("--ly", type=int, default=1)
-    verbal.add_argument("--i", type=int, default=1, help="index for epsilon")
-    verbal.add_argument("--m", type=int)
-    _add_param_flags(verbal)
-    _add_common(verbal)
-    verbal.set_defaults(func=_cmd_verbal)
-
-    lpp = subs.add_parser("lpp", help="parameter-chain ledger")
-    lpp.add_argument("action", choices=("verify", "solve"))
-    lpp.add_argument("catalog", help="inequality catalog file")
-    lpp.add_argument("--assign", help="assignment file (for verify)")
-    lpp.add_argument("--out", help="write the solved assignment here")
-    _add_common(lpp)
-    lpp.set_defaults(func=_cmd_lpp)
-
-    gr = subs.add_parser("graded", help="periods, relators, Dehn rewriting")
-    gr.add_argument("action", choices=("build", "dehn", "pieces"))
-    gr.add_argument("words", nargs="?", help="word file (for dehn)")
-    gr.add_argument("--relators", help="relator file (one word per line)")
-    gr.add_argument("--rank", type=int, default=2)
-    gr.add_argument("--pair-budget", "--budget-pairs", type=int, default=1,
-                    dest="pair_budget")
-    gr.add_argument("--budget-dehn", type=int, dest="budget_dehn",
-                    help="rewriting steps per word (graded dehn only; default "
-                         f"{graded.DEFAULT_DEHN_BUDGET})")
-    gr.add_argument("--mode", choices=("toy", "ledger"), default="toy")
-    gr.add_argument("--assign", help="ledger assignment (required in ledger mode)")
-    gr.add_argument("--catalog", help="inequality catalog (ledger mode)")
-    gr.add_argument("--m", type=int)
-    gr.add_argument("--out", help="write the presentation file here")
-    _add_param_flags(gr)
-    _add_common(gr)
-    gr.set_defaults(func=_cmd_graded)
-
-    en = subs.add_parser("endo", help="endomorphism witness checks")
-    en.add_argument("action", choices=("check",))
-    en.add_argument("--mode", choices=("toy", "ledger"), default="toy")
-    en.add_argument("--assign")
-    en.add_argument("--catalog")
-    _add_param_flags(en)
-    _add_common(en)
-    en.set_defaults(func=_cmd_endo)
-
-    vkd = subs.add_parser("vkd", help="diagram certificate checking")
-    vkd.add_argument("action", choices=("check",))
-    vkd.add_argument("certificate")
-    vkd.add_argument("--relators", required=True)
-    _add_common(vkd)
-    vkd.set_defaults(func=_cmd_vkd)
-
-    rep = subs.add_parser("report", help="run the acceptance criteria")
-    _add_common(rep)
-    rep.set_defaults(func=_cmd_report)
-
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of command ``name`` alone, as ``build_parser`` makes it."""
+    parser = argparse.ArgumentParser(prog=f"relfree {name}")
+    _add_arguments(parser, name)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in _COMMANDS:
+            args = _command_parser(argv[0]).parse_intermixed_args(argv[1:])
+        else:  # no command first: usage, --help, or an unknown command
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     for budget_name in ("budget_dehn", "pair_budget"):

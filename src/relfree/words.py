@@ -632,8 +632,10 @@ def primitive_root(u: Word) -> tuple[Word, int]:
     cyclically with the seam joined, are a block of runs repeated k times.
     The smallest period p of that run tuple comes from the KMP failure
     function, and k = N / p when p divides the number N of runs, else 1; a
-    single run (g, e) is a_g^(+-1) to the power |e|.  Time is linear in the
-    number of runs, whatever the exponents.
+    single run (g, e) is a_g^(+-1) to the power |e|.  The root is a slice of
+    the word's runs: the first N / k, followed by the last run when the seam
+    joined it to the first.  Time is linear in the number of runs, whatever
+    the exponents.
 
     >>> ab = Alphabet(2)
     >>> w = Word.parse(ab, "a1 a2 a1 a2 a1 a2")
@@ -663,7 +665,10 @@ def primitive_root(u: Word) -> tuple[Word, int]:
         k = n // p if n % p == 0 else 1
     if k == 1:
         return u, 1
-    return u.prefix(u.letter_length // k), k
+    if n == 1:
+        return u.prefix(1), k
+    # u.runs[n:] is the last run when the seam joined it to the first, else empty
+    return Word(u.alphabet, u.runs[:n // k] + u.runs[n:]), k
 
 
 # -- conjugacy witnesses --------------------------------------------------

@@ -1,5 +1,7 @@
 import argparse
+import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import relfree
 from relfree import cli, ledger
-from relfree.errors import RelfreeError
+from relfree.errors import BudgetExceeded, RelfreeError
 from relfree.verbal import ParamSet, make_w1, word_length_symbolic
 from relfree.words import Alphabet, Word
 
@@ -978,3 +980,154 @@ def test_presentation_file_text_is_read_or_refused(text):
 
     got = read_text_with(load_presentation, text)
     assert got is None or isinstance(got, GradedPresentation)
+
+
+# -- one command's parser per call -------------------------------------------------
+
+CERT = str(Path(__file__).parent / "data" / "certificate_product.txt")
+
+# argv lists that parse, per command; the first seven are the forms the
+# benchmark runs
+VALID_ARGV = [
+    ["word", "canon", "a1 a2 a1^-1"],
+    ["word", "conj", "a1 a2", "a2 a1"],
+    ["word", "root", "a1 a2 a1 a2"],
+    ["endo", "check", "--h", "20", "--d", "2", "--n", "3"],
+    ["graded", "dehn", "words.txt", "--relators", "rels.txt"],
+    ["graded", "pieces", "--relators", "rels.txt"],
+    ["vkd", "check", CERT, "--relators", "rels.txt"],
+    ["word", "reduce", "a1 a1^-1", "--m", "3", "--output", "kv"],
+    ["word", "conj", "a1", "a2", "--m", "2"],
+    ["word", "--seed", "4", "root", "a1"],
+    ["verbal", "build", "--which", "v1", "--x", "a1 a2", "--y", "a2", "--m", "2"],
+    ["verbal", "length", "--which", "w2", "--lx", "3", "--ly", "2", "--params", "p.txt"],
+    ["verbal", "epsilon", "--i", "5", "--h", "40", "--d", "3", "--n", "5"],
+    ["lpp", "solve", "cat.txt", "--out", "a.txt", "--output", "kv"],
+    ["lpp", "verify", "--assign", "a.txt", "cat.txt"],
+    ["graded", "build", "--rank", "2", "--pair-budget", "2", "--out", "p.txt"],
+    ["graded", "build", "--budget-pairs", "3", "--mode", "ledger", "--assign", "a.txt",
+     "--catalog", "cat.txt", "--m", "2"],
+    ["graded", "dehn", "words.txt", "--budget-dehn", "7", "--relators", "rels.txt"],
+    ["graded", "pieces", "--relators", "rels.txt", "--m", "4", "--seed", "9"],
+    ["endo", "check", "--mode", "ledger", "--assign", "a.txt", "--catalog", "cat.txt"],
+    ["endo", "check", "--params", "p.txt", "--output", "kv"],
+    ["vkd", "check", "--relators", "rels.txt", CERT, "--output", "kv"],
+    ["report"],
+    ["report", "--output", "kv", "--seed", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", VALID_ARGV, ids=" ".join)
+def test_a_command_parser_gives_the_namespace_of_the_full_parser(argv):
+    args = cli._command_parser(argv[0]).parse_intermixed_args(argv[1:])
+    assert args == cli.build_parser().parse_args(argv)
+    assert args.command == argv[0]
+
+
+def test_the_namespace_table_covers_every_command():
+    assert {argv[0] for argv in VALID_ARGV} == set(cli._COMMANDS)
+
+
+def _older_argparse_spelling(text):
+    """``text`` as argparse printed it up to Python 3.12.1: later releases
+    list invalid choices unquoted and print an option's metavar once after
+    all of its names."""
+    text = text.replace("--pair-budget, --budget-pairs PAIR_BUDGET",
+                        "--pair-budget PAIR_BUDGET, --budget-pairs PAIR_BUDGET")
+    return re.sub(r"\(choose from ([^)']*)\)",
+                  lambda m: "(choose from '" + "', '".join(m.group(1).split(", ")) + "')",
+                  text)
+
+
+# exit code, stdout and stderr of `relfree`, `relfree --help`, `relfree bogus`
+# and `relfree <cmd> --help` for each command, captured at COLUMNS=80 before
+# a call built one command's parser
+PINNED_USAGE = json.loads((Path(__file__).parent / "data" / "cli_usage_parent.json").read_text())
+
+
+@pytest.mark.parametrize("case", PINNED_USAGE, ids=lambda case: " ".join(case["argv"]) or "none")
+def test_usage_and_help_are_as_before(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *case["argv"])
+    assert code == case["code"]
+    assert _older_argparse_spelling(out) == case["out"]
+    assert _older_argparse_spelling(err) == case["err"]
+
+
+def test_a_usage_error_inside_a_command_shows_that_commands_usage(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, "graded", "dehn", "w.txt", "--relators", "r.txt", "--bogus")
+    assert (code, out) == (2, "")
+    assert _older_argparse_spelling(err) == (
+        "usage: relfree graded [-h] [--relators RELATORS] [--rank RANK]\n"
+        "                      [--pair-budget PAIR_BUDGET] [--budget-dehn BUDGET_DEHN]\n"
+        "                      [--mode {toy,ledger}] [--assign ASSIGN]\n"
+        "                      [--catalog CATALOG] [--m M] [--out OUT] [--h H] [--d D]\n"
+        "                      [--n N] [--params PARAMS] [--output {text,kv}]\n"
+        "                      [--seed SEED]\n"
+        "                      {build,dehn,pieces} [words]\n"
+        "relfree graded: error: unrecognized arguments: --bogus\n")
+
+
+def test_an_option_may_come_before_a_trailing_optional_positional(capsys, tmp_path):
+    rels = tmp_path / "rels.txt"
+    rels.write_text("a1 a2 a1^-1 a2^-1\n")
+    words = tmp_path / "words.txt"
+    words.write_text("a1 a2 a1^-1 a2^-1 a1\n")
+    after = run(capsys, "graded", "dehn", str(words), "--relators", str(rels))
+    assert after == (0, "reduced: a1\n", "")
+    assert run(capsys, "graded", "dehn", "--relators", str(rels), str(words)) == after
+    after = run(capsys, "word", "conj", "a1", "a2", "--m", "2")
+    assert after == (1, "conjugate: false\n", "")
+    assert run(capsys, "word", "conj", "a1", "--m", "2", "a2") == after
+
+
+def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["relfree", "word", "root", "a1 a2 a1 a2"])
+    assert cli.main() == 0
+    assert capsys.readouterr().out == "root: a1 a2\nk: 2\n"
+    monkeypatch.setattr(sys, "argv", ["relfree"])
+    assert cli.main() == 2
+    assert "{word,verbal,lpp,graded,endo,vkd,report}" in capsys.readouterr().err
+
+
+# -- graded build --out: the path is checked before the build ----------------------
+
+
+def _no_build(*args, **kwargs):
+    raise AssertionError("build_presentation was called")
+
+
+@pytest.mark.parametrize("where", ["a-directory", "in-a-missing-directory"])
+def test_an_unwritable_out_path_fails_before_the_build(capsys, tmp_path, monkeypatch, where):
+    from relfree import graded
+
+    monkeypatch.setattr(graded, "build_presentation", _no_build)
+    path = tmp_path / "folder"
+    path.mkdir()
+    if where == "in-a-missing-directory":
+        path = tmp_path / "missing" / "pres.txt"
+    code, out, err = run(capsys, "graded", "build", "--rank", "2", "--pair-budget", "2",
+                         "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and f"{path}'" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("failure, want", [(BudgetExceeded("pairs over budget"), 3),
+                                           (RelfreeError("no period"), 1)])
+def test_a_build_that_stops_leaves_the_out_path_as_it_was(capsys, tmp_path, monkeypatch,
+                                                          failure, want):
+    from relfree import graded
+
+    def stop(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(graded, "build_presentation", stop)
+    kept = tmp_path / "pres.txt"
+    kept.write_bytes(b"alphabet 2\n\xff not even text\n")
+    new = tmp_path / "new.txt"
+    for path in (kept, new):
+        code, out, _ = run(capsys, "graded", "build", "--rank", "2", "--out", str(path))
+        assert (code, out) == (want, "")
+    assert kept.read_bytes() == b"alphabet 2\n\xff not even text\n"
+    assert not new.exists()

@@ -449,6 +449,43 @@ def test_primitive_root_is_primitive():
         assert primitive_root(root)[1] == 1
 
 
+def test_the_root_cut_from_the_runs_rebuilds_the_word():
+    """Powers of random cores on three generators, half of them joined
+    across the seam, with small exponents and with exponents scaled past any
+    letter budget: the root's k-th power is the word, and the root is
+    primitive."""
+    ab3 = Alphabet(3)
+    rng = random.Random(16)
+    seams = 0
+    for i in range(400):
+        letters = (seam_letters(rng) if i % 2
+                   else naive_cyclic_core(rand_letters(rng, rng.randint(1, 10), 3)))
+        if not letters:
+            continue
+        base = free_reduce(ab3, letters)
+        scale = rng.choice((1, 1, 10**15))
+        base = Word.parse(ab3, " ".join(f"a{g}^{e * scale}" for g, e in base.runs))
+        u = power(base, rng.randint(1, 4))
+        seams += len(u.runs) >= 3 and u.runs[0][0] == u.runs[-1][0]
+        root, k = primitive_root(u)
+        assert power(root, k) == u and primitive_root(root)[1] == 1
+        if scale == 1:
+            assert (tuple(root.to_letters()), k) == naive_primitive_root(u.to_letters())
+    assert seams >= 150
+
+
+@pytest.mark.parametrize("text, root_runs, k", [
+    ("a1^1180591620717411303424 a2 a1^5", ((1, 2**70), (2, 1), (1, 5)), 3),  # across the seam
+    ("a1^1180591620717411303424 a2", ((1, 2**70), (2, 1)), 2),  # no seam
+])
+def test_primitive_root_of_a_huge_power_by_its_runs(text, root_runs, k):
+    base = Word.parse(AB, text)
+    u = power(base, k)
+    root, got = primitive_root(u)
+    assert (root.runs, got) == (root_runs, k)
+    assert power(root, k).runs == u.runs
+
+
 def test_primitive_root_rejects_empty():
     with pytest.raises(EmptyWord):
         primitive_root(Word.identity(AB))
