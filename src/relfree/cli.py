@@ -29,7 +29,7 @@ from .errors import (
     Unsatisfiable,
     open_text,
 )
-from .verbal import ParamSet, epsilon, make_v, make_w1, make_w2, word_length_symbolic
+from .verbal import ParamSet, epsilon, make_v, make_w, word_length_symbolic
 from .words import Alphabet, Word, canonical_cyclic, conjugate_in_free, parse_words, primitive_root
 
 EXIT_OK = 0
@@ -143,12 +143,8 @@ def _cmd_verbal(args) -> int:
         print(word_length_symbolic(args.which, args.lx, args.ly, p))
         return EXIT_OK
     x, y = parse_words([("", args.x), ("", args.y)], args.m)
-    if args.which in ("v0", "v1", "v2"):
-        print(make_v(int(args.which[1]), x, y, p))
-    elif args.which == "w1":
-        print(make_w1(x, y, p))
-    else:
-        print(make_w2(x, y, p))
+    make = make_v if args.which[0] == "v" else make_w
+    print(make(int(args.which[1]), x, y, p))
     return EXIT_OK
 
 
@@ -246,9 +242,10 @@ def _cmd_endo(args) -> int:
         return code
     p = _params_from_args(args)
     checks = endo.check_report(p)
-    all_ok = all(c.passed for c in checks)
+    all_ok = all(c.passed is not False for c in checks)
     for c in checks:
-        _emit(args, [(c.name, "PASS" if c.passed else "FAIL")])
+        status = "PASS" if c.passed else "FAIL" if c.passed is False else f"NOT BUILT ({c.detail})"
+        _emit(args, [(c.name, status)])
     _emit(args, [("group-level", "INDETERMINATE (asserted, not desk-checkable)")])
     return EXIT_OK if all_ok else EXIT_FAIL
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import shlex
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import (
     BudgetExceeded,
@@ -32,14 +33,7 @@ from .errors import (
     split_fields,
 )
 from .ledger import bound_f
-from .verbal import (
-    ParamSet,
-    build_w1_like,
-    build_w2_like,
-    make_v,
-    make_w1,
-    make_w2,
-)
+from .verbal import ParamSet, make_v, make_w, slot_schedule
 from .words import (
     DEFAULT_LETTER_BUDGET,
     Alphabet,
@@ -62,6 +56,7 @@ from .words import (
     power,
     primitive_root,
     shortlex_key,
+    substitute,
 )
 
 DEFAULT_DEHN_BUDGET = 10_000
@@ -109,9 +104,8 @@ class _RelatorTable:
     statistics, certificate building and certificate checking all read
     relator shifts from this one table."""
 
-    def __init__(self, relators: list[Word]):
-        if not relators:
-            raise EmptyInput("need at least one relator")
+    def __init__(self, relators: Iterable[Word]):
+        # from a generator, a relator over the budget stops the ones after it
         self.cores = []
         for idx, r in enumerate(relators):
             core, _ = cyclic_reduce(r)
@@ -120,6 +114,8 @@ class _RelatorTable:
             core._check_budget(DEFAULT_LETTER_BUDGET)
             _check_encodable(core)
             self.cores.append(core)
+        if not self.cores:
+            raise EmptyInput("need at least one relator")
         self.lengths = [core.letter_length for core in self.cores for _ in (1, -1)]
         self.keys = {(k >> 1, -1 if k & 1 else 1): k for k in range(len(self.lengths))}
         self.shortest = min(self.lengths)
@@ -262,9 +258,10 @@ def piece_stats(relators: list[Word]) -> tuple[int, Fraction]:
 
 @dataclass(frozen=True)
 class RelatorRecord:
-    """One relator as its template: template ``z_star`` with A^f in its power
-    slots and T, U in its other slots.  No word is stored: :attr:`relator`
-    builds it on each read, and records are equal when their templates are."""
+    """One relator as its template: the slot schedule of template ``z_star``
+    with T in its sign slots, A^f in its power slots and U leading.  No word
+    is stored: :attr:`relator` builds it on each read, and records are equal
+    when their templates are."""
 
     z_star: int
     A: Word
@@ -282,10 +279,8 @@ class RelatorRecord:
     @property
     def relator(self) -> Word:
         """The relator word, built from the template on every read."""
-        block = power(self.A, self.f)
-        if self.z_star == 1:
-            return build_w1_like(self.T, block, self.params)
-        return build_w2_like(self.U, self.T, block, self.params)
+        images = (self.T, power(self.A, self.f), self.U)
+        return substitute(slot_schedule(self.z_star, self.params), images, self.A.alphabet)
 
 
 @dataclass(frozen=True)
@@ -473,7 +468,6 @@ def classify_pairs(pres: GradedPresentation, z_star: int, L: int) -> ClassifyRes
     if z_star not in (1, 2):
         raise InvalidParams(f"z* must be 1 or 2, got {z_star}")
     p = pres.params
-    make_w = make_w1 if z_star == 1 else make_w2
 
     words_pool = list(enumerate_reduced_words(pres.alphabet, L))
     discarded = 0
@@ -481,7 +475,7 @@ def classify_pairs(pres: GradedPresentation, z_star: int, L: int) -> ClassifyRes
     survivors: list[tuple[Word, Word, Word, Word]] = []  # (X, Y, v, w)
     for x in words_pool:
         for y in words_pool:
-            w_val = make_w(x, y, p)
+            w_val = make_w(z_star, x, y, p)
             if w_val.is_empty:
                 discarded += 1
                 continue
@@ -618,8 +612,7 @@ def verbal_membership_witness(rec: RelatorRecord, triple: TripleRecord) -> Word:
     identity word evaluated at the class representative.  Exact; a failure
     on a freshly built record means the construction itself is broken."""
     p = rec.params
-    target = make_w1(triple.X, triple.y_bar, p) if rec.z_star == 1 \
-        else make_w2(triple.X, triple.y_bar, p)
+    target = make_w(rec.z_star, triple.X, triple.y_bar, p)
     relator = rec.relator
     witness = minimal_conjugacy_witness(target, relator)
     if witness is None or concat_all([witness, relator, invert(witness)]) != target:

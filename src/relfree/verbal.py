@@ -7,9 +7,11 @@ The two identity words are built from v-words::
     v2(x, y) = [v1(x, y)^d, x^d]
 
 interleaved with a fixed +-1 sign schedule.  Both identity words have zero
-exponent sum on either variable.  The templates are exposed with arbitrary
-words in each letter slot (``build_w1_like`` / ``build_w2_like``) because the
-relator synthesis and the endomorphism witnesses reuse the same shapes.
+exponent sum on either variable.  Each template is a slot schedule
+(:func:`slot_schedule`): a lazy run sequence over three symbols, into which
+:func:`relfree.words.substitute` puts one word per symbol.  The identity
+words, the relators of :mod:`relfree.graded` and the witnesses of
+:mod:`relfree.endo` are all such substitutions.
 
 Two parameter regimes exist: "toy" (divisibility constraints only; every
 syntactic identity holds at any size) and "ledger" (the full exact-rational
@@ -21,17 +23,10 @@ ledger sizes are astronomically large, which is what
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from .errors import AlphabetMismatch, InvalidIndex, InvalidParams
-from .words import (
-    Word,
-    _PowerFactory,
-    _append_runs,
-    _check_run_budget,
-    commutator,
-    concat,
-    power,
-)
+from .errors import InvalidIndex, InvalidParams
+from .words import Word, _check_run_budget, commutator, concat, power, substitute
 
 
 @dataclass(frozen=True)
@@ -86,8 +81,10 @@ def w2_exponents(h: int, n: int) -> list[int]:
     return [n * n + j for j in range(1, h + 1)]
 
 
-def make_v(z: int, x: Word, y: Word, p: ParamSet) -> Word:
+def make_v(z: int, x: Word, y: Word, p: ParamSet, v1: Word | None = None) -> Word:
     """The v-word of level z in {0, 1, 2} with x, y substituted.
+
+    Level 2 is formed from ``v1`` (v1(x, y), already built) when it is given.
 
     >>> from .words import Alphabet
     >>> ab = Alphabet(2)
@@ -104,60 +101,50 @@ def make_v(z: int, x: Word, y: Word, p: ParamSet) -> Word:
         t = concat(power(t, d), xd)
         return concat(power(commutator(power(t, d), xd), d), y)
     if z == 2:
-        return commutator(power(make_v(1, x, y, p), d), xd)
+        return commutator(power(v1 if v1 is not None else make_v(1, x, y, p), d), xd)
     raise InvalidIndex(f"v-level must be 0, 1 or 2, got {z}")
 
 
-def build_w1_like(base: Word, block: Word, p: ParamSet) -> Word:
-    """The first identity template with ``base`` in the sign slots and
-    ``block`` in the power slots: base^{e_1} block^{n} base^{e_2} block^{n+2} ...
+def slot_schedule(z: int, p: ParamSet) -> Iterator[tuple[int, int]]:
+    """The runs (symbol, exponent) of template z in {1, 2}, one at a time.
+
+    Symbol 1 fills the sign slots, 2 the power slots and 3 leads the second
+    template; substituting (v_{z-1}, v_z, y) gives w_z(x, y).  Template 1 is
+    1^{e_1} 2^{n} 1^{e_2} 2^{n+2} ...; template 2 is
+    3 2^{n^2+1} 1^{e_2} 2^{n^2+2} ... 1^{e_h} 2^{n^2+h}.
     """
-    if base.alphabet != block.alphabet:
-        raise AlphabetMismatch("template slots must share one alphabet")
     _check_run_budget(p.h, "a template's slots")
-    bf = _PowerFactory(base)
-    vf = _PowerFactory(block)
-    acc: list = []
-    for idx, e in _w1_slots(p.h, p.n):
-        _append_runs(acc, bf.runs(epsilon(idx)))
-        _append_runs(acc, vf.runs(e))
-        _check_run_budget(len(acc), "a template")
-    return Word(base.alphabet, tuple(acc))
+    if z == 1:
+        for idx, e in _w1_slots(p.h, p.n):
+            yield 1, epsilon(idx)
+            yield 2, e
+    elif z == 2:
+        nn = p.n * p.n  # slot i has power exponent n^2 + i
+        yield 3, 1
+        yield 2, nn + 1
+        for i in range(2, p.h + 1):
+            yield 1, epsilon(i)
+            yield 2, nn + i
+    else:
+        raise InvalidIndex(f"template level must be 1 or 2, got {z}")
 
 
-def build_w2_tail(sep: Word, block: Word, p: ParamSet) -> Word:
-    """Everything after the leading letter of the second identity template:
-    block^{n^2+1} sep^{e_2} block^{n^2+2} ... sep^{e_h} block^{n^2+h}.
-    """
-    if sep.alphabet != block.alphabet:
-        raise AlphabetMismatch("template slots must share one alphabet")
-    _check_run_budget(p.h, "a template's slots")
-    sf = _PowerFactory(sep)
-    vf = _PowerFactory(block)
-    nn = p.n * p.n  # slot i has block exponent n^2 + i
-    acc: list = list(vf.runs(nn + 1))
-    for i in range(2, p.h + 1):
-        _append_runs(acc, sf.runs(epsilon(i)))
-        _append_runs(acc, vf.runs(nn + i))
-        _check_run_budget(len(acc), "a template")
-    return Word(sep.alphabet, tuple(acc))
-
-
-def build_w2_like(lead: Word, sep: Word, block: Word, p: ParamSet) -> Word:
-    """The second identity template: lead, then the alternating tail."""
-    return concat(lead, build_w2_tail(sep, block, p))
+def make_w(z: int, x: Word, y: Word, p: ParamSet) -> Word:
+    """Identity word w_z(x, y): the slot schedule of template z with
+    v_{z-1}(x, y), v_z(x, y) and y substituted; zero exponent sums."""
+    below = make_v(z - 1, x, y, p)
+    images = (below, make_v(z, x, y, p, v1=below), y)
+    return substitute(slot_schedule(z, p), images, x.alphabet)
 
 
 def make_w1(x: Word, y: Word, p: ParamSet) -> Word:
-    """First identity word w1(x, y); zero exponent sums on every generator."""
-    return build_w1_like(x, make_v(1, x, y, p), p)
+    """First identity word w1(x, y) = x^{e_1} v1^{n} x^{e_2} v1^{n+2} ..."""
+    return make_w(1, x, y, p)
 
 
 def make_w2(x: Word, y: Word, p: ParamSet) -> Word:
     """Second identity word w2(x, y) = y v2^{n^2+1} v1^{e_2} v2^{n^2+2} ..."""
-    v1 = make_v(1, x, y, p)
-    v2 = commutator(power(v1, p.d), power(x, p.d))
-    return build_w2_like(y, v1, v2, p)
+    return make_w(2, x, y, p)
 
 
 def word_length_symbolic(which: str, lx: int, ly: int, p: ParamSet) -> int:
@@ -166,6 +153,8 @@ def word_length_symbolic(which: str, lx: int, ly: int, p: ParamSet) -> int:
     Always an upper bound for the reduced length, and computable at ledger
     scale where materialization is impossible.
     """
+    if lx < 0 or ly < 0:
+        raise InvalidParams(f"word lengths must be nonnegative, got lx={lx} ly={ly}")
     d, h, n = p.d, p.h, p.n
     len_v0 = lx
     len_v1 = d * (2 * (d * (d * (d * lx + d * ly) + d * lx)) + 2 * d * lx) + ly

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, count, islice
 from operator import eq, itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import AlphabetMismatch, BudgetExceeded, EmptyWord, InvalidLetter
 
@@ -496,6 +496,35 @@ def power(u: Word, k: int) -> Word:
         return u
     core, conj = cyclic_reduce(u)
     return Word(u.alphabet, tuple(_power_runs(core.runs, conj.runs, k)))
+
+
+def substitute(w: Word | Iterable[tuple[int, int]], images: Sequence[Word],
+               target: Alphabet) -> Word:
+    """Replace generator k by images[k-1] throughout; freely reduced.
+
+    ``w`` is a word, which needs one image per generator, or any iterable of
+    (generator, exponent) runs, such as a template's slot schedule; its runs
+    are read one at a time, so a schedule is never held whole."""
+    if isinstance(w, Word):
+        if len(images) != w.alphabet.m:
+            raise AlphabetMismatch(f"need {w.alphabet.m} images, got {len(images)}")
+        w = w.runs
+    for img in images:
+        if img.alphabet != target:
+            raise AlphabetMismatch("image words must live in the target alphabet")
+
+    def factory(g: int) -> _PowerFactory:
+        if not 0 < g <= len(images):
+            raise AlphabetMismatch(f"no image for generator {g} among {len(images)}")
+        return _PowerFactory(images[g - 1])
+
+    factories = _Table(factory)
+    acc: list = []
+    for g, e in w:
+        _append_runs(acc, factories[g].runs(e))
+        if len(acc) > DEFAULT_RUN_BUDGET:
+            _check_run_budget(len(acc), "a substitution")
+    return Word(target, tuple(acc))
 
 
 def conjugate(u: Word, by: Word) -> Word:

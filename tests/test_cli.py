@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import relfree
 from relfree import cli, ledger
 from relfree.errors import BudgetExceeded, RelfreeError
-from relfree.verbal import ParamSet, make_w1, word_length_symbolic
+from relfree.verbal import ParamSet, make_v, make_w1, make_w2, word_length_symbolic
 from relfree.words import Alphabet, Word
 
 
@@ -64,6 +64,24 @@ def test_verbal_build_matches_library(capsys):
     ab = Alphabet(2)
     want = make_w1(Word.generator(ab, 1), Word.generator(ab, 2), ParamSet(20, 2, 3))
     assert out.strip() == str(want)
+
+
+def test_verbal_build_picks_the_word_by_its_level(capsys):
+    ab = Alphabet(2)
+    x, y = Word.parse(ab, "a1 a2"), Word.parse(ab, "a2^-1")
+    p = ParamSet(20, 1, 1)
+    for which, want in (("v0", x), ("v1", make_v(1, x, y, p)), ("v2", make_v(2, x, y, p)),
+                        ("w1", make_w1(x, y, p)), ("w2", make_w2(x, y, p))):
+        code, out, _ = run(capsys, "verbal", "build", "--which", which, "--x", "a1 a2",
+                           "--y", "a2^-1", "--h", "20", "--d", "1", "--n", "1")
+        assert (code, out) == (0, f"{want}\n"), which
+
+
+@pytest.mark.parametrize("lx, ly", [("-1", "1"), ("1", "-1"), ("-3", "-2")])
+def test_verbal_length_refuses_negative_lengths(capsys, lx, ly):
+    code, out, err = run(capsys, "verbal", "length", "--which", "w2", "--lx", lx, "--ly", ly)
+    assert (code, out) == (1, "")
+    assert "word lengths must be nonnegative" in err
 
 
 def test_verbal_epsilon(capsys):
@@ -695,12 +713,31 @@ def run_capped(*args, timeout=60):
     ("verbal", "build", "--which", "w1", "--d", "1000000000000"),
     ("endo", "check", "--n", "100000000000000"),
     ("graded", "build", "--h", "2000000000000"),
-], ids=["verbal-build-d", "endo-check-n", "graded-build-h"])
+    ("verbal", "build", "--which", "w1", "--h", "2000000", "--d", "1", "--n", "1"),
+    ("verbal", "build", "--which", "w2", "--h", "1000000"),
+], ids=["verbal-build-d", "endo-check-n", "graded-build-h", "verbal-build-w1-h",
+        "verbal-build-w2-h"])
 def test_sizes_too_large_to_build_run_out_of_budget(argv):
     proc = run_capped("-m", "relfree.cli", *argv)
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "over the budget of 10000000" in proc.stderr
+
+
+@pytest.mark.parametrize("h, d, n", [(40, 4, 5), (80, 3, 5)])
+def test_endo_check_reports_the_evidence_it_cannot_build_and_passes(h, d, n):
+    # |w2| is over 10^7 letters here, so are the largest toy relators; the
+    # witnesses are built as runs and fit
+    proc = run_capped("-m", "relfree.cli", "endo", "check",
+                      "--h", str(h), "--d", str(d), "--n", str(n), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:6] == [f"{name}: PASS" for name in (
+        "kernel-identity", "surjectivity-identity", "kernel-word-nonempty",
+        "kernel-word-cyclically-reduced", "kernel-length-bound", "kernel-word-free-nontrivial")]
+    assert re.fullmatch(r"kernel-word-dehn-irreducible: NOT BUILT \(toy relator: word has \d+"
+                        r" letters, over the budget of 10000000\)", lines[6])
+    assert lines[7:] == ["group-level: INDETERMINATE (asserted, not desk-checkable)"]
 
 
 def test_verbal_length_answers_at_any_h():

@@ -2,18 +2,18 @@ import random
 
 import pytest
 
-from relfree.endo import (
-    Endomorphism,
-    apply,
-    check_report,
-    kernel_witness,
-    psi_infinity,
-    substitute,
-    surjectivity_witness,
-)
+from relfree.endo import check_report, kernel_witness, psi_infinity, surjectivity_witness
 from relfree.errors import AlphabetMismatch, RankTooSmall
-from relfree.verbal import ParamSet, make_v, make_w1, make_w2
-from relfree.words import Alphabet, Word, commutator, concat, exponent_sum, free_reduce
+from relfree.verbal import ParamSet, make_v, make_w2
+from relfree.words import (
+    Alphabet,
+    Word,
+    commutator,
+    concat,
+    exponent_sum,
+    free_reduce,
+    substitute,
+)
 
 AB = Alphabet(2)
 A1 = Word.generator(AB, 1)
@@ -27,15 +27,18 @@ def rand_word(rng, n):
     return free_reduce(AB, [rng.choice([1, -1, 2, -2]) for _ in range(n)])
 
 
-def rand_endo(rng):
-    return Endomorphism(AB, (rand_word(rng, rng.randint(0, 4)),
-                             rand_word(rng, rng.randint(0, 4))))
+def rand_images(rng):
+    return (rand_word(rng, rng.randint(0, 4)), rand_word(rng, rng.randint(0, 4)))
+
+
+def apply(images, w):
+    return substitute(w, images, AB)
 
 
 # -- substitution mechanics ------------------------------------------------------
 
 def test_swap_is_an_involution():
-    swap = Endomorphism(AB, (A2, A1))
+    swap = (A2, A1)
     rng = random.Random(21)
     for _ in range(50):
         w = rand_word(rng, rng.randint(0, 10))
@@ -45,7 +48,7 @@ def test_swap_is_an_involution():
 def test_apply_distributes_over_commutator():
     rng = random.Random(22)
     for _ in range(100):
-        e = rand_endo(rng)
+        e = rand_images(rng)
         u, v = rand_word(rng, rng.randint(0, 5)), rand_word(rng, rng.randint(0, 5))
         assert apply(e, commutator(u, v)) == commutator(apply(e, u), apply(e, v))
 
@@ -53,19 +56,22 @@ def test_apply_distributes_over_commutator():
 def test_apply_is_multiplicative():
     rng = random.Random(23)
     for _ in range(100):
-        e = rand_endo(rng)
+        e = rand_images(rng)
         u, v = rand_word(rng, rng.randint(0, 6)), rand_word(rng, rng.randint(0, 6))
         assert apply(e, concat(u, v)) == concat(apply(e, u), apply(e, v))
 
 
 def test_alphabet_mismatch_rejected():
     other = Alphabet(3)
+    # a word over another alphabet needs as many images as it has generators
     with pytest.raises(AlphabetMismatch):
-        apply(Endomorphism(AB, tuple(AB.generators())), Word.generator(other, 1))
+        apply(tuple(AB.generators()), Word.generator(other, 1))
     with pytest.raises(AlphabetMismatch):
-        substitute(A1, [Word.generator(other, 1)], AB)
+        substitute(A1, [A1, Word.generator(other, 1)], AB)
     with pytest.raises(AlphabetMismatch):
-        Endomorphism(AB, (A1,))
+        substitute(A1, (A1,), AB)
+    with pytest.raises(AlphabetMismatch):
+        substitute(A1, (A1, A2), other)
 
 
 # -- the distinguished endomorphism ------------------------------------------------
@@ -90,7 +96,7 @@ def test_psi_matches_letter_oracle_at_small_d():
 def test_psi_fixes_higher_generators():
     ab3 = Alphabet(3)
     psi = psi_infinity(ab3, P)
-    assert apply(psi, Word.generator(ab3, 3)) == Word.generator(ab3, 3)
+    assert substitute(Word.generator(ab3, 3), psi, ab3) == Word.generator(ab3, 3)
 
 
 def test_psi_needs_rank_two():
@@ -164,3 +170,13 @@ def test_check_report_all_pass():
     names = [c.name for c in checks]
     assert "kernel-identity" in names
     assert "surjectivity-identity" in names
+
+
+def test_check_report_keeps_the_dehn_evidence_at_the_second_scale():
+    # |w2| = 4 361 644 letters at (40, 3, 5): the evidence is built, not skipped
+    checks = {c.name: c for c in check_report(ParamSet(40, 3, 5))}
+    evidence = checks["kernel-word-dehn-irreducible"]
+    assert evidence.passed
+    u, _ = kernel_witness(ParamSet(40, 3, 5))
+    assert evidence.detail.startswith(f"|U| = {u.letter_length}, floor(shortest core / 2) = ")
+    assert evidence.detail.endswith(" over 16 toy relators")

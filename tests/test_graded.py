@@ -39,15 +39,7 @@ from relfree.graded import (
     slot_words,
     verbal_membership_witness,
 )
-from relfree.verbal import (
-    ParamSet,
-    build_w1_like,
-    build_w2_like,
-    make_v,
-    make_w1,
-    w1_exponents,
-    w2_exponents,
-)
+from relfree.verbal import ParamSet, make_v, make_w, make_w1, w1_exponents, w2_exponents
 from relfree.words import (
     Alphabet,
     Word,
@@ -355,30 +347,31 @@ def test_relator_warnings_for_toy_violations():
 
 
 def test_relator_round_trip_is_byte_identical():
+    from tests.test_verbal import n_pow, naive_template
+
     for z_star in (1, 2):
         res = classify_pairs(fresh_pres(), z_star, 1)
         for cls in res.classes:
             t_word, u_word = slot_words(cls, P)
             rec = build_relator(z_star, cls.A, cls.f, t_word, u_word, P, j=cls.j)
-            block = power(cls.A, cls.f)
-            assert rec.relator == (build_w1_like(t_word, block, P) if z_star == 1
-                                   else build_w2_like(u_word, t_word, block, P))
+            # the letter-level template, with A^f in the power slots
+            block = n_pow(cls.A.to_letters(), cls.f)
+            letters = naive_template(z_star, t_word.to_letters(), block,
+                                     u_word.to_letters(), P.h, P.n)
+            assert rec.relator == free_reduce(AB, letters)
             assert rec.rank == cls.A.letter_length
     # the record stores no word: its relator is derived from the template
     assert "relator" not in {fld.name for fld in dataclasses.fields(RelatorRecord)}
 
 
 def test_every_rank_one_relator_has_witness():
-    from relfree.verbal import make_w2
-
     for z_star in (1, 2):
         res = classify_pairs(fresh_pres(), z_star, 1)
         for cls in res.classes:
             t_word, u_word = slot_words(cls, P)
             rec = build_relator(z_star, cls.A, cls.f, t_word, u_word, P, j=cls.j)
             w = verbal_membership_witness(rec, cls.triple)
-            make_w = make_w1 if z_star == 1 else make_w2
-            assert conjugate(rec.relator, w) == make_w(cls.triple.X, cls.triple.y_bar, P)
+            assert conjugate(rec.relator, w) == make_w(z_star, cls.triple.X, cls.triple.y_bar, P)
 
 
 def test_corrupted_relator_has_no_witness():
@@ -779,11 +772,11 @@ def test_building_and_saving_a_presentation_builds_no_relator_word(tmp_path, mon
     import relfree.graded as graded_mod
 
     calls = []
-    for name in ("build_w1_like", "build_w2_like"):
-        def counted(*args, _build=getattr(graded_mod, name)):
-            calls.append(1)
-            return _build(*args)
-        monkeypatch.setattr(graded_mod, name, counted)
+
+    def counted(*args, _substitute=graded_mod.substitute):
+        calls.append(1)
+        return _substitute(*args)
+    monkeypatch.setattr(graded_mod, "substitute", counted)
     pres = build_presentation(AB, P, max_rank=2, pair_budget=1)
     save_presentation(pres, tmp_path / "pres.txt")
     assert calls == []

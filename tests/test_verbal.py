@@ -2,20 +2,27 @@ import random
 
 import pytest
 
-from relfree.endo import substitute
-from relfree.errors import InvalidIndex, InvalidParams
+from relfree.errors import AlphabetMismatch, InvalidIndex, InvalidParams
 from relfree.verbal import (
     ParamSet,
-    build_w1_like,
     epsilon,
     make_v,
     make_w1,
     make_w2,
+    slot_schedule,
     w1_exponents,
     w2_exponents,
     word_length_symbolic,
 )
-from relfree.words import Alphabet, Word, commutator, exponent_sum, free_reduce, power
+from relfree.words import (
+    Alphabet,
+    Word,
+    commutator,
+    exponent_sum,
+    free_reduce,
+    power,
+    substitute,
+)
 
 AB = Alphabet(2)
 A1 = Word.generator(AB, 1)
@@ -47,22 +54,28 @@ def naive_v2(x, y, d):
     return n_comm(n_pow(naive_v1(x, y, d), d), n_pow(x, d))
 
 
-def naive_w1(x, y, h, d, n):
-    v1 = naive_v1(x, y, d)
-    out = []
-    # the h base-letter slots take sign indices 1..h/2, twice
-    for idx, e in zip(list(range(1, h // 2 + 1)) * 2, w1_exponents(h, n)):
-        out += n_pow(x, epsilon(idx)) + n_pow(v1, e)
+def naive_template(z, sign, block, lead, h, n):
+    """Template z with ``sign`` in its sign slots, ``block`` in its power
+    slots and, in template 2, ``lead`` first."""
+    if z == 1:
+        out = []
+        # the h sign slots take sign indices 1..h/2, twice
+        for idx, e in zip(list(range(1, h // 2 + 1)) * 2, w1_exponents(h, n)):
+            out += n_pow(sign, epsilon(idx)) + n_pow(block, e)
+        return out
+    exps = w2_exponents(h, n)
+    out = lead + n_pow(block, exps[0])
+    for i in range(2, h + 1):
+        out += n_pow(sign, epsilon(i)) + n_pow(block, exps[i - 1])
     return out
+
+
+def naive_w1(x, y, h, d, n):
+    return naive_template(1, x, naive_v1(x, y, d), [], h, n)
 
 
 def naive_w2(x, y, h, d, n):
-    v1, v2 = naive_v1(x, y, d), naive_v2(x, y, d)
-    exps = w2_exponents(h, n)
-    out = y + n_pow(v2, exps[0])
-    for i in range(2, h + 1):
-        out += n_pow(v1, epsilon(i)) + n_pow(v2, exps[i - 1])
-    return out
+    return naive_template(2, naive_v1(x, y, d), naive_v2(x, y, d), y, h, n)
 
 
 # -- the sign schedule ----------------------------------------------------------
@@ -176,6 +189,20 @@ def test_w2_matches_letter_oracle():
     assert make_w2(A1, A2, P) == free_reduce(AB, naive_w2([1], [2], 20, 2, 3))
 
 
+def test_w2_builds_v1_once(monkeypatch):
+    from relfree import verbal
+
+    levels = []
+
+    def counted(z, *args, **kwargs):
+        levels.append(z)
+        return make_v(z, *args, **kwargs)
+
+    monkeypatch.setattr(verbal, "make_v", counted)
+    assert make_w2(A1, A2, P) == free_reduce(AB, naive_w2([1], [2], 20, 2, 3))
+    assert levels.count(1) == 1
+
+
 def test_identity_words_live_in_commutator_subgroup():
     rng = random.Random(14)
     for _ in range(8):
@@ -197,10 +224,24 @@ def test_substitution_compatibility():
 
 
 def test_template_rejects_mixed_alphabets():
-    from relfree.errors import AlphabetMismatch
-
     with pytest.raises(AlphabetMismatch):
-        build_w1_like(A1, Word.generator(Alphabet(3), 1), P)
+        substitute(slot_schedule(1, P), (A1, Word.generator(Alphabet(3), 1)), AB)
+    with pytest.raises(AlphabetMismatch):
+        make_w1(A1, Word.generator(Alphabet(3), 1), P)
+
+
+def test_a_schedule_needs_an_image_for_each_symbol():
+    # the second template leads with symbol 3
+    with pytest.raises(AlphabetMismatch, match="generator 3"):
+        substitute(slot_schedule(2, P), (A1, A2), AB)
+    assert substitute(slot_schedule(1, P), (A1, A2), AB) == \
+        free_reduce(AB, naive_template(1, [1], [2], [], 20, 3))
+
+
+def test_a_schedule_rejects_a_template_level_other_than_one_or_two():
+    for z in (0, 3):
+        with pytest.raises(InvalidIndex):
+            list(slot_schedule(z, P))
 
 
 # -- symbolic lengths -----------------------------------------------------------------
@@ -226,6 +267,34 @@ def test_symbolic_length_closed_forms_sum_the_exponent_lists(h, d, n):
         h * 2 + len_v1 * sum(abs(e) for e in w1_exponents(h, n))
     assert word_length_symbolic("w2", 2, 3, p) == \
         3 + (h - 1) * len_v1 + len_v2 * sum(w2_exponents(h, n))
+
+
+@pytest.mark.parametrize("h", [20, 40, 60, 200, 1000])
+@pytest.mark.parametrize("d, n", [(1, 1), (2, 3), (3, 5), (7, 11)])
+def test_slot_schedules_read_the_exponent_lists_and_the_sign_schedule(h, d, n):
+    p = ParamSet(h, d, n)
+    lx, ly = 2, 3
+    len_v1 = word_length_symbolic("v1", lx, ly, p)
+    len_v2 = word_length_symbolic("v2", lx, ly, p)
+    # template 1 alternates sign and power slots; its h sign slots take the
+    # sign indices 1..h/2 twice.  Template 2 leads with symbol 3, then its
+    # power slots alternate with sign slots of indices 2..h.
+    cases = {
+        "w1": (1, [], [epsilon(i) for i in list(range(1, h // 2 + 1)) * 2],
+               w1_exponents(h, n), {1: lx, 2: len_v1}),
+        "w2": (2, [(3, 1)], [epsilon(i) for i in range(2, h + 1)],
+               w2_exponents(h, n), {1: len_v1, 2: len_v2, 3: ly}),
+    }
+    for which, (z, lead, signs, powers, image_length) in cases.items():
+        runs = list(slot_schedule(z, p))
+        body = runs[len(lead):]
+        assert runs[:len(lead)] == lead
+        assert [e for g, e in body if g == 2] == powers
+        assert [e for g, e in body if g == 1] == signs
+        assert len(body) == len(powers) + len(signs)
+        assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
+        assert sum(abs(e) * image_length[g] for g, e in runs) == \
+            word_length_symbolic(which, lx, ly, p)
 
 
 def test_symbolic_length_v0():

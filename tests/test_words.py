@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relfree import endo, verbal
+from relfree import verbal
 from relfree import words as words_mod
 from relfree.errors import AlphabetMismatch, BudgetExceeded, EmptyWord, InvalidLetter
 from relfree.report import (
@@ -754,8 +754,9 @@ def every_constructor(a, b, k) -> list[Word]:
     p = verbal.ParamSet(20, 1, 1)
     out += [verbal.make_v(z, x, y, p) for z in (0, 1, 2)]
     out += [verbal.make_w1(x, y, p), verbal.make_w2(x, y, p),
-            verbal.build_w1_like(u, y, p), verbal.build_w2_like(v, x, y, p)]
-    out.append(endo.substitute(concat(u, v), [y, u, invert(v)], AB3))
+            words_mod.substitute(verbal.slot_schedule(1, p), (u, y), AB3),
+            words_mod.substitute(verbal.slot_schedule(2, p), (x, y, v), AB3)]
+    out.append(words_mod.substitute(concat(u, v), [y, u, invert(v)], AB3))
     return out
 
 
