@@ -27,6 +27,7 @@ from .errors import (
     InvalidParams,
     RelfreeError,
     Unsatisfiable,
+    content_lines,
     open_text,
 )
 from .verbal import ParamSet, epsilon, make_v, make_w, word_length_symbolic
@@ -54,17 +55,13 @@ def _params_from_args(args) -> ParamSet:
     if getattr(args, "params", None):
         kv = {}
         with open_text(args.params) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                name, _, value = line.partition("=")
-                try:
-                    kv[name.strip()] = int(value.strip())
-                except ValueError:
-                    raise InvalidParams(
-                        f"{args.params}:{lineno}: expected name = integer, got {line!r}"
-                    ) from None
+            text = fh.read()
+        for where, line in content_lines(text, args.params):
+            name, _, value = line.partition("=")
+            try:
+                kv[name.strip()] = int(value.strip())
+            except ValueError:
+                raise InvalidParams(f"{where}: expected name = integer, got {line!r}") from None
         missing = [name for name in ("h", "d", "n") if name not in kv]
         if missing:
             raise InvalidParams(f"{args.params}: no line sets {', '.join(missing)}")
@@ -72,18 +69,11 @@ def _params_from_args(args) -> ParamSet:
     return ParamSet(args.h, args.d, args.n)
 
 
-def _word_lines(path):
-    """(``path:line``, text) of every line of a word file that is neither
-    blank nor a ``#`` comment; line numbers count every line of the file."""
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if text and not text.startswith("#"):
-                yield f"{path}:{lineno}", text
-
-
 def _read_relators(path, m: int | None = None) -> list[Word]:
-    return parse_words(_word_lines(path), m)
+    """The words of a word file, one per line; blank and ``#`` lines are skipped."""
+    with open_text(path) as fh:
+        text = fh.read()
+    return parse_words(content_lines(text, path), m)
 
 
 def _enforce_ledger_mode(args) -> int | None:
@@ -186,8 +176,6 @@ def _cmd_graded(args) -> int:
         if code is not None:
             return code
         p = _params_from_args(args)
-        assignment = (ledger.load_assignment(args.assign)
-                      if args.mode == "ledger" else None)
         # an unwritable --out path fails here, before the build; "a" truncates nothing
         created = args.out and not os.path.exists(args.out)
         if args.out:
@@ -195,7 +183,7 @@ def _cmd_graded(args) -> int:
         try:
             pres = graded.build_presentation(
                 Alphabet(args.m or 2), p, max_rank=args.rank,
-                pair_budget=args.pair_budget, mode=args.mode, assign=assignment)
+                pair_budget=args.pair_budget, mode=args.mode)
         except BaseException:
             if created:  # a build that stops leaves no file where there was none
                 os.remove(args.out)
@@ -224,7 +212,7 @@ def _cmd_graded(args) -> int:
     # dehn over a word file
     if not relators:
         raise EmptyInput(f"{args.relators}: no relators")
-    words = parse_words(_word_lines(args.words), relators[0].alphabet.m)
+    words = _read_relators(args.words, relators[0].alphabet.m)
     table = graded._RelatorTable(relators)
     budget = graded.DEFAULT_DEHN_BUDGET if args.budget_dehn is None else args.budget_dehn
     indeterminate = False
@@ -341,7 +329,8 @@ def _add_arguments(sub: argparse.ArgumentParser, name: str) -> None:
         sub.add_argument("--n", type=int, default=3)
         sub.add_argument("--params", help="file with h=, d=, n= lines")
     sub.add_argument("--output", choices=("text", "kv"), default="text")
-    sub.add_argument("--seed", type=int, default=0)
+    if name == "report":
+        sub.add_argument("--seed", type=int, default=0)
     sub.set_defaults(command=name, func=_COMMANDS[name][1])
 
 
@@ -374,10 +363,10 @@ def main(argv=None) -> int:
             args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    for budget_name in ("budget_dehn", "pair_budget"):
-        value = getattr(args, budget_name, None)
+    for name in ("budget_dehn", "pair_budget", "rank"):
+        value = getattr(args, name, None)
         if value is not None and value < 1:
-            print(f"{budget_name.replace('_', '-')} must be positive", file=sys.stderr)
+            print(f"{name.replace('_', '-')} must be positive", file=sys.stderr)
             return EXIT_USAGE
     try:
         return args.func(args)

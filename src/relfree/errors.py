@@ -1,8 +1,9 @@
-"""Exception types shared across the package, and the two readers every
-input shares: :func:`open_text` decodes files, :func:`split_fields` splits
-quoted fields."""
+"""Exception types shared across the package, and the readers every input
+shares: :func:`open_text` decodes files, :func:`content_lines` splits them
+into numbered lines, :func:`split_fields` splits quoted fields."""
 
 from contextlib import contextmanager
+from typing import Iterator
 
 
 class RelfreeError(Exception):
@@ -91,6 +92,18 @@ def open_text(path):
             yield fh
     except UnicodeDecodeError as exc:
         raise UndecodableFile(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def content_lines(text: str, path=None) -> Iterator[tuple[str, str]]:
+    """``(where, line)`` for every line of ``text`` that is neither blank nor
+    a ``#`` comment, stripped.  Only a newline ends a line, as when a file is
+    iterated, so a form feed or a Unicode line separator stays inside its
+    line; ``where`` is ``path:n``, or ``line n`` when ``path`` is None, with
+    n counting every line."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield (f"line {lineno}" if path is None else f"{path}:{lineno}"), line
 
 
 def split_fields(line: str) -> list[str]:

@@ -29,10 +29,10 @@ from .errors import (
     RelfreeError,
     WitnessNotFound,
     ZeroExponent,
+    content_lines,
     open_text,
     split_fields,
 )
-from .ledger import bound_f
 from .verbal import ParamSet, make_v, make_w, slot_schedule
 from .words import (
     DEFAULT_LETTER_BUDGET,
@@ -60,6 +60,7 @@ from .words import (
 )
 
 DEFAULT_DEHN_BUDGET = 10_000
+_PERIOD_BUDGET = 10 ** 6  # reduced words of the top rank that period enumeration may visit
 _PIECE_BUDGET = 2_000_000  # total letters across the materialized symmetrized set
 
 
@@ -270,7 +271,6 @@ class RelatorRecord:
     T: Word
     U: Word
     params: ParamSet
-    warnings: tuple[str, ...] = field(default=(), compare=False)
 
     @property
     def rank(self) -> int:
@@ -561,15 +561,13 @@ class _PeriodRegistry:
 
 
 def build_relator(z_star: int, a_word: Word, f: int, t_word: Word, u_word: Word,
-                  p: ParamSet, j: int = 1, assign=None) -> RelatorRecord:
+                  p: ParamSet, j: int = 1) -> RelatorRecord:
     """Check and record the rank-(|A|) relator template for one classified
     pair class; no relator word is built.
 
-    Toy-scale magnitude violations of the enumeration bounds are recorded as
-    warnings on the record instead of refusals, so the pipeline stays
-    exercisable; ``assign`` (a ledger assignment) additionally enables the
-    exponent bound check 0 < |f| <= 100/zeta.
-    """
+    Refuses a template z* outside {1, 2}, f = 0, and an empty A, T or U.
+    The paper's magnitude bounds on A, T, U and f are not checked: toy
+    parameters break them, and no verdict reads them."""
     if z_star not in (1, 2):
         raise InvalidParams(f"z* must be 1 or 2, got {z_star}")
     if f == 0:
@@ -578,33 +576,7 @@ def build_relator(z_star: int, a_word: Word, f: int, t_word: Word, u_word: Word,
         raise EmptyWord("the period must be nonempty")
     if t_word.is_empty or u_word.is_empty:
         raise EmptyInput("the conjugated slot words T and U must be nonempty")
-    warnings = []
-    d = p.d
-    a_len = a_word.letter_length
-    if a_len <= d:
-        warnings.append(f"|A| = {a_len} <= d = {d}")
-    for name, word in (("T", t_word), ("U", u_word)):
-        if word.letter_length >= d * a_len:
-            warnings.append(f"|{name}| = {word.letter_length} >= d|A| = {d * a_len}")
-        if _is_power_of(word, a_word):
-            warnings.append(f"{name} lies in the cyclic subgroup of A")
-    if assign is not None:
-        if abs(f) > bound_f(assign):
-            warnings.append(f"|f| = {abs(f)} > 100/zeta = {bound_f(assign)}")
-    return RelatorRecord(z_star, a_word, f, j, t_word, u_word, p, tuple(warnings))
-
-
-def _is_power_of(w: Word, a_word: Word) -> bool:
-    """Whether w = A^k or A^-k for k = |w|/|A|, without building the power:
-    the conjugators are equal, and the cores are powers of one root."""
-    if w.is_empty:
-        return True
-    if a_word.is_empty or w.letter_length % a_word.letter_length:
-        return False
-    (w_core, w_conj), (a_core, a_conj) = cyclic_reduce(w), cyclic_reduce(a_word)
-    (w_root, w_k), (a_root, a_k) = primitive_root(w_core), primitive_root(a_core)
-    return w_conj == a_conj and w_k == w.letter_length // a_word.letter_length * a_k \
-        and (w_root == a_root or w_root == invert(a_root))
+    return RelatorRecord(z_star, a_word, f, j, t_word, u_word, p)
 
 
 def verbal_membership_witness(rec: RelatorRecord, triple: TripleRecord) -> Word:
@@ -625,13 +597,17 @@ def verbal_membership_witness(rec: RelatorRecord, triple: TripleRecord) -> Word:
 
 
 def build_presentation(alphabet: Alphabet, p: ParamSet, max_rank: int = 2,
-                       pair_budget: int = 1, mode: str = "toy",
-                       assign=None) -> GradedPresentation:
+                       pair_budget: int = 1, mode: str = "toy") -> GradedPresentation:
     """Enumerate periods up to ``max_rank`` and attach all relators found by
     classifying pairs up to ``pair_budget`` letters per coordinate.
 
-    ``assign`` (a verified ledger assignment) turns on the exponent-bound
-    warning check for every synthesized relator."""
+    Raises :class:`BudgetExceeded` before enumerating anything when rank
+    ``max_rank`` has more than ``_PERIOD_BUDGET`` reduced words,
+    2m (2m - 1)^(max_rank - 1) of them."""
+    m = alphabet.m  # past 40 factors of 2m - 1 >= 3 the count is over the budget anyway
+    if max_rank > 0 and 2 * m * (2 * m - 1) ** min(max_rank - 1, 40) > _PERIOD_BUDGET:
+        raise BudgetExceeded(f"rank {max_rank} has more reduced words than the period "
+                             f"budget of {_PERIOD_BUDGET}")
     pres = GradedPresentation(alphabet=alphabet, params=p, mode=mode)
     for i in range(1, max_rank + 1):
         pres.rank_data(i).periods = periods_rank(pres, i)
@@ -639,8 +615,7 @@ def build_presentation(alphabet: Alphabet, p: ParamSet, max_rank: int = 2,
         result = classify_pairs(pres, z_star, pair_budget)
         for cls in result.classes:
             t_word, u_word = slot_words(cls, p)
-            rec = build_relator(z_star, cls.A, cls.f, t_word, u_word, p,
-                                j=cls.j, assign=assign)
+            rec = build_relator(z_star, cls.A, cls.f, t_word, u_word, p, j=cls.j)
             pres.rank_data(rec.rank, provenance="classified").relators.append(rec)
     return pres
 
@@ -682,17 +657,14 @@ def load_presentation(path) -> GradedPresentation:
     build (each is built once, and dropped) :class:`BudgetExceeded`, naming
     the file and line."""
     with open_text(path) as fh:
-        lines = fh.read().splitlines()
+        text = fh.read()
     alphabet = None
     params = None
     mode = "toy"
     seen: set[str] = set()
     ranks: dict[int, RankData] = {}
     current: RankData | None = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for where, line in content_lines(text, path):
         try:
             tokens = split_fields(line)
             head = tokens[0]
@@ -728,9 +700,9 @@ def load_presentation(path) -> GradedPresentation:
             else:
                 raise InvalidParams("unrecognized line")
         except BudgetExceeded as exc:
-            raise BudgetExceeded(f"{path}:{lineno}: {exc}") from exc
+            raise BudgetExceeded(f"{where}: {exc}") from exc
         except (RelfreeError, ValueError, KeyError, IndexError) as exc:
-            raise InvalidParams(f"{path}:{lineno}: cannot read {line!r}: {exc!r}") from exc
+            raise InvalidParams(f"{where}: cannot read {line!r}: {exc!r}") from exc
     if alphabet is None or params is None:
         raise InvalidParams(f"{path}: a presentation needs alphabet and params lines")
     return GradedPresentation(alphabet, params, mode, ranks)

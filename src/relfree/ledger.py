@@ -35,6 +35,7 @@ from .errors import (
     InvalidParams,
     NonPositiveParameter,
     Unsatisfiable,
+    content_lines,
     open_text,
 )
 
@@ -242,11 +243,8 @@ class InequalityCatalog:
     def from_text(cls, text: str, path=None) -> "InequalityCatalog":
         """Errors of an item, in parsing or evaluating it, name its line."""
         items = []
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            where = f"line {lineno}: " if path is None else f"{path}:{lineno}: "
+        for where, line in content_lines(text, path):
+            where += ": "
             parts = [part.strip() for part in line.split("|", 2)]
             if len(parts) != 3:
                 raise InvalidParams(f"{where}need 'id | expression | anchor'")
@@ -399,11 +397,8 @@ def parse_assignment_text(text: str, path=None) -> LppAssignment:
     """Parse ``name = p/q`` lines for the eight chain parameters; errors name
     ``path`` when it is given."""
     values: dict[str, Fraction] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        where = f"line {lineno}: " if path is None else f"{path}:{lineno}: "
+    for where, line in content_lines(text, path):
+        where += ": "
         name, _, rhs = line.partition("=")
         name = name.strip()
         if name not in PARAM_NAMES:
@@ -430,12 +425,3 @@ def save_assignment(assign: LppAssignment, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for name, value in assign.values().items():
             fh.write(f"{name} = {value}\n")
-
-
-# -- enumeration bounds ----------------------------------------------------
-
-
-def bound_f(assign: LppAssignment) -> int:
-    """Upper bound 100/zeta on the period exponent |f| in a relator."""
-    value = 100 / assign.zeta
-    return int(value) if value.denominator == 1 else int(value) + 1

@@ -80,10 +80,9 @@ class Alphabet:
         return [Word.generator(self, k) for k in range(1, self.m + 1)]
 
 
-def _check_same_alphabet(u: "Word", v: "Word") -> Alphabet:
+def _check_same_alphabet(u: "Word", v: "Word") -> None:
     if u.alphabet != v.alphabet:
         raise AlphabetMismatch(f"alphabets differ: {u.alphabet} vs {v.alphabet}")
-    return u.alphabet
 
 
 def _append_runs(acc: list, runs) -> None:
@@ -430,25 +429,22 @@ def free_reduce(alphabet: Alphabet, letters: Iterable[int]) -> Word:
 
 
 def concat(u: Word, v: Word) -> Word:
-    ab = _check_same_alphabet(u, v)
-    acc = list(u.runs)
-    _append_runs(acc, v.runs)
-    return Word(ab, tuple(acc))
+    return concat_all([u, v])
 
 
 def concat_all(words: Iterable[Word]) -> Word:
     """Product of several words, reduced once along the way."""
     acc: list = []
-    ab = None
+    first = None
     for w in words:
-        if ab is None:
-            ab = w.alphabet
-        elif ab != w.alphabet:
-            raise AlphabetMismatch("mixed alphabets in product")
+        if first is None:
+            first = w
+        else:
+            _check_same_alphabet(first, w)
         _append_runs(acc, w.runs)
-    if ab is None:
+    if first is None:
         raise EmptyWord("empty product has no alphabet")
-    return Word(ab, tuple(acc))
+    return Word(first.alphabet, tuple(acc))
 
 
 def invert(u: Word) -> Word:
@@ -529,21 +525,12 @@ def substitute(w: Word | Iterable[tuple[int, int]], images: Sequence[Word],
 
 def conjugate(u: Word, by: Word) -> Word:
     """by * u * by^-1, freely reduced."""
-    ab = _check_same_alphabet(u, by)
-    acc = list(by.runs)
-    _append_runs(acc, u.runs)
-    _append_runs(acc, invert(by).runs)
-    return Word(ab, tuple(acc))
+    return concat_all([by, u, invert(by)])
 
 
 def commutator(u: Word, v: Word) -> Word:
     """[u, v] = u v u^-1 v^-1 (this sign convention, not inverses first)."""
-    ab = _check_same_alphabet(u, v)
-    acc = list(u.runs)
-    _append_runs(acc, v.runs)
-    _append_runs(acc, invert(u).runs)
-    _append_runs(acc, invert(v).runs)
-    return Word(ab, tuple(acc))
+    return concat_all([u, v, invert(u), invert(v)])
 
 
 def exponent_sum(u: Word, g: int) -> int:

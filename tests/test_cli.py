@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import relfree
-from relfree import cli, ledger
+from relfree import cli, graded, ledger
 from relfree.errors import BudgetExceeded, RelfreeError
 from relfree.verbal import ParamSet, make_v, make_w1, make_w2, word_length_symbolic
 from relfree.words import Alphabet, Word
@@ -275,6 +276,36 @@ def test_nonpositive_budget_is_usage_error(capsys, tmp_path):
     assert "positive" in err
 
 
+@pytest.mark.parametrize("rank", ["0", "-3"])
+def test_graded_build_refuses_a_rank_below_one(capsys, rank):
+    code, out, err = run(capsys, "graded", "build", "--rank", rank)
+    assert (code, out, err) == (2, "", "rank must be positive\n")
+
+
+@pytest.mark.parametrize("rank", ["13", "30", str(10 ** 9)])
+def test_graded_build_refuses_a_rank_past_the_period_budget_at_once(capsys, tmp_path, rank):
+    # rank 13 has 4 * 3^12 = 2 125 764 reduced words over two generators
+    out_file = tmp_path / "pres.txt"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "graded", "build", "--rank", rank, "--out", str(out_file))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert f"rank {rank} " in err and "1000000" in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("m, allowed", [(2, 12), (3, 8)])
+def test_the_period_budget_admits_the_last_rank_under_it(monkeypatch, m, allowed):
+    def enumerated(pres, i):
+        raise LookupError(i)
+
+    monkeypatch.setattr(graded, "periods_rank", enumerated)
+    with pytest.raises(LookupError):
+        graded.build_presentation(Alphabet(m), ParamSet(20, 2, 3), max_rank=allowed)
+    with pytest.raises(BudgetExceeded, match=f"rank {allowed + 1} "):
+        graded.build_presentation(Alphabet(m), ParamSet(20, 2, 3), max_rank=allowed + 1)
+
+
 def test_graded_build_writes_presentation(capsys, tmp_path):
     out_file = tmp_path / "pres.txt"
     code, out, _ = run(capsys, "graded", "build", "--rank", "1",
@@ -310,24 +341,17 @@ def test_ledger_mode_runs_with_verified_assignment(capsys, tmp_path):
     assert code == 0
 
 
-def test_ledger_mode_build_checks_exponent_bounds(capsys, tmp_path):
-    cat = ledger.load_default_catalog()
-    assignment = ledger.solve(cat)
+def test_ledger_mode_build_writes_the_toy_file_but_its_mode_line(capsys, tmp_path):
+    # a verified assignment gates the build and changes nothing but the header
     path = tmp_path / "good.txt"
-    ledger.save_assignment(assignment, path)
+    ledger.save_assignment(ledger.solve(ledger.load_default_catalog()), path)
     out_file = tmp_path / "pres.txt"
-    code, _, _ = run(capsys, "graded", "build", "--rank", "1",
-                     "--mode", "ledger", "--assign", str(path),
-                     "--out", str(out_file))
+    code, _, _ = run(capsys, "graded", "build", "--rank", "2",
+                     "--mode", "ledger", "--assign", str(path), "--out", str(out_file))
     assert code == 0
-    from relfree.graded import build_presentation
-    from relfree.verbal import ParamSet
-    from relfree.words import Alphabet
-
-    pres = build_presentation(Alphabet(2), ParamSet(20, 2, 3), max_rank=1,
-                              pair_budget=1, assign=assignment)
-    # toy relators carry f = +-1, far under the 100/zeta bound
-    assert all(not rec.warnings for rec in pres.all_relators())
+    pinned = (Path(__file__).parent / "data" / "presentation_20_2_3.txt").read_bytes()
+    assert b"\nmode toy\n" in pinned
+    assert out_file.read_bytes() == pinned.replace(b"\nmode toy\n", b"\nmode ledger\n", 1)
 
 
 def test_vkd_check_accepts_and_rejects(capsys, tmp_path):
@@ -409,6 +433,36 @@ def test_graded_dehn_with_empty_relator_file_is_an_error(capsys, tmp_path):
     code, _, err = run(capsys, "graded", "dehn", str(words), "--relators", str(rel))
     assert code == 1
     assert str(rel) in err
+
+
+LINE_BREAKS = "\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _read_params(path):
+    return cli._params_from_args(argparse.Namespace(params=str(path)))
+
+
+# (reader, lines 1-2, lines 4-5, line 6, which each reader refuses)
+FILE_READERS = {
+    "presentation": (graded.load_presentation, "alphabet 2\nparams h=20 d=2 n=3",
+                     "mode toy\nrank 2 provenance=classified", "bogus"),
+    "catalog": (ledger.InequalityCatalog.from_path, "c1 | alpha < 1 | here\n", "\n", "c2 alpha"),
+    "assignment": (ledger.load_assignment, "alpha = 1/2\nbeta = 1/3", "\n", "omega = 1"),
+    "words": (cli._read_relators, "a1 a2\n", "a2\na1", "a0"),
+    "params": (_read_params, "h = 20\nd = 2", "\n", "n = x"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FILE_READERS))
+def test_every_line_reader_ends_lines_at_newline_only(tmp_path, kind):
+    # line 3 is one comment: a form feed, a separator control or a Unicode
+    # line break inside it must end no line, or every later error names the
+    # wrong line (at line 4, say, where splitlines() would put 'break')
+    read, head, middle, bad = FILE_READERS[kind]
+    path = tmp_path / f"{kind}.txt"
+    path.write_text(f"{head}\n# page{LINE_BREAKS}break\n{middle}\n{bad}\n", encoding="utf-8")
+    with pytest.raises(RelfreeError, match=re.escape(f"{path}:6: ")):
+        read(path)
 
 
 def test_presentation_period_before_rank_names_file_and_line(tmp_path):
@@ -972,7 +1026,7 @@ def test_a_long_relator_slot_that_is_no_power_of_its_period_loads(tmp_path):
     path.write_text("alphabet 2\nparams h=20 d=2 n=3\nmode toy\nrank 2 provenance=classified\n"
                     "relator z*=1 A='a1 a2' f=1 j=1 T=a1^1000000000000 U=a2\n")
     (rec,) = load_presentation(path).ranks[2].relators
-    assert rec.warnings == ("|A| = 2 <= d = 2", "|T| = 1000000000000 >= d|A| = 4")
+    assert rec.T == Word.parse(Alphabet(2), "a1^1000000000000")
 
 
 PARAM_LINES = st.one_of(
@@ -1035,7 +1089,7 @@ VALID_ARGV = [
     ["vkd", "check", CERT, "--relators", "rels.txt"],
     ["word", "reduce", "a1 a1^-1", "--m", "3", "--output", "kv"],
     ["word", "conj", "a1", "a2", "--m", "2"],
-    ["word", "--seed", "4", "root", "a1"],
+    ["word", "--m", "4", "root", "a1"],
     ["verbal", "build", "--which", "v1", "--x", "a1 a2", "--y", "a2", "--m", "2"],
     ["verbal", "length", "--which", "w2", "--lx", "3", "--ly", "2", "--params", "p.txt"],
     ["verbal", "epsilon", "--i", "5", "--h", "40", "--d", "3", "--n", "5"],
@@ -1045,7 +1099,7 @@ VALID_ARGV = [
     ["graded", "build", "--budget-pairs", "3", "--mode", "ledger", "--assign", "a.txt",
      "--catalog", "cat.txt", "--m", "2"],
     ["graded", "dehn", "words.txt", "--budget-dehn", "7", "--relators", "rels.txt"],
-    ["graded", "pieces", "--relators", "rels.txt", "--m", "4", "--seed", "9"],
+    ["graded", "pieces", "--relators", "rels.txt", "--m", "4", "--output", "kv"],
     ["endo", "check", "--mode", "ledger", "--assign", "a.txt", "--catalog", "cat.txt"],
     ["endo", "check", "--params", "p.txt", "--output", "kv"],
     ["vkd", "check", "--relators", "rels.txt", CERT, "--output", "kv"],
@@ -1101,7 +1155,6 @@ def test_a_usage_error_inside_a_command_shows_that_commands_usage(capsys, monkey
         "                      [--mode {toy,ledger}] [--assign ASSIGN]\n"
         "                      [--catalog CATALOG] [--m M] [--out OUT] [--h H] [--d D]\n"
         "                      [--n N] [--params PARAMS] [--output {text,kv}]\n"
-        "                      [--seed SEED]\n"
         "                      {build,dehn,pieces} [words]\n"
         "relfree graded: error: unrecognized arguments: --bogus\n")
 

@@ -26,7 +26,6 @@ from relfree.graded import (
     RelatorRecord,
     _RelatorTable,
     _axis_index,
-    _is_power_of,
     _pair_conjugacy_witness,
     build_presentation,
     build_relator,
@@ -265,45 +264,6 @@ def test_peeled_conjugator_is_the_minimal_witness(core_letters, conj_letters, k)
     assert minimal_conjugacy_witness(y_bar, core) == peeled
 
 
-def old_is_power_of(w, a_word):
-    """The definition _is_power_of had: build A^(|w|/|A|) and compare."""
-    if w.is_empty:
-        return True
-    if a_word.is_empty or w.letter_length % a_word.letter_length:
-        return False
-    k = w.letter_length // a_word.letter_length
-    return w == power(a_word, k) or w == power(a_word, -k)
-
-
-SMALL3 = st.lists(LETTERS3, max_size=8).map(lambda letters: free_reduce(AB3, letters))
-
-
-@st.composite
-def power_candidates(draw):
-    """(w, A) with A = c X c^-1, and w either unrelated to A or a conjugate
-    of a power of X by c or by a word d of another length."""
-    x_core, _ = cyclic_reduce(draw(SMALL3))
-    c, d, other = draw(SMALL3), draw(SMALL3), draw(SMALL3)
-    a_word = conjugate(x_core, c)
-    j = draw(st.integers(-6, 6))
-    w = draw(st.sampled_from([other, conjugate(power(x_core, j), c),
-                              conjugate(power(x_core, j), d)]))
-    return w, a_word
-
-
-@settings(max_examples=500, deadline=None)
-@given(power_candidates())
-@example((Word.parse(AB3, "a3 a2 a1^2 a2^-1 a3^-1"), Word.parse(AB3, "a2 a1 a2^-1")))
-@example((Word.parse(AB3, "a2 a1^4 a2^-1"), Word.parse(AB3, "a2 a1 a2^-1")))
-@example((Word.parse(AB3, "a2^-1 a1^-1 a2^-1 a1^-1"), Word.parse(AB3, "a1 a2")))
-def test_is_power_of_agrees_with_building_the_power(w_and_a):
-    # the examples: a power of A's core under a conjugator of the length that
-    # makes |w| = 2|A| (no power of A), a core exponent that A's exponent
-    # divides but that is not |w|/|A| times it, and w = A^-2
-    w, a_word = w_and_a
-    assert _is_power_of(w, a_word) == old_is_power_of(w, a_word)
-
-
 # -- relators -----------------------------------------------------------------------
 
 def test_relator_schedule_sums():
@@ -336,14 +296,6 @@ def test_relator_rejects_empty_slots():
         build_relator(1, A2, 1, Word.identity(AB), A1, P)
     with pytest.raises(EmptyInput):
         build_relator(2, A2, 1, A1, Word.identity(AB), P)
-
-
-def test_relator_warnings_for_toy_violations():
-    # |A| = 1 <= d and T a power of A: both flagged, neither fatal
-    rec = build_relator(1, A2, 1, power(A2, 3), A1, P)
-    assert any("<= d" in w for w in rec.warnings)
-    assert any("cyclic subgroup" in w for w in rec.warnings)
-    assert rec.warnings
 
 
 def test_relator_round_trip_is_byte_identical():

@@ -17,7 +17,6 @@ from relfree.ledger import (
     InequalityCatalog,
     LppAssignment,
     PARAM_NAMES,
-    bound_f,
     load_default_catalog,
     parse_assignment_text,
     solve,
@@ -227,10 +226,6 @@ def test_assignment_parse_errors():
         parse_assignment_text("omega = 1/2")
     with pytest.raises(InvalidParams):  # Fraction would expand 10^(10^12)
         parse_assignment_text("alpha = 1e1000000000000")
-
-
-def test_bound_f_example():
-    assert bound_f(chain(zeta=Fraction(1, 100), eta=Fraction(1, 320))) == 10_000
 
 
 # -- arbitrary input: a value or a RelfreeError, never another exception -------------

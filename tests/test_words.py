@@ -205,10 +205,10 @@ def test_commutator_matches_letter_oracle():
 
 def test_alphabet_mismatch():
     other = Word.generator(Alphabet(3), 1)
-    with pytest.raises(AlphabetMismatch):
-        concat(A1, other)
-    with pytest.raises(AlphabetMismatch):
-        commutator(A1, other)
+    for product in (lambda: concat(A1, other), lambda: commutator(A1, other),
+                    lambda: conjugate(A1, other), lambda: concat_all([A1, A1, other])):
+        with pytest.raises(AlphabetMismatch, match="alphabets differ: "):
+            product()
 
 
 def test_reduction_confluence_under_rebracketing():
