@@ -16,6 +16,7 @@ ranks only the periods that classification actually produced).
 
 from __future__ import annotations
 
+import heapq
 import shlex
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,6 +27,7 @@ from .errors import (
     EmptyInput,
     EmptyWord,
     InvalidParams,
+    RankTooSmall,
     RelfreeError,
     WitnessNotFound,
     ZeroExponent,
@@ -62,6 +64,7 @@ from .words import (
 DEFAULT_DEHN_BUDGET = 10_000
 _PERIOD_BUDGET = 10 ** 6  # reduced words of the top rank that period enumeration may visit
 _PIECE_BUDGET = 2_000_000  # total letters across the materialized symmetrized set
+_SCAN_BUDGET = 2 * 10 ** 9  # letters of doubled entries that one Dehn call may search
 
 
 # -- Dehn rewriting --------------------------------------------------------
@@ -97,13 +100,13 @@ class _RelatorTable:
     same and the symmetrized set is built from cyclic words anyway); each
     core and its inverse is one entry.  Entry ``k`` is relator ``k >> 1``,
     inverted when ``k`` is odd, so an entry's inverse is entry ``k ^ 1``.
-    Building the table reduces the cores, measures them and checks that they
-    can be encoded; an entry is encoded from its runs, together with its
-    inverse, the first time :meth:`doubled` is asked for it.  A Dehn step
-    over a word of n letters matches more than half of an entry, so entries
-    of 2n letters or more are never encoded for it.  Dehn rewriting, piece
-    statistics, certificate building and certificate checking all read
-    relator shifts from this one table."""
+    Building the table reduces the cores, measures and groups them by length
+    and checks that they can be encoded; an entry is encoded from its runs,
+    with its inverse and its least period p (rotating it by p gives it back),
+    the first time :meth:`doubled` is asked for it.  A step over n letters
+    matches more than half of an entry, so entries of 2n letters or more are
+    never encoded for it.  Dehn rewriting, pieces and certificates read
+    relator shifts from this table; :meth:`alignments` searches it for blocks."""
 
     def __init__(self, relators: Iterable[Word]):
         # from a generator, a relator over the budget stops the ones after it
@@ -119,8 +122,12 @@ class _RelatorTable:
             raise EmptyInput("need at least one relator")
         self.lengths = [core.letter_length for core in self.cores for _ in (1, -1)]
         self.keys = {(k >> 1, -1 if k & 1 else 1): k for k in range(len(self.lengths))}
-        self.shortest = min(self.lengths)
+        self.shortest, self.longest = min(self.lengths), max(self.lengths)
+        self.groups: dict[int, list[int]] = {}  # entry length -> entries, in order
+        for k, rlen in enumerate(self.lengths):
+            self.groups.setdefault(rlen, []).append(k)
         self._doubled: list[str | None] = [None] * len(self.lengths)
+        self.periods: dict[int, int] = {}  # encoded entry -> p
 
     def doubled(self, k: int) -> str:
         """Entry ``k`` encoded and doubled; encodes it and its inverse on first use."""
@@ -133,63 +140,98 @@ class _RelatorTable:
             # _encode_word(invert(core)) would invert and encode the runs again
             inv = enc[::-1].translate({c: c ^ 1 for c in map(ord, set(enc))})
             self._doubled[k & ~1], self._doubled[k | 1] = enc + enc, inv + inv
+            self.periods[k & ~1] = self.periods[k | 1] = self._doubled[k].find(enc, 1)
             got = self._doubled[k]
         return got
 
     def reads_relator(self, letters) -> bool:
         """Whether ``letters`` is a cyclic shift of an entry."""
         enc = _encode_letters(letters)
-        return any(_is_cyclic_shift(enc, self.doubled(k))
-                   for k, rlen in enumerate(self.lengths) if rlen == len(enc))
+        return any(_is_cyclic_shift(enc, self.doubled(k)) for k in self.groups.get(len(enc), ()))
 
-    def best_match(self, enc: str, length: int, pos: int):
-        """Longest half-exceeding match at ``pos``; None when there is none.
-
-        Returns (matched, relator_index, sign, offset, replacement), the
-        replacement encoded.
-        """
-        best = None
-        for k, rlen in enumerate(self.lengths):
-            cap = min(rlen, length - pos)
-            if 2 * cap <= rlen:
-                continue
+    def alignments(self, enc: str, s: int, q: int, rlen: int, lower: int):
+        """Yield (k, a, b, offset) for each entry k of ``rlen`` letters and each
+        rotation of it, by ``offset`` letters, that reads ``enc[s:s+q]`` from
+        ``s - a`` on: ``enc[a:b]`` is that block extended both ways along the
+        rotation, by slice comparison, to ``lower`` and ``rlen`` letters at most.
+        Of an entry rho^j only the rotations by less than |rho| are tried."""
+        block, n = enc[s:s + q], len(enc)
+        for k in self.groups[rlen]:
             doubled = self._doubled[k] or self.doubled(k)
-            lo, hi = rlen // 2 + 1, cap  # shortest useful, longest possible
-            if doubled.find(enc[pos:pos + lo]) == -1:
+            p = self.periods[k]
+            h = doubled.find(block, 0, p + q - 1)  # hits below p: one per rotation
+            while h != -1:
+                # read back from h + rlen, the same rotation one period on
+                back = (_agreement(enc, s, doubled, h + rlen, min(s - lower, rlen - q), -1)
+                        if s > lower and enc[s - 1] == doubled[h + rlen - 1] else 0)
+                b = s + q
+                if b < n and b - s + back < rlen and enc[b] == doubled[h + q]:
+                    b += _agreement(enc, b, doubled, h + q, min(n - b, rlen - q - back), 1)
+                yield k, s - back, b, (h - back) % p
+                h = doubled.find(block, h + 1, p + q - 1)
+
+    def best_match(self, enc: str, start: int = 0, allowance: int = _SCAN_BUDGET):
+        """The Dehn step at the leftmost position from ``start`` on where more
+        than half of an entry matches, and the ``allowance`` left; no match may
+        start before ``start``.  For entries of L letters, q = L // 4 + 1: a
+        match covers at least L // 2 + 1 >= 2q - 1 letters, so it holds the
+        block at the first multiple of q from its start on, whose alignment
+        starts where the match does.  The blocks of all lengths are sought in
+        order, each costing 2L letters of allowance per entry it is sought in
+        and per hit, until no later block can give an earlier start; ties go
+        as in :func:`dehn_reduce_trace`.  The step is (pos, matched,
+        relator_index, sign, offset, replacement), or None when there is none
+        or the allowance ran out (it is then negative)."""
+        n = len(enc)
+        best = (n,)  # or (pos, rlen - 2 * matched, entry, offset, matched, rlen): least wins
+        # one sweep of blocks per entry length, all taken in block order
+        sweeps = sorted((-(-start // q) * q, q, rlen) for rlen in self.groups if 2 * n > rlen
+                        for q in [rlen // 4 + 1])  # sorted, so a heap
+        while sweeps and allowance >= 0:
+            s, q, rlen = sweeps[0]
+            if s + q > n or s >= best[0] + q:
+                heapq.heappop(sweeps)
                 continue
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if doubled.find(enc[pos:pos + mid]) == -1:
-                    hi = mid - 1
-                else:
-                    lo = mid
-            matched = lo
-            offset = doubled.find(enc[pos:pos + matched])
-            if offset >= rlen:
-                offset -= rlen
-            # ties by relator index, then the relator before its inverse:
-            # that is entry order
-            key = (rlen - 2 * matched, k, offset)
-            if best is None or key < best[0]:
-                best = (key, matched, offset, rlen, k)
-        if best is None:
-            return None
-        _, matched, offset, rlen, k = best
+            allowance -= 2 * rlen * len(self.groups[rlen])
+            for k, a, b, offset in self.alignments(enc, s, q, rlen, start):
+                allowance -= 2 * rlen  # its extension compares fewer letters
+                if allowance < 0:
+                    break
+                if 2 * (b - a) > rlen:
+                    best = min(best, (a, rlen - 2 * (b - a), k, offset, b - a, rlen))
+            heapq.heapreplace(sweeps, (s + q, q, rlen))
+        if best[0] == n or allowance < 0:
+            return None, allowance
+        pos, _, k, offset, matched, rlen = best
         # the inverse of the rest doubled[offset+matched:offset+rlen] of the
         # rotated entry is a slice of the opposite entry's doubled string
         start = (rlen - offset) % rlen
-        replacement = self.doubled(k ^ 1)[start:start + rlen - matched]
-        return matched, k >> 1, -1 if k & 1 else 1, offset, replacement
+        replacement = self._doubled[k ^ 1][start:start + rlen - matched]
+        return (pos, matched, k >> 1, -1 if k & 1 else 1, offset, replacement), allowance
 
 
-def _join_reduced(u: str, v: str) -> str:
-    """The reduced encoding of uv, for reduced encodings u and v: only
-    letters at the seam can cancel."""
-    k = 0
-    top = min(len(u), len(v))
+def _agreement(x: str, i: int, y: str, j: int, cap: int, way: int) -> int:
+    """How many letters (at most ``cap``) x and y agree on, forwards from x[i]
+    and y[j] when ``way`` is 1, backwards from just before them when it is -1:
+    all ``cap`` at once first, then slices of 1, 2, 4, ... letters."""
+    lo, hi, step = 0, cap, cap
+    while lo < hi:
+        m = min(lo + step, hi)
+        if (x[i + lo:i + m] == y[j + lo:j + m] if way > 0
+                else x[i - m:i - lo] == y[j - m:j - lo]):
+            lo, step = m, 2 * step
+        else:
+            hi, step = m - 1, 1
+    return lo
+
+
+def _join_reduced(u: str, v: str) -> tuple[str, int]:
+    """The reduced encoding of uv, for reduced encodings u and v, and the
+    number of letters that cancelled from each: only letters at the seam can."""
+    k, top = 0, min(len(u), len(v))
     while k < top and ord(u[-1 - k]) ^ 1 == ord(v[k]):
         k += 1
-    return u[:len(u) - k] + v[k:]
+    return u[:len(u) - k] + v[k:], k
 
 
 def dehn_reduce_trace(w: Word, relators: list[Word],
@@ -202,28 +244,30 @@ def dehn_reduce_trace(w: Word, relators: list[Word],
     Result length never grows; on a C'(1/6) set an empty result is exactly
     the identity certificate (classical guarantee, relied on, not proved).
     The word is rewritten in its encoding and decoded once, at the end.
+
+    Each step is :meth:`_RelatorTable.best_match`; a new match holds at most
+    half an entry before the first letter that changed, so the search starts
+    again floor(longest / 2) letters before it.  ``budget`` bounds the steps
+    and ``_SCAN_BUDGET`` the searches and extensions; ``exhausted`` says one ran out.
     """
     table = _table if _table is not None else _RelatorTable(relators)
     enc = _encode_word(w)
-    # a match covers more than half of an entry, so none starts later than this
-    reach = table.shortest // 2
     steps: list[DehnStep] = []
-    exhausted = False
+    start, allowance, exhausted = 0, _SCAN_BUDGET, False
     while enc:
         if len(steps) >= budget:
             exhausted = True
             break
-        n = len(enc)
-        for pos in range(n - reach):
-            got = table.best_match(enc, n, pos)
-            if got is not None:
-                break
-        else:
+        got, allowance = table.best_match(enc, start, allowance)
+        if got is None:
+            exhausted = allowance < 0
             break
-        matched, idx, sign, offset, replacement = got
+        pos, matched, idx, sign, offset, replacement = got
         steps.append(DehnStep(pos, matched, idx, sign, offset))
-        # prefix, replacement and suffix are each reduced
-        enc = _join_reduced(_join_reduced(enc[:pos], replacement), enc[pos + matched:])
+        # prefix, replacement and suffix are each reduced; the joins cut the prefix
+        head, lost = _join_reduced(enc[:pos], replacement)
+        enc, cut = _join_reduced(head, enc[pos + matched:])
+        start = max(0, min(pos - lost, len(head) - cut) - table.longest // 2)
     return DehnResult(free_reduce(w.alphabet, _decode_letters(enc)), tuple(steps), exhausted)
 
 
@@ -601,10 +645,12 @@ def build_presentation(alphabet: Alphabet, p: ParamSet, max_rank: int = 2,
     """Enumerate periods up to ``max_rank`` and attach all relators found by
     classifying pairs up to ``pair_budget`` letters per coordinate.
 
-    Raises :class:`BudgetExceeded` before enumerating anything when rank
-    ``max_rank`` has more than ``_PERIOD_BUDGET`` reduced words,
-    2m (2m - 1)^(max_rank - 1) of them."""
+    Raises :class:`RankTooSmall` below two generators, and :class:`BudgetExceeded`
+    when rank ``max_rank`` has more than ``_PERIOD_BUDGET`` reduced words,
+    2m (2m - 1)^(max_rank - 1) of them, both before enumerating anything."""
     m = alphabet.m  # past 40 factors of 2m - 1 >= 3 the count is over the budget anyway
+    if m < 2:
+        raise RankTooSmall("the construction needs rank at least 2")
     if max_rank > 0 and 2 * m * (2 * m - 1) ** min(max_rank - 1, 40) > _PERIOD_BUDGET:
         raise BudgetExceeded(f"rank {max_rank} has more reduced words than the period "
                              f"budget of {_PERIOD_BUDGET}")

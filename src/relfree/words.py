@@ -209,13 +209,17 @@ class _TokenRuns(dict):
         speed (new tokens are parsed in text order, so the first bad one is
         named).  Runs of exponent 0 are dropped, and the runs are cut where
         adjacent ones share a generator into reduced pieces, joined by
-        :func:`_append_runs`."""
+        :func:`_append_runs`, unless a test at C speed finds no cut first."""
         tokens = text.split()
         if tokens == ["1"]:
             return ()
         runs = tuple(map(self.__getitem__, tokens))
         if self.zero:
             runs = tuple(filter(_exponent, runs))
+        if self.top < 256:  # one byte per run, as x: a cut is a 0 byte of x ^ (x >> 8)
+            x = int.from_bytes(bytes(map(_generator, runs)), "big")
+            if 0 not in (x ^ (x >> 8)).to_bytes(len(runs), "big"):
+                return runs
         gens = list(map(_generator, runs))
         cuts = list(compress(count(1), map(eq, gens, islice(gens, 1, None))))
         if not cuts:

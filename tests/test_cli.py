@@ -235,6 +235,22 @@ def test_graded_dehn_budget_exhaustion_is_exit_3(capsys, tmp_path):
     assert code == 3
 
 
+def test_graded_dehn_out_of_scan_budget_is_exit_3(capsys, tmp_path, monkeypatch):
+    rel = tmp_path / "rel.txt"
+    rel.write_text("a1 a2 a1^-1 a2^-1\n")
+    words = tmp_path / "words.txt"
+    word = " ".join(["a1 a2"] * 200)  # no three letters of it are in an entry
+    words.write_text(word + "\n")
+    argv = ["graded", "dehn", str(words), "--relators", str(rel)]
+    assert run(capsys, *argv) == (0, f"reduced: {word}\n", "")
+    # 200 blocks `a1 a2`, each sought in two doubled entries of 8 letters and
+    # read by one rotation of the relator: 24 letters a block
+    monkeypatch.setattr(graded, "_SCAN_BUDGET", 200 * 24)
+    assert run(capsys, *argv) == (0, f"reduced: {word}\n", "")
+    monkeypatch.setattr(graded, "_SCAN_BUDGET", 200 * 24 - 1)
+    assert run(capsys, *argv) == (3, f"indeterminate: {word}\n", "")
+
+
 def test_graded_dehn_builds_one_relator_table_per_relator_file(capsys, tmp_path, monkeypatch):
     from relfree import graded
 
@@ -291,6 +307,18 @@ def test_graded_build_refuses_a_rank_past_the_period_budget_at_once(capsys, tmp_
     assert time.perf_counter() - start < 1
     assert (code, out) == (3, "")
     assert f"rank {rank} " in err and "1000000" in err
+    assert not out_file.exists()
+
+
+def test_graded_build_refuses_one_generator_before_enumerating(capsys, tmp_path, monkeypatch):
+    def enumerated(pres, i):
+        raise AssertionError("periods_rank was called")
+
+    monkeypatch.setattr(graded, "periods_rank", enumerated)
+    out_file = tmp_path / "pres.txt"
+    code, out, err = run(capsys, "graded", "build", "--m", "1", "--rank", "400",
+                         "--out", str(out_file))
+    assert (code, out, err) == (1, "", "error: the construction needs rank at least 2\n")
     assert not out_file.exists()
 
 

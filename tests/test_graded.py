@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -549,9 +550,10 @@ def test_best_match_replacement_inverts_the_rest_of_the_rotated_entry(rels, data
     matched = data.draw(st.integers(n // 2 + 1, n))
     word = (letters[offset:] + letters[:offset])[:matched]
     table = _RelatorTable(relators)
-    got = table.best_match(_encode_letters(word), len(word), 0)
+    got, _ = table.best_match(_encode_letters(word))
     assert got is not None
-    m, i, s, o, replacement = got
+    pos, m, i, s, o, replacement = got
+    assert pos == 0
     entry = (cores[i] if s > 0 else invert(cores[i])).to_letters()
     rotated = entry[o:] + entry[:o]
     assert rotated[:m] == word[:m]
@@ -629,40 +631,142 @@ def reference_dehn(w, relators, budget=DEFAULT_DEHN_BUDGET):
 
 @st.composite
 def dehn_problems(draw):
-    """Relators (random, proper powers, one-sign powers like a1^3, of unequal
-    lengths) and a word built from conjugated relators and random letters,
-    so that it is sometimes shorter and sometimes longer than half of them."""
+    """Relators over a1..am (random, proper powers, one-sign powers like
+    a1^3, of 1-3 letters, of unequal lengths) and a word built from them:
+
+    - conjugated relators and random letters, so that the word is sometimes
+      shorter and sometimes longer than half of them;
+    - squares of relators, which hold an entry twice;
+    - near misses, floor(L/2) letters of a rotated entry, one short of a
+      step, between powers of the spare generator a_{m+1}, which no relator
+      holds; in one word of sixteen, near misses of the shortest entries
+      (which hold no match of any entry) fill a prefix of 2 000-20 000
+      letters, so that the first step lies far to the right;
+    - splices: a relator conjugated by a power of the spare generator between
+      the two halves of a rotated entry, so that the step cancels that power,
+      up to 40 letters into the prefix, and joins the halves into a match
+      that starts just where the search starts again.
+    """
     m = draw(st.integers(1, 3))
-    ab = Alphabet(m)
+    ab = Alphabet(m + 1)
     letter = st.integers(1, m).flatmap(lambda g: st.sampled_from([g, -g]))
     relators = []
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["random", "power", "one-sign"]))
+        kind = draw(st.sampled_from(["random", "power", "one-sign", "short"]))
         if kind == "one-sign":
             r = Word.generator(ab, draw(st.integers(1, m)), draw(st.integers(2, 5)))
         else:
-            r = free_reduce(ab, draw(st.lists(letter, min_size=1, max_size=12)))
+            top = 3 if kind == "short" else 12
+            r = free_reduce(ab, draw(st.lists(letter, min_size=1, max_size=top)))
             if kind == "power":
                 r = power(r, draw(st.integers(2, 3)))
         assume(not cyclic_reduce(r)[0].is_empty)
         relators.append(r)
+
+    def relator(pool=relators):
+        return power(draw(st.sampled_from(pool)), draw(st.sampled_from([1, -1])))
+
+    def halves(pool=relators):  # a rotated entry cut after floor(L/2) letters
+        core = cyclic_reduce(relator(pool))[0].to_letters()
+        k = draw(st.integers(0, len(core) - 1))
+        rotated = core[k:] + core[:k]
+        cut = len(core) // 2
+        return free_reduce(ab, rotated[:cut]), free_reduce(ab, rotated[cut:])
+
+    def spare():
+        return Word.generator(ab, m + 1, draw(st.sampled_from([1, -1, 2, 40])))
+
     parts = [Word.identity(ab)]
-    for _ in range(draw(st.integers(0, 4))):
-        if draw(st.booleans()):
-            r = power(draw(st.sampled_from(relators)), draw(st.sampled_from([1, -1])))
-            parts.append(conjugate(r, free_reduce(ab, draw(st.lists(letter, max_size=3)))))
-        else:
+    far = draw(st.integers(0, 15)) == 0
+    if far:
+        shortest = min(cyclic_reduce(r)[0].letter_length for r in relators)
+        pool = [r for r in relators if cyclic_reduce(r)[0].letter_length == shortest]
+        sep = Word.generator(ab, m + 1)  # never cancels with itself
+        misses = [concat(halves(pool)[0], sep) for _ in range(draw(st.integers(1, 4)))]
+        letters = draw(st.integers(2000, 20000))
+        while letters > 0:
+            parts.append(misses[len(parts) % len(misses)])
+            letters -= parts[-1].letter_length
+    for _ in range(draw(st.integers(0, 2 if far else 4))):
+        kind = draw(st.sampled_from(["conjugate", "letters", "square", "near miss", "splice"]))
+        if kind == "conjugate":
+            parts.append(conjugate(relator(), free_reduce(ab, draw(st.lists(letter, max_size=3)))))
+        elif kind == "letters":
             parts.append(free_reduce(ab, draw(st.lists(letter, max_size=8))))
+        elif kind == "square":
+            parts.append(power(relator(), 2))
+        elif kind == "near miss":
+            parts += [halves()[0], spare()]
+        else:
+            head, tail = halves()
+            parts += [head, conjugate(relator(), spare()), tail]
     budget = draw(st.sampled_from([1, 2, DEFAULT_DEHN_BUDGET]))
     return concat_all(parts), relators, budget
 
 
 @settings(max_examples=400, deadline=None)
 @given(dehn_problems())
+# after the step at a1^2 the cancellation of a2 a2^-1 leaves one letter of
+# the prefix, and a new match starts at it: the search must start there
+@example(problem=(Word.parse(AB, "a1 a2 a1^2 a2^-1 a1"), [Word.parse(AB, "a1^2")] * 2, 2))
+# matches of both lengths start at 0, and the longer one wins
+@example(problem=(Word.parse(AB, "a1^2"), [A1, Word.parse(AB, "a1^2")], 1))
+# the match a1^5 starts two letters before its block a1^3: of the rotations
+# of a1^8 that read it, the one by 0 letters is the step's
+@example(problem=(Word.parse(AB, "a2 a1^5"), [Word.parse(AB, "a1^8")], 1))
 def test_dehn_reduce_trace_agrees_with_the_letter_list_loop(problem):
     w, relators, budget = problem
     res = dehn_reduce_trace(w, relators, budget)
     assert (res.word, res.steps, res.exhausted) == reference_dehn(w, relators, budget)
+
+
+@pytest.fixture(scope="module")
+def toy_relators():
+    pres = build_presentation(AB, P, max_rank=2, pair_budget=1)
+    relators = pres.relators_up_to(max(pres.ranks))
+    return relators, _RelatorTable(relators)
+
+
+@pytest.mark.parametrize("letters", [24_000, 100_000])
+def test_long_random_words_take_no_step_over_the_toy_relators(toy_relators, letters):
+    relators, table = toy_relators
+    rng = random.Random(letters)
+    out = []
+    while len(out) < letters:
+        g = rng.choice([1, -1, 2, -2])
+        if not out or g != -out[-1]:
+            out.append(g)
+    w = free_reduce(AB, out)
+    start = time.perf_counter()
+    res = dehn_reduce_trace(w, relators, _table=table)
+    assert time.perf_counter() - start < 5
+    assert (res.word, res.steps, res.exhausted) == (w, (), False)
+
+
+@pytest.mark.parametrize("length", [3_000, 30_000])
+def test_a_power_of_a_letter_over_a_longer_power_agrees_with_the_letter_list_loop(length):
+    # every rotation of a1^L reads the same: one is extended per block, not L
+    relators = [Word.generator(AB, 1, length)]
+    w = Word.generator(AB, 1, 7 * length + length // 2 + 1)
+    start = time.perf_counter()
+    res = dehn_reduce_trace(w, relators)
+    assert time.perf_counter() - start < 2
+    assert len(res.steps) == 8 and res.word == Word.generator(AB, 1, -(length // 2 - 1))
+    assert (res.word, res.steps, res.exhausted) == reference_dehn(w, relators)
+
+
+def test_the_scan_budget_counts_every_rotation_a_block_is_extended_along(monkeypatch):
+    # a block a1^q of a1^N reads a1^(L-1) a2 at L - q rotations, and each of
+    # them extends to about L letters, at 2L letters of budget: the first
+    # block costs about 2L^2, where its searches alone cost 4L
+    import relfree.graded as graded_mod
+
+    length = 10_000
+    relators = [concat(Word.generator(AB, 1, length - 1), Word.generator(AB, 2))]
+    w = Word.generator(AB, 1, 3 * length)
+    monkeypatch.setattr(graded_mod, "_SCAN_BUDGET", 10 ** 7)
+    res = dehn_reduce_trace(w, relators)
+    assert res.exhausted and res.steps == () and res.word == w
 
 
 def encoded_entries(table):

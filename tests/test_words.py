@@ -687,6 +687,16 @@ def test_parse_reports_the_first_bad_token(tokens):
     assert str(info.value) == errors[0]
 
 
+@pytest.mark.parametrize("text, want", [
+    ("a300 a300^2 a1", "a300^3 a1"),  # past 255 generators the runs are cut without the pretest
+    ("a300 a1 a300^2", "a300 a1 a300^2"),
+    ("a255 a255^2 a1", "a255^3 a1"),  # below 256 the pretest finds the cut
+    ("a255 a1 a255^2", "a255 a1 a255^2"),
+])
+def test_runs_that_share_a_generator_join_on_both_sides_of_255_generators(text, want):
+    assert str(Word.parse(Alphabet(300), text)) == want
+
+
 # token soup: repeated generators (some past 255, where shared generators are
 # found without the byte search), exponent 0, negative and large exponents,
 # a1^1, the identity token 1 and odd whitespace; bad tokens among them
