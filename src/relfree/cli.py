@@ -76,24 +76,6 @@ def _read_relators(path, m: int | None = None) -> list[Word]:
     return parse_words(content_lines(text, path), m)
 
 
-def _enforce_ledger_mode(args) -> int | None:
-    """Ledger mode runs only over an assignment that passes verification."""
-    if getattr(args, "mode", "toy") != "ledger":
-        return None
-    if not getattr(args, "assign", None):
-        print("ledger mode needs --assign <file>", file=sys.stderr)
-        return EXIT_USAGE
-    cat = (ledger.InequalityCatalog.from_path(args.catalog)
-           if getattr(args, "catalog", None) else ledger.load_default_catalog())
-    assignment = ledger.load_assignment(args.assign)
-    rep = ledger.verify(assignment, cat)
-    if not rep.passed:
-        failed = ", ".join(rep.failed_ids()) or "; ".join(rep.structural_problems)
-        print(f"ledger verification failed: {failed}", file=sys.stderr)
-        return EXIT_FAIL
-    return None
-
-
 # -- subcommand handlers -------------------------------------------------------
 
 
@@ -125,10 +107,10 @@ def _cmd_word(args) -> int:
 
 
 def _cmd_verbal(args) -> int:
-    p = _params_from_args(args)
-    if args.action == "epsilon":
+    if args.action == "epsilon":  # epsilon(i) reads no h, d or n
         print(epsilon(args.i))
         return EXIT_OK
+    p = _params_from_args(args)
     if args.action == "length":
         print(word_length_symbolic(args.which, args.lx, args.ly, p))
         return EXIT_OK
@@ -172,9 +154,6 @@ def _cmd_graded(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     if args.action == "build":
-        code = _enforce_ledger_mode(args)
-        if code is not None:
-            return code
         p = _params_from_args(args)
         # an unwritable --out path fails here, before the build; "a" truncates nothing
         created = args.out and not os.path.exists(args.out)
@@ -183,7 +162,7 @@ def _cmd_graded(args) -> int:
         try:
             pres = graded.build_presentation(
                 Alphabet(args.m or 2), p, max_rank=args.rank,
-                pair_budget=args.pair_budget, mode=args.mode)
+                pair_budget=args.pair_budget)
         except BaseException:
             if created:  # a build that stops leaves no file where there was none
                 os.remove(args.out)
@@ -225,9 +204,6 @@ def _cmd_graded(args) -> int:
 
 
 def _cmd_endo(args) -> int:
-    code = _enforce_ledger_mode(args)
-    if code is not None:
-        return code
     p = _params_from_args(args)
     checks = endo.check_report(p)
     all_ok = all(c.passed is not False for c in checks)
@@ -304,21 +280,14 @@ def _add_arguments(sub: argparse.ArgumentParser, name: str) -> None:
         sub.add_argument("words", nargs="?", help="word file (for dehn)")
         sub.add_argument("--relators", help="relator file (one word per line)")
         sub.add_argument("--rank", type=int, default=2)
-        sub.add_argument("--pair-budget", "--budget-pairs", type=int, default=1,
-                         dest="pair_budget")
+        sub.add_argument("--pair-budget", type=int, default=1)
         sub.add_argument("--budget-dehn", type=int, dest="budget_dehn",
                          help="rewriting steps per word (graded dehn only; default "
                               f"{graded.DEFAULT_DEHN_BUDGET})")
-        sub.add_argument("--mode", choices=("toy", "ledger"), default="toy")
-        sub.add_argument("--assign", help="ledger assignment (required in ledger mode)")
-        sub.add_argument("--catalog", help="inequality catalog (ledger mode)")
         sub.add_argument("--m", type=int)
         sub.add_argument("--out", help="write the presentation file here")
     elif name == "endo":
         sub.add_argument("action", choices=("check",))
-        sub.add_argument("--mode", choices=("toy", "ledger"), default="toy")
-        sub.add_argument("--assign")
-        sub.add_argument("--catalog")
     elif name == "vkd":
         sub.add_argument("action", choices=("check",))
         sub.add_argument("certificate")

@@ -40,19 +40,25 @@ def psi_infinity(alphabet: Alphabet, p: ParamSet) -> tuple[Word, ...]:
     return tuple(images)
 
 
-def kernel_witness(p: ParamSet, alphabet: Alphabet | None = None) -> tuple[Word, bool]:
-    """The kernel word U and the verdict of the identity psi(U) = w1(a1, a2).
-
-    U follows the first identity template with a2 in the power slots, so the
-    substitution a2 -> v1(a1, a2) reproduces w1(a1, a2) literally.  U is
-    nonempty, cyclically reduced, and shorter than (n+h)*h letters.
-    """
+def kernel_word(p: ParamSet, alphabet: Alphabet | None = None) -> Word:
+    """The kernel word U: the first identity template with a2 in the power
+    slots.  U is nonempty, cyclically reduced, and shorter than (n+h)*h
+    letters."""
     ab = alphabet or Alphabet(2)
     if ab.m < 2:
         raise RankTooSmall("the construction needs rank at least 2")
-    a1 = Word.generator(ab, 1)
-    a2 = Word.generator(ab, 2)
-    u = substitute(slot_schedule(1, p), (a1, a2), ab)
+    return substitute(slot_schedule(1, p), (Word.generator(ab, 1), Word.generator(ab, 2)), ab)
+
+
+def kernel_witness(p: ParamSet, alphabet: Alphabet | None = None) -> tuple[Word, bool]:
+    """The kernel word U and the verdict of the identity psi(U) = w1(a1, a2).
+
+    U has a2 in the power slots, so the substitution a2 -> v1(a1, a2)
+    reproduces w1(a1, a2) literally.
+    """
+    ab = alphabet or Alphabet(2)
+    u = kernel_word(p, ab)
+    a1, a2 = Word.generator(ab, 1), Word.generator(ab, 2)
     check = substitute(u, psi_infinity(ab, p), ab) == make_w1(a1, a2, p)
     return u, check
 

@@ -641,7 +641,7 @@ def verbal_membership_witness(rec: RelatorRecord, triple: TripleRecord) -> Word:
 
 
 def build_presentation(alphabet: Alphabet, p: ParamSet, max_rank: int = 2,
-                       pair_budget: int = 1, mode: str = "toy") -> GradedPresentation:
+                       pair_budget: int = 1) -> GradedPresentation:
     """Enumerate periods up to ``max_rank`` and attach all relators found by
     classifying pairs up to ``pair_budget`` letters per coordinate.
 
@@ -654,7 +654,7 @@ def build_presentation(alphabet: Alphabet, p: ParamSet, max_rank: int = 2,
     if max_rank > 0 and 2 * m * (2 * m - 1) ** min(max_rank - 1, 40) > _PERIOD_BUDGET:
         raise BudgetExceeded(f"rank {max_rank} has more reduced words than the period "
                              f"budget of {_PERIOD_BUDGET}")
-    pres = GradedPresentation(alphabet=alphabet, params=p, mode=mode)
+    pres = GradedPresentation(alphabet=alphabet, params=p)
     for i in range(1, max_rank + 1):
         pres.rank_data(i).periods = periods_rank(pres, i)
     for z_star in (1, 2):

@@ -140,7 +140,7 @@ def criterion_surjectivity_identity():
 def criterion_length_bound():
     bad = []
     for p in _KERNEL_GRID:
-        u, _ = endo.kernel_witness(p)
+        u = endo.kernel_word(p)
         if not u.letter_length < (p.n + p.h) * p.h:
             bad.append((p.h, p.d, p.n))
     cat = ledger.load_default_catalog()

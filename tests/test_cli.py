@@ -90,6 +90,18 @@ def test_verbal_epsilon(capsys):
     assert (code, out.strip()) == (0, "-1")
 
 
+def test_verbal_epsilon_reads_no_parameters(capsys, tmp_path):
+    # epsilon(i) does not depend on h, d or n, so parameters it would refuse
+    # elsewhere, or a --params file that is missing, leave it unchanged
+    want = run(capsys, "verbal", "epsilon", "--i", "3")
+    assert want[0] == 0
+    assert run(capsys, "verbal", "epsilon", "--i", "3", "--h", "7") == want
+    assert run(capsys, "verbal", "epsilon", "--i", "3",
+               "--params", str(tmp_path / "missing.txt")) == want
+    # build and length still read them
+    assert run(capsys, "verbal", "length", "--h", "7")[0] == 1
+
+
 def test_endo_check_passes(capsys):
     code, out, _ = run(capsys, "endo", "check", "--h", "20", "--d", "2", "--n", "3")
     assert code == 0
@@ -344,42 +356,6 @@ def test_graded_build_writes_presentation(capsys, tmp_path):
 
     pres = load_presentation(out_file)
     assert len(pres.all_relators()) == 16
-
-
-def test_ledger_mode_refuses_without_verification(capsys, tmp_path):
-    code, _, err = run(capsys, "endo", "check", "--mode", "ledger")
-    assert code == 2  # no assignment supplied
-    bad = tmp_path / "bad.txt"
-    bad.write_text(
-        "alpha = 1/2\nbeta = 1/4\ngamma = 1/8\ndelta = 1/20\n"
-        "eps = 1/40\nzeta = 1/2000\neta = 1/4000\niota = 1/8000\n")
-    code, _, err = run(capsys, "endo", "check", "--mode", "ledger",
-                       "--assign", str(bad))
-    assert code == 1
-    assert "ledger verification failed" in err
-
-
-def test_ledger_mode_runs_with_verified_assignment(capsys, tmp_path):
-    cat = ledger.load_default_catalog()
-    assignment = ledger.solve(cat)
-    path = tmp_path / "good.txt"
-    ledger.save_assignment(assignment, path)
-    code, out, _ = run(capsys, "endo", "check", "--mode", "ledger",
-                       "--assign", str(path))
-    assert code == 0
-
-
-def test_ledger_mode_build_writes_the_toy_file_but_its_mode_line(capsys, tmp_path):
-    # a verified assignment gates the build and changes nothing but the header
-    path = tmp_path / "good.txt"
-    ledger.save_assignment(ledger.solve(ledger.load_default_catalog()), path)
-    out_file = tmp_path / "pres.txt"
-    code, _, _ = run(capsys, "graded", "build", "--rank", "2",
-                     "--mode", "ledger", "--assign", str(path), "--out", str(out_file))
-    assert code == 0
-    pinned = (Path(__file__).parent / "data" / "presentation_20_2_3.txt").read_bytes()
-    assert b"\nmode toy\n" in pinned
-    assert out_file.read_bytes() == pinned.replace(b"\nmode toy\n", b"\nmode ledger\n", 1)
 
 
 def test_vkd_check_accepts_and_rejects(capsys, tmp_path):
@@ -1124,11 +1100,10 @@ VALID_ARGV = [
     ["lpp", "solve", "cat.txt", "--out", "a.txt", "--output", "kv"],
     ["lpp", "verify", "--assign", "a.txt", "cat.txt"],
     ["graded", "build", "--rank", "2", "--pair-budget", "2", "--out", "p.txt"],
-    ["graded", "build", "--budget-pairs", "3", "--mode", "ledger", "--assign", "a.txt",
-     "--catalog", "cat.txt", "--m", "2"],
+    ["graded", "build", "--pair-budget", "3", "--m", "2", "--params", "p.txt"],
     ["graded", "dehn", "words.txt", "--budget-dehn", "7", "--relators", "rels.txt"],
     ["graded", "pieces", "--relators", "rels.txt", "--m", "4", "--output", "kv"],
-    ["endo", "check", "--mode", "ledger", "--assign", "a.txt", "--catalog", "cat.txt"],
+    ["endo", "check", "--n", "5", "--output", "kv"],
     ["endo", "check", "--params", "p.txt", "--output", "kv"],
     ["vkd", "check", "--relators", "rels.txt", CERT, "--output", "kv"],
     ["report"],
@@ -1149,10 +1124,7 @@ def test_the_namespace_table_covers_every_command():
 
 def _older_argparse_spelling(text):
     """``text`` as argparse printed it up to Python 3.12.1: later releases
-    list invalid choices unquoted and print an option's metavar once after
-    all of its names."""
-    text = text.replace("--pair-budget, --budget-pairs PAIR_BUDGET",
-                        "--pair-budget PAIR_BUDGET, --budget-pairs PAIR_BUDGET")
+    list invalid choices unquoted."""
     return re.sub(r"\(choose from ([^)']*)\)",
                   lambda m: "(choose from '" + "', '".join(m.group(1).split(", ")) + "')",
                   text)
@@ -1180,9 +1152,8 @@ def test_a_usage_error_inside_a_command_shows_that_commands_usage(capsys, monkey
     assert _older_argparse_spelling(err) == (
         "usage: relfree graded [-h] [--relators RELATORS] [--rank RANK]\n"
         "                      [--pair-budget PAIR_BUDGET] [--budget-dehn BUDGET_DEHN]\n"
-        "                      [--mode {toy,ledger}] [--assign ASSIGN]\n"
-        "                      [--catalog CATALOG] [--m M] [--out OUT] [--h H] [--d D]\n"
-        "                      [--n N] [--params PARAMS] [--output {text,kv}]\n"
+        "                      [--m M] [--out OUT] [--h H] [--d D] [--n N]\n"
+        "                      [--params PARAMS] [--output {text,kv}]\n"
         "                      {build,dehn,pieces} [words]\n"
         "relfree graded: error: unrecognized arguments: --bogus\n")
 

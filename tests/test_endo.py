@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from relfree.endo import check_report, kernel_witness, psi_infinity, surjectivity_witness
+from relfree.endo import (check_report, kernel_witness, kernel_word, psi_infinity,
+                          surjectivity_witness)
 from relfree.errors import AlphabetMismatch, RankTooSmall
 from relfree.verbal import ParamSet, make_v, make_w2
 from relfree.words import (
@@ -104,6 +105,8 @@ def test_psi_needs_rank_two():
         psi_infinity(Alphabet(1), P)
     with pytest.raises(RankTooSmall):
         kernel_witness(P, Alphabet(1))
+    with pytest.raises(RankTooSmall):
+        kernel_word(P, Alphabet(1))
 
 
 def test_psi_substitution_compatibility_on_w2():
@@ -123,6 +126,8 @@ def test_kernel_identity_on_the_full_grid():
 
 def test_kernel_word_shape():
     u, _ = kernel_witness(P)
+    assert kernel_word(P) == u
+    assert kernel_word(P, Alphabet(3)) == kernel_witness(P, Alphabet(3))[0]
     assert not u.is_empty
     assert u.is_cyclically_reduced()
     assert exponent_sum(u, 1) == 0
