@@ -83,6 +83,9 @@ def _cmd_word(args) -> int:
     if args.action == "conj" and args.other is None:
         print("word conj needs a second word", file=sys.stderr)
         return EXIT_USAGE
+    if args.other is not None and args.action != "conj":
+        print(f"word {args.action} takes one word, not also {args.other!r}", file=sys.stderr)
+        return EXIT_USAGE
     texts = [args.word] + ([args.other] if args.action == "conj" else [])
     w, *other = parse_words([("", text) for text in texts], args.m)
     if args.action == "reduce":
@@ -152,6 +155,9 @@ def _cmd_graded(args) -> int:
     if args.budget_dehn is not None and args.action != "dehn":
         print(f"--budget-dehn applies to graded dehn only, not graded {args.action}",
               file=sys.stderr)
+        return EXIT_USAGE
+    if args.words is not None and args.action != "dehn":
+        print(f"graded {args.action} takes no word file, not {args.words!r}", file=sys.stderr)
         return EXIT_USAGE
     if args.action == "build":
         p = _params_from_args(args)

@@ -85,31 +85,34 @@ def _check_same_alphabet(u: "Word", v: "Word") -> None:
         raise AlphabetMismatch(f"alphabets differ: {u.alphabet} vs {v.alphabet}")
 
 
-def _append_runs(acc: list, runs) -> None:
-    """Append a reduced run sequence to a reduced run stack, reducing the seam.
+def _append_runs(acc: list, runs) -> int:
+    """Append a reduced run sequence to a reduced run stack, reducing the seam,
+    and return the number of letters that cancel there.
 
     Both inputs must individually be freely reduced; cancellation can then
     only cascade at the junction, so everything past it is bulk-extended.
     """
     i = 0
     n = len(runs)
+    cut = 0
     while acc and i < n:
         g, e = runs[i]
         tg, te = acc[-1]
         if tg != g:
             break
         s = te + e
+        i += 1
         if s == 0:
             acc.pop()
-            i += 1
+            cut += 2 * abs(e)
         else:
             acc[-1] = _RUNS[(tg, s)]
-            i += 1
+            cut += abs(te) + abs(e) - abs(s)
             break
-    if i:
-        acc.extend(runs[i:])
-    else:
-        acc.extend(runs)
+    acc.extend(runs)
+    if i:  # drop the i runs the seam took, without copying the rest first
+        del acc[len(acc) - n:len(acc) - n + i]
+    return cut
 
 
 def _check_run_budget(count: int, what: str) -> None:
@@ -300,7 +303,9 @@ class Word:
 
     @property
     def letter_length(self) -> int:
-        """Total letter count sum(|exponent|), computed without materializing letters."""
+        """Total letter count sum(|exponent|), never materializing letters: a
+        :func:`substitute` result carries it (its slots' counts less the letters
+        cancelled at the seams), any other word sums its runs once, on first read."""
         if self._len is None:
             self._len = sum(map(abs, map(_exponent, self.runs)))
         return self._len
@@ -470,20 +475,23 @@ def _power_runs(core: tuple, conj: tuple, k: int) -> list:
 
 
 class _PowerFactory:
-    """Run sequences of powers of a fixed word, sharing one cyclic reduction."""
+    """Run sequences of powers of a fixed word, sharing one cyclic reduction, each
+    with its letter count |core| |k| + 2 |conj| (conj core^k conj^-1 is reduced)."""
 
     def __init__(self, w: Word):
         core, conj = cyclic_reduce(w)
         self._core = core.runs
         self._conj = conj.runs
-        self._cache: dict[int, list] = {}
+        self._sizes = core.letter_length, 2 * conj.letter_length
+        self._cache: dict[int, tuple] = {}
 
-    def runs(self, k: int) -> list:
+    def runs(self, k: int) -> tuple[list, int]:
         if k == 0 or not self._core:
-            return []
+            return [], 0
         got = self._cache.get(k)
         if got is None:
-            got = self._cache[k] = _power_runs(self._core, self._conj, k)
+            size = self._sizes[0] * abs(k) + self._sizes[1]
+            got = self._cache[k] = _power_runs(self._core, self._conj, k), size
         return got
 
 
@@ -504,7 +512,8 @@ def substitute(w: Word | Iterable[tuple[int, int]], images: Sequence[Word],
 
     ``w`` is a word, which needs one image per generator, or any iterable of
     (generator, exponent) runs, such as a template's slot schedule; its runs
-    are read one at a time, so a schedule is never held whole."""
+    are read one at a time, so a schedule is never held whole.  The result
+    carries its letter length: its slots' counts less the letters cancelled."""
     if isinstance(w, Word):
         if len(images) != w.alphabet.m:
             raise AlphabetMismatch(f"need {w.alphabet.m} images, got {len(images)}")
@@ -520,11 +529,15 @@ def substitute(w: Word | Iterable[tuple[int, int]], images: Sequence[Word],
 
     factories = _Table(factory)
     acc: list = []
+    length = 0
     for g, e in w:
-        _append_runs(acc, factories[g].runs(e))
+        runs, size = factories[g].runs(e)
+        length += size - _append_runs(acc, runs)
         if len(acc) > DEFAULT_RUN_BUDGET:
             _check_run_budget(len(acc), "a substitution")
-    return Word(target, tuple(acc))
+    word = Word(target, tuple(acc))
+    word._len = length
+    return word
 
 
 def conjugate(u: Word, by: Word) -> Word:

@@ -38,6 +38,26 @@ def test_word_conj_without_a_second_word_is_usage_error(capsys):
     assert "second word" in err
 
 
+@pytest.mark.parametrize("action", ["reduce", "canon", "root"])
+def test_a_second_word_outside_word_conj_is_usage_error(capsys, action):
+    # an unquoted word split in two, as a shell passes `a1 a2`
+    code, out, err = run(capsys, "word", action, "a1", "a2")
+    assert (code, out) == (2, "")
+    assert f"word {action}" in err and "'a2'" in err
+
+
+@pytest.mark.parametrize("action", ["build", "pieces"])
+def test_a_word_file_outside_graded_dehn_is_usage_error(capsys, tmp_path, action):
+    rel = tmp_path / "rel.txt"
+    rel.write_text("a1 a2 a1^-1 a2^-1\n")
+    out_file = tmp_path / "pres.txt"
+    code, out, err = run(capsys, "graded", action, "stray.txt", "--relators", str(rel),
+                         "--out", str(out_file))
+    assert (code, out) == (2, "")
+    assert f"graded {action}" in err and "'stray.txt'" in err
+    assert not out_file.exists()
+
+
 def test_word_reduce_matches_library(capsys):
     text = "a1^3 a2 a2^-1 a1^-1 a2^2"
     code, out, _ = run(capsys, "word", "reduce", text)
@@ -782,7 +802,11 @@ def test_sizes_too_large_to_build_run_out_of_budget(argv):
     assert "over the budget of 10000000" in proc.stderr
 
 
-@pytest.mark.parametrize("h, d, n", [(40, 4, 5), (80, 3, 5)])
+# the letters of the first toy relator too long to build at (h, d, n)
+UNBUILT_RELATOR_LETTERS = {(40, 4, 5): 16437120, (80, 3, 5): 11538120}
+
+
+@pytest.mark.parametrize("h, d, n", list(UNBUILT_RELATOR_LETTERS))
 def test_endo_check_reports_the_evidence_it_cannot_build_and_passes(h, d, n):
     # |w2| is over 10^7 letters here, so are the largest toy relators; the
     # witnesses are built as runs and fit
@@ -793,8 +817,9 @@ def test_endo_check_reports_the_evidence_it_cannot_build_and_passes(h, d, n):
     assert lines[:6] == [f"{name}: PASS" for name in (
         "kernel-identity", "surjectivity-identity", "kernel-word-nonempty",
         "kernel-word-cyclically-reduced", "kernel-length-bound", "kernel-word-free-nontrivial")]
-    assert re.fullmatch(r"kernel-word-dehn-irreducible: NOT BUILT \(toy relator: word has \d+"
-                        r" letters, over the budget of 10000000\)", lines[6])
+    letters = UNBUILT_RELATOR_LETTERS[h, d, n]
+    assert lines[6] == (f"kernel-word-dehn-irreducible: NOT BUILT (toy relator: word has "
+                        f"{letters} letters, over the budget of 10000000)")
     assert lines[7:] == ["group-level: INDETERMINATE (asserted, not desk-checkable)"]
 
 

@@ -177,6 +177,13 @@ def test_check_report_all_pass():
     assert "surjectivity-identity" in names
 
 
+def test_the_dehn_evidence_names_half_the_shortest_core():
+    # the shortest core of the 16 toy relators at (20, 2, 3) has 20 018 letters
+    evidence = {c.name: c for c in check_report(P)}["kernel-word-dehn-irreducible"]
+    assert evidence.passed
+    assert evidence.detail == "|U| = 280, floor(shortest core / 2) = 10009, over 16 toy relators"
+
+
 def test_check_report_keeps_the_dehn_evidence_at_the_second_scale():
     # |w2| = 4 361 644 letters at (40, 3, 5): the evidence is built, not skipped
     checks = {c.name: c for c in check_report(ParamSet(40, 3, 5))}

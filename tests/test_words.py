@@ -789,6 +789,47 @@ def test_past_the_table_budget_words_are_equal_by_value(a, b, k, budget):
         assert every_constructor(a, b, k) == small
 
 
+@settings(max_examples=200, deadline=None)
+@given(runs3_strategy, runs3_strategy, st.integers(1, 4))
+def test_a_carried_letter_length_is_the_sum_of_the_runs(a, b, k):
+    built = every_constructor(a, b, k)
+    assert all(w._len is not None for w in built[-5:])  # the substitutions
+    for w in built:
+        if w._len is not None:
+            assert w._len == sum(abs(e) for _, e in w.runs)
+
+
+def test_append_runs_returns_the_letters_cancelled_at_the_seam():
+    x = Word.parse(AB3, "a1^2 a2^-3 a3")
+    acc = list(x.runs)  # a slot whose image x^-1 cancels it whole
+    assert words_mod._append_runs(acc, invert(x).runs) == 12 and acc == []
+    acc = [(1, 2)]  # a merge of opposite signs: 2 + 5 letters become 3
+    assert words_mod._append_runs(acc, ((1, -5), (2, 1))) == 4 and acc == [(1, -3), (2, 1)]
+    acc = [(1, 1), (2, 2), (3, 1)]  # a cascade of two pops, then a merge
+    assert words_mod._append_runs(acc, ((3, -1), (2, -2), (1, 2), (2, 1))) == 6
+    assert acc == [(1, 3), (2, 1)]
+    acc = [(3, 1), (1, 1)]  # an empty image
+    assert words_mod._append_runs(acc, ()) == 0 and acc == [(3, 1), (1, 1)]
+    # an image a1^-1 a2 a1 that is not cyclically reduced: its conjugator
+    # cancels against the slot before it
+    assert words_mod._append_runs(acc, ((1, -1), (2, 1), (1, 1))) == 2
+    assert acc == [(3, 1), (2, 1), (1, 1)]
+
+
+@pytest.mark.parametrize("text, images, want", [
+    ("a1 a2", ["a1^2 a2^-3 a3", "a3^-1 a2^3 a1^-2"], "1"),
+    ("a2 a1", ["a2 a3 a2^-1", "a2^-1"], "a3 a2^-1"),
+    ("a3 a1^-2 a2", ["a1^-1 a2 a1", "1", "a1"], "a2^-2 a1"),
+    ("a1^3 a2 a1^-1", ["a1 a2", "a2^-1 a1^-1 a3"], "a1 a2 a1 a2 a3 a2^-1 a1^-1"),
+])
+def test_a_substitution_carries_its_exact_length(text, images, want):
+    # the runs of ``text`` as a slot schedule, which needs no image per generator
+    runs = Word.parse(AB3, text).runs
+    got = words_mod.substitute(runs, [Word.parse(AB3, t) for t in images], AB3)
+    assert str(got) == want
+    assert got._len == sum(abs(e) for _, e in got.runs)
+
+
 def test_equal_runs_built_apart_are_one_object():
     # two separately built copies of w1 share every run object
     p = verbal.ParamSet(20, 2, 3)
