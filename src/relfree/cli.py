@@ -152,13 +152,6 @@ def _cmd_lpp(args) -> int:
 
 
 def _cmd_graded(args) -> int:
-    if args.budget_dehn is not None and args.action != "dehn":
-        print(f"--budget-dehn applies to graded dehn only, not graded {args.action}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if args.words is not None and args.action != "dehn":
-        print(f"graded {args.action} takes no word file, not {args.words!r}", file=sys.stderr)
-        return EXIT_USAGE
     if args.action == "build":
         p = _params_from_args(args)
         # an unwritable --out path fails here, before the build; "a" truncates nothing
@@ -259,6 +252,14 @@ _COMMANDS = {  # name -> (help line, handler), in the order the usage lists them
 }
 
 
+# command -> option -> the actions that read it; given to another action, the
+# option is a usage error rather than ignored
+_ACTION_OPTIONS = {
+    "lpp": {"assign": ("verify",), "out": ("solve",)},
+    "graded": {"budget_dehn": ("dehn",), "relators": ("dehn", "pieces"), "out": ("build",)},
+}
+
+
 def _add_arguments(sub: argparse.ArgumentParser, name: str) -> None:
     """Give ``sub`` the arguments of command ``name``, and its handler."""
     if name == "word":
@@ -342,6 +343,15 @@ def main(argv=None) -> int:
         value = getattr(args, name, None)
         if value is not None and value < 1:
             print(f"{name.replace('_', '-')} must be positive", file=sys.stderr)
+            return EXIT_USAGE
+    if getattr(args, "words", None) is not None and args.action != "dehn":
+        print(f"graded {args.action} takes no word file, not {args.words!r}", file=sys.stderr)
+        return EXIT_USAGE
+    for name, actions in _ACTION_OPTIONS.get(args.command, {}).items():
+        if getattr(args, name) is not None and args.action not in actions:
+            readers = " and ".join(f"{args.command} {action}" for action in actions)
+            print(f"--{name.replace('_', '-')} applies to {readers} only, "
+                  f"not {args.command} {args.action}", file=sys.stderr)
             return EXIT_USAGE
     try:
         return args.func(args)

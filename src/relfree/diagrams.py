@@ -450,36 +450,21 @@ def _fields(tokens: list[str], count: int) -> list[str]:
     return tokens[1:]
 
 
-def _ints(tokens: list[str], linenos: list[int], refusals: list) -> list[int]:
-    """``tokens`` as integers up to the first ``int`` refuses, whose line goes to ``refusals``."""
-    try:
-        return list(map(int, tokens))
-    except ValueError:
-        for i, token in enumerate(tokens):
-            try:
-                int(token)
-            except ValueError as exc:
-                refusals.append((linenos[i], exc))
-                return list(map(int, tokens[:i]))
-        raise
-
-
 def load_certificate(path) -> DiagramCertificate:
     """Parse the text format written by :func:`save_certificate`.
 
-    Each line is split once on whitespace; only ``claim`` lines, whose words
-    :func:`save_certificate` quotes, go through :func:`errors.split_fields`,
-    so a quoted field on any other line is an error.  ``edge`` and ``pair``
-    fields are converted in bulk after the loop, each distinct label parsed
-    once.  The first line that cannot be read, or that declares a side or
-    the alphabet again, raises :class:`MalformedCertificate` naming the
-    file and line."""
+    Each line is split once on whitespace and read in turn; only ``claim``
+    lines, whose words :func:`save_certificate` quotes, go through
+    :func:`errors.split_fields`, so a quoted field on any other line is an
+    error.  Each distinct edge label is parsed once.  The first line that
+    cannot be read, or that declares a side or the alphabet again, raises
+    :class:`MalformedCertificate` naming the file and line."""
     alphabet = None
-    # the fields of edge and pair lines and their line numbers
-    sides, tokens_of, edge_lines, firsts, seconds, pair_lines = [], [], [], [], [], []
+    labels: dict[int, int] = {}
+    letters: dict[str, int] = {}  # edge label -> signed generator
+    pairs: list[tuple[int, int]] = []
     cycles: dict[str, list[list[int]]] = {"face": [], "boundary": []}
     claim: Claim | None = None
-    refusals: list[tuple[int, Exception]] = []  # (line number, error)
     with open_text(path) as fh:
         lines = fh.read().split("\n")
     for lineno, line in enumerate(lines, start=1):
@@ -487,68 +472,51 @@ def load_certificate(path) -> DiagramCertificate:
         if not tokens:
             continue
         head = tokens[0]
-        if head == "edge" and len(tokens) == 3 and alphabet is not None:
-            sides.append(tokens[1])
-            tokens_of.append(tokens[2])
-            edge_lines.append(lineno)
-        elif head == "pair" and len(tokens) == 3:
-            firsts.append(tokens[1])
-            seconds.append(tokens[2])
-            pair_lines.append(lineno)
-        elif not head.startswith("#"):
-            try:
-                if head in ("edge", "claim") and alphabet is None:
-                    raise MalformedCertificate(f"{head} line before the alphabet line")
-                if head == "alphabet":
-                    if alphabet is not None:
-                        raise MalformedCertificate("a second alphabet line")
-                    alphabet = Alphabet(int(_fields(tokens, 1)[0]))
-                elif head in ("edge", "pair"):
-                    _fields(tokens, 2)  # raises: the field count is wrong
-                elif head in cycles:
-                    cycles[head].append(list(map(int, tokens[1:])))
-                elif head == "claim":
-                    tokens = split_fields(line)
-                    kind = tokens[1] if len(tokens) > 1 else None
-                    if kind == "equality":
-                        claim = EqualityClaim(Word.parse(alphabet, _fields(tokens[1:], 1)[0]))
-                    elif kind == "conjugacy":
-                        u, v = _fields(tokens[1:], 2)
-                        claim = ConjugacyClaim(Word.parse(alphabet, u), Word.parse(alphabet, v))
-                    elif kind == "punctured":
-                        claim = PuncturedSphereClaim(
-                            tuple(Word.parse(alphabet, t) for t in tokens[2:]))
-                    else:
-                        raise MalformedCertificate(f"unknown claim kind {kind!r}")
-                else:
-                    raise MalformedCertificate("unrecognized line")
-            except (RelfreeError, ValueError) as exc:
-                refusals.append((lineno, exc))
-                break
-
-    # Every edge and pair line read precedes the loop's refusal, if any; the
-    # first refusal in file order is raised.
-    letters: dict[str, int] = {}
-    for token in dict.fromkeys(tokens_of):
         try:
-            word = Word.parse(alphabet, token)
-            if word.letter_length != 1:
-                raise MalformedCertificate(f"edge label must be a single letter, got {token!r}")
-            letters[token] = word.to_letters()[0]
+            if head == "pair" and len(tokens) == 3:
+                pairs.append((int(tokens[1]), int(tokens[2])))
+            elif head == "edge" and len(tokens) == 3 and alphabet is not None:
+                label = letters.get(tokens[2])
+                if label is None:
+                    word = Word.parse(alphabet, tokens[2])
+                    if word.letter_length != 1:
+                        raise MalformedCertificate(
+                            f"edge label must be a single letter, got {tokens[2]!r}")
+                    label = letters[tokens[2]] = word.to_letters()[0]
+                side = int(tokens[1])
+                if side in labels:
+                    raise MalformedCertificate("the side is declared twice")
+                labels[side] = label
+            elif head.startswith("#"):
+                continue
+            elif head in ("edge", "claim") and alphabet is None:
+                raise MalformedCertificate(f"{head} line before the alphabet line")
+            elif head == "alphabet":
+                if alphabet is not None:
+                    raise MalformedCertificate("a second alphabet line")
+                alphabet = Alphabet(int(_fields(tokens, 1)[0]))
+            elif head in ("edge", "pair"):
+                _fields(tokens, 2)  # raises: the field count is wrong
+            elif head in cycles:
+                cycles[head].append(list(map(int, tokens[1:])))
+            elif head == "claim":
+                tokens = split_fields(line)
+                kind = tokens[1] if len(tokens) > 1 else None
+                if kind == "equality":
+                    claim = EqualityClaim(Word.parse(alphabet, _fields(tokens[1:], 1)[0]))
+                elif kind == "conjugacy":
+                    u, v = _fields(tokens[1:], 2)
+                    claim = ConjugacyClaim(Word.parse(alphabet, u), Word.parse(alphabet, v))
+                elif kind == "punctured":
+                    claim = PuncturedSphereClaim(
+                        tuple(Word.parse(alphabet, t) for t in tokens[2:]))
+                else:
+                    raise MalformedCertificate(f"unknown claim kind {kind!r}")
+            else:
+                raise MalformedCertificate("unrecognized line")
         except (RelfreeError, ValueError) as exc:
-            refusals.append((edge_lines[tokens_of.index(token)], exc))
-            break
-    side_ids = _ints(sides, edge_lines, refusals)
-    labels = dict(zip(side_ids, map(letters.get, tokens_of)))
-    if len(labels) < len(side_ids):
-        seen: set[int] = set()
-        again = next(j for j, side in enumerate(side_ids) if side in seen or seen.add(side))
-        refusals.append((edge_lines[again], MalformedCertificate("the side is declared twice")))
-    pairs = list(zip(_ints(firsts, pair_lines, refusals), _ints(seconds, pair_lines, refusals)))
-    if refusals:
-        lineno, exc = min(refusals, key=lambda refusal: refusal[0])
-        raise MalformedCertificate(
-            f"{path}:{lineno}: cannot read {lines[lineno - 1].strip()!r}: {exc}") from exc
+            raise MalformedCertificate(
+                f"{path}:{lineno}: cannot read {line.strip()!r}: {exc}") from exc
     if alphabet is None or claim is None:
         raise MalformedCertificate(f"{path}: a certificate needs an alphabet and a claim")
     return DiagramCertificate(alphabet, labels, cycles["face"], cycles["boundary"], pairs, claim)

@@ -788,11 +788,12 @@ def minimal_conjugacy_witness(u: Word, v: Word) -> Word | None:
 
     All witnesses form one coset W0 <rho>: with v = cv core cv^-1 and
     core = root^m, rho = cv root cv^-1 generates the centralizer of v.  The
-    cores align in exactly m ways, one base W0 each, so |root| is |core|
-    over the number of bases.  As |W0 rho^k| >= |rho^k| - |W0| >=
-    |k| |root| - |W0|, each base is swept over k = +-1, +-2, ... only while
-    |k| |root| - |W0| <= |best|: every later candidate is longer than the
-    best one so far.  rho is built only when a candidate needs it.
+    cores align in exactly m ways, one base each, so |root| is |core| over
+    the number of bases.  Every base lies in the coset of the first, W0,
+    and as |W0 rho^k| >= |rho^k| - |W0| >= |k| |root| - |W0|, one sweep from
+    W0 over k = +-1, +-2, ... while |k| |root| - |W0| <= |best| meets every
+    witness no longer than the best one so far.  rho is built only when a
+    candidate needs it.
     """
     _check_same_alphabet(u, v)
     core_v, cv = split_v = cyclic_reduce(v)
@@ -801,17 +802,15 @@ def minimal_conjugacy_witness(u: Word, v: Word) -> Word | None:
         return None
     best = min(base, key=shortlex_key)
     root_len = core_v.letter_length // len(base)
-    rho = None
-    for w0 in base:
-        k = 1
-        while root_len and k * root_len - w0.letter_length <= best.letter_length:
-            if rho is None:
-                rho = conjugate(core_v.prefix(root_len), cv)
-            for e in (k, -k):
-                w = concat(w0, power(rho, e))
-                if _shortlex_less(w, best):
-                    best = w
-            k += 1
+    w0, rho, k = base[0], None, 1
+    while root_len and k * root_len - w0.letter_length <= best.letter_length:
+        if rho is None:
+            rho = conjugate(core_v.prefix(root_len), cv)
+        for e in (k, -k):
+            w = concat(w0, power(rho, e))
+            if _shortlex_less(w, best):
+                best = w
+        k += 1
     return best
 
 

@@ -502,36 +502,59 @@ def test_presentation_period_before_rank_names_file_and_line(tmp_path):
             load_presentation(path)
 
 
-@pytest.mark.parametrize("body, lineno", [
-    ("alphabet 2\npair 1\n", 2),
-    ("edge 1 a1\nalphabet 2\n", 1),
-    ("alphabet 2\nedge x a1\n", 2),
-    ("alphabet 2\nface 1 -y\n", 2),
-    ("alphabet 2\nboundary 1.5\n", 2),
-    ("alphabet 2\nclaim conjugacy a1\n", 2),
-    ("alphabet 2\n# unterminated quote\nclaim equality 'a1 a2\n", 3),
+@pytest.mark.parametrize("body, lineno, reason", [
+    ("alphabet 2\npair 1\n", 2, "cannot read 'pair 1': pair takes 2 field(s), got 1"),
+    ("edge 1 a1\nalphabet 2\n", 1,
+     "cannot read 'edge 1 a1': edge line before the alphabet line"),
+    ("alphabet 2\nedge x a1\n", 2,
+     "cannot read 'edge x a1': invalid literal for int() with base 10: 'x'"),
+    ("alphabet 2\nface 1 -y\n", 2,
+     "cannot read 'face 1 -y': invalid literal for int() with base 10: '-y'"),
+    ("alphabet 2\nboundary 1.5\n", 2,
+     "cannot read 'boundary 1.5': invalid literal for int() with base 10: '1.5'"),
+    ("alphabet 2\nclaim conjugacy a1\n", 2,
+     "cannot read 'claim conjugacy a1': conjugacy takes 2 field(s), got 1"),
+    ("alphabet 2\n# unterminated quote\nclaim equality 'a1 a2\n", 3,
+     "cannot read \"claim equality 'a1 a2\": no closing quotation"),
     # only claim lines are unquoted; save_certificate quotes nothing else
-    ("alphabet 2\nedge 1 'a1'\nclaim equality a1\n", 2),
+    ("alphabet 2\nedge 1 'a1'\nclaim equality a1\n", 2,
+     "cannot read \"edge 1 'a1'\": bad token \"'a1'\""),
     # a side declared twice: a reader keeping the last label would accept
     # this annulus, whose second boundary reads (a2 a1)^-1
     ("alphabet 2\nedge 1 a2\nedge 1 a1\nedge 2 a2\nedge 3 a1^-1\nedge 4 a2^-1\n"
-     "pair 1 3\npair 2 4\nboundary 1 2\nboundary 3 4\nclaim conjugacy 'a1 a2' 'a2 a1'\n", 3),
+     "pair 1 3\npair 2 4\nboundary 1 2\nboundary 3 4\nclaim conjugacy 'a1 a2' 'a2 a1'\n", 3,
+     "cannot read 'edge 1 a1': the side is declared twice"),
     # a second alphabet line, after edges read under the first: kept, the
     # face's letter 3 would be refused with no file or line named
     ("alphabet 3\nedge 1 a3\nedge 2 a3\nalphabet 2\npair 1 2\nface 1\nboundary 2\n"
-     "claim equality a1\n", 4),
+     "claim equality a1\n", 4, "cannot read 'alphabet 2': a second alphabet line"),
 ], ids=["pair-missing-side", "edge-before-alphabet", "side-not-integer",
         "face-entry-not-integer", "boundary-entry-not-integer",
         "claim-missing-word", "unterminated-quote", "quoted-edge-label",
         "side-declared-twice", "second-alphabet"])
-def test_malformed_certificate_names_file_and_line(capsys, tmp_path, body, lineno):
+def test_malformed_certificate_names_file_and_line(capsys, tmp_path, body, lineno, reason):
     rel = tmp_path / "rel.txt"
     rel.write_text("a1 a2 a1^-1 a2^-1\n")
     cert = tmp_path / "cert.txt"
     cert.write_text(body)
-    code, _, err = run(capsys, "vkd", "check", str(cert), "--relators", str(rel))
-    assert code == 1
-    assert f"{cert}:{lineno}:" in err
+    code, out, err = run(capsys, "vkd", "check", str(cert), "--relators", str(rel))
+    assert (code, out) == (1, "")
+    assert err == f"error: {cert}:{lineno}: {reason}\n"  # the whole line a user reads
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["graded", "build", "--rank", "1", "--relators", "rels.txt"], "--relators"),
+    (["graded", "dehn", "words.txt", "--relators", "rels.txt", "--out", "o.txt"], "--out"),
+    (["graded", "pieces", "--relators", "rels.txt", "--out", "o.txt"], "--out"),
+    (["lpp", "solve", "cat.txt", "--assign", "a.txt"], "--assign"),
+    (["lpp", "verify", "cat.txt", "--assign", "a.txt", "--out", "o.txt"], "--out"),
+], ids=["build-relators", "dehn-out", "pieces-out", "solve-assign", "verify-out"])
+def test_an_option_the_action_does_not_read_is_usage_error(capsys, tmp_path, argv, option):
+    # the files named are never made: the refusal comes before any is read
+    code, out, err = run(capsys, *(str(tmp_path / a) if a.endswith(".txt") else a
+                                   for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{option} applies to ") and f"not {argv[0]} {argv[1]}" in err
 
 
 # blank and comment lines count, so the numbers are the file's own line numbers

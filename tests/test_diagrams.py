@@ -840,28 +840,38 @@ def long_certificate_lines(tmp_path_factory):
 
 
 def _refused_at(tmp_path, lines):
+    """The refusal's message after the path: the line number and the reason."""
     path = tmp_path / "cert.txt"
     path.write_text("\n".join(lines), encoding="utf-8")
     with pytest.raises(MalformedCertificate) as info:
         load_certificate(path)
-    return str(info.value).removeprefix(f"{path}:").partition(":")[0]
+    return str(info.value).removeprefix(f"{path}:")
 
 
-@pytest.mark.parametrize("lineno, change", [
-    (10_000, lambda line: line.replace(" a", " b")),          # edge label
-    (10_000, lambda line: line.replace("a1", "a3").replace("a2", "a3")),  # outside the alphabet
-    (10_000, lambda line: line.replace("edge ", "edge x")),   # side number
-    (10_000, lambda line: line.replace("edge 9999 ", "edge 17 ")),  # a side declared again
-    (10_900, lambda line: line + "x"),                        # second pair field
-    (10_901, lambda line: line.replace("pair ", "pair -x")),  # first pair field
+INT_REFUSED = "invalid literal for int() with base 10:"
+
+
+@pytest.mark.parametrize("lineno, change, reason", [
+    (10_000, lambda line: line.replace(" a", " b"),           # edge label
+     "cannot read 'edge 9999 b2': bad token 'b2'"),
+    (10_000, lambda line: line.replace("a1", "a3").replace("a2", "a3"),  # outside the alphabet
+     "cannot read 'edge 9999 a3': generator a3 outside alphabet of 2"),
+    (10_000, lambda line: line.replace("edge ", "edge x"),    # side number
+     f"cannot read 'edge x9999 a2': {INT_REFUSED} 'x9999'"),
+    (10_000, lambda line: line.replace("edge 9999 ", "edge 17 "),  # a side declared again
+     "cannot read 'edge 17 a2': the side is declared twice"),
+    (10_900, lambda line: line + "x",                         # second pair field
+     f"cannot read 'pair 99 5499x': {INT_REFUSED} '5499x'"),
+    (10_901, lambda line: line.replace("pair ", "pair -x"),   # first pair field
+     f"cannot read 'pair -x100 5500': {INT_REFUSED} '-x100'"),
 ], ids=["edge-label", "edge-letter", "edge-side", "edge-side-again", "pair-second",
         "pair-first"])
 def test_a_bad_field_deep_in_a_long_certificate_names_its_line(
-        tmp_path, long_certificate_lines, lineno, change):
+        tmp_path, long_certificate_lines, lineno, change, reason):
     lines = list(long_certificate_lines)
     lines[lineno - 1] = change(lines[lineno - 1])
     assert lines[lineno - 1] != long_certificate_lines[lineno - 1]
-    assert _refused_at(tmp_path, lines) == str(lineno)
+    assert _refused_at(tmp_path, lines) == f"{lineno}: {reason}"
 
 
 def test_the_first_bad_line_is_named_whatever_its_kind(tmp_path, long_certificate_lines):
@@ -870,10 +880,10 @@ def test_the_first_bad_line_is_named_whatever_its_kind(tmp_path, long_certificat
     lines[10_900] += "x"
     face = next(i for i, line in enumerate(lines) if line.startswith("face "))
     bad_face = lines[face] + " y"
-    assert _refused_at(tmp_path, lines) == "10000"  # the edge line comes first
+    assert _refused_at(tmp_path, lines).startswith("10000: ")  # the edge line comes first
     # a bad face line moved before the bad edge line is the one named
     lines = [lines[0], bad_face, *lines[1:face], *lines[face + 1:]]
-    assert _refused_at(tmp_path, lines) == "2"
+    assert _refused_at(tmp_path, lines).startswith("2: ")
     # and a bad pair line before both of them
     lines.insert(1, "pair 1 z")
-    assert _refused_at(tmp_path, lines) == "2"
+    assert _refused_at(tmp_path, lines).startswith("2: ")
