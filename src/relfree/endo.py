@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, RankTooSmall
+from .errors import RankTooSmall
 from .graded import _RelatorTable, build_presentation, dehn_reduce_trace
 from .verbal import ParamSet, make_v, make_w1, make_w2, slot_schedule
 from .words import Alphabet, Word, commutator, concat, power, substitute
@@ -40,24 +40,22 @@ def psi_infinity(alphabet: Alphabet, p: ParamSet) -> tuple[Word, ...]:
     return tuple(images)
 
 
-def kernel_word(p: ParamSet, alphabet: Alphabet | None = None) -> Word:
-    """The kernel word U: the first identity template with a2 in the power
-    slots.  U is nonempty, cyclically reduced, and shorter than (n+h)*h
-    letters."""
-    ab = alphabet or Alphabet(2)
-    if ab.m < 2:
-        raise RankTooSmall("the construction needs rank at least 2")
+def kernel_word(p: ParamSet) -> Word:
+    """The kernel word U over (a1, a2): the first identity template with a2
+    in the power slots.  U is nonempty, cyclically reduced, and shorter than
+    (n+h)*h letters."""
+    ab = Alphabet(2)
     return substitute(slot_schedule(1, p), (Word.generator(ab, 1), Word.generator(ab, 2)), ab)
 
 
-def kernel_witness(p: ParamSet, alphabet: Alphabet | None = None) -> tuple[Word, bool]:
+def kernel_witness(p: ParamSet) -> tuple[Word, bool]:
     """The kernel word U and the verdict of the identity psi(U) = w1(a1, a2).
 
     U has a2 in the power slots, so the substitution a2 -> v1(a1, a2)
     reproduces w1(a1, a2) literally.
     """
-    ab = alphabet or Alphabet(2)
-    u = kernel_word(p, ab)
+    u = kernel_word(p)
+    ab = u.alphabet
     a1, a2 = Word.generator(ab, 1), Word.generator(ab, 2)
     check = substitute(u, psi_infinity(ab, p), ab) == make_w1(a1, a2, p)
     return u, check
@@ -90,21 +88,19 @@ def surjectivity_witness(p: ParamSet) -> tuple[Word, bool]:
 @dataclass(frozen=True)
 class IdentityCheck:
     name: str
-    passed: bool | None  # None: not built within the word budgets (detail says why)
+    passed: bool
     detail: str = ""
 
 
-def check_report(p: ParamSet, alphabet: Alphabet | None = None) -> list[IdentityCheck]:
+def check_report(p: ParamSet) -> list[IdentityCheck]:
     """All witness checks for one parameter triple, syntactic ones first.
 
     The group-level non-injectivity claim itself cannot be settled by
-    free-group computation; the report carries the desk evidence (including,
-    at rank 2, rewriting irreducibility of U over the toy relator set) and
-    the CLI prints the claim as INDETERMINATE.  A rewriting check whose toy
-    relators are over the letter budget is reported as not built.
+    free-group computation; the report carries the desk evidence (including
+    rewriting irreducibility of U over the toy relator set) and the CLI
+    prints the claim as INDETERMINATE.
     """
-    ab = alphabet or Alphabet(2)
-    u, kernel_ok = kernel_witness(p, ab)
+    u, kernel_ok = kernel_witness(p)
     _, surj_ok = surjectivity_witness(p)
     bound = (p.n + p.h) * p.h
     checks = [
@@ -119,18 +115,12 @@ def check_report(p: ParamSet, alphabet: Alphabet | None = None) -> list[Identity
         IdentityCheck("kernel-word-free-nontrivial", not u.is_empty,
                       "U != 1 in the free group"),
     ]
-    if ab.m == 2:
-        pres = build_presentation(ab, p, max_rank=1, pair_budget=1)
-        try:
-            table = _RelatorTable(rec.relator for rec in pres.all_relators())
-        except BudgetExceeded as exc:
-            checks.append(IdentityCheck("kernel-word-dehn-irreducible", None,
-                                        f"toy relator: {exc}"))
-            return checks
-        res = dehn_reduce_trace(u, table.cores, _table=table)
-        checks.append(IdentityCheck(
-            "kernel-word-dehn-irreducible", res.word == u and not res.exhausted,
-            f"|U| = {u.letter_length}, floor(shortest core / 2) = {table.shortest // 2},"
-            f" over {len(table.cores)} toy relators"))
+    pres = build_presentation(u.alphabet, p, max_rank=1, pair_budget=1)
+    table = _RelatorTable(rec.relator for rec in pres.all_relators())
+    res = dehn_reduce_trace(u, table.cores, _table=table)
+    checks.append(IdentityCheck(
+        "kernel-word-dehn-irreducible", res.word == u and not res.exhausted,
+        f"|U| = {u.letter_length}, floor(shortest core / 2) = {table.shortest // 2},"
+        f" over {len(table.cores)} toy relators"))
     return checks
 

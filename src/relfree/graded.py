@@ -37,7 +37,6 @@ from .errors import (
 )
 from .verbal import ParamSet, make_v, make_w, slot_schedule
 from .words import (
-    DEFAULT_LETTER_BUDGET,
     Alphabet,
     Word,
     _check_encodable,
@@ -103,19 +102,19 @@ class _RelatorTable:
     Building the table reduces the cores, measures and groups them by length
     and checks that they can be encoded; an entry is encoded from its runs,
     with its inverse and its least period p (rotating it by p gives it back),
-    the first time :meth:`doubled` is asked for it.  A step over n letters
-    matches more than half of an entry, so entries of 2n letters or more are
-    never encoded for it.  Dehn rewriting, pieces and certificates read
-    relator shifts from this table; :meth:`alignments` searches it for blocks."""
+    the first time :meth:`doubled` is asked for it, and only then held to the
+    letter budget, by :func:`relfree.words._encode_word`.  A step over n
+    letters matches more than half of an entry, so entries of 2n letters or
+    more are never encoded for it.  Dehn rewriting, pieces and certificates
+    read relator shifts from this table; :meth:`alignments` searches it for
+    blocks."""
 
     def __init__(self, relators: Iterable[Word]):
-        # from a generator, a relator over the budget stops the ones after it
         self.cores = []
         for idx, r in enumerate(relators):
             core, _ = cyclic_reduce(r)
             if core.is_empty:
                 raise EmptyWord(f"relator {idx} is freely trivial")
-            core._check_budget(DEFAULT_LETTER_BUDGET)
             _check_encodable(core)
             self.cores.append(core)
         if not self.cores:

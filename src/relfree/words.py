@@ -330,16 +330,16 @@ class Word:
             self._sums = sums
         return self._sums
 
-    def _check_budget(self, limit: int | None) -> None:
-        """Raise :class:`BudgetExceeded` when the word has more than ``limit``
-        letters (no limit when None)."""
-        if limit is not None and self.letter_length > limit:
-            raise BudgetExceeded(
-                f"word has {self.letter_length} letters, over the budget of {limit}")
+    def _check_budget(self) -> None:
+        """Raise :class:`BudgetExceeded` when the word has more than
+        :data:`DEFAULT_LETTER_BUDGET` letters."""
+        if self.letter_length > DEFAULT_LETTER_BUDGET:
+            raise BudgetExceeded(f"word has {self.letter_length} letters, "
+                                 f"over the budget of {DEFAULT_LETTER_BUDGET}")
 
-    def to_letters(self, limit: int | None = DEFAULT_LETTER_BUDGET) -> list[int]:
-        """Materialize the signed-letter sequence.  Guarded by ``limit``."""
-        self._check_budget(limit)
+    def to_letters(self) -> list[int]:
+        """Materialize the signed-letter sequence, within the letter budget."""
+        self._check_budget()
         out: list[int] = []
         for g, e in self.runs:
             out.extend([g if e > 0 else -g] * abs(e))
@@ -734,11 +734,11 @@ def _check_encodable(w: Word) -> None:
                 raise _unencodable(g)
 
 
-def _encode_word(w: Word, limit: int | None = DEFAULT_LETTER_BUDGET) -> str:
-    """``_encode_letters(w.to_letters(limit))``, built from the runs at C
-    speed, each distinct run's letters made once: the budget and the alphabet
+def _encode_word(w: Word) -> str:
+    """``_encode_letters(w.to_letters())``, built from the runs at C speed,
+    each distinct run's letters made once: the letter budget and the alphabet
     are checked before anything is built."""
-    w._check_budget(limit)
+    w._check_budget()
     _check_encodable(w)
     codes = _Table(lambda run: chr(2 * run[0] + (run[1] < 0)) * abs(run[1]))
     return "".join(map(codes.__getitem__, w.runs))

@@ -561,7 +561,7 @@ def test_letter_budget_guards_materialization():
     w = power(A1, 10 ** 9)
     assert w.letter_length == 10 ** 9
     with pytest.raises(BudgetExceeded):
-        w.to_letters(limit=1000)
+        w.to_letters()
 
 
 def test_words_are_hashable_values():
@@ -617,9 +617,10 @@ def test_encode_word_checks_the_budget_before_building():
     w = Word.parse(AB, f"a1^{2 ** 70} a2")
     with pytest.raises(BudgetExceeded, match="over the budget of 10000000"):
         _encode_word(w)
-    assert _encode_word(power(A1, 5), limit=5) == _encode_letters([1] * 5)
-    with pytest.raises(BudgetExceeded):
-        _encode_word(power(A1, 5), limit=4)
+    # the edge: a word of exactly the budget's letters encodes, one more does not
+    assert _encode_word(power(A1, DEFAULT_LETTER_BUDGET)) == "\x02" * DEFAULT_LETTER_BUDGET
+    with pytest.raises(BudgetExceeded, match=f"word has {DEFAULT_LETTER_BUDGET + 1} letters"):
+        _encode_word(power(A1, DEFAULT_LETTER_BUDGET + 1))
 
 
 def token_text(g: int, e: int) -> str:
