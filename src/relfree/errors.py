@@ -63,7 +63,7 @@ class BudgetExceeded(RelfreeError):
 
 
 class WitnessNotFound(RelfreeError):
-    """No conjugating word realizes the claimed identity."""
+    """No conjugating word realizes the claimed identity, or a relator is not its value."""
 
 
 class MalformedCertificate(RelfreeError):

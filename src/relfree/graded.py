@@ -302,16 +302,16 @@ def piece_stats(relators: list[Word]) -> tuple[int, Fraction]:
 
 @dataclass(frozen=True)
 class RelatorRecord:
-    """One relator as its template: the slot schedule of template ``z_star``
-    with T in its sign slots, A^f in its power slots and U leading.  No word
-    is stored: :attr:`relator` builds it on each read, and records are equal
-    when their templates are."""
+    """One relator as its template: the slot schedule of ``z_star`` with
+    v_(z*-1)(X, U), A^f and U in it, so relator = w_z*(X, U) when A^f =
+    v_z*(X, U).  No word is stored: :attr:`relator` builds it on each read,
+    and records are equal when their templates are."""
 
     z_star: int
     A: Word
     f: int
     j: int
-    T: Word
+    X: Word
     U: Word
     params: ParamSet
 
@@ -322,7 +322,8 @@ class RelatorRecord:
     @property
     def relator(self) -> Word:
         """The relator word, built from the template on every read."""
-        images = (self.T, power(self.A, self.f), self.U)
+        images = (make_v(self.z_star - 1, self.X, self.U, self.params),
+                  power(self.A, self.f), self.U)
         return substitute(slot_schedule(self.z_star, self.params), images, self.A.alphabet)
 
 
@@ -603,13 +604,13 @@ class _PeriodRegistry:
 # -- relators ----------------------------------------------------------------
 
 
-def build_relator(z_star: int, a_word: Word, f: int, t_word: Word, u_word: Word,
+def build_relator(z_star: int, a_word: Word, f: int, x_word: Word, u_word: Word,
                   p: ParamSet, j: int = 1) -> RelatorRecord:
     """Check and record the rank-(|A|) relator template for one classified
     pair class; no relator word is built.
 
-    Refuses a template z* outside {1, 2}, f = 0, and an empty A, T or U.
-    The paper's magnitude bounds on A, T, U and f are not checked: toy
+    Refuses a template z* outside {1, 2}, f = 0, and an empty A, X or U.
+    The paper's magnitude bounds on A, X, U and f are not checked: toy
     parameters break them, and no verdict reads them."""
     if z_star not in (1, 2):
         raise InvalidParams(f"z* must be 1 or 2, got {z_star}")
@@ -617,23 +618,9 @@ def build_relator(z_star: int, a_word: Word, f: int, t_word: Word, u_word: Word,
         raise ZeroExponent("the period exponent multiplier f must be nonzero")
     if a_word.is_empty:
         raise EmptyWord("the period must be nonempty")
-    if t_word.is_empty or u_word.is_empty:
-        raise EmptyInput("the conjugated slot words T and U must be nonempty")
-    return RelatorRecord(z_star, a_word, f, j, t_word, u_word, p)
-
-
-def verbal_membership_witness(rec: RelatorRecord, triple: TripleRecord) -> Word:
-    """Conjugator W with W * relator * W^-1 equal in the free group to the
-    identity word evaluated at the class representative.  Exact; a failure
-    on a freshly built record means the construction itself is broken."""
-    p = rec.params
-    target = make_w(rec.z_star, triple.X, triple.y_bar, p)
-    relator = rec.relator
-    witness = minimal_conjugacy_witness(target, relator)
-    if witness is None or concat_all([witness, relator, invert(witness)]) != target:
-        raise WitnessNotFound(
-            f"relator (z*={rec.z_star}, j={rec.j}) is not conjugate to its class value")
-    return witness
+    if x_word.is_empty or u_word.is_empty:
+        raise EmptyInput("the conjugated slot words X and U must be nonempty")
+    return RelatorRecord(z_star, a_word, f, j, x_word, u_word, p)
 
 
 # -- presentation building and serialization ---------------------------------
@@ -659,19 +646,17 @@ def build_presentation(alphabet: Alphabet, p: ParamSet, max_rank: int = 2,
     for z_star in (1, 2):
         result = classify_pairs(pres, z_star, pair_budget)
         for cls in result.classes:
-            t_word, u_word = slot_words(cls, p)
-            rec = build_relator(z_star, cls.A, cls.f, t_word, u_word, p, j=cls.j)
+            x_word, u_word = slot_words(cls)
+            rec = build_relator(z_star, cls.A, cls.f, x_word, u_word, p, j=cls.j)
             pres.rank_data(rec.rank, provenance="classified").relators.append(rec)
     return pres
 
 
-def slot_words(cls: PairClass, p: ParamSet) -> tuple[Word, Word]:
-    """The conjugated slot words (T, U) for one class: the next-lower v-value
-    and the class's second word, both pulled back through the witness."""
-    lower = make_v(cls.z_star - 1, cls.triple.X, cls.triple.y_bar, p)
-    t_word = concat_all([invert(cls.witness), lower, cls.witness])
-    u_word = concat_all([invert(cls.witness), cls.triple.y_bar, cls.witness])
-    return t_word, u_word
+def slot_words(cls: PairClass) -> tuple[Word, Word]:
+    """The conjugated slot words (X', U) for one class: its two words pulled
+    back through the witness W, so v_z*(X', U) = W^-1 v_z*(X, y_bar) W = A^f."""
+    w_inv = invert(cls.witness)
+    return tuple(concat_all([w_inv, v, cls.witness]) for v in (cls.triple.X, cls.triple.y_bar))
 
 
 # -- text serialization -------------------------------------------------------
@@ -689,18 +674,33 @@ def save_presentation(pres: GradedPresentation, path) -> None:
                 fh.write(f"period {shlex.quote(str(a_word))}\n")
             for rec in data.relators:
                 fh.write(
-                    "relator z*={z} A={a} f={f} j={j} T={t} U={u}\n".format(
+                    "relator z*={z} A={a} f={f} j={j} X={x} U={u}\n".format(
                         z=rec.z_star, a=shlex.quote(str(rec.A)), f=rec.f, j=rec.j,
-                        t=shlex.quote(str(rec.T)), u=shlex.quote(str(rec.U))))
+                        x=shlex.quote(str(rec.X)), u=shlex.quote(str(rec.U))))
+
+
+def _fields(tokens: list[str], *names: str, **defaults: str) -> list[str]:
+    """Values of a line's ``name=value`` tokens in ``names`` order; an unknown or
+    repeated name, or an absent one with no default, raises :class:`InvalidParams`."""
+    kv: dict[str, str] = {}
+    for name, eq, value in (tok.partition("=") for tok in tokens):
+        if not eq or name not in names:
+            raise InvalidParams(f"unknown field {name!r}")
+        if name in kv:
+            raise InvalidParams(f"field {name!r} is set twice")
+        kv[name] = value
+    if missing := [name for name in names if name not in kv and name not in defaults]:
+        raise InvalidParams(f"missing field {missing[0]!r}")
+    return [kv[name] if name in kv else defaults[name] for name in names]
 
 
 def load_presentation(path) -> GradedPresentation:
     """Parse the text format into templates; relator words are stored nowhere.
 
-    A line that cannot be read, or a second ``alphabet``, ``params`` or
-    ``mode`` line, raises :class:`InvalidParams`, and a relator too large to
-    build (each is built once, and dropped) :class:`BudgetExceeded`, naming
-    the file and line."""
+    A line that cannot be read, a second ``alphabet``, ``params`` or ``mode``
+    line, or a relator line whose A^f is not v_z*(X, U) raises
+    :class:`InvalidParams`, and a relator too large to build (each is built
+    once, and dropped) :class:`BudgetExceeded`, naming the file and line."""
     with open_text(path) as fh:
         text = fh.read()
     alphabet = None
@@ -724,22 +724,21 @@ def load_presentation(path) -> GradedPresentation:
             if head == "alphabet":
                 alphabet = Alphabet(int(tokens[1]))
             elif head == "params":
-                kv = dict(tok.split("=", 1) for tok in tokens[1:])
-                params = ParamSet(int(kv["h"]), int(kv["d"]), int(kv["n"]))
+                params = ParamSet(*map(int, _fields(tokens[1:], "h", "d", "n")))
             elif head == "mode":
                 mode = tokens[1]
             elif head == "rank":
-                kv = dict(tok.split("=", 1) for tok in tokens[2:])
                 current = ranks.setdefault(int(tokens[1]), RankData())
-                current.provenance = kv.get("provenance", current.provenance)
+                current.provenance = _fields(tokens[2:], "provenance",
+                                             provenance=current.provenance)[0]
             elif head == "period":
                 current.periods.append(Word.parse(alphabet, tokens[1]))
             elif head == "relator":
-                kv = dict(tok.split("=", 1) for tok in tokens[1:])
-                rec = build_relator(
-                    int(kv["z*"]), Word.parse(alphabet, kv["A"]), int(kv["f"]),
-                    Word.parse(alphabet, kv["T"]), Word.parse(alphabet, kv["U"]),
-                    params, j=int(kv["j"]))
+                z, a, f, j, x, u = _fields(tokens[1:], "z*", "A", "f", "j", "X", "U")
+                a, x, u = (Word.parse(alphabet, text) for text in (a, x, u))
+                rec = build_relator(int(z), a, int(f), x, u, params, j=int(j))
+                if make_v(rec.z_star, rec.X, rec.U, params) != power(rec.A, rec.f):
+                    raise WitnessNotFound("relator is not w_z*(X, U): v_z*(X, U) != A^f")
                 rec.relator  # built and dropped: refuses a template too large to build
                 current.relators.append(rec)
             else:

@@ -230,12 +230,12 @@ def criterion_relators():
         if result.skipped_degenerate:
             return False, "classification left unresolved pairs"
         for cls in result.classes:
-            t_word, u_word = graded.slot_words(cls, p)
-            rec = graded.build_relator(z_star, cls.A, cls.f, t_word, u_word, p, j=cls.j)
-            graded.verbal_membership_witness(rec, cls.triple)  # raises on failure
+            x_word, u_word = graded.slot_words(cls)
+            rec = graded.build_relator(z_star, cls.A, cls.f, x_word, u_word, p, j=cls.j)
             pres.rank_data(rec.rank, provenance="classified").relators.append(rec)
     with tempfile.TemporaryDirectory() as tmp:
         graded.save_presentation(pres, f"{tmp}/presentation.txt")
+        # the load refuses a relator whose A^f is not v_z*(X, U): raises on failure
         loaded = graded.load_presentation(f"{tmp}/presentation.txt").all_relators()
     if loaded != pres.all_relators():  # equal records have equal templates
         return False, "the presentation file reads back other relators"

@@ -507,7 +507,7 @@ def test_presentation_period_before_rank_names_file_and_line(tmp_path):
     path = tmp_path / "pres.txt"
     for body, lineno in (("alphabet 2\nparams h=20 d=2 n=3\nperiod a1\n", 3),
                          ("alphabet 2\nparams h=20 d=2 n=3\nmode toy\n"
-                          "relator z*=1 A=a1 f=1 j=1 T=a2 U=a2\n", 4),
+                          "relator z*=1 A=a1 f=1 j=1 X=a2 U=a2\n", 4),
                          ("period a1\nalphabet 2\n", 1)):
         path.write_text(body)
         with pytest.raises(RelfreeError, match=f"{path}:{lineno}:"):
@@ -707,7 +707,7 @@ def test_word_with_a_non_ascii_digit_is_a_bad_token(capsys):
 # -- byte-stable presentation file -------------------------------------------------
 
 PRESENTATION_20_2_3_SHA256 = \
-    "68bb6ac4e9b6952af3bb5177602a7dca768a7b626bbdeef9543e4bbec22b7401"
+    "bb3d528f52c7854f0ba14e78c055b572143818efb26322032096f73d443794e6"
 
 
 def test_graded_build_presentation_file_is_byte_stable(capsys, tmp_path):
@@ -736,7 +736,7 @@ def test_graded_build_pair_budget_2_file_is_byte_stable(capsys, tmp_path):
                      "--out", str(out_file))
     assert code == 0
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == \
-        "e38c82532ef71b64ad16c2c7daffaed628cf5a80d1a7d4f80796fb25098f8735"
+        "a69638e46e1a8efcd3b12d1ce168955a196330876a6ffd2db8186407ee0e2419"
 
 
 # -- huge exponents: answered from the runs, never by scanning letters -----------
@@ -887,7 +887,7 @@ def test_verbal_length_answers_at_any_h():
 def test_presentation_relator_too_large_to_build_runs_out_of_budget(tmp_path):
     path = tmp_path / "pres.txt"
     path.write_text("alphabet 2\nparams h=20 d=2 n=3\nmode toy\nrank 2\n"
-                    "relator z*=1 A='a1 a2' f=1000000000000 j=1 T=a1 U=a2\n")
+                    "relator z*=1 A='a1 a2' f=1000000000000 j=1 X=a1 U=a2\n")
     code = ("import sys\nfrom relfree import errors, graded\n"
             "try:\n    graded.load_presentation(sys.argv[1])\n"
             "except errors.BudgetExceeded as exc:\n    print(exc)\n")
@@ -1100,16 +1100,19 @@ def test_split_fields_refuses_a_quoted_single_quote():
         split_fields("claim equality " + shlex.quote("a1'a2"))
 
 
-def test_a_long_relator_slot_that_is_no_power_of_its_period_loads(tmp_path):
-    # T = a1^(10^12) against A = a1 a2: deciding that T is no power of A
-    # must not build A^(|T|/|A|)
-    from relfree.graded import load_presentation
-
+def test_a_long_relator_slot_that_is_not_a_value_of_w1_is_refused(tmp_path):
+    # v1(a1^(10^12), a2) is no a1 a2: the check compares runs and must not
+    # build a letter of X = a1^(10^12)
     path = tmp_path / "pres.txt"
     path.write_text("alphabet 2\nparams h=20 d=2 n=3\nmode toy\nrank 2 provenance=classified\n"
-                    "relator z*=1 A='a1 a2' f=1 j=1 T=a1^1000000000000 U=a2\n")
-    (rec,) = load_presentation(path).ranks[2].relators
-    assert rec.T == Word.parse(Alphabet(2), "a1^1000000000000")
+                    "relator z*=1 A='a1 a2' f=1 j=1 X=a1^1000000000000 U=a2\n")
+    code = ("import sys\nfrom relfree import errors, graded\n"
+            "try:\n    graded.load_presentation(sys.argv[1])\n"
+            "except errors.InvalidParams as exc:\n    print(exc)\n")
+    proc = run_capped("-c", code, str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"{path}:5: ")
+    assert "relator is not w_z*(X, U)" in proc.stdout
 
 
 PARAM_LINES = st.one_of(
@@ -1126,6 +1129,11 @@ def test_params_file_text_is_read_or_refused(text):
     assert got is None or isinstance(got, ParamSet)
 
 
+# the first z* = 1 line of the pinned presentation file: a relator line that loads
+PINNED_RELATOR = next(
+    line for line in (Path(__file__).parent / "data" / "presentation_20_2_3.txt")
+    .read_text().split("\n") if line.startswith("relator z*=1 "))
+
 PRESENTATION_LINES = st.one_of(
     st.sampled_from([
         "alphabet 2", "alphabet 0", "alphabet x", "alphabet " + "9" * 5000, "alphabet",
@@ -1133,12 +1141,13 @@ PRESENTATION_LINES = st.one_of(
         "params h=2000000000000 d=2 n=3", "params h d=2 n=3", "mode toy", "mode",
         "rank 1 provenance=enumerated", "rank 77 provenance=classified", "rank x", "rank 2 p",
         "rank", "period a1", "period 'a1 a2'", "period a3", "period", "period 'a1",
-        "relator z*=1 A=a1 f=1 j=1 T=a2 U=a2", "relator z*=2 A='a1 a2' f=-2 j=1 T='a2 a1' U=a2",
-        "relator z*=1 A='a1 a2' f=1000000000000 j=1 T=a1 U=a2",
-        "relator z*=1 A='a1 a2' f=1 j=1 T=a1^1000000000000 U=a2",
-        "relator z*=3 A=a1 f=1 j=1 T=a2 U=a2", "relator z*=1 A=a1 f=0 j=1 T=a2 U=a2",
-        "relator z*=1 A=1 f=1 j=1 T=a2 U=a2", "relator z*=1 A=a1 f=1 j=1 T=1 U=a2",
-        "relator z*=1 A=a1", "relator A", "relator z*=1 A=a1 f=x j=1 T=a2 U=a2",
+        "relator z*=1 A=a1 f=1 j=1 X=a2 U=a2", "relator z*=2 A='a1 a2' f=-2 j=1 X='a2 a1' U=a2",
+        "relator z*=1 A='a1 a2' f=1000000000000 j=1 X=a1 U=a2",
+        "relator z*=1 A='a1 a2' f=1 j=1 X=a1^1000000000000 U=a2",
+        "relator z*=3 A=a1 f=1 j=1 X=a2 U=a2", "relator z*=1 A=a1 f=0 j=1 X=a2 U=a2",
+        "relator z*=1 A=1 f=1 j=1 X=a2 U=a2", "relator z*=1 A=a1 f=1 j=1 X=1 U=a2",
+        "relator z*=1 A=a1", "relator A", "relator z*=1 A=a1 f=x j=1 X=a2 U=a2",
+        PINNED_RELATOR,
         "# comment", "  ", ""]),
     st.text(max_size=12))
 
@@ -1146,9 +1155,10 @@ PRESENTATION_LINES = st.one_of(
 @settings(max_examples=300, deadline=2000)
 @given(st.one_of(st.text(), st.lists(PRESENTATION_LINES, max_size=10).map("\n".join)))
 @example("alphabet 2\nparams h=20 d=2 n=3\nmode toy\nrank 2\n"
-         "relator z*=1 A='a1 a2' f=1000000000000 j=1 T=a1 U=a2\n")
+         "relator z*=1 A='a1 a2' f=1000000000000 j=1 X=a1 U=a2\n")
 @example("alphabet 2\nparams h=2000000000000 d=2 n=3\nmode toy\nrank 2\n"
-         "relator z*=1 A='a1 a2' f=1 j=1 T=a1 U=a2\n")
+         "relator z*=1 A='a1 a2' f=1 j=1 X=a1 U=a2\n")
+@example(f"alphabet 2\nparams h=20 d=2 n=3\nrank 77\n{PINNED_RELATOR}\n")
 def test_presentation_file_text_is_read_or_refused(text):
     from relfree.graded import GradedPresentation, load_presentation
 

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -16,8 +17,8 @@ from relfree.errors import (
     EmptyInput,
     EmptyWord,
     InvalidParams,
-    WitnessNotFound,
     ZeroExponent,
+    split_fields,
 )
 from relfree.graded import (
     DEFAULT_DEHN_BUDGET,
@@ -37,7 +38,6 @@ from relfree.graded import (
     piece_stats,
     save_presentation,
     slot_words,
-    verbal_membership_witness,
 )
 from relfree.verbal import ParamSet, make_v, make_w, make_w1, w1_exponents, w2_exponents
 from relfree.words import (
@@ -300,41 +300,53 @@ def test_relator_rejects_empty_slots():
 
 
 def test_relator_round_trip_is_byte_identical():
-    from tests.test_verbal import n_pow, naive_template
+    from tests.test_verbal import n_pow, naive_template, naive_v1
 
     for z_star in (1, 2):
         res = classify_pairs(fresh_pres(), z_star, 1)
         for cls in res.classes:
-            t_word, u_word = slot_words(cls, P)
-            rec = build_relator(z_star, cls.A, cls.f, t_word, u_word, P, j=cls.j)
-            # the letter-level template, with A^f in the power slots
+            x_word, u_word = slot_words(cls)
+            rec = build_relator(z_star, cls.A, cls.f, x_word, u_word, P, j=cls.j)
+            # the letter-level template, with v_(z*-1)(X', U) in the sign
+            # slots and A^f in the power slots
+            x_letters, u_letters = x_word.to_letters(), u_word.to_letters()
+            sign = x_letters if z_star == 1 else naive_v1(x_letters, u_letters, P.d)
             block = n_pow(cls.A.to_letters(), cls.f)
-            letters = naive_template(z_star, t_word.to_letters(), block,
-                                     u_word.to_letters(), P.h, P.n)
+            letters = naive_template(z_star, sign, block, u_letters, P.h, P.n)
             assert rec.relator == free_reduce(AB, letters)
             assert rec.rank == cls.A.letter_length
     # the record stores no word: its relator is derived from the template
     assert "relator" not in {fld.name for fld in dataclasses.fields(RelatorRecord)}
 
 
-def test_every_rank_one_relator_has_witness():
+def test_every_rank_one_relator_is_a_value_of_its_identity_word():
+    pres = build_presentation(AB, P, max_rank=2, pair_budget=1)
+    records = pres.all_relators()
+    assert len(records) == 16
+    for rec in records:
+        assert make_v(rec.z_star, rec.X, rec.U, P) == power(rec.A, rec.f)
+        assert rec.relator == make_w(rec.z_star, rec.X, rec.U, P)
+
+
+def test_a_tampered_relator_line_is_refused(tmp_path):
+    saved = tmp_path / "pres.txt"
+    save_presentation(build_presentation(AB, P, max_rank=2, pair_budget=1), saved)
+    lines = saved.read_text().split("\n")
+    pres = load_presentation(saved)
     for z_star in (1, 2):
-        res = classify_pairs(fresh_pres(), z_star, 1)
-        for cls in res.classes:
-            t_word, u_word = slot_words(cls, P)
-            rec = build_relator(z_star, cls.A, cls.f, t_word, u_word, P, j=cls.j)
-            w = verbal_membership_witness(rec, cls.triple)
-            assert conjugate(rec.relator, w) == make_w(z_star, cls.triple.X, cls.triple.y_bar, P)
-
-
-def test_corrupted_relator_has_no_witness():
-    res = classify_pairs(fresh_pres(), 1, 1)
-    cls = res.classes[0]
-    t_word, u_word = slot_words(cls, P)
-    rec = build_relator(1, cls.A, cls.f, t_word, u_word, P, j=cls.j)
-    tampered = dataclasses.replace(rec, f=rec.f + 1)
-    with pytest.raises(WitnessNotFound):
-        verbal_membership_witness(tampered, cls.triple)
+        idx = next(i for i, line in enumerate(lines) if line.startswith(f"relator z*={z_star} "))
+        rec = next(r for r in pres.all_relators() if r.z_star == z_star)
+        other = next(a for a in pres.ranks[rec.rank].periods if a != rec.A)
+        for field, change in (("f", lambda v: str(2 * int(v))),
+                              ("A", lambda v: str(other)),
+                              ("X", lambda v: v + " a1")):
+            fields = dict(tok.split("=", 1) for tok in split_fields(lines[idx])[1:])
+            fields[field] = change(fields[field])
+            tampered = "relator " + " ".join(f"{k}={shlex.quote(v)}" for k, v in fields.items())
+            copy = tmp_path / f"tampered-{z_star}-{field}.txt"
+            copy.write_text("\n".join(lines[:idx] + [tampered] + lines[idx + 1:]))
+            with pytest.raises(InvalidParams, match=f"{copy}:{idx + 1}: .*WitnessNotFound"):
+                load_presentation(copy)
 
 
 # -- piece statistics -----------------------------------------------------------------
@@ -850,6 +862,33 @@ def test_presentation_refuses_a_repeated_header_line(tmp_path):
         path.write_text(body)
         with pytest.raises(InvalidParams, match=f"{path}:{lineno}: .*a second {what} line"):
             load_presentation(path)
+
+
+def test_presentation_refuses_unknown_repeated_and_missing_fields(tmp_path):
+    head = "alphabet 2\nparams h=20 d=2 n=3\nmode toy\nrank 1\n"
+    path = tmp_path / "pres.txt"
+    for body, lineno, why in (
+            ("alphabet 2\nparams h=20 d=2 n=3 h=40\n", 2, "field 'h' is set twice"),
+            ("alphabet 2\nparams h=20 d=2 n=3 Q=5\n", 2, "unknown field 'Q'"),
+            ("alphabet 2\nparams h=20 d=2\n", 2, "missing field 'n'"),
+            (head + "relator z*=1 A=a1 f=1 j=1 X=a2 U=a2 f=2\n", 5, "field 'f' is set twice"),
+            (head + "relator z*=1 A=a1 f=1 X=a2 U=a2\n", 5, "missing field 'j'"),
+            (head + "rank 2 provenance=classified provenance=enumerated\n", 5,
+             "field 'provenance' is set twice")):
+        path.write_text(body)
+        with pytest.raises(InvalidParams, match=f"{path}:{lineno}: .*{why}"):
+            load_presentation(path)
+
+
+def test_presentation_in_the_format_with_t_slots_is_refused(tmp_path):
+    # a T= field held v_(z*-1)(X', U), from which X' cannot be read back
+    pinned = Path(__file__).parent / "data" / "presentation_20_2_3.txt"
+    lines = pinned.read_text().split("\n")
+    path = tmp_path / "pres.txt"
+    path.write_text("\n".join(line.replace(" X=", " T=") for line in lines))
+    first = next(i for i, line in enumerate(lines) if line.startswith("relator ")) + 1
+    with pytest.raises(InvalidParams, match=f"{path}:{first}: .*unknown field 'T'"):
+        load_presentation(path)
 
 
 def test_presentation_file_matches_the_pinned_file(tmp_path):
