@@ -327,28 +327,6 @@ class RelatorRecord:
         return substitute(slot_schedule(self.z_star, self.params), images, self.A.alphabet)
 
 
-@dataclass(frozen=True)
-class TripleRecord:
-    """Canonical representative of one pair class.
-
-    X and Y are cyclically reduced, and the class's second word is
-    y_bar = Z Y Z^-1, with Z the conjugator that :func:`cyclic_reduce` peels
-    off y_bar.  That Z is the shortest conjugator: y_bar = Z Y Z^-1 is
-    reduced as written, every conjugator is Z root^k with root the primitive
-    root of Y, and no letter cancels between Z and root^k, so it has
-    |Z| + |k| |root| letters (Lyndon-Schupp, Ch. I.1).  When Y is trivial,
-    so is Z.
-    """
-
-    X: Word
-    Y: Word
-    Z: Word
-
-    @property
-    def y_bar(self) -> Word:
-        return conjugate(self.Y, self.Z)
-
-
 @dataclass
 class RankData:
     periods: list[Word] = field(default_factory=list)
@@ -445,7 +423,8 @@ def _axis_index(z: Word, root: Word) -> int:
 
 
 def _pair_conjugacy_witness(u1: Word, w1: Word, u2: Word, w2: Word) -> Word | None:
-    """Free-group W with u1 = W u2 W^-1 and w1 = W w2 W^-1, if one exists.
+    """Free-group W with u1 = W u2 W^-1 and w1 = W w2 W^-1, if one exists;
+    u2 must be nonempty.
 
     With u2 = c r^m c^-1 and r primitive, the solutions of the first
     equation are w0 rho^k, rho = c r c^-1, for any one solution w0.  The
@@ -460,10 +439,6 @@ def _pair_conjugacy_witness(u1: Word, w1: Word, u2: Word, w2: Word) -> Word | No
     k = 0 serves.  Each candidate k is checked by one conjugation, so a
     returned W is always a solution.
     """
-    if u2.is_empty:
-        if not u1.is_empty:
-            return None
-        return minimal_conjugacy_witness(w1, w2)
     w0 = next(conjugacy_witnesses(u1, u2), None)
     if w0 is None:
         return None
@@ -481,20 +456,8 @@ def _pair_conjugacy_witness(u1: Word, w1: Word, u2: Word, w2: Word) -> Word | No
 
 
 @dataclass(frozen=True)
-class PairClass:
-    z_star: int
-    key: tuple[str, str]
-    triple: TripleRecord
-    A: Word
-    f: int
-    j: int
-    witness: Word  # v_{z*}(X, y_bar) = witness * A^f * witness^-1
-
-
-@dataclass(frozen=True)
 class ClassifyResult:
-    z_star: int
-    classes: tuple[PairClass, ...]
+    classes: tuple[RelatorRecord, ...]
     discarded_trivial: int
     skipped_degenerate: tuple[tuple[Word, Word], ...]
 
@@ -504,10 +467,12 @@ def classify_pairs(pres: GradedPresentation, z_star: int, L: int) -> ClassifyRes
     of their (v, w) values in the free group, discarding pairs whose w value
     is trivial and setting aside those whose v value is.
 
-    Class keys are the shortlex-least member pair (x0, y0); j indices within
-    one (period, exponent) group follow key order.  With x0 = g X g^-1 and X
-    cyclically reduced, Z is the conjugator :func:`cyclic_reduce` peels off
-    y_bar = g^-1 y0 g = Z Y Z^-1, the shortest one (see :class:`TripleRecord`).
+    Each class becomes one relator record, attached to ``pres`` at rank |A|
+    and returned.  Its key is its shortlex-least member pair (x0, y0); j
+    indices within one (period, exponent) group follow key order.  With
+    x0 = g X g^-1 and X cyclically reduced, y_bar = g^-1 y0 g, and W the
+    minimal witness of v_z*(X, y_bar) = W A^f W^-1, the record's slot words
+    are X' = W^-1 X W and U = W^-1 y_bar W, so v_z*(X', U) = A^f.
     """
     if z_star not in (1, 2):
         raise InvalidParams(f"z* must be 1 or 2, got {z_star}")
@@ -543,8 +508,8 @@ def classify_pairs(pres: GradedPresentation, z_star: int, L: int) -> ClassifyRes
             near.append(group)
         group.append(idx)
 
-    # each class's least member pair, in key order: the registry adds periods
-    # to pres, and j counts within each (A, f) group, in that order
+    # each class's least member pair, in key order: periods and records are
+    # added to pres, and j counts within each (A, f) group, in that order
     least = sorted((min((survivors[g][:2] for g in group),
                         key=lambda xy: (shortlex_key(xy[0]), shortlex_key(xy[1])))
                     for group in groups), key=lambda xy: (str(xy[0]), str(xy[1])))
@@ -552,23 +517,22 @@ def classify_pairs(pres: GradedPresentation, z_star: int, L: int) -> ClassifyRes
     counters: dict[tuple[str, int], int] = {}
     classes = []
     for x0, y0 in least:
-        key = (str(x0), str(y0))
         core_x, gx = cyclic_reduce(x0)
         y_bar = conjugate(y0, invert(gx))
-        core_y, z_word = cyclic_reduce(y_bar)
-        triple = TripleRecord(X=core_x, Y=core_y, Z=z_word)
         v_rep = make_v(z_star, core_x, y_bar, p)
         a_word, f_val = registry.resolve(v_rep)
         witness = minimal_conjugacy_witness(v_rep, power(a_word, f_val))
         if witness is None:
-            raise WitnessNotFound(
-                f"no conjugator from the period power to the class value {key}")
+            raise WitnessNotFound("no conjugator from the period power to the class "
+                                  f"value {(str(x0), str(y0))}")
         jkey = (str(a_word), f_val)
         counters[jkey] = counters.get(jkey, 0) + 1
-        classes.append(PairClass(
-            z_star=z_star, key=key, triple=triple, A=a_word, f=f_val,
-            j=counters[jkey], witness=witness))
-    return ClassifyResult(z_star, tuple(classes), discarded, tuple(degenerate))
+        w_inv = invert(witness)
+        x_word, u_word = (concat_all([w_inv, v, witness]) for v in (core_x, y_bar))
+        rec = build_relator(z_star, a_word, f_val, x_word, u_word, p, j=counters[jkey])
+        pres.rank_data(rec.rank, provenance="classified").relators.append(rec)
+        classes.append(rec)
+    return ClassifyResult(tuple(classes), discarded, tuple(degenerate))
 
 
 class _PeriodRegistry:
@@ -644,19 +608,8 @@ def build_presentation(alphabet: Alphabet, p: ParamSet, max_rank: int = 2,
     for i in range(1, max_rank + 1):
         pres.rank_data(i).periods = periods_rank(pres, i)
     for z_star in (1, 2):
-        result = classify_pairs(pres, z_star, pair_budget)
-        for cls in result.classes:
-            x_word, u_word = slot_words(cls)
-            rec = build_relator(z_star, cls.A, cls.f, x_word, u_word, p, j=cls.j)
-            pres.rank_data(rec.rank, provenance="classified").relators.append(rec)
+        classify_pairs(pres, z_star, pair_budget)
     return pres
-
-
-def slot_words(cls: PairClass) -> tuple[Word, Word]:
-    """The conjugated slot words (X', U) for one class: its two words pulled
-    back through the witness W, so v_z*(X', U) = W^-1 v_z*(X, y_bar) W = A^f."""
-    w_inv = invert(cls.witness)
-    return tuple(concat_all([w_inv, v, cls.witness]) for v in (cls.triple.X, cls.triple.y_bar))
 
 
 # -- text serialization -------------------------------------------------------

@@ -368,10 +368,6 @@ def solve(cat: InequalityCatalog) -> LppAssignment:
     prev = Fraction(1)
     for name in PARAM_NAMES:
         items = cat.by_least_param(name)
-        for item in items:
-            later = [q for q in item.params if _CHAIN_POS[q] > _CHAIN_POS[name]]
-            if later:  # pragma: no cover - catalog structure guard
-                raise Unsatisfiable(item.id, "item references parameters after its least")
         candidate = prev / 2
         blocking = None
         for _ in range(_MAX_HALVINGS):

@@ -37,7 +37,6 @@ from relfree.graded import (
     periods_rank,
     piece_stats,
     save_presentation,
-    slot_words,
 )
 from relfree.verbal import ParamSet, make_v, make_w, make_w1, w1_exponents, w2_exponents
 from relfree.words import (
@@ -104,11 +103,13 @@ def test_periods_deterministic():
 # -- pair classification ----------------------------------------------------------
 
 def test_classify_discards_trivial_pairs():
-    res = classify_pairs(fresh_pres(), 1, 1)
-    # (x, x) and (x, x^-1) make the first identity word collapse
-    keys = {cls.key for cls in res.classes}
-    assert ("a1", "a1") not in keys
-    assert res.discarded_trivial >= 8
+    for z_star in (1, 2):
+        # (x, x) and (x, x^-1) make both identity words collapse
+        for x in (A1, A2, invert(A1), invert(A2)):
+            for y in (x, invert(x)):
+                assert make_w(z_star, x, y, P).is_empty
+        res = classify_pairs(fresh_pres(), z_star, 1)
+        assert (res.discarded_trivial, len(res.classes)) == (17, 8)
 
 
 def test_classify_finds_eight_classes_per_kind():
@@ -118,12 +119,13 @@ def test_classify_finds_eight_classes_per_kind():
         assert not res.skipped_degenerate
 
 
-def test_class_values_are_conjugate_to_period_powers():
-    res = classify_pairs(fresh_pres(), 1, 1)
-    for cls in res.classes:
-        assert conjugate(power(cls.A, cls.f), cls.witness) \
-            == make_v(1, cls.triple.X, cls.triple.y_bar, P)
-        assert cls.A.is_cyclically_reduced()
+def test_classification_attaches_the_records_it_returns():
+    pres = fresh_pres()
+    returned = [rec for z_star in (1, 2) for rec in classify_pairs(pres, z_star, 1).classes]
+    assert all(any(r is rec for r in pres.ranks[rec.rank].relators) for rec in returned)
+    # within a rank, records are attached in the order they are returned
+    assert pres.all_relators() == sorted(returned, key=lambda rec: rec.rank)
+    assert build_presentation(AB, P, 0, 1).all_relators() == pres.all_relators()
 
 
 def test_conjugated_pairs_are_jointly_equivalent():
@@ -237,19 +239,6 @@ print(w2.letter_length, len(w2.runs), got)
     assert proc.stdout.split()[2:] == ["a1^1000000"]
 
 
-def test_triples_decompose_core_powers():
-    for z_star in (1, 2):
-        for cls in classify_pairs(fresh_pres(), z_star, 1).classes:
-            t = cls.triple
-            for core in (t.X, t.Y):
-                assert core.is_cyclically_reduced()
-                if not core.is_empty:
-                    root, k = primitive_root(core)
-                    assert power(root, k) == core
-            assert conjugate(t.Y, t.Z) == t.y_bar
-            assert t.Z == minimal_conjugacy_witness(t.y_bar, t.Y)
-
-
 AB3 = Alphabet(3)
 LETTERS3 = st.sampled_from([1, -1, 2, -2, 3, -3])
 
@@ -257,8 +246,7 @@ LETTERS3 = st.sampled_from([1, -1, 2, -2, 3, -3])
 @settings(max_examples=400, deadline=None)
 @given(st.lists(LETTERS3, max_size=10), st.lists(LETTERS3, max_size=8), st.integers(1, 3))
 def test_peeled_conjugator_is_the_minimal_witness(core_letters, conj_letters, k):
-    # a class triple's Z is the conjugator cyclic_reduce peels off y_bar,
-    # taken to be the shortest one
+    # the conjugator cyclic_reduce peels off a word is its shortest one
     y_bar = conjugate(power(free_reduce(AB3, core_letters), k), free_reduce(AB3, conj_letters))
     core, peeled = cyclic_reduce(y_bar)
     assert conjugate(core, peeled) == y_bar
@@ -303,18 +291,15 @@ def test_relator_round_trip_is_byte_identical():
     from tests.test_verbal import n_pow, naive_template, naive_v1
 
     for z_star in (1, 2):
-        res = classify_pairs(fresh_pres(), z_star, 1)
-        for cls in res.classes:
-            x_word, u_word = slot_words(cls)
-            rec = build_relator(z_star, cls.A, cls.f, x_word, u_word, P, j=cls.j)
+        for rec in classify_pairs(fresh_pres(), z_star, 1).classes:
             # the letter-level template, with v_(z*-1)(X', U) in the sign
             # slots and A^f in the power slots
-            x_letters, u_letters = x_word.to_letters(), u_word.to_letters()
+            x_letters, u_letters = rec.X.to_letters(), rec.U.to_letters()
             sign = x_letters if z_star == 1 else naive_v1(x_letters, u_letters, P.d)
-            block = n_pow(cls.A.to_letters(), cls.f)
+            block = n_pow(rec.A.to_letters(), rec.f)
             letters = naive_template(z_star, sign, block, u_letters, P.h, P.n)
             assert rec.relator == free_reduce(AB, letters)
-            assert rec.rank == cls.A.letter_length
+            assert rec.rank == rec.A.letter_length
     # the record stores no word: its relator is derived from the template
     assert "relator" not in {fld.name for fld in dataclasses.fields(RelatorRecord)}
 
@@ -324,6 +309,7 @@ def test_every_rank_one_relator_is_a_value_of_its_identity_word():
     records = pres.all_relators()
     assert len(records) == 16
     for rec in records:
+        assert rec.A.is_cyclically_reduced()
         assert make_v(rec.z_star, rec.X, rec.U, P) == power(rec.A, rec.f)
         assert rec.relator == make_w(rec.z_star, rec.X, rec.U, P)
 
