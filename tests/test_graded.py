@@ -128,6 +128,18 @@ def test_classification_attaches_the_records_it_returns():
     assert build_presentation(AB, P, 0, 1).all_relators() == pres.all_relators()
 
 
+def test_class_values_are_conjugate_to_period_powers():
+    # a record keeps the pair conjugated by its witness, so the conjugator
+    # from its value to the period power is the empty word
+    for z_star in (1, 2):
+        for rec in classify_pairs(fresh_pres(), z_star, 1).classes:
+            value = make_v(z_star, rec.X, rec.U, P)
+            assert minimal_conjugacy_witness(value, power(rec.A, rec.f)) == Word.identity(AB)
+            assert value == power(rec.A, rec.f)
+            assert rec.A.is_cyclically_reduced()
+            assert primitive_root(rec.A)[1] == 1
+
+
 def test_conjugated_pairs_are_jointly_equivalent():
     rng = random.Random(30)
     for _ in range(20):
