@@ -28,6 +28,7 @@ from .errors import (
     RelfreeError,
     Unsatisfiable,
     content_lines,
+    named_values,
     open_text,
 )
 from .verbal import ParamSet, epsilon, make_v, make_w, word_length_symbolic
@@ -52,27 +53,24 @@ def _emit(args, pairs: list[tuple[str, str]]) -> None:
 
 
 def _params_from_args(args) -> ParamSet:
-    if getattr(args, "params", None):
-        kv = {}
-        with open_text(args.params) as fh:
-            text = fh.read()
-        for where, line in content_lines(text, args.params):
-            name, _, value = line.partition("=")
-            try:
-                number = int(value.strip())
-            except ValueError:
-                raise InvalidParams(f"{where}: expected name = integer, got {line!r}") from None
-            name = name.strip()
-            if name not in ("h", "d", "n"):
-                raise InvalidParams(f"{where}: unknown parameter {name!r}")
-            if name in kv:
-                raise InvalidParams(f"{where}: parameter {name!r} is set twice")
-            kv[name] = number
-        missing = [name for name in ("h", "d", "n") if name not in kv]
-        if missing:
-            raise InvalidParams(f"{args.params}: no line sets {', '.join(missing)}")
-        return ParamSet(kv["h"], kv["d"], kv["n"])
-    return ParamSet(args.h, args.d, args.n)
+    """(h, d, n) from the ``--params`` file, else from the flags or 20, 2 and 3."""
+    if args.params is None:
+        return ParamSet(*(default if value is None else value
+                          for value, default in ((args.h, 20), (args.d, 2), (args.n, 3))))
+    with open_text(args.params) as fh:
+        text = fh.read()
+    try:
+        values = named_values(content_lines(text, args.params), "h", "d", "n")
+    except EmptyInput as exc:
+        raise InvalidParams(f"{args.params}: {exc}") from None
+    return ParamSet(*(_integer(where, value) for where, value in values))
+
+
+def _integer(where: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidParams(f"{where}: expected an integer, got {text!r}") from None
 
 
 def _read_relators(path, m: int | None = None) -> list[Word]:
@@ -201,7 +199,7 @@ def _cmd_graded(args) -> int:
     budget = graded.DEFAULT_DEHN_BUDGET if args.budget_dehn is None else args.budget_dehn
     indeterminate = False
     for w in words:
-        res = graded.dehn_reduce_trace(w, relators, budget, _table=table)
+        res = graded.dehn_reduce_trace(w, table, budget)
         status = "indeterminate" if res.exhausted else "reduced"
         indeterminate = indeterminate or res.exhausted
         _emit(args, [(status, str(res.word))])
@@ -305,9 +303,8 @@ def _add_arguments(sub: argparse.ArgumentParser, name: str) -> None:
         sub.add_argument("certificate")
         sub.add_argument("--relators", required=True)
     if name in ("verbal", "graded", "endo"):
-        sub.add_argument("--h", type=int, default=20)
-        sub.add_argument("--d", type=int, default=2)
-        sub.add_argument("--n", type=int, default=3)
+        for flag in ("--h", "--d", "--n"):  # no default: see _params_from_args
+            sub.add_argument(flag, type=int)
         sub.add_argument("--params", help="file with h=, d=, n= lines")
     sub.add_argument("--output", choices=("text", "kv"), default="text")
     if name == "report":
@@ -352,6 +349,10 @@ def main(argv=None) -> int:
     if getattr(args, "words", None) is not None and args.action != "dehn":
         print(f"graded {args.action} takes no word file, not {args.words!r}", file=sys.stderr)
         return EXIT_USAGE
+    for name in ("h", "d", "n"):  # a --params file sets all three
+        if getattr(args, "params", None) is not None and getattr(args, name) is not None:
+            print(f"--{name} and --params both set {name}; give one", file=sys.stderr)
+            return EXIT_USAGE
     for name, actions in _ACTION_OPTIONS.get(args.command, {}).items():
         if getattr(args, name) is not None and args.action not in actions:
             readers = " and ".join(f"{args.command} {action}" for action in actions)

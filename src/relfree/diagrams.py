@@ -149,12 +149,12 @@ def _as_read(cert: DiagramCertificate, ref: int) -> int:
 # -- the checker -------------------------------------------------------------
 
 
-def check_certificate(cert: DiagramCertificate, relators: list[Word],
-                      _table: _RelatorTable | None = None) -> CheckResult:
+def check_certificate(cert: DiagramCertificate,
+                      relators: list[Word] | _RelatorTable) -> CheckResult:
     """ACCEPT iff the complex is a genuine k-punctured sphere whose faces read
     relators and whose boundary matches the claim; REJECT names the first
-    violated condition.  ``_table``, when given, is the relator table of
-    ``relators``, built once by a caller that checks many certificates.
+    violated condition.  ``relators`` may be their table, built once by a
+    caller that checks many certificates.
 
     A side glued to nothing needs no test: every corner meets at most two
     others, so a connected complex with its k boundary cycles capped is a
@@ -216,7 +216,7 @@ def check_certificate(cert: DiagramCertificate, relators: list[Word],
             False, f"Euler characteristic {euler} differs from 2-k = {2 - k}")
 
     # faces must read relator shifts (or freely trivial boundary words)
-    table = (_table or _RelatorTable(relators)) if relators and cert.faces else None
+    table = _RelatorTable.of(relators) if relators and cert.faces else None
     for ci, cycle in enumerate(cert.faces):
         letters = [_as_read(cert, ref) for ref in cycle]
         if table is not None and table.reads_relator(letters):
@@ -302,19 +302,19 @@ def _match_boundaries(read: list[str], wanted: list[str]):
 # -- building certificates from rewriting traces ------------------------------
 
 
-def certify_dehn_trace(w: Word, relators: list[Word], trace: Iterable[DehnStep],
-                       _table: _RelatorTable | None = None) -> DiagramCertificate:
+def certify_dehn_trace(w: Word, relators: list[Word] | _RelatorTable,
+                       trace: Iterable[DehnStep]) -> DiagramCertificate:
     """Disk certificate with one face per rewriting step.
 
     Replays the trace, splicing each step in and folding the cancelled
     letters into glued pairs in one left-to-right pass, which leaves the same
     reduced word as the rewriter; any divergence (wrong letters under a
     match, leftover boundary) raises :class:`~relfree.errors.TraceMismatch`.
-    ``_table`` is as in :func:`check_certificate`.
+    ``relators`` may be their table, as in :func:`check_certificate`.
     """
     if w.is_empty:
         raise EmptyInput("nothing to certify for the empty word")
-    table = _table or _RelatorTable(relators)
+    table = _RelatorTable.of(relators)
 
     labels: dict[int, int] = {}
     faces: list[list[int]] = []

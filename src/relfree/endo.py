@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .errors import RankTooSmall
 from .graded import _RelatorTable, build_presentation, dehn_reduce_trace
 from .verbal import ParamSet, make_v, make_w1, make_w2, slot_schedule
-from .words import Alphabet, Word, commutator, concat, power, substitute
+from .words import Alphabet, Word, concat, substitute
 
 
 def psi_infinity(alphabet: Alphabet, p: ParamSet) -> tuple[Word, ...]:
@@ -72,7 +72,7 @@ def surjectivity_witness(p: ParamSet) -> tuple[Word, bool]:
     symbols = Alphabet(2)
     s_x = Word.generator(symbols, 1)
     s_v = Word.generator(symbols, 2)
-    v2_shape = commutator(power(s_v, p.d), power(s_x, p.d))
+    v2_shape = make_v(2, s_x, s_v, p, v1=s_v)
     tail = substitute(slot_schedule(2, p), (s_v, v2_shape, Word.identity(symbols)), symbols)
 
     target = Alphabet(2)
@@ -117,7 +117,7 @@ def check_report(p: ParamSet) -> list[IdentityCheck]:
     ]
     pres = build_presentation(u.alphabet, p, max_rank=1, pair_budget=1)
     table = _RelatorTable(rec.relator for rec in pres.all_relators())
-    res = dehn_reduce_trace(u, table.cores, _table=table)
+    res = dehn_reduce_trace(u, table)
     checks.append(IdentityCheck(
         "kernel-word-dehn-irreducible", res.word == u and not res.exhausted,
         f"|U| = {u.letter_length}, floor(shortest core / 2) = {table.shortest // 2},"

@@ -1,6 +1,6 @@
-"""Exception types shared across the package, and the readers every input
-shares: :func:`open_text` decodes files, :func:`content_lines` splits them
-into numbered lines, :func:`split_fields` splits quoted fields."""
+"""Exception types shared across the package, and the readers every input shares:
+:func:`open_text` (decoding), :func:`content_lines` (numbered lines),
+:func:`split_fields` (quoted fields) and :func:`named_values` (``name = value``)."""
 
 from contextlib import contextmanager
 from typing import Iterator
@@ -104,6 +104,28 @@ def content_lines(text: str, path=None) -> Iterator[tuple[str, str]]:
         line = line.strip()
         if line and not line.startswith("#"):
             yield (f"line {lineno}" if path is None else f"{path}:{lineno}"), line
+
+
+def named_values(entries, *names: str, **defaults: str) -> list[tuple[str | None, str]]:
+    """``(where, value)`` for each of ``names`` in turn, from ``(where, "name = value")``
+    entries as :func:`content_lines` yields them, or ``(None, default)`` for a name no
+    entry sets.  An entry without ``=``, an unknown name or a repeated one raises
+    :class:`InvalidParams` naming its where (None names no place), and a name with no
+    entry and no default :class:`EmptyInput`, for the caller to place."""
+    found: dict[str, tuple[str | None, str]] = {}
+    for where, entry in entries:
+        name, eq, value = (part.strip() for part in entry.partition("="))
+        place = "" if where is None else f"{where}: "
+        if not eq:
+            raise InvalidParams(f"{place}expected name = value, got {entry!r}")
+        if name not in names:
+            raise InvalidParams(f"{place}unknown name {name!r}")
+        if name in found:
+            raise InvalidParams(f"{place}name {name!r} is set twice")
+        found[name] = where, value
+    if missing := [name for name in names if name not in found and name not in defaults]:
+        raise EmptyInput(f"missing name {missing[0]!r}")
+    return [found.get(name, (None, defaults.get(name))) for name in names]
 
 
 def split_fields(line: str) -> list[str]:

@@ -32,6 +32,7 @@ from .errors import (
     WitnessNotFound,
     ZeroExponent,
     content_lines,
+    named_values,
     open_text,
     split_fields,
 )
@@ -127,6 +128,10 @@ class _RelatorTable:
             self.groups.setdefault(rlen, []).append(k)
         self._doubled: list[str | None] = [None] * len(self.lengths)
         self.periods: dict[int, int] = {}  # encoded entry -> p
+
+    @classmethod
+    def of(cls, relators: Iterable[Word] | _RelatorTable) -> _RelatorTable:
+        return relators if isinstance(relators, _RelatorTable) else cls(relators)
 
     def doubled(self, k: int) -> str:
         """Entry ``k`` encoded and doubled; encodes it and its inverse on first use."""
@@ -233,9 +238,8 @@ def _join_reduced(u: str, v: str) -> tuple[str, int]:
     return u[:len(u) - k] + v[k:], k
 
 
-def dehn_reduce_trace(w: Word, relators: list[Word],
-                      budget: int = DEFAULT_DEHN_BUDGET,
-                      _table: _RelatorTable | None = None) -> DehnResult:
+def dehn_reduce_trace(w: Word, relators: list[Word] | _RelatorTable,
+                      budget: int = DEFAULT_DEHN_BUDGET) -> DehnResult:
     """Greedy half-replacement loop with a recorded trace.
 
     Policy: leftmost replaceable position, then the longest match, ties by
@@ -249,7 +253,7 @@ def dehn_reduce_trace(w: Word, relators: list[Word],
     again floor(longest / 2) letters before it.  ``budget`` bounds the steps
     and ``_SCAN_BUDGET`` the searches and extensions; ``exhausted`` says one ran out.
     """
-    table = _table if _table is not None else _RelatorTable(relators)
+    table = _RelatorTable.of(relators)
     enc = _encode_word(w)
     steps: list[DehnStep] = []
     start, allowance, exhausted = 0, _SCAN_BUDGET, False
@@ -338,7 +342,6 @@ class RankData:
 class GradedPresentation:
     alphabet: Alphabet
     params: ParamSet
-    mode: str = "toy"
     ranks: dict[int, RankData] = field(default_factory=dict)
 
     def rank_data(self, i: int, provenance: str = "enumerated") -> RankData:
@@ -619,7 +622,7 @@ def save_presentation(pres: GradedPresentation, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"alphabet {pres.alphabet.m}\n")
         fh.write(f"params h={pres.params.h} d={pres.params.d} n={pres.params.n}\n")
-        fh.write(f"mode {pres.mode}\n")
+        fh.write("mode toy\n")
         for idx in sorted(pres.ranks):
             data = pres.ranks[idx]
             fh.write(f"rank {idx} provenance={data.provenance}\n")
@@ -632,33 +635,20 @@ def save_presentation(pres: GradedPresentation, path) -> None:
                         x=shlex.quote(str(rec.X)), u=shlex.quote(str(rec.U))))
 
 
-def _fields(tokens: list[str], *names: str, **defaults: str) -> list[str]:
-    """Values of a line's ``name=value`` tokens in ``names`` order; an unknown or
-    repeated name, or an absent one with no default, raises :class:`InvalidParams`."""
-    kv: dict[str, str] = {}
-    for name, eq, value in (tok.partition("=") for tok in tokens):
-        if not eq or name not in names:
-            raise InvalidParams(f"unknown field {name!r}")
-        if name in kv:
-            raise InvalidParams(f"field {name!r} is set twice")
-        kv[name] = value
-    if missing := [name for name in names if name not in kv and name not in defaults]:
-        raise InvalidParams(f"missing field {missing[0]!r}")
-    return [kv[name] if name in kv else defaults[name] for name in names]
-
-
 def load_presentation(path) -> GradedPresentation:
     """Parse the text format into templates; relator words are stored nowhere.
 
     A line that cannot be read, a second ``alphabet``, ``params`` or ``mode``
-    line, or a relator line whose A^f is not v_z*(X, U) raises
-    :class:`InvalidParams`, and a relator too large to build (each is built
+    line, a mode other than ``toy``, or a relator line whose A^f is not v_z*(X, U)
+    raises :class:`InvalidParams`, and a relator too large to build (each is built
     once, and dropped) :class:`BudgetExceeded`, naming the file and line."""
+    def fields(tokens, *names, **defaults):  # errors name the line, below
+        return [v for _, v in named_values([(None, t) for t in tokens], *names, **defaults)]
+
     with open_text(path) as fh:
         text = fh.read()
     alphabet = None
     params = None
-    mode = "toy"
     seen: set[str] = set()
     ranks: dict[int, RankData] = {}
     current: RankData | None = None
@@ -677,17 +667,18 @@ def load_presentation(path) -> GradedPresentation:
             if head == "alphabet":
                 alphabet = Alphabet(int(tokens[1]))
             elif head == "params":
-                params = ParamSet(*map(int, _fields(tokens[1:], "h", "d", "n")))
+                params = ParamSet(*map(int, fields(tokens[1:], "h", "d", "n")))
             elif head == "mode":
-                mode = tokens[1]
+                if tokens[1:] != ["toy"]:
+                    raise InvalidParams("the only mode is toy")
             elif head == "rank":
                 current = ranks.setdefault(int(tokens[1]), RankData())
-                current.provenance = _fields(tokens[2:], "provenance",
-                                             provenance=current.provenance)[0]
+                current.provenance = fields(tokens[2:], "provenance",
+                                            provenance=current.provenance)[0]
             elif head == "period":
                 current.periods.append(Word.parse(alphabet, tokens[1]))
             elif head == "relator":
-                z, a, f, j, x, u = _fields(tokens[1:], "z*", "A", "f", "j", "X", "U")
+                z, a, f, j, x, u = fields(tokens[1:], "z*", "A", "f", "j", "X", "U")
                 a, x, u = (Word.parse(alphabet, text) for text in (a, x, u))
                 rec = build_relator(int(z), a, int(f), x, u, params, j=int(j))
                 if make_v(rec.z_star, rec.X, rec.U, params) != power(rec.A, rec.f):
@@ -702,4 +693,4 @@ def load_presentation(path) -> GradedPresentation:
             raise InvalidParams(f"{where}: cannot read {line!r}: {exc!r}") from exc
     if alphabet is None or params is None:
         raise InvalidParams(f"{path}: a presentation needs alphabet and params lines")
-    return GradedPresentation(alphabet, params, mode, ranks)
+    return GradedPresentation(alphabet, params, ranks)

@@ -36,6 +36,7 @@ from .errors import (
     NonPositiveParameter,
     Unsatisfiable,
     content_lines,
+    named_values,
     open_text,
 )
 
@@ -390,26 +391,22 @@ def solve(cat: InequalityCatalog) -> LppAssignment:
 
 
 def parse_assignment_text(text: str, path=None) -> LppAssignment:
-    """Parse ``name = p/q`` lines for the eight chain parameters; errors name
-    ``path`` when it is given."""
-    values: dict[str, Fraction] = {}
-    for where, line in content_lines(text, path):
-        where += ": "
-        name, _, rhs = line.partition("=")
-        name = name.strip()
-        if name not in PARAM_NAMES:
-            raise InvalidParams(f"{where}unknown parameter {name!r}")
-        if "e" in rhs.lower():  # Fraction would expand 1e<k> to 10^k, for any k
-            raise InvalidParams(f"{where}bad rational {rhs.strip()!r}")
-        try:
-            values[name] = Fraction(rhs.strip())
-        except (ValueError, ZeroDivisionError):
-            raise InvalidParams(f"{where}bad rational {rhs.strip()!r}") from None
-    missing = [name for name in PARAM_NAMES if name not in values]
-    if missing:
-        where = "" if path is None else f"{path}: "
-        raise InvalidParams(f"{where}assignment misses parameters {missing}")
-    return LppAssignment(**values)
+    """Parse ``name = p/q`` lines for the eight chain parameters, read by
+    :func:`errors.named_values`; errors name ``path`` when it is given."""
+    try:
+        values = named_values(content_lines(text, path), *PARAM_NAMES)
+    except EmptyInput as exc:
+        raise InvalidParams(str(exc) if path is None else f"{path}: {exc}") from None
+    return LppAssignment(*(_rational(where, value) for where, value in values))
+
+
+def _rational(where: str, text: str) -> Fraction:
+    try:
+        if "e" not in text.lower():  # Fraction would expand 1e<k> to 10^k, for any k
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise InvalidParams(f"{where}: bad rational {text!r}")
 
 
 def load_assignment(path) -> LppAssignment:

@@ -297,11 +297,11 @@ def criterion_dehn_certificates(seed: int = 0):
     certs = []
     for i in range(100):
         w = random_identity_word()
-        res = graded.dehn_reduce_trace(w, [relator], _table=table)
+        res = graded.dehn_reduce_trace(w, table)
         if not res.word.is_empty or res.exhausted:
             return False, f"identity word {i} did not reduce to empty"
-        cert = diagrams.certify_dehn_trace(w, [relator], res.steps, _table=table)
-        out = diagrams.check_certificate(cert, [relator], _table=table)
+        cert = diagrams.certify_dehn_trace(w, table, res.steps)
+        out = diagrams.check_certificate(cert, table)
         if not out.accepted:
             return False, f"emitted certificate {i} rejected: {out.reason}"
         certs.append(cert)
@@ -310,7 +310,7 @@ def criterion_dehn_certificates(seed: int = 0):
     for i in range(100):
         bad = diagrams.random_corruption(certs[i % len(certs)], rng)
         try:
-            out = diagrams.check_certificate(bad, [relator], _table=table)
+            out = diagrams.check_certificate(bad, table)
             if out.accepted:
                 return False, f"corruption {i} was accepted"
         except RelfreeError:

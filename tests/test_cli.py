@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import relfree
 from relfree import cli, graded, ledger
-from relfree.errors import BudgetExceeded, RelfreeError
+from relfree.errors import BudgetExceeded, InvalidParams, RelfreeError
 from relfree.verbal import ParamSet, make_v, make_w1, make_w2, word_length_symbolic
 from relfree.words import Alphabet, Word
 
@@ -425,8 +425,8 @@ def test_kv_output_is_stable(capsys):
 # -- malformed input ends in an error, not a traceback ---------------------------
 
 @pytest.mark.parametrize("text, lineno, reason", [
-    ("h = 40\nd = 3\nn = 5\nhh = 80\n", 4, "unknown parameter 'hh'"),
-    ("h = 40\nd = 3\nn = 5\n# h again\nh = 20\n", 5, "parameter 'h' is set twice"),
+    ("h = 40\nd = 3\nn = 5\nhh = 80\n", 4, "unknown name 'hh'"),
+    ("h = 40\nd = 3\nn = 5\n# h again\nh = 20\n", 5, "name 'h' is set twice"),
 ], ids=["unknown-name", "repeated-name"])
 def test_params_file_refuses_an_unknown_or_repeated_name(capsys, tmp_path, text, lineno, reason):
     params = tmp_path / "p.txt"
@@ -442,6 +442,20 @@ def test_params_file_missing_a_name_is_an_error(capsys, tmp_path):
     code, _, err = run(capsys, "endo", "check", "--params", str(params))
     assert code == 1
     assert str(params) in err and "n" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("endo", "check", "--h", "40"),
+    ("verbal", "length", "--d", "3"),
+    ("graded", "build", "--n", "5"),
+])
+def test_a_flag_beside_a_params_file_is_a_usage_error(capsys, tmp_path, argv):
+    # the file sets h, d and n, so a flag for one of them would be dropped
+    params = tmp_path / "p.txt"
+    params.write_text("h = 20\nd = 2\nn = 3\n")
+    code, out, err = run(capsys, *argv, "--params", str(params))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{argv[2]} and --params ")
 
 
 def test_graded_dehn_without_word_file_is_usage_error(capsys, tmp_path):
@@ -487,6 +501,37 @@ FILE_READERS = {
     "words": (cli._read_relators, "a1 a2\n", "a2\na1", "a0"),
     "params": (_read_params, "h = 20\nd = 2", "\n", "n = x"),
 }
+
+
+NAMED_VALUE_READERS = {
+    "params": _read_params,
+    "assignment": ledger.load_assignment,
+    "presentation": graded.load_presentation,
+}
+ASSIGNMENT = "".join(f"{name} = 1/{2 ** i}\n" for i, name in enumerate(ledger.PARAM_NAMES, 1))
+
+
+@pytest.mark.parametrize("kind, text, where, fault", [
+    ("params", "h = 20\nd = 2\nn = 3\nq = 1\n", ":4", "unknown name 'q'"),
+    ("params", "h = 20\nd = 2\nn = 3\nh = 40\n", ":4", "name 'h' is set twice"),
+    ("params", "h = 20\nd = 2\n", "", "missing name 'n'"),
+    ("assignment", ASSIGNMENT + "q = 1\n", ":9", "unknown name 'q'"),
+    ("assignment", ASSIGNMENT + "alpha = 1/3\n", ":9", "name 'alpha' is set twice"),
+    ("assignment", ASSIGNMENT.replace("iota", "# iota"), "", "missing name 'iota'"),
+    ("presentation", "alphabet 2\nparams h=20 d=2 n=3 q=1\n", ":2", "unknown name 'q'"),
+    ("presentation", "alphabet 2\nparams h=20 d=2 n=3 h=40\n", ":2", "name 'h' is set twice"),
+    ("presentation", "alphabet 2\nparams h=20 d=2\n", ":2", "missing name 'n'"),
+], ids=[f"{kind}-{fault}" for kind in NAMED_VALUE_READERS
+        for fault in ("unknown", "repeated", "missing")])
+def test_every_named_value_input_refuses_a_bad_name_in_one_wording(tmp_path, kind, text,
+                                                                   where, fault):
+    # one reader for --params files, assignments and presentation fields: an
+    # unknown or repeated name names its line, a missing one its file or line
+    path = tmp_path / f"{kind}.txt"
+    path.write_text(text)
+    with pytest.raises(InvalidParams) as info:
+        NAMED_VALUE_READERS[kind](path)
+    assert str(info.value).startswith(f"{path}{where}: ") and fault in str(info.value)
 
 
 @pytest.mark.parametrize("kind", sorted(FILE_READERS))
@@ -952,8 +997,8 @@ def test_an_assignment_error_names_its_file(capsys, tmp_path):
     cat = tmp_path / "cat.txt"
     cat.write_text("x | alpha > 0 | a\n")
     bad = tmp_path / "bad.txt"
-    for text, message in (("alpha = 1/2\nbogus = 1\n", f"{bad}:2: unknown parameter 'bogus'"),
-                          ("alpha = 1/2\n", f"{bad}: assignment misses parameters ['beta',")):
+    for text, message in (("alpha = 1/2\nbogus = 1\n", f"{bad}:2: unknown name 'bogus'"),
+                          ("alpha = 1/2\n", f"{bad}: missing name 'beta'")):
         bad.write_text(text)
         code, out, err = run(capsys, "lpp", "verify", str(cat), "--assign", str(bad))
         assert (code, out) == (1, "")
@@ -1011,7 +1056,7 @@ def saved_presentations(draw):
     from relfree.graded import GradedPresentation, RelatorRecord
 
     p = ParamSet(20, 2, 3)
-    pres = GradedPresentation(Alphabet(12), p, draw(st.sampled_from(["toy", "ledger"])))
+    pres = GradedPresentation(Alphabet(12), p)
     for rank in draw(st.lists(st.integers(1, 400), max_size=3, unique=True)):
         data = pres.rank_data(rank, draw(st.sampled_from(["enumerated", "classified"])))
         data.periods += draw(st.lists(small_words, max_size=3))

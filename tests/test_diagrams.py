@@ -533,14 +533,14 @@ def test_one_relator_table_serves_dehn_certify_and_check(monkeypatch):
         monkeypatch.setattr(module, "_RelatorTable", CountedTable)
     w = concat(conjugate(GENUS2, Word.parse(AB4, "a3 a1")), power(GENUS2, -1))
     table = CountedTable([GENUS2])
-    steps = dehn_reduce_trace(w, [GENUS2], _table=table).steps
-    cert = certify_dehn_trace(w, [GENUS2], steps, _table=table)
-    assert check_certificate(cert, [GENUS2], _table=table).accepted
+    steps = dehn_reduce_trace(w, table).steps
+    cert = certify_dehn_trace(w, table, steps)
+    assert check_certificate(cert, table).accepted
     assert built == [1]
     assert cert == certify_dehn_trace(w, [GENUS2], steps)
     bad = random_corruption(cert, random.Random(3))
     assert outcome(check_certificate, bad, [GENUS2]) \
-        == outcome(lambda c, r: check_certificate(c, r, _table=table), bad, [GENUS2])
+        == outcome(check_certificate, bad, table)
     built.clear()
     passed, detail, _ = report.criterion_dehn_certificates(0)
     assert passed, detail

@@ -739,7 +739,7 @@ def toy_relators():
 
 @pytest.mark.parametrize("letters", [24_000, 100_000])
 def test_long_random_words_take_no_step_over_the_toy_relators(toy_relators, letters):
-    relators, table = toy_relators
+    _, table = toy_relators
     rng = random.Random(letters)
     out = []
     while len(out) < letters:
@@ -748,7 +748,7 @@ def test_long_random_words_take_no_step_over_the_toy_relators(toy_relators, lett
             out.append(g)
     w = free_reduce(AB, out)
     start = time.perf_counter()
-    res = dehn_reduce_trace(w, relators, _table=table)
+    res = dehn_reduce_trace(w, table)
     assert time.perf_counter() - start < 5
     assert (res.word, res.steps, res.exhausted) == (w, (), False)
 
@@ -791,11 +791,11 @@ def test_dehn_encodes_only_entries_shorter_than_twice_the_word():
     assert (table.lengths, table.shortest) == ([8, 8, 12, 12], 8)
     assert encoded_entries(table) == []
     half = Word.parse(AB4, "a1 a2 a1^-1 a2^-1")  # 2|w| <= every core
-    res = dehn_reduce_trace(half, relators, _table=table)
+    res = dehn_reduce_trace(half, table)
     assert (res.word, res.steps) == (half, ())
     assert encoded_entries(table) == []
     longer = Word.parse(AB4, "a1 a2 a1^-1 a2^-1 a3")  # reaches GENUS2 only
-    res = dehn_reduce_trace(longer, relators, _table=table)
+    res = dehn_reduce_trace(longer, table)
     assert res.word == Word.parse(AB4, "a4 a3 a4^-1") and len(res.steps) == 1
     assert encoded_entries(table) == [0, 1]
 
@@ -862,17 +862,26 @@ def test_presentation_refuses_a_repeated_header_line(tmp_path):
             load_presentation(path)
 
 
+def test_presentation_refuses_a_mode_other_than_toy(tmp_path):
+    # toy is the only mode there is: another word would load and be ignored
+    path = tmp_path / "pres.txt"
+    for mode in ("mode ledger", "mode", "mode toy ledger"):
+        path.write_text(f"alphabet 2\nparams h=20 d=2 n=3\n{mode}\nrank 1\nperiod a1\n")
+        with pytest.raises(InvalidParams, match=f"{path}:3: .*the only mode is toy"):
+            load_presentation(path)
+
+
 def test_presentation_refuses_unknown_repeated_and_missing_fields(tmp_path):
     head = "alphabet 2\nparams h=20 d=2 n=3\nmode toy\nrank 1\n"
     path = tmp_path / "pres.txt"
     for body, lineno, why in (
-            ("alphabet 2\nparams h=20 d=2 n=3 h=40\n", 2, "field 'h' is set twice"),
-            ("alphabet 2\nparams h=20 d=2 n=3 Q=5\n", 2, "unknown field 'Q'"),
-            ("alphabet 2\nparams h=20 d=2\n", 2, "missing field 'n'"),
-            (head + "relator z*=1 A=a1 f=1 j=1 X=a2 U=a2 f=2\n", 5, "field 'f' is set twice"),
-            (head + "relator z*=1 A=a1 f=1 X=a2 U=a2\n", 5, "missing field 'j'"),
+            ("alphabet 2\nparams h=20 d=2 n=3 h=40\n", 2, "name 'h' is set twice"),
+            ("alphabet 2\nparams h=20 d=2 n=3 Q=5\n", 2, "unknown name 'Q'"),
+            ("alphabet 2\nparams h=20 d=2\n", 2, "missing name 'n'"),
+            (head + "relator z*=1 A=a1 f=1 j=1 X=a2 U=a2 f=2\n", 5, "name 'f' is set twice"),
+            (head + "relator z*=1 A=a1 f=1 X=a2 U=a2\n", 5, "missing name 'j'"),
             (head + "rank 2 provenance=classified provenance=enumerated\n", 5,
-             "field 'provenance' is set twice")):
+             "name 'provenance' is set twice")):
         path.write_text(body)
         with pytest.raises(InvalidParams, match=f"{path}:{lineno}: .*{why}"):
             load_presentation(path)
@@ -885,7 +894,7 @@ def test_presentation_in_the_format_with_t_slots_is_refused(tmp_path):
     path = tmp_path / "pres.txt"
     path.write_text("\n".join(line.replace(" X=", " T=") for line in lines))
     first = next(i for i, line in enumerate(lines) if line.startswith("relator ")) + 1
-    with pytest.raises(InvalidParams, match=f"{path}:{first}: .*unknown field 'T'"):
+    with pytest.raises(InvalidParams, match=f"{path}:{first}: .*unknown name 'T'"):
         load_presentation(path)
 
 
