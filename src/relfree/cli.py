@@ -114,16 +114,19 @@ def _cmd_word(args) -> int:
 
 
 def _cmd_verbal(args) -> int:
+    which, x, y, lx, ly, i = (default if value is None else value for value, default in (
+        (args.which, "w1"), (args.x, "a1"), (args.y, "a2"), (args.lx, 1), (args.ly, 1),
+        (args.i, 1)))
     if args.action == "epsilon":  # epsilon(i) reads no h, d or n
-        print(epsilon(args.i))
+        print(epsilon(i))
         return EXIT_OK
     p = _params_from_args(args)
     if args.action == "length":
-        print(word_length_symbolic(args.which, args.lx, args.ly, p))
+        print(word_length_symbolic(which, lx, ly, p))
         return EXIT_OK
-    x, y = parse_words([("", args.x), ("", args.y)], args.m)
-    make = make_v if args.which[0] == "v" else make_w
-    print(make(int(args.which[1]), x, y, p))
+    x, y = parse_words([("", x), ("", y)], args.m)
+    make = make_v if which[0] == "v" else make_w
+    print(make(int(which[1]), x, y, p))
     return EXIT_OK
 
 
@@ -257,9 +260,13 @@ _COMMANDS = {  # name -> (help line, handler), in the order the usage lists them
 # command -> option -> the actions that read it; given to another action, the
 # option is a usage error rather than ignored
 _ACTION_OPTIONS = {
+    "verbal": {"which": ("build", "length"), "x": ("build",), "y": ("build",), "m": ("build",),
+               "lx": ("length",), "ly": ("length",), "i": ("epsilon",),
+               **dict.fromkeys(("params", "h", "d", "n"), ("build", "length"))},
     "lpp": {"assign": ("verify",), "out": ("solve",)},
     "graded": {"budget_dehn": ("dehn",), "relators": ("dehn", "pieces"), "out": ("build",),
-               "rank": ("build",), "pair_budget": ("build",)},
+               "rank": ("build",), "pair_budget": ("build",),
+               **dict.fromkeys(("params", "h", "d", "n"), ("build",))},
 }
 
 
@@ -272,13 +279,14 @@ def _add_arguments(sub: argparse.ArgumentParser, name: str) -> None:
         sub.add_argument("--m", type=int, help="alphabet size (default: inferred)")
     elif name == "verbal":
         sub.add_argument("action", choices=("build", "length", "epsilon"))
-        sub.add_argument("--which", choices=("v0", "v1", "v2", "w1", "w2"),
-                         default="w1")
-        sub.add_argument("--x", default="a1")
-        sub.add_argument("--y", default="a2")
-        sub.add_argument("--lx", type=int, default=1)
-        sub.add_argument("--ly", type=int, default=1)
-        sub.add_argument("--i", type=int, default=1, help="index for epsilon")
+        # no defaults: an option given to an action that does not read it is
+        # refused (_ACTION_OPTIONS), and _cmd_verbal applies w1, a1, a2, 1, 1, 1
+        sub.add_argument("--which", choices=("v0", "v1", "v2", "w1", "w2"))
+        sub.add_argument("--x")
+        sub.add_argument("--y")
+        sub.add_argument("--lx", type=int)
+        sub.add_argument("--ly", type=int)
+        sub.add_argument("--i", type=int, help="index for epsilon")
         sub.add_argument("--m", type=int)
     elif name == "lpp":
         sub.add_argument("action", choices=("verify", "solve"))

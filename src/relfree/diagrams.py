@@ -1,8 +1,13 @@
 """Verification of diagram certificates on a disk, annulus, or punctured sphere.
 
 A certificate lists labeled directed sides, cycles (faces and at most three
-distinguished boundary cycles), a gluing that pairs sides, and a claim.  The
-model and its conventions:
+distinguished boundary cycles), a gluing that pairs sides, and a claim: the
+words its k boundary cycles read, in any order, each up to rotation.  So
+w = 1 is the claim (w,) on a disk and u ~ v is (u, v^-1) on an annulus.  A
+file spells a claim of one word ``claim equality w``, any other
+``claim punctured w1 ... wk``, and also reads ``claim conjugacy u v`` as
+(u, v^-1), which saves back spelled ``punctured``.  The model and its
+conventions:
 
 - every declared side occurs exactly once, with a sign, across all cycles;
 - all cycles, boundary cycles included, are read with the surface on the
@@ -16,7 +21,7 @@ model and its conventions:
   covering every face side, a connected complex with Euler characteristic
   2 - k for k boundary cycles, every face reading a cyclic shift of the
   cyclic core of a relator or of its inverse (or a freely trivial word), and
-  boundary words matching the claim up to rotation.
+  the boundary words matching the claim, none of whose words is empty.
 
 A cyclic shift is tested one way throughout: a word a is a shift of b iff
 |a| = |b| and a occurs in bb.  Faces are matched against the relator table
@@ -46,6 +51,7 @@ from .errors import (
     RelfreeError,
     TraceMismatch,
     Unsupported,
+    fields_after,
     open_text,
     split_fields,
 )
@@ -64,25 +70,6 @@ from .words import (
 _MAX_BOUNDARIES = 3
 
 
-@dataclass(frozen=True)
-class EqualityClaim:
-    word: Word
-
-
-@dataclass(frozen=True)
-class ConjugacyClaim:
-    u: Word
-    v: Word
-
-
-@dataclass(frozen=True)
-class PuncturedSphereClaim:
-    words: tuple[Word, ...]
-
-
-Claim = EqualityClaim | ConjugacyClaim | PuncturedSphereClaim
-
-
 @dataclass
 class DiagramCertificate:
     alphabet: Alphabet
@@ -90,7 +77,7 @@ class DiagramCertificate:
     faces: list[list[int]]                 # signed side refs
     boundaries: list[list[int]]
     pairs: list[tuple[int, int]]
-    claim: Claim
+    claim: tuple[Word, ...]                # what the boundary cycles read
 
 
 @dataclass(frozen=True)
@@ -127,18 +114,10 @@ def _validate_structure(cert: DiagramCertificate) -> dict[int, tuple[str, int, i
             raise MalformedCertificate(f"pairing ({s}, {t}) references unknown sides")
         if s == t:
             raise MalformedCertificate(f"side {s} glued to itself")
-    for w in _claim_words(cert.claim):
+    for w in cert.claim:
         if w.alphabet != cert.alphabet:
             raise MalformedCertificate("claim words use a different alphabet")
     return occurrences
-
-
-def _claim_words(claim: Claim) -> list[Word]:
-    if isinstance(claim, EqualityClaim):
-        return [claim.word]
-    if isinstance(claim, ConjugacyClaim):
-        return [claim.u, claim.v]
-    return list(claim.words)
 
 
 def _as_read(cert: DiagramCertificate, ref: int) -> int:
@@ -267,36 +246,19 @@ def _doubled(w: Word) -> str:
 
 
 def _claim_mismatch(cert: DiagramCertificate) -> str | None:
-    k = len(cert.boundaries)
     read = [_encode_letters([_as_read(cert, ref) for ref in b]) for b in cert.boundaries]
-    claim = cert.claim
-    if isinstance(claim, EqualityClaim):
-        if k != 1:
-            return f"equality claim needs one boundary cycle, found {k}"
-        if claim.word.is_empty:
-            return "the empty word needs no certificate"
-        if not _is_cyclic_shift(read[0], _doubled(claim.word)):
-            return "boundary does not read the claimed word"
-        return None
-    if isinstance(claim, ConjugacyClaim):
-        if k != 2:
-            return f"conjugacy claim needs two boundary cycles, found {k}"
-        if _match_boundaries(read, [_doubled(claim.u), _doubled(invert(claim.v))]) is None:
-            return "boundaries do not read the claimed word and inverse word"
-        return None
-    if len(claim.words) != k:
-        return f"claim lists {len(claim.words)} boundary words, diagram has {k}"
-    if _match_boundaries(read, [_doubled(w) for w in claim.words]) is None:
+    if len(cert.claim) != len(read):
+        return f"claim lists {len(cert.claim)} boundary words, diagram has {len(read)}"
+    if any(w.is_empty for w in cert.claim):
+        return "the empty word needs no certificate"
+    if not _match_boundaries(read, [_doubled(w) for w in cert.claim]):
         return "boundary words do not match the claimed tuple"
     return None
 
 
-def _match_boundaries(read: list[str], wanted: list[str]):
-    """A permutation sending each boundary reading to a claim word it shifts."""
-    for perm in itertools.permutations(range(len(wanted))):
-        if all(_is_cyclic_shift(read[i], wanted[perm[i]]) for i in range(len(wanted))):
-            return perm
-    return None
+def _match_boundaries(read: list[str], wanted: list[str]) -> bool:
+    """Whether some permutation sends each boundary reading to a claim word it shifts."""
+    return any(all(map(_is_cyclic_shift, read, perm)) for perm in itertools.permutations(wanted))
 
 
 # -- building certificates from rewriting traces ------------------------------
@@ -379,7 +341,7 @@ def certify_dehn_trace(w: Word, relators: list[Word] | _RelatorTable,
         faces=faces,
         boundaries=[boundary],
         pairs=pairs,
-        claim=EqualityClaim(w),
+        claim=(w,),
     )
 
 
@@ -432,22 +394,8 @@ def save_certificate(cert: DiagramCertificate, path) -> None:
             fh.write("face " + " ".join(str(r) for r in cycle) + "\n")
         for cycle in cert.boundaries:
             fh.write("boundary " + " ".join(str(r) for r in cycle) + "\n")
-        claim = cert.claim
-        if isinstance(claim, EqualityClaim):
-            fh.write(f"claim equality {shlex.quote(str(claim.word))}\n")
-        elif isinstance(claim, ConjugacyClaim):
-            fh.write(f"claim conjugacy {shlex.quote(str(claim.u))} "
-                     f"{shlex.quote(str(claim.v))}\n")
-        else:
-            fh.write("claim punctured "
-                     + " ".join(shlex.quote(str(w)) for w in claim.words) + "\n")
-
-
-def _fields(tokens: list[str], count: int) -> list[str]:
-    """The ``count`` fields after the head of a certificate line."""
-    if len(tokens) != count + 1:
-        raise MalformedCertificate(f"{tokens[0]} takes {count} field(s), got {len(tokens) - 1}")
-    return tokens[1:]
+        kind = "equality" if len(cert.claim) == 1 else "punctured"
+        fh.write(f"claim {kind} " + " ".join(shlex.quote(str(w)) for w in cert.claim) + "\n")
 
 
 def load_certificate(path) -> DiagramCertificate:
@@ -464,7 +412,7 @@ def load_certificate(path) -> DiagramCertificate:
     letters: dict[str, int] = {}  # edge label -> signed generator
     pairs: list[tuple[int, int]] = []
     cycles: dict[str, list[list[int]]] = {"face": [], "boundary": []}
-    claim: Claim | None = None
+    claim: tuple[Word, ...] | None = None
     with open_text(path) as fh:
         lines = fh.read().split("\n")
     for lineno, line in enumerate(lines, start=1):
@@ -494,24 +442,20 @@ def load_certificate(path) -> DiagramCertificate:
             elif head == "alphabet":
                 if alphabet is not None:
                     raise MalformedCertificate("a second alphabet line")
-                alphabet = Alphabet(int(_fields(tokens, 1)[0]))
+                alphabet = Alphabet(int(fields_after(tokens, 1)[0]))
             elif head in ("edge", "pair"):
-                _fields(tokens, 2)  # raises: the field count is wrong
+                fields_after(tokens, 2)  # raises: the field count is wrong
             elif head in cycles:
                 cycles[head].append(list(map(int, tokens[1:])))
             elif head == "claim":
                 tokens = split_fields(line)
                 kind = tokens[1] if len(tokens) > 1 else None
-                if kind == "equality":
-                    claim = EqualityClaim(Word.parse(alphabet, _fields(tokens[1:], 1)[0]))
-                elif kind == "conjugacy":
-                    u, v = _fields(tokens[1:], 2)
-                    claim = ConjugacyClaim(Word.parse(alphabet, u), Word.parse(alphabet, v))
-                elif kind == "punctured":
-                    claim = PuncturedSphereClaim(
-                        tuple(Word.parse(alphabet, t) for t in tokens[2:]))
-                else:
+                count = {"equality": 1, "conjugacy": 2, "punctured": len(tokens) - 2}.get(kind)
+                if count is None:
                     raise MalformedCertificate(f"unknown claim kind {kind!r}")
+                claim = tuple(Word.parse(alphabet, t) for t in fields_after(tokens[1:], count))
+                if kind == "conjugacy":  # u ~ v: the boundaries read u and v^-1
+                    claim = (claim[0], invert(claim[1]))
             else:
                 raise MalformedCertificate("unrecognized line")
         except (RelfreeError, ValueError) as exc:

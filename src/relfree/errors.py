@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the readers every input shares:
 :func:`open_text` (decoding), :func:`content_lines` (numbered lines),
-:func:`split_fields` (quoted fields) and :func:`named_values` (``name = value``)."""
+:func:`split_fields` (quoted fields), :func:`fields_after` (a field count) and
+:func:`named_values` (``name = value``)."""
 
 from contextlib import contextmanager
 from typing import Iterator
@@ -147,3 +148,11 @@ def split_fields(line: str) -> list[str]:
         fields += words
         joined = bool(i % 2) or (not part[-1].isspace() if part else joined)
     return fields
+
+
+def fields_after(tokens: list[str], count: int) -> list[str]:
+    """The ``count`` fields after the head ``tokens[0]`` of a line; any other
+    number of fields raises :class:`RelfreeError`, for the caller to place."""
+    if len(tokens) != count + 1:
+        raise RelfreeError(f"{tokens[0]} takes {count} field(s), got {len(tokens) - 1}")
+    return tokens[1:]

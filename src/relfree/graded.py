@@ -32,6 +32,7 @@ from .errors import (
     WitnessNotFound,
     ZeroExponent,
     content_lines,
+    fields_after,
     named_values,
     open_text,
     split_fields,
@@ -665,7 +666,7 @@ def load_presentation(path) -> GradedPresentation:
             if head in ("period", "relator") and current is None:
                 raise InvalidParams(f"{head} line before any rank line")
             if head == "alphabet":
-                alphabet = Alphabet(int(tokens[1]))
+                alphabet = Alphabet(int(fields_after(tokens, 1)[0]))
             elif head == "params":
                 params = ParamSet(*map(int, fields(tokens[1:], "h", "d", "n")))
             elif head == "mode":
@@ -676,7 +677,7 @@ def load_presentation(path) -> GradedPresentation:
                 current.provenance = fields(tokens[2:], "provenance",
                                             provenance=current.provenance)[0]
             elif head == "period":
-                current.periods.append(Word.parse(alphabet, tokens[1]))
+                current.periods.append(Word.parse(alphabet, fields_after(tokens, 1)[0]))
             elif head == "relator":
                 z, a, f, j, x, u = fields(tokens[1:], "z*", "A", "f", "j", "X", "U")
                 a, x, u = (Word.parse(alphabet, text) for text in (a, x, u))
@@ -690,7 +691,7 @@ def load_presentation(path) -> GradedPresentation:
         except BudgetExceeded as exc:
             raise BudgetExceeded(f"{where}: {exc}") from exc
         except (RelfreeError, ValueError, KeyError, IndexError) as exc:
-            raise InvalidParams(f"{where}: cannot read {line!r}: {exc!r}") from exc
+            raise InvalidParams(f"{where}: cannot read {line!r}: {exc}") from exc
     if alphabet is None or params is None:
         raise InvalidParams(f"{path}: a presentation needs alphabet and params lines")
     return GradedPresentation(alphabet, params, ranks)

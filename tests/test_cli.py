@@ -111,13 +111,14 @@ def test_verbal_epsilon(capsys):
 
 
 def test_verbal_epsilon_reads_no_parameters(capsys, tmp_path):
-    # epsilon(i) does not depend on h, d or n, so parameters it would refuse
-    # elsewhere, or a --params file that is missing, leave it unchanged
-    want = run(capsys, "verbal", "epsilon", "--i", "3")
-    assert want[0] == 0
-    assert run(capsys, "verbal", "epsilon", "--i", "3", "--h", "7") == want
-    assert run(capsys, "verbal", "epsilon", "--i", "3",
-               "--params", str(tmp_path / "missing.txt")) == want
+    # epsilon(i) does not depend on h, d or n, so giving them, or a --params
+    # file (read or not), is a usage error, as for any option it does not read
+    assert run(capsys, "verbal", "epsilon", "--i", "3")[0] == 0
+    for extra in (["--h", "7"], ["--params", str(tmp_path / "missing.txt")]):
+        code, out, err = run(capsys, "verbal", "epsilon", "--i", "3", *extra)
+        assert (code, out) == (2, "")
+        assert err == (f"{extra[0]} applies to verbal build and verbal length only, "
+                       "not verbal epsilon\n")
     # build and length still read them
     assert run(capsys, "verbal", "length", "--h", "7")[0] == 1
 
@@ -607,8 +608,16 @@ def test_malformed_certificate_names_file_and_line(capsys, tmp_path, body, linen
     (["lpp", "verify", "cat.txt", "--assign", "a.txt", "--out", "o.txt"], "--out"),
     (["graded", "dehn", "words.txt", "--relators", "rels.txt", "--rank", "5"], "--rank"),
     (["graded", "pieces", "--relators", "rels.txt", "--pair-budget", "9"], "--pair-budget"),
+    (["verbal", "epsilon", "--i", "4", "--h", "40"], "--h"),
+    (["verbal", "epsilon", "--i", "4", "--params", "p.txt"], "--params"),
+    (["verbal", "length", "--which", "w1", "--x", "a1^5"], "--x"),
+    (["verbal", "build", "--lx", "7", "--i", "3"], "--lx"),
+    (["graded", "dehn", "words.txt", "--relators", "rels.txt", "--params", "p.txt"],
+     "--params"),
+    (["graded", "pieces", "--relators", "rels.txt", "--n", "7"], "--n"),
 ], ids=["build-relators", "dehn-out", "pieces-out", "solve-assign", "verify-out",
-        "dehn-rank", "pieces-pair-budget"])
+        "dehn-rank", "pieces-pair-budget", "epsilon-h", "epsilon-params", "length-x",
+        "build-lx", "dehn-params", "pieces-n"])
 def test_an_option_the_action_does_not_read_is_usage_error(capsys, tmp_path, argv, option):
     # the files named are never made: the refusal comes before any is read
     code, out, err = run(capsys, *(str(tmp_path / a) if a.endswith(".txt") else a
@@ -1070,17 +1079,12 @@ def saved_presentations(draw):
 
 @st.composite
 def saved_certificates(draw):
-    from relfree.diagrams import (ConjugacyClaim, DiagramCertificate, EqualityClaim,
-                                  PuncturedSphereClaim)
+    from relfree.diagrams import DiagramCertificate
 
     sides = draw(st.lists(st.integers(1, 10**6), max_size=6, unique=True))
     labels = {s: draw(st.sampled_from([1, -1, 2, -12])) for s in sides}
     refs = st.lists(st.integers(-10**6, 10**6).filter(bool), min_size=1, max_size=6)
-    claim = draw(st.one_of(
-        small_words.map(EqualityClaim),
-        st.tuples(small_words, small_words).map(lambda uv: ConjugacyClaim(*uv)),
-        st.lists(small_words, min_size=1, max_size=3).map(
-            lambda ws: PuncturedSphereClaim(tuple(ws)))))
+    claim = tuple(draw(st.lists(small_words, min_size=1, max_size=3)))
     return DiagramCertificate(Alphabet(12), labels, draw(st.lists(refs, max_size=3)),
                               draw(st.lists(refs, max_size=3)),
                               draw(st.lists(st.tuples(st.integers(), st.integers()), max_size=3)),

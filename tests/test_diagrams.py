@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import os
 import random
+import shlex
 import tempfile
 import time
 from pathlib import Path
@@ -14,10 +15,7 @@ from hypothesis import strategies as st
 from relfree import diagrams, graded, report
 from relfree.diagrams import (
     CheckResult,
-    ConjugacyClaim,
     DiagramCertificate,
-    EqualityClaim,
-    PuncturedSphereClaim,
     certify_dehn_trace,
     check_certificate,
     load_certificate,
@@ -61,7 +59,7 @@ def one_face_disk(word=COMM):
         faces=[list(range(1, n + 1))],
         boundaries=[list(range(n + 1, 2 * n + 1))],
         pairs=[(i, i + n) for i in range(1, n + 1)],
-        claim=EqualityClaim(word))
+        claim=(word,))
 
 
 def zero_face_annulus():
@@ -73,7 +71,7 @@ def zero_face_annulus():
         faces=[],
         boundaries=[[1, 2], [3, 4]],
         pairs=[(1, 3), (2, 4)],
-        claim=ConjugacyClaim(u, v))
+        claim=(u, invert(v)))
 
 
 def test_one_face_disk_accepts():
@@ -87,12 +85,13 @@ def test_rotation_annulus_accepts():
 
 
 def test_annulus_second_boundary_must_read_the_inverse():
-    # the second boundary reads the claimed v itself, not v^-1
+    # the second boundary reads v = a1^-1 a2^-1 itself, not the v^-1 of u ~ v
     cert = zero_face_annulus()
-    cert.claim = ConjugacyClaim(Word.parse(AB, "a1 a2"), Word.parse(AB, "a1^-1 a2^-1"))
+    v = Word.parse(AB, "a1^-1 a2^-1")
+    cert.claim = (Word.parse(AB, "a1 a2"), invert(v))
     out = check_certificate(cert, [])
     assert not out.accepted
-    assert out.reason == "boundaries do not read the claimed word and inverse word"
+    assert out.reason == "boundary words do not match the claimed tuple"
 
 
 def test_removed_pairing_breaks_euler():
@@ -111,7 +110,7 @@ def test_flipped_label_rejected():
 
 def test_wrong_claim_word_rejected():
     cert = one_face_disk()
-    cert.claim = EqualityClaim(Word.parse(AB, "a1 a2"))
+    cert.claim = (Word.parse(AB, "a1 a2"),)
     out = check_certificate(cert, [COMM])
     assert not out.accepted
     assert "claim" in out.reason or "boundary" in out.reason
@@ -164,10 +163,8 @@ def test_punctured_sphere_three_boundaries():
         faces=[],
         boundaries=[[1, 2], [3, 4], [5, 6]],
         pairs=[(1, 6), (2, 3), (4, 5)],
-        claim=PuncturedSphereClaim((
-            Word.parse(AB, "a1 a2^-1"),
-            Word.parse(AB, "a2^2"),
-            Word.parse(AB, "a2^-1 a1^-1"))))
+        claim=(Word.parse(AB, "a1 a2^-1"), Word.parse(AB, "a2^2"),
+               Word.parse(AB, "a2^-1 a1^-1")))
     out = check_certificate(cert, [])
     assert out.accepted, out.reason
 
@@ -179,7 +176,7 @@ def test_four_boundaries_unsupported():
         faces=[],
         boundaries=[[1], [2], [3], [4], [5], [6], [7], [8]][:4],
         pairs=[(1, 2), (3, 4)],
-        claim=PuncturedSphereClaim(tuple(Word.parse(AB, "a1") for _ in range(4))))
+        claim=tuple(Word.parse(AB, "a1") for _ in range(4)))
     cert.labels = {1: 1, 2: -1, 3: 1, 4: -1}
     with pytest.raises(Unsupported):
         check_certificate(cert, [])
@@ -197,7 +194,7 @@ def test_mirror_pair_reported_as_warning():
         faces=[[1, 2, 3, 4], [5, 6, 7, 8]],
         boundaries=[[9, 10, 11, 12, 13, 14]],
         pairs=[(1, 5), (2, 9), (3, 10), (4, 11), (6, 12), (7, 13), (8, 14)],
-        claim=EqualityClaim(Word.parse(AB, "a2 a1^-1 a2^-1 a2 a1 a2^-1")))
+        claim=(Word.parse(AB, "a2 a1^-1 a2^-1 a2 a1 a2^-1"),))
     out = check_certificate(cert, [COMM])
     assert any("mirror-glued" in w for w in out.warnings)
 
@@ -220,7 +217,7 @@ def mirror_disk(length):
         faces=[list(range(1, length + 1)), list(range(length + 1, 2 * length + 1))],
         boundaries=[[2 * length + 1, 2 * length + 2]],
         pairs=pairs,
-        claim=EqualityClaim(Word.identity(AB)))
+        claim=(Word.identity(AB),))
     return cert, [free_reduce(AB, r)]
 
 
@@ -239,7 +236,7 @@ def test_mirror_warnings_take_one_comparison_per_alignment():
 # -- every reason a rejection can give -----------------------------------------
 
 def _empty(cert):
-    return DiagramCertificate(AB, {}, [], [], [], EqualityClaim(COMM))
+    return DiagramCertificate(AB, {}, [], [], [], (COMM,))
 
 
 def _glued_twice_before_label(cert):
@@ -271,10 +268,13 @@ def _dropped_pair(cert):
     return cert
 
 
-def _claim(claim):
+def _claim(*words, form=None):
+    """Set the claim to ``words``.  ``form``, (w,) for w = 1 or (u, v^-1) for
+    u ~ v, goes into the test id of a row that gives another row's reason."""
     def change(cert):
-        cert.claim = claim
+        cert.claim = words
         return cert
+    change.form = form
     return change
 
 
@@ -290,25 +290,26 @@ REASONS = [
     (zero_face_annulus, _dropped_pair, [], "Euler characteristic -1 differs from 2-k = 0"),
     (one_face_disk, lambda cert: cert, [Word.parse(AB, "a1 a2 a1 a2")],
      "face 0 does not read a relator shift"),
-    (zero_face_annulus, _claim(EqualityClaim(COMM)), [],
-     "equality claim needs one boundary cycle, found 2"),
-    (one_face_disk, _claim(EqualityClaim(Word.identity(AB))), [COMM],
+    (zero_face_annulus, _claim(COMM, form="(w,)"), [],
+     "claim lists 1 boundary words, diagram has 2"),
+    (one_face_disk, _claim(Word.identity(AB)), [COMM],
      "the empty word needs no certificate"),
-    (one_face_disk, _claim(EqualityClaim(Word.parse(AB, "a1 a2"))), [COMM],
-     "boundary does not read the claimed word"),
-    (one_face_disk, _claim(ConjugacyClaim(COMM, COMM)), [COMM],
-     "conjugacy claim needs two boundary cycles, found 1"),
-    (zero_face_annulus, _claim(ConjugacyClaim(A1, A1)), [],
-     "boundaries do not read the claimed word and inverse word"),
-    (one_face_disk, _claim(PuncturedSphereClaim((COMM, COMM))), [COMM],
+    (one_face_disk, _claim(Word.parse(AB, "a1 a2"), form="(w,)"), [COMM],
+     "boundary words do not match the claimed tuple"),
+    (one_face_disk, _claim(COMM, invert(COMM), form="(u, v^-1)"), [COMM],
      "claim lists 2 boundary words, diagram has 1"),
-    (one_face_disk, _claim(PuncturedSphereClaim((A1,))), [COMM],
+    (zero_face_annulus, _claim(A1, invert(A1), form="(u, v^-1)"), [],
+     "boundary words do not match the claimed tuple"),
+    (one_face_disk, _claim(COMM, COMM), [COMM],
+     "claim lists 2 boundary words, diagram has 1"),
+    (one_face_disk, _claim(A1), [COMM],
      "boundary words do not match the claimed tuple"),
 ]
 
 
-@pytest.mark.parametrize("make, change, relators, reason", REASONS,
-                         ids=[reason for *_, reason in REASONS])
+@pytest.mark.parametrize("make, change, relators, reason", REASONS, ids=[
+    reason if getattr(change, "form", None) is None else f"{reason} {change.form}"
+    for _, change, _, reason in REASONS])
 def test_rejection_reasons(make, change, relators, reason):
     out = check_certificate(change(make()), relators)
     assert not out.accepted
@@ -360,7 +361,7 @@ def _unglued_structures(max_sides, rng):
                         ab, labels,
                         faces=[[sign[x] * x for x in c] for c, b in zip(cycles, kinds) if not b],
                         boundaries=[[sign[x] * x for x in c] for c, b in zip(cycles, kinds) if b],
-                        pairs=pairs, claim=EqualityClaim(Word.identity(ab)))
+                        pairs=pairs, claim=(Word.identity(ab),))
 
 
 def test_a_side_left_unglued_fails_the_topology_checks():
@@ -609,6 +610,42 @@ def test_conjugacy_certificate_file(tmp_path):
     save_certificate(cert, path)
     loaded = load_certificate(path)
     assert check_certificate(loaded, []).accepted
+
+
+# the annulus of zero_face_annulus: its boundaries read a1 a2 and a1^-1 a2^-1
+ANNULUS = ("alphabet 2\nedge 1 a1\nedge 2 a2\nedge 3 a1^-1\nedge 4 a2^-1\n"
+           "pair 1 3\npair 2 4\nboundary 1 2\nboundary 3 4\n")
+
+
+@pytest.mark.parametrize("line, words, reason", [
+    ("claim conjugacy 'a1 a2' 'a2 a1'", ["a1 a2", "a1^-1 a2^-1"], None),
+    ("claim conjugacy 'a1 a2' 'a1^-1 a2^-1'", ["a1 a2", "a2 a1"],
+     "boundary words do not match the claimed tuple"),
+    ("claim conjugacy a1 a2", ["a1", "a2^-1"], "boundary words do not match the claimed tuple"),
+    ("claim punctured 'a2^-1 a1^-1' 'a2 a1'", ["a2^-1 a1^-1", "a2 a1"], None),
+    ("claim equality 'a1 a2'", ["a1 a2"], "claim lists 1 boundary words, diagram has 2"),
+    ("claim punctured 'a1 a2'", ["a1 a2"], "claim lists 1 boundary words, diagram has 2"),
+    ("claim punctured a1 a2 a1", ["a1", "a2", "a1"],
+     "claim lists 3 boundary words, diagram has 2"),
+], ids=["conjugacy", "conjugacy-not-inverted", "conjugacy-not-conjugate", "punctured",
+        "equality", "punctured-one-word", "punctured-three-words"])
+def test_a_claim_line_loads_to_the_words_it_means(tmp_path, line, words, reason):
+    # conjugacy u v means (u, v^-1); its punctured spelling gets the same
+    # verdict and reason, and a claim saves back spelled equality for one
+    # word and punctured for any other count
+    path = tmp_path / "cert.txt"
+    path.write_text(ANNULUS + line + "\n")
+    cert = load_certificate(path)
+    assert cert.claim == tuple(Word.parse(AB, w) for w in words)
+    out = check_certificate(cert, [])
+    assert (out.accepted, out.reason) == (reason is None, reason)
+    quoted = " ".join(shlex.quote(w) for w in words)
+    path.write_text(f"{ANNULUS}claim punctured {quoted}\n")
+    assert check_certificate(load_certificate(path), []) == out
+    save_certificate(cert, path)
+    kind = "equality" if len(words) == 1 else "punctured"
+    assert path.read_text().endswith(f"\nclaim {kind} {quoted}\n")
+    assert load_certificate(path) == cert
 
 
 # -- arbitrary input: a value or a RelfreeError, never another exception -------------

@@ -17,6 +17,7 @@ from relfree.errors import (
     EmptyInput,
     EmptyWord,
     InvalidParams,
+    WitnessNotFound,
     ZeroExponent,
     split_fields,
 )
@@ -343,8 +344,9 @@ def test_a_tampered_relator_line_is_refused(tmp_path):
             tampered = "relator " + " ".join(f"{k}={shlex.quote(v)}" for k, v in fields.items())
             copy = tmp_path / f"tampered-{z_star}-{field}.txt"
             copy.write_text("\n".join(lines[:idx] + [tampered] + lines[idx + 1:]))
-            with pytest.raises(InvalidParams, match=f"{copy}:{idx + 1}: .*WitnessNotFound"):
+            with pytest.raises(InvalidParams, match=f"{copy}:{idx + 1}: .*relator is not") as info:
                 load_presentation(copy)
+            assert isinstance(info.value.__cause__, WitnessNotFound)
 
 
 # -- piece statistics -----------------------------------------------------------------
@@ -885,6 +887,22 @@ def test_presentation_refuses_unknown_repeated_and_missing_fields(tmp_path):
         path.write_text(body)
         with pytest.raises(InvalidParams, match=f"{path}:{lineno}: .*{why}"):
             load_presentation(path)
+
+
+def test_presentation_refuses_an_alphabet_or_period_line_of_another_length(tmp_path):
+    # a second field was dropped (an alphabet of 2, the period a1), and a bare
+    # alphabet line was refused for an index out of range
+    head = "alphabet 2\nparams h=20 d=2 n=3\nmode toy\nrank 1\n"
+    path = tmp_path / "pres.txt"
+    for body, lineno, line, why in (
+            ("alphabet 2 7\nparams h=20 d=2 n=3\n", 1, "alphabet 2 7",
+             "alphabet takes 1 field(s), got 2"),
+            ("alphabet\nparams h=20 d=2 n=3\n", 1, "alphabet", "alphabet takes 1 field(s), got 0"),
+            (head + "period a1 a2\n", 5, "period a1 a2", "period takes 1 field(s), got 2")):
+        path.write_text(body)
+        with pytest.raises(InvalidParams) as info:
+            load_presentation(path)
+        assert str(info.value) == f"{path}:{lineno}: cannot read {line!r}: {why}"
 
 
 def test_presentation_in_the_format_with_t_slots_is_refused(tmp_path):
