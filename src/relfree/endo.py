@@ -23,11 +23,12 @@ attached; see :func:`check_report`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import RankTooSmall
 from .graded import _RelatorTable, build_presentation, dehn_reduce_trace
 from .verbal import ParamSet, make_v, make_w1, make_w2, slot_schedule
-from .words import Alphabet, Word, concat, substitute
+from .words import Alphabet, Word, substitute
 
 
 def psi_infinity(alphabet: Alphabet, p: ParamSet) -> tuple[Word, ...]:
@@ -79,9 +80,9 @@ def surjectivity_witness(p: ParamSet) -> tuple[Word, bool]:
     x = Word.generator(target, 1)
     y = Word.generator(target, 2)
     v1 = make_v(1, x, y, p)
-    # no name holds the substituted tail, so its run tuple (9.6 MB at
-    # (40, 3, 5)) is freed before make_w2 builds a word of the same size
-    check = concat(y, substitute(tail, [x, v1], target)) == make_w2(x, y, p)
+    # one substitution, y in slot 3, and no name holds its run tuple (9.6 MB at
+    # (40, 3, 5)), the one temporary: it is freed before make_w2 builds its own
+    check = substitute(chain(((3, 1),), tail.runs), [x, v1, y], target) == make_w2(x, y, p)
     return tail, check
 
 

@@ -673,6 +673,8 @@ def load_presentation(path) -> GradedPresentation:
                 if tokens[1:] != ["toy"]:
                     raise InvalidParams("the only mode is toy")
             elif head == "rank":
+                if len(tokens) < 2 or "=" in tokens[1]:
+                    raise InvalidParams("rank takes its rank number first, got none")
                 current = ranks.setdefault(int(tokens[1]), RankData())
                 current.provenance = fields(tokens[2:], "provenance",
                                             provenance=current.provenance)[0]

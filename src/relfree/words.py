@@ -322,7 +322,8 @@ class Word:
         return fg != lg or (fe > 0) == (le > 0)
 
     def exponent_sums(self) -> dict:
-        """Map of generator index to its signed exponent sum (cached)."""
+        """Generator index -> signed exponent sum (0 or absent if it never occurs):
+        carried by a :func:`substitute` result, else summed over the runs once."""
         if self._sums is None:
             sums: dict = {}
             for g, e in self.runs:
@@ -513,7 +514,8 @@ def substitute(w: Word | Iterable[tuple[int, int]], images: Sequence[Word],
     ``w`` is a word, which needs one image per generator, or any iterable of
     (generator, exponent) runs, such as a template's slot schedule; its runs
     are read one at a time, so a schedule is never held whole.  The result
-    carries its letter length: its slots' counts less the letters cancelled."""
+    carries its letter length, its slots' counts less the letters cancelled, and
+    its exponent sums, each image's times its slots' total exponent (exact)."""
     if isinstance(w, Word):
         if len(images) != w.alphabet.m:
             raise AlphabetMismatch(f"need {w.alphabet.m} images, got {len(images)}")
@@ -528,15 +530,20 @@ def substitute(w: Word | Iterable[tuple[int, int]], images: Sequence[Word],
         return _PowerFactory(images[g - 1])
 
     factories = _Table(factory)
+    totals = [0] * len(images)  # slot k-1 -> the exponents read at generator k
     acc: list = []
     length = 0
     for g, e in w:
         runs, size = factories[g].runs(e)
+        totals[g - 1] += e
         length += size - _append_runs(acc, runs)
         if len(acc) > DEFAULT_RUN_BUDGET:
             _check_run_budget(len(acc), "a substitution")
     word = Word(target, tuple(acc))
-    word._len = length
+    word._len, word._sums = length, {}
+    for img, total in zip(images, totals):  # free reduction keeps exponent sums
+        for k, s in img.exponent_sums().items():
+            word._sums[k] = word._sums.get(k, 0) + total * s
     return word
 
 

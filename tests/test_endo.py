@@ -1,7 +1,9 @@
 import random
+from itertools import chain
 
 import pytest
 
+from relfree import endo
 from relfree.endo import (check_report, kernel_witness, kernel_word, psi_infinity,
                           surjectivity_witness)
 from relfree.errors import AlphabetMismatch, RankTooSmall
@@ -147,6 +149,25 @@ def test_surjectivity_identity():
     for p in (ParamSet(20, 2, 3), ParamSet(40, 2, 5), ParamSet(40, 3, 5)):
         _, ok = surjectivity_witness(p)
         assert ok, (p.h, p.d, p.n)
+
+
+@pytest.mark.parametrize("p", [ParamSet(20, 2, 3), ParamSet(40, 2, 5)])
+def test_the_y_prefixed_substitution_is_y_times_the_substituted_tail(p):
+    tail, _ = surjectivity_witness(p)
+    v1 = make_v(1, A1, A2, p)
+    one = substitute(chain(((3, 1),), tail.runs), [A1, v1, A2], AB)
+    assert one == concat(A2, substitute(tail, [A1, v1], AB))
+
+
+def test_surjectivity_is_refused_when_w2_has_one_exponent_changed(monkeypatch):
+    # the comparison with w2 is literal: one run off by one fails it
+    w2 = make_w2(A1, A2, P)
+    i = len(w2.runs) // 2
+    g, e = w2.runs[i]
+    changed = Word(AB, w2.runs[:i] + ((g, e + (1 if e > 0 else -1)),) + w2.runs[i + 1:])
+    monkeypatch.setattr(endo, "make_w2", lambda x, y, p: changed)
+    assert changed != w2
+    assert surjectivity_witness(P)[1] is False
 
 
 def test_tail_starts_with_commutator_block():

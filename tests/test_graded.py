@@ -905,6 +905,17 @@ def test_presentation_refuses_an_alphabet_or_period_line_of_another_length(tmp_p
         assert str(info.value) == f"{path}:{lineno}: cannot read {line!r}: {why}"
 
 
+def test_presentation_refuses_a_rank_line_without_its_rank_number(tmp_path):
+    # both were refused for an index out of range or an int() of a named field
+    path = tmp_path / "pres.txt"
+    for line in ("rank", "rank provenance=classified"):
+        path.write_text(f"alphabet 2\nparams h=20 d=2 n=3\n{line}\n")
+        with pytest.raises(InvalidParams) as info:
+            load_presentation(path)
+        assert str(info.value) == \
+            f"{path}:3: cannot read {line!r}: rank takes its rank number first, got none"
+
+
 def test_presentation_in_the_format_with_t_slots_is_refused(tmp_path):
     # a T= field held v_(z*-1)(X', U), from which X' cannot be read back
     pinned = Path(__file__).parent / "data" / "presentation_20_2_3.txt"

@@ -800,6 +800,29 @@ def test_a_carried_letter_length_is_the_sum_of_the_runs(a, b, k):
             assert w._len == sum(abs(e) for _, e in w.runs)
 
 
+@settings(max_examples=200, deadline=None)
+@given(runs3_strategy, runs3_strategy, st.integers(1, 4))
+def test_a_carried_exponent_sum_is_the_sum_of_the_runs(a, b, k):
+    built = every_constructor(a, b, k)
+    assert all(w._sums is not None for w in built[-5:])  # the substitutions
+    for w in built:
+        if w._sums is not None:
+            for g in (1, 2, 3):
+                want = sum(e for r, e in w.runs if r == g)
+                assert exponent_sum(w, g) == want and exponent_sum(w, -g) == -want
+
+
+@pytest.mark.parametrize("h, d, n", [(20, 2, 3), (40, 3, 5)])
+def test_the_identity_words_carry_their_zero_exponent_sums(h, d, n):
+    # the eight sums C01 reads: the carried ones, checked against the runs
+    ab, p = Alphabet(2), verbal.ParamSet(h, d, n)
+    x, y = Word.generator(ab, 1), Word.generator(ab, 2)
+    for w in (verbal.make_w1(x, y, p), verbal.make_w2(x, y, p)):
+        assert w._sums is not None
+        for g in (1, 2):
+            assert exponent_sum(w, g) == sum(e for r, e in w.runs if r == g) == 0
+
+
 def test_append_runs_returns_the_letters_cancelled_at_the_seam():
     x = Word.parse(AB3, "a1^2 a2^-3 a3")
     acc = list(x.runs)  # a slot whose image x^-1 cancels it whole
