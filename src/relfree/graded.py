@@ -40,6 +40,7 @@ from .errors import (
 from .verbal import ParamSet, make_v, make_w, slot_schedule
 from .words import (
     Alphabet,
+    CyclicWord,
     Word,
     _check_encodable,
     _decode_letters,
@@ -48,6 +49,8 @@ from .words import (
     _is_cyclic_shift,
     _seam_merged,
     canonical_cyclic,
+    commutator,
+    concat,
     concat_all,
     conjugacy_witnesses,
     conjugate,
@@ -351,12 +354,7 @@ class GradedPresentation:
         return self.ranks[i]
 
     def relators_up_to(self, i: int) -> list[Word]:
-        out = []
-        for idx in sorted(self.ranks):
-            if idx > i:
-                break
-            out.extend(rec.relator for rec in self.ranks[idx].relators)
-        return out
+        return [rec.relator for rec in self.all_relators() if rec.rank <= i]
 
     def all_relators(self) -> list[RelatorRecord]:
         return [rec for idx in sorted(self.ranks) for rec in self.ranks[idx].relators]
@@ -463,13 +461,21 @@ def _pair_conjugacy_witness(u1: Word, w1: Word, u2: Word, w2: Word) -> Word | No
 class ClassifyResult:
     classes: tuple[RelatorRecord, ...]
     discarded_trivial: int
-    skipped_degenerate: tuple[tuple[Word, Word], ...]
 
 
 def classify_pairs(pres: GradedPresentation, z_star: int, L: int) -> ClassifyResult:
     """Partition pairs (X, Y) with |X|, |Y| <= L into joint conjugacy classes
-    of their (v, w) values in the free group, discarding pairs whose w value
-    is trivial and setting aside those whose v value is.
+    of their (v, w) values in the free group, discarding pairs with w = 1.
+
+    Two facts (Lyndon-Schupp I) class the pairs themselves.  w_z*(x, y) = 1
+    exactly when x and y commute: commuting x, y lie in one cyclic group,
+    where w_z* vanishes by its zero exponent sums, and non-commuting x, y
+    freely generate a free group of rank 2, where w_z* and v_z* are nonempty
+    reduced words.  And a joint conjugator of (x, y) conjugates (v, w) too,
+    so each (v, w) class is a union of (x, y) classes.  So pairs with
+    xy = yx are discarded, the others are classed by joint conjugacy within
+    buckets of conjugate [x, y], v_z* is built only for each class's least
+    pair, and w_z* only to merge two classes whose v values are conjugate.
 
     Each class becomes one relator record, attached to ``pres`` at rank |A|
     and returned.  Its key is its shortlex-least member pair (x0, y0); j
@@ -482,49 +488,46 @@ def classify_pairs(pres: GradedPresentation, z_star: int, L: int) -> ClassifyRes
         raise InvalidParams(f"z* must be 1 or 2, got {z_star}")
     p = pres.params
 
-    words_pool = list(enumerate_reduced_words(pres.alphabet, L))
+    def joint(u1, w1, u2, w2):
+        return _pair_conjugacy_witness(u1, w1, u2, w2) is not None
+
+    # pairs come in key order, so the first of each class is its least
+    words_pool = sorted(enumerate_reduced_words(pres.alphabet, L), key=shortlex_key)
     discarded = 0
-    degenerate: list[tuple[Word, Word]] = []
-    survivors: list[tuple[Word, Word, Word, Word]] = []  # (X, Y, v, w)
+    by_commutator: dict = {}
+    by_v: dict = {}  # (slot words (X, y_bar), v value) of each class, by v's class
+    least = []
     for x in words_pool:
         for y in words_pool:
-            w_val = make_w(z_star, x, y, p)
-            if w_val.is_empty:
+            if concat(x, y) == concat(y, x):
                 discarded += 1
                 continue
-            v_val = make_v(z_star, x, y, p)
-            if v_val.is_empty:
-                degenerate.append((x, y))
+            near = by_commutator.setdefault(canonical_cyclic(commutator(x, y)), [])
+            if any(joint(*xy, x, y) for xy in near):
                 continue
-            survivors.append((x, y, v_val, w_val))
+            near.append((x, y))
+            core_x, gx = cyclic_reduce(x)
+            slots = (core_x, conjugate(y, invert(gx)))
+            v_rep = make_v(z_star, *slots, p)
+            # v is conjugate to root^k: its class is (least rotation of root, k)
+            root, k = primitive_root(cyclic_reduce(v_rep)[0])  # EmptyWord if v = 1
+            power_class = (canonical_cyclic(root), k)
+            same_v = by_v.setdefault(power_class, [])
+            if same_v:  # no class value met so far is conjugate to another's
+                w_rep = make_w(z_star, *slots, p)
+                if any(joint(v, make_w(z_star, *xu, p), v_rep, w_rep) for xu, v in same_v):
+                    continue
+            same_v.append((slots, v_rep))
+            least.append(((x, y), slots, v_rep, power_class))
 
-    groups: list[list[int]] = []
-    by_v_class: dict = {}
-    for idx, (_, _, v_val, w_val) in enumerate(survivors):
-        # joint conjugacy needs v conjugate to v0, so only the groups whose v
-        # lies in the conjugacy class of v_val are tried against their first
-        near = by_v_class.setdefault(canonical_cyclic(v_val), [])
-        group = next((g for g in near if _pair_conjugacy_witness(
-            *survivors[g[0]][2:], v_val, w_val) is not None), None)
-        if group is None:
-            group = []
-            groups.append(group)
-            near.append(group)
-        group.append(idx)
-
-    # each class's least member pair, in key order: periods and records are
-    # added to pres, and j counts within each (A, f) group, in that order
-    least = sorted((min((survivors[g][:2] for g in group),
-                        key=lambda xy: (shortlex_key(xy[0]), shortlex_key(xy[1])))
-                    for group in groups), key=lambda xy: (str(xy[0]), str(xy[1])))
+    # in key order: periods and records are added to pres, and j counts
+    # within each (A, f) group, in that order
+    least.sort(key=lambda c: (str(c[0][0]), str(c[0][1])))
     registry = _PeriodRegistry(pres)
     counters: dict[tuple[str, int], int] = {}
     classes = []
-    for x0, y0 in least:
-        core_x, gx = cyclic_reduce(x0)
-        y_bar = conjugate(y0, invert(gx))
-        v_rep = make_v(z_star, core_x, y_bar, p)
-        a_word, f_val = registry.resolve(v_rep)
+    for (x0, y0), slots, v_rep, power_class in least:
+        a_word, f_val = registry.resolve(*power_class)
         witness = minimal_conjugacy_witness(v_rep, power(a_word, f_val))
         if witness is None:
             raise WitnessNotFound("no conjugator from the period power to the class "
@@ -532,11 +535,11 @@ def classify_pairs(pres: GradedPresentation, z_star: int, L: int) -> ClassifyRes
         jkey = (str(a_word), f_val)
         counters[jkey] = counters.get(jkey, 0) + 1
         w_inv = invert(witness)
-        x_word, u_word = (concat_all([w_inv, v, witness]) for v in (core_x, y_bar))
+        x_word, u_word = (concat_all([w_inv, v, witness]) for v in slots)
         rec = build_relator(z_star, a_word, f_val, x_word, u_word, p, j=counters[jkey])
         pres.rank_data(rec.rank, provenance="classified").relators.append(rec)
         classes.append(rec)
-    return ClassifyResult(tuple(classes), discarded, tuple(degenerate))
+    return ClassifyResult(tuple(classes), discarded)
 
 
 class _PeriodRegistry:
@@ -549,21 +552,17 @@ class _PeriodRegistry:
             for a_word in data.periods:
                 self._by_class[canonical_cyclic(a_word)] = a_word
 
-    def resolve(self, v_value: Word) -> tuple[Word, int]:
-        """Period A and exponent f with v_value conjugate to A^f."""
-        core, _ = cyclic_reduce(v_value)
-        if core.is_empty:
-            raise EmptyWord("degenerate class value")
-        root, k = primitive_root(core)
-        cw = canonical_cyclic(root)
-        cwi = canonical_cyclic(invert(root))
+    def resolve(self, cw: CyclicWord, k: int) -> tuple[Word, int]:
+        """Period A and exponent f with A^f conjugate to r^k, for a primitive
+        r of least rotation ``cw``."""
+        cwi = canonical_cyclic(invert(cw.rep))
         if cw in self._by_class:
             return self._by_class[cw], k
         if cwi in self._by_class:
             return self._by_class[cwi], -k
-        a_word = cw.rep if shortlex_key(cw.rep) <= shortlex_key(cwi.rep) else cwi.rep
-        sign = 1 if a_word == cw.rep else -1
-        self._by_class[canonical_cyclic(a_word)] = a_word
+        sign, a_class = (1, cw) if shortlex_key(cw.rep) <= shortlex_key(cwi.rep) else (-1, cwi)
+        a_word = a_class.rep
+        self._by_class[a_class] = a_word
         data = self.pres.rank_data(a_word.letter_length, provenance="classified")
         data.periods.append(a_word)
         return a_word, sign * k
@@ -577,11 +576,13 @@ def build_relator(z_star: int, a_word: Word, f: int, x_word: Word, u_word: Word,
     """Check and record the rank-(|A|) relator template for one classified
     pair class; no relator word is built.
 
-    Refuses a template z* outside {1, 2}, f = 0, and an empty A, X or U.
-    The paper's magnitude bounds on A, X, U and f are not checked: toy
-    parameters break them, and no verdict reads them."""
+    Refuses a template z* outside {1, 2}, f = 0, an empty A, X or U, and a
+    slot schedule over the run budget (exit 3).  The paper's magnitude bounds
+    on A, X, U and f are not checked: toy parameters break them, and no
+    verdict reads them."""
     if z_star not in (1, 2):
         raise InvalidParams(f"z* must be 1 or 2, got {z_star}")
+    next(slot_schedule(z_star, p))  # its first run checks the slot count
     if f == 0:
         raise ZeroExponent("the period exponent multiplier f must be nonzero")
     if a_word.is_empty:

@@ -21,6 +21,7 @@ from relfree.errors import (
     ZeroExponent,
     split_fields,
 )
+import relfree.graded as graded_mod
 from relfree.graded import (
     DEFAULT_DEHN_BUDGET,
     _PIECE_BUDGET,
@@ -45,6 +46,8 @@ from relfree.words import (
     Word,
     _decode_letters,
     _encode_letters,
+    canonical_cyclic,
+    commutator,
     concat,
     concat_all,
     conjugacy_witnesses,
@@ -56,6 +59,7 @@ from relfree.words import (
     minimal_conjugacy_witness,
     power,
     primitive_root,
+    shortlex_key,
 )
 
 AB = Alphabet(2)
@@ -103,21 +107,84 @@ def test_periods_deterministic():
 
 # -- pair classification ----------------------------------------------------------
 
+def reference_classify_pairs(pres, z_star, L, v_word=make_v, w_word=make_w):
+    """The value-level classification: build v and w for every pair, drop the
+    pairs whose w is trivial, and class the rest by joint conjugacy of
+    (v, w), each class keyed by its shortlex-least pair."""
+    p = pres.params
+    pool = list(graded_mod.enumerate_reduced_words(pres.alphabet, L))
+    discarded = 0
+    survivors = []  # (x, y, v, w)
+    for x in pool:
+        for y in pool:
+            w_val = w_word(z_star, x, y, p)
+            if w_val.is_empty:
+                discarded += 1
+                continue
+            v_val = v_word(z_star, x, y, p)
+            assert not v_val.is_empty
+            survivors.append((x, y, v_val, w_val))
+    groups = []
+    for idx, (_, _, v_val, w_val) in enumerate(survivors):
+        group = next((g for g in groups if _pair_conjugacy_witness(
+            *survivors[g[0]][2:], v_val, w_val) is not None), None)
+        if group is None:
+            group = []
+            groups.append(group)
+        group.append(idx)
+    least = sorted((min((survivors[g][:2] for g in group),
+                        key=lambda xy: (shortlex_key(xy[0]), shortlex_key(xy[1])))
+                    for group in groups), key=lambda xy: (str(xy[0]), str(xy[1])))
+    registry = graded_mod._PeriodRegistry(pres)
+    counters = {}
+    classes = []
+    for x0, y0 in least:
+        core_x, gx = cyclic_reduce(x0)
+        y_bar = conjugate(y0, invert(gx))
+        v_rep = v_word(z_star, core_x, y_bar, p)
+        root, k = primitive_root(cyclic_reduce(v_rep)[0])
+        a_word, f_val = registry.resolve(canonical_cyclic(root), k)
+        witness = minimal_conjugacy_witness(v_rep, power(a_word, f_val))
+        counters[(a_word, f_val)] = counters.get((a_word, f_val), 0) + 1
+        x_word, u_word = (conjugate(v, invert(witness)) for v in (core_x, y_bar))
+        rec = build_relator(z_star, a_word, f_val, x_word, u_word, p,
+                            j=counters[(a_word, f_val)])
+        pres.rank_data(rec.rank, provenance="classified").relators.append(rec)
+        classes.append(rec)
+    return classes, discarded
+
+
+@pytest.mark.parametrize("params,z_star,L", [
+    (P, 1, 1), (P, 2, 1), (P, 1, 2), (P, 2, 2),
+    (ParamSet(40, 3, 5), 1, 1), (ParamSet(40, 3, 5), 2, 1)],
+    ids=["20-2-3-z1-L1", "20-2-3-z2-L1", "20-2-3-z1-L2", "20-2-3-z2-L2",
+         "40-3-5-z1-L1", "40-3-5-z2-L1"])
+def test_classification_equals_the_value_level_reference(params, z_star, L):
+    pres, ref_pres = fresh_pres(params=params), fresh_pres(params=params)
+    res = classify_pairs(pres, z_star, L)
+    assert (list(res.classes), res.discarded_trivial) == reference_classify_pairs(
+        ref_pres, z_star, L)
+    assert pres.ranks == ref_pres.ranks
+
+
 def test_classify_discards_trivial_pairs():
+    # w_z*(x, y) = 1 exactly when xy = yx: 17 such pairs at L = 1, 81 at L = 2
+    pool = list(graded_mod.enumerate_reduced_words(AB, 1))
     for z_star in (1, 2):
-        # (x, x) and (x, x^-1) make both identity words collapse
-        for x in (A1, A2, invert(A1), invert(A2)):
-            for y in (x, invert(x)):
-                assert make_w(z_star, x, y, P).is_empty
-        res = classify_pairs(fresh_pres(), z_star, 1)
-        assert (res.discarded_trivial, len(res.classes)) == (17, 8)
+        for x in pool:
+            for y in pool:
+                commute = concat(x, y) == concat(y, x)
+                assert make_w(z_star, x, y, P).is_empty == commute
+        for L, commuting in ((1, 17), (2, 81)):
+            assert classify_pairs(fresh_pres(), z_star, L).discarded_trivial == commuting
 
 
 def test_classify_finds_eight_classes_per_kind():
     for z_star in (1, 2):
         res = classify_pairs(fresh_pres(), z_star, 1)
         assert len(res.classes) == 8
-        assert not res.skipped_degenerate
+        # no class value is trivial: each is a power of a nonempty period
+        assert all(not make_v(z_star, rec.X, rec.U, P).is_empty for rec in res.classes)
 
 
 def test_classification_attaches_the_records_it_returns():
@@ -127,6 +194,39 @@ def test_classification_attaches_the_records_it_returns():
     # within a rank, records are attached in the order they are returned
     assert pres.all_relators() == sorted(returned, key=lambda rec: rec.rank)
     assert build_presentation(AB, P, 0, 1).all_relators() == pres.all_relators()
+
+
+def test_no_two_class_values_are_conjugate_so_no_w_is_built(monkeypatch):
+    def no_w(*args):
+        raise AssertionError("w built")
+    monkeypatch.setattr(graded_mod, "make_w", no_w)
+    for z_star in (1, 2):
+        classes = classify_pairs(fresh_pres(), z_star, 2).classes
+        assert len(classes) == 128
+        values = {canonical_cyclic(make_v(z_star, rec.X, rec.U, P)) for rec in classes}
+        assert len(values) == len(classes)
+
+
+def test_conjugate_class_values_merge_by_the_value_pair_witness(monkeypatch):
+    # with v(x, y) = x and w(x, y) = [x, y], pairs (x, y) and (x, y x^k) share
+    # their (v, w) value though no joint conjugator relates them, so pair
+    # classes with conjugate v values meet, and some merge
+    calls = []
+
+    def v_word(z_star, x, y, p):
+        return x
+
+    def w_word(z_star, x, y, p):
+        calls.append(1)
+        return commutator(x, y)
+    monkeypatch.setattr(graded_mod, "make_v", v_word)
+    monkeypatch.setattr(graded_mod, "make_w", w_word)
+    pres, ref_pres = fresh_pres(), fresh_pres()
+    res = classify_pairs(pres, 1, 2)
+    assert calls and 0 < len(res.classes) < 128
+    assert (list(res.classes), res.discarded_trivial) == reference_classify_pairs(
+        ref_pres, 1, 2, v_word, w_word)
+    assert pres.ranks == ref_pres.ranks
 
 
 def test_class_values_are_conjugate_to_period_powers():
@@ -771,8 +871,6 @@ def test_the_scan_budget_counts_every_rotation_a_block_is_extended_along(monkeyp
     # a block a1^q of a1^N reads a1^(L-1) a2 at L - q rotations, and each of
     # them extends to about L letters, at 2L letters of budget: the first
     # block costs about 2L^2, where its searches alone cost 4L
-    import relfree.graded as graded_mod
-
     length = 10_000
     relators = [concat(Word.generator(AB, 1, length - 1), Word.generator(AB, 2))]
     w = Word.generator(AB, 1, 3 * length)
@@ -837,8 +935,6 @@ def test_presentation_relator_ranks_match_period_length():
 
 
 def test_building_and_saving_a_presentation_builds_no_relator_word(tmp_path, monkeypatch):
-    import relfree.graded as graded_mod
-
     calls = []
 
     def counted(*args, _substitute=graded_mod.substitute):
