@@ -638,12 +638,12 @@ def save_presentation(pres: GradedPresentation, path) -> None:
 
 
 def load_presentation(path) -> GradedPresentation:
-    """Parse the text format into templates; relator words are stored nowhere.
+    """Parse the text format into templates; no relator word is built.
 
-    A line that cannot be read, a second ``alphabet``, ``params`` or ``mode``
-    line, a mode other than ``toy``, or a relator line whose A^f is not v_z*(X, U)
-    raises :class:`InvalidParams`, and a relator too large to build (each is built
-    once, and dropped) :class:`BudgetExceeded`, naming the file and line."""
+    A line that cannot be read, a second ``alphabet``, ``params`` or ``mode`` line,
+    a mode other than ``toy``, a period not as long as its rank's number, or a
+    relator line whose A^f is not v_z*(X, U) raises :class:`InvalidParams`, and a
+    template too large to check :class:`BudgetExceeded`, naming the file and line."""
     def fields(tokens, *names, **defaults):  # errors name the line, below
         return [v for _, v in named_values([(None, t) for t in tokens], *names, **defaults)]
 
@@ -676,21 +676,24 @@ def load_presentation(path) -> GradedPresentation:
             elif head == "rank":
                 if len(tokens) < 2 or "=" in tokens[1]:
                     raise InvalidParams("rank takes its rank number first, got none")
-                current = ranks.setdefault(int(tokens[1]), RankData())
+                rank = int(tokens[1])
+                current = ranks.setdefault(rank, RankData())
                 current.provenance = fields(tokens[2:], "provenance",
                                             provenance=current.provenance)[0]
             elif head == "period":
-                current.periods.append(Word.parse(alphabet, fields_after(tokens, 1)[0]))
+                a = Word.parse(alphabet, fields_after(tokens, 1)[0])
+                current.periods.append(a)
             elif head == "relator":
                 z, a, f, j, x, u = fields(tokens[1:], "z*", "A", "f", "j", "X", "U")
                 a, x, u = (Word.parse(alphabet, text) for text in (a, x, u))
                 rec = build_relator(int(z), a, int(f), x, u, params, j=int(j))
                 if make_v(rec.z_star, rec.X, rec.U, params) != power(rec.A, rec.f):
                     raise WitnessNotFound("relator is not w_z*(X, U): v_z*(X, U) != A^f")
-                rec.relator  # built and dropped: refuses a template too large to build
                 current.relators.append(rec)
             else:
                 raise InvalidParams("unrecognized line")
+            if head in ("period", "relator") and a.letter_length != rank:
+                raise InvalidParams(f"a period of length {a.letter_length} under rank {rank}")
         except BudgetExceeded as exc:
             raise BudgetExceeded(f"{where}: {exc}") from exc
         except (RelfreeError, ValueError, KeyError, IndexError) as exc:

@@ -919,8 +919,8 @@ def test_sizes_too_large_to_build_run_out_of_budget(argv):
 @pytest.mark.parametrize("h, d, n", [(40, 4, 5), (80, 3, 5)])
 def test_endo_check_passes_past_relators_over_the_letter_budget(h, d, n):
     # |w2| is over 10^7 letters here, so are the largest toy relators; the
-    # witnesses are built as runs and fit, and no Dehn step on U reaches a
-    # relator of 2|U| letters or more, so none of those is encoded
+    # witnesses and the cores of w1 and w2 are built as runs and fit, and the
+    # Dehn line is read from those cores, with no relator built
     proc = run_capped("-m", "relfree.cli", "endo", "check",
                       "--h", str(h), "--d", str(d), "--n", str(n), timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -949,6 +949,25 @@ def test_presentation_relator_too_large_to_build_runs_out_of_budget(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(f"{path}:5: ")
     assert "over the budget of 10000000" in proc.stdout
+
+
+def test_a_presentation_graded_build_wrote_loads_and_its_relators_are_refused_when_built(
+        tmp_path):
+    # at h = 6 000 000 the slot schedules fit the run budget and the relators
+    # do not: the file is written, loads, and a relator is refused where it is built
+    path = tmp_path / "pres.txt"
+    proc = run_capped("-m", "relfree.cli", "graded", "build", "--h", "6000000", "--out", str(path))
+    assert proc.returncode == 0, proc.stderr
+    code = ("import sys\nfrom relfree import errors, graded\n"
+            "records = graded.load_presentation(sys.argv[1]).all_relators()\n"
+            "print(len(records))\n"
+            "try:\n    records[0].relator\n"
+            "except errors.BudgetExceeded as exc:\n    print(exc)\n")
+    proc = run_capped("-c", code, str(path))
+    assert proc.returncode == 0, proc.stderr
+    count, refusal = proc.stdout.splitlines()
+    assert count == "16"
+    assert "over the budget of 10000000" in refusal
 
 
 # -- files that are not UTF-8 ---------------------------------------------------

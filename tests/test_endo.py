@@ -3,16 +3,17 @@ from itertools import chain
 
 import pytest
 
-from relfree import endo
+from relfree import endo, graded
 from relfree.endo import (check_report, kernel_witness, kernel_word, psi_infinity,
                           surjectivity_witness)
 from relfree.errors import AlphabetMismatch, RankTooSmall
-from relfree.verbal import ParamSet, make_v, make_w2
+from relfree.verbal import ParamSet, make_v, make_w1, make_w2
 from relfree.words import (
     Alphabet,
     Word,
     commutator,
     concat,
+    cyclic_reduce,
     exponent_sum,
     free_reduce,
     substitute,
@@ -201,10 +202,55 @@ def test_the_dehn_evidence_names_half_the_shortest_core():
 
 
 def test_check_report_keeps_the_dehn_evidence_at_the_second_scale():
-    # |w2| = 4 361 644 letters at (40, 3, 5): the evidence is built, not skipped
+    # |w2| = 4 361 644 letters at (40, 3, 5): the line reads its core, and is not skipped
     checks = {c.name: c for c in check_report(ParamSet(40, 3, 5))}
     evidence = checks["kernel-word-dehn-irreducible"]
     assert evidence.passed
     u, _ = kernel_witness(ParamSet(40, 3, 5))
     assert evidence.detail.startswith(f"|U| = {u.letter_length}, floor(shortest core / 2) = ")
     assert evidence.detail.endswith(" over 16 toy relators")
+
+
+def dehn_line(p):
+    return {c.name: c for c in check_report(p)}["kernel-word-dehn-irreducible"]
+
+
+@pytest.mark.parametrize("p", [ParamSet(20, 2, 3), ParamSet(40, 3, 5)])
+def test_the_length_evidence_agrees_with_the_dehn_run_it_replaced(p):
+    # the reference builds the 16 toy relators: 8 cores as long as w1(a1, a2)'s
+    # and 8 as long as w2(a1, a2)'s, and a Dehn run leaves U as it is
+    records = graded.build_presentation(AB, p, max_rank=1, pair_budget=1).all_relators()
+    relators = [rec.relator for rec in records]
+    core = {z: cyclic_reduce(w(A1, A2, p))[0].letter_length
+            for z, w in ((1, make_w1), (2, make_w2))}
+    lengths = [cyclic_reduce(r)[0].letter_length for r in relators]
+    assert sorted(rec.z_star for rec in records) == [1] * 8 + [2] * 8
+    assert lengths == [core[rec.z_star] for rec in records]
+    u = kernel_word(p)
+    res = graded.dehn_reduce_trace(u, relators)
+    assert (res.word, res.steps, res.exhausted) == (u, (), False)
+    line = dehn_line(p)
+    assert line.passed
+    assert line.detail == (f"|U| = {u.letter_length}, floor(shortest core / 2) = "
+                           f"{min(lengths) // 2}, over 16 toy relators")
+
+
+@pytest.mark.parametrize("core_length, passed", [(560, True), (559, False), (2, False)])
+def test_the_dehn_line_fails_on_a_core_shorter_than_twice_u(monkeypatch, core_length, passed):
+    # |U| = 280 at (20, 2, 3): a step over a core of 559 letters needs 280 of
+    # them, all of U, and over one of 560 it needs 281
+    monkeypatch.setattr(endo, "make_w1",
+                        lambda x, y, p: concat(Word.generator(AB, 1, core_length - 1), y))
+    line = dehn_line(P)
+    assert line.passed is passed
+    assert line.detail == (f"|U| = 280, floor(shortest core / 2) = {core_length // 2}, "
+                           "over 16 toy relators")
+
+
+def test_check_report_builds_no_presentation_relator_table_or_dehn_trace(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built")
+    for name in ("build_presentation", "_RelatorTable", "dehn_reduce_trace", "build_relator"):
+        monkeypatch.setattr(graded, name, refuse)
+    monkeypatch.setattr(graded.RelatorRecord, "relator", property(refuse))
+    assert all(c.passed for c in check_report(P))

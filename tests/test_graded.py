@@ -1012,6 +1012,28 @@ def test_presentation_refuses_a_rank_line_without_its_rank_number(tmp_path):
             f"{path}:3: cannot read {line!r}: rank takes its rank number first, got none"
 
 
+def test_presentation_refuses_a_period_or_relator_under_another_rank_number(tmp_path):
+    # under rank 5, relators_up_to(5) would miss a relator whose period has 77 letters
+    lines = (Path(__file__).parent / "data" / "presentation_20_2_3.txt").read_text().split("\n")
+    at = lines.index("rank 77 provenance=classified")
+    relator = next(line for line in lines if line.startswith("relator z*=1 "))
+    path = tmp_path / "pres.txt"
+    for line, length in (("period a1", 1), (relator, 77)):
+        path.write_text("\n".join(lines[:at] + ["rank 5", line]) + "\n")
+        with pytest.raises(InvalidParams) as info:
+            load_presentation(path)
+        assert str(info.value) == (f"{path}:{at + 2}: cannot read {line!r}: "
+                                   f"a period of length {length} under rank 5")
+
+
+def test_the_pinned_presentation_loads_without_building_a_relator(monkeypatch):
+    def refuse(rec):
+        raise AssertionError("a relator word was built")
+    monkeypatch.setattr(RelatorRecord, "relator", property(refuse))
+    loaded = load_presentation(Path(__file__).parent / "data" / "presentation_20_2_3.txt")
+    assert len(loaded.all_relators()) == 16
+
+
 def test_presentation_in_the_format_with_t_slots_is_refused(tmp_path):
     # a T= field held v_(z*-1)(X', U), from which X' cannot be read back
     pinned = Path(__file__).parent / "data" / "presentation_20_2_3.txt"
