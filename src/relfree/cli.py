@@ -96,7 +96,7 @@ def _cmd_word(args) -> int:
         print(w)
         return EXIT_OK
     if args.action == "canon":
-        print(canonical_cyclic(w).rep)
+        print(canonical_cyclic(w))
         return EXIT_OK
     if args.action == "root":
         core = w

@@ -54,11 +54,14 @@ def kernel_witness(p: ParamSet) -> tuple[Word, bool]:
     U has a2 in the power slots, so the substitution a2 -> v1(a1, a2)
     reproduces w1(a1, a2) literally.
     """
-    u = kernel_word(p)
-    ab = u.alphabet
-    a1, a2 = Word.generator(ab, 1), Word.generator(ab, 2)
-    check = substitute(u, psi_infinity(ab, p), ab) == make_w1(a1, a2, p)
-    return u, check
+    return _kernel_identity(p)[:2]
+
+
+def _kernel_identity(p: ParamSet) -> tuple[Word, bool, Word]:
+    """U, the verdict of psi(U) = w1(a1, a2), and the w1(a1, a2) compared."""
+    u, ab = kernel_word(p), Alphabet(2)
+    w1 = make_w1(*ab.generators(), p)
+    return u, substitute(u, psi_infinity(ab, p), ab) == w1, w1
 
 
 def surjectivity_witness(p: ParamSet) -> tuple[Word, bool]:
@@ -69,6 +72,11 @@ def surjectivity_witness(p: ParamSet) -> tuple[Word, bool]:
     exactly w2(x, y); hence modulo the relation w2(a1, a2) = 1 one has
     a2 = psi(P(a1, a2)) with P the inverse of the tail at s_v -> a2.
     """
+    return _surjectivity_identity(p)[:2]
+
+
+def _surjectivity_identity(p: ParamSet) -> tuple[Word, bool, Word]:
+    """The tail, the verdict of the second identity, and the w2(a1, a2) compared."""
     symbols = Alphabet(2)
     s_x = Word.generator(symbols, 1)
     s_v = Word.generator(symbols, 2)
@@ -79,10 +87,11 @@ def surjectivity_witness(p: ParamSet) -> tuple[Word, bool]:
     x = Word.generator(target, 1)
     y = Word.generator(target, 2)
     v1 = make_v(1, x, y, p)
-    # one substitution, y in slot 3, and no name holds its run tuple (9.6 MB at
-    # (40, 3, 5)), the one temporary: it is freed before make_w2 builds its own
-    check = substitute(chain(((3, 1),), tail.runs), [x, v1, y], target) == make_w2(x, y, p)
-    return tail, check
+    # w2 first, so its builder's temporaries are gone before the substitution
+    # runs; that is one substitution, y in slot 3, and no name holds its run
+    # tuple (9.6 MB at (40, 3, 5))
+    w2 = make_w2(x, y, p)
+    return tail, substitute(chain(((3, 1),), tail.runs), [x, v1, y], target) == w2, w2
 
 
 @dataclass(frozen=True)
@@ -102,11 +111,10 @@ def check_report(p: ParamSet) -> list[IdentityCheck]:
     of w_z*(a1, a2) under a letter permutation; and a step replaces more than
     half of an entry, so none applies to U when 2|U| <= the shortest core.
     """
-    u, kernel_ok = kernel_witness(p)
-    _, surj_ok = surjectivity_witness(p)
+    u, kernel_ok, w1 = _kernel_identity(p)
+    _, surj_ok, w2 = _surjectivity_identity(p)
+    shortest = min(cyclic_reduce(w)[0].letter_length for w in (w1, w2))
     bound = (p.n + p.h) * p.h
-    a1, a2 = u.alphabet.generators()
-    shortest = min(cyclic_reduce(w(a1, a2, p))[0].letter_length for w in (make_w1, make_w2))
     return [
         IdentityCheck("kernel-identity", kernel_ok,
                       "psi(U) equals the first identity word at (a1, a2)"),

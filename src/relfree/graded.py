@@ -40,7 +40,6 @@ from .errors import (
 from .verbal import ParamSet, make_v, make_w, slot_schedule
 from .words import (
     Alphabet,
-    CyclicWord,
     Word,
     _check_encodable,
     _decode_letters,
@@ -552,17 +551,16 @@ class _PeriodRegistry:
             for a_word in data.periods:
                 self._by_class[canonical_cyclic(a_word)] = a_word
 
-    def resolve(self, cw: CyclicWord, k: int) -> tuple[Word, int]:
+    def resolve(self, cw: Word, k: int) -> tuple[Word, int]:
         """Period A and exponent f with A^f conjugate to r^k, for a primitive
         r of least rotation ``cw``."""
-        cwi = canonical_cyclic(invert(cw.rep))
+        cwi = canonical_cyclic(invert(cw))
         if cw in self._by_class:
             return self._by_class[cw], k
         if cwi in self._by_class:
             return self._by_class[cwi], -k
-        sign, a_class = (1, cw) if shortlex_key(cw.rep) <= shortlex_key(cwi.rep) else (-1, cwi)
-        a_word = a_class.rep
-        self._by_class[a_class] = a_word
+        sign, a_word = (1, cw) if shortlex_key(cw) <= shortlex_key(cwi) else (-1, cwi)
+        self._by_class[a_word] = a_word
         data = self.pres.rank_data(a_word.letter_length, provenance="classified")
         data.periods.append(a_word)
         return a_word, sign * k

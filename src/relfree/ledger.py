@@ -16,18 +16,20 @@ Catalog items are data, not code.  The file format is one item per line::
 
     id | expression | anchor
 
-with ``#`` comments, expressions over ``alpha..iota, h, d, n`` and
-``+ - * / ^ > >=``, and the anchor a free-text citation string used in
+with ``#`` comments, expressions over ``alpha..iota, h, d, n``, integer
+literals, ``+ - * / ^``, unary ``-`` and one of ``> >= < <=``, checked when
+the catalog is read, and the anchor a free-text citation string used in
 reports.  Evaluation is exact (``fractions.Fraction``); no floating point.
 """
 
 from __future__ import annotations
 
 import ast
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import (
     BrokenChainOrder,
@@ -114,67 +116,27 @@ class LppAssignment:
 
 # -- expression handling -------------------------------------------------
 
-_ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
-_ALLOWED_CMPOPS = (ast.Gt, ast.GtE, ast.Lt, ast.LtE)
+
+def _divide(a: Fraction, b: Fraction, item_id: str) -> Fraction:
+    if not b:
+        raise InvalidParams(f"item {item_id!r} divides by zero")
+    return a / b
 
 
-def _parse_expr(text: str) -> ast.expr:
-    try:
-        tree = ast.parse(text.replace("^", "**"), mode="eval")
-    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
-        # ValueError: a null byte on Python 3.10; the last two: nesting too deep
-        raise InvalidParams(f"unparsable expression {text!r}: {exc}") from None
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.operator, ast.cmpop, ast.unaryop, ast.expr_context)):
-            continue  # validated at the parent node
-        if isinstance(node, (ast.Expression, ast.Compare, ast.BinOp, ast.UnaryOp,
-                             ast.Name, ast.Constant)):
-            if isinstance(node, ast.BinOp) and not isinstance(node.op, _ALLOWED_BINOPS):
-                raise InvalidParams(f"operator not in grammar: {text!r}")
-            if isinstance(node, ast.UnaryOp) and not isinstance(node.op, ast.USub):
-                raise InvalidParams(f"operator not in grammar: {text!r}")
-            if isinstance(node, ast.Compare):
-                if len(node.ops) != 1 or not isinstance(node.ops[0], _ALLOWED_CMPOPS):
-                    raise InvalidParams(f"need exactly one >, >=, < or <=: {text!r}")
-            if isinstance(node, ast.Constant) and not isinstance(node.value, int):
-                raise InvalidParams(f"only integer literals allowed: {text!r}")
-        else:
-            raise InvalidParams(f"construct not in grammar: {text!r}")
-    return tree.body
+def _power(a: Fraction, b: Fraction, item_id: str) -> Fraction:
+    if b.denominator != 1:
+        raise InvalidParams(f"item {item_id!r}: exponents must be integers")
+    if not a and b.numerator < 0:
+        raise InvalidParams(f"item {item_id!r} raises 0 to a negative power")
+    bits = a.numerator.bit_length() + a.denominator.bit_length()
+    if abs(b.numerator) * bits > _MAX_POWER_BITS:
+        raise InvalidParams(f"item {item_id!r}: a power exceeds {_MAX_POWER_BITS} bits")
+    return a ** b.numerator
 
 
-def _eval_expr(node: ast.expr, env: Mapping[str, Fraction], item_id: str) -> Fraction:
-    if isinstance(node, ast.Constant):
-        return Fraction(node.value)
-    if isinstance(node, ast.Name):
-        if node.id not in env:
-            raise InvalidParams(f"item {item_id!r}: unknown name {node.id!r}")
-        return env[node.id]
-    if isinstance(node, ast.UnaryOp):
-        return -_eval_expr(node.operand, env, item_id)
-    if isinstance(node, ast.BinOp):
-        left = _eval_expr(node.left, env, item_id)
-        right = _eval_expr(node.right, env, item_id)
-        if isinstance(node.op, ast.Add):
-            return left + right
-        if isinstance(node.op, ast.Sub):
-            return left - right
-        if isinstance(node.op, ast.Mult):
-            return left * right
-        if isinstance(node.op, ast.Div):
-            if not right:
-                raise InvalidParams(f"item {item_id!r} divides by zero")
-            return left / right
-        if isinstance(node.op, ast.Pow):
-            if right.denominator != 1:
-                raise InvalidParams(f"item {item_id!r}: exponents must be integers")
-            if not left and right.numerator < 0:
-                raise InvalidParams(f"item {item_id!r} raises 0 to a negative power")
-            bits = left.numerator.bit_length() + left.denominator.bit_length()
-            if abs(right.numerator) * bits > _MAX_POWER_BITS:
-                raise InvalidParams(f"item {item_id!r}: a power exceeds {_MAX_POWER_BITS} bits")
-            return left ** right.numerator
-    raise InvalidParams(f"cannot evaluate node {ast.dump(node)}")
+_BINOPS = {ast.Add: lambda a, b, _: a + b, ast.Sub: lambda a, b, _: a - b,
+           ast.Mult: lambda a, b, _: a * b, ast.Div: _divide, ast.Pow: _power}
+_CMPOPS = {ast.Gt: operator.gt, ast.GtE: operator.ge, ast.Lt: operator.lt, ast.LtE: operator.le}
 
 
 @dataclass(frozen=True)
@@ -182,9 +144,9 @@ class CatalogItem:
     id: str
     expression: str
     anchor: str
-    _lhs: ast.expr = field(repr=False, compare=False)
-    _rhs: ast.expr = field(repr=False, compare=False)
-    _op: str = field(repr=False, compare=False)
+    _lhs: Callable[[Mapping[str, Fraction]], Fraction] = field(repr=False, compare=False)
+    _rhs: Callable[[Mapping[str, Fraction]], Fraction] = field(repr=False, compare=False)
+    _op: Callable[[Fraction, Fraction], bool] = field(repr=False, compare=False)
     params: frozenset = field(repr=False, compare=False)
     where: str = field(default="", repr=False, compare=False)  # 'path:line: ', errors' prefix
 
@@ -194,39 +156,69 @@ class CatalogItem:
 
     def evaluate(self, env: Mapping[str, Fraction]) -> tuple[bool, Fraction, Fraction]:
         try:
-            lhs = _eval_expr(self._lhs, env, self.id)
-            rhs = _eval_expr(self._rhs, env, self.id)
+            lhs, rhs = self._lhs(env), self._rhs(env)
         except RecursionError:
             raise InvalidParams(f"{self.where}item {self.id!r} is nested too deeply") from None
         except InvalidParams as exc:
             raise InvalidParams(f"{self.where}{exc}") from None
-        if self._op == ">":
-            return lhs > rhs, lhs, rhs
-        if self._op == ">=":
-            return lhs >= rhs, lhs, rhs
-        if self._op == "<":
-            return lhs < rhs, lhs, rhs
-        return lhs <= rhs, lhs, rhs
-
-
-def _names_in(node: ast.expr) -> set[str]:
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        return self._op(lhs, rhs), lhs, rhs
 
 
 def parse_item(id_: str, expression: str, anchor: str, where: str = "") -> CatalogItem:
-    compare = _parse_expr(expression)
+    """Parse one item.  A single walk of each side checks it against the
+    grammar, collects the names it reads, and builds its evaluator, which
+    maps an environment to the side's exact value."""
+    try:
+        compare = ast.parse(expression.replace("^", "**"), mode="eval").body
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+        # ValueError: a null byte on Python 3.10; the last two: nesting too deep
+        raise InvalidParams(f"unparsable expression {expression!r}: {exc}") from None
     if not isinstance(compare, ast.Compare):
         raise InvalidParams(f"item {id_!r} is not an inequality: {expression!r}")
-    op = {ast.Gt: ">", ast.GtE: ">=", ast.Lt: "<", ast.LtE: "<="}[type(compare.ops[0])]
-    lhs, rhs = compare.left, compare.comparators[0]
-    names = _names_in(compare)
+    names: set[str] = set()
+
+    def compile_side(node: ast.expr) -> Callable[[Mapping[str, Fraction]], Fraction]:
+        if isinstance(node, ast.Constant):
+            if type(node.value) is not int:  # True and False are ints too
+                raise InvalidParams(f"only integer literals allowed: {expression!r}")
+            value = Fraction(node.value)
+            return lambda env: value
+        if isinstance(node, ast.Name):
+            names.add(name := node.id)
+
+            def read(env):
+                try:
+                    return env[name]
+                except KeyError:
+                    raise InvalidParams(f"item {id_!r}: unknown name {name!r}") from None
+            return read
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            operand = compile_side(node.operand)
+            return lambda env: -operand(env)
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+            op = _BINOPS[type(node.op)]
+            left, right = compile_side(node.left), compile_side(node.right)
+            return lambda env: op(left(env), right(env), id_)
+        if isinstance(node, (ast.BinOp, ast.UnaryOp)):
+            raise InvalidParams(f"operator not in grammar: {expression!r}")
+        if isinstance(node, ast.Compare):
+            raise InvalidParams(f"need exactly one >, >=, < or <=: {expression!r}")
+        raise InvalidParams(f"construct not in grammar: {expression!r}")
+
+    if len(compare.ops) != 1 or type(compare.ops[0]) not in _CMPOPS:
+        raise InvalidParams(f"need exactly one >, >=, < or <=: {expression!r}")
+    try:
+        lhs, rhs = compile_side(compare.left), compile_side(compare.comparators[0])
+    except RecursionError:
+        raise InvalidParams(f"item {id_!r} is nested too deeply") from None
     unknown = names - set(PARAM_NAMES) - set(_DERIVED)
     if unknown:
         raise InvalidParams(f"item {id_!r} uses unknown names {sorted(unknown)}")
     params = frozenset(_DERIVED.get(n, n) for n in names)
     if not params:
         raise InvalidParams(f"item {id_!r} mentions no chain parameter")
-    return CatalogItem(id_, expression.strip(), anchor.strip(), lhs, rhs, op, params, where)
+    return CatalogItem(id_, expression.strip(), anchor.strip(), lhs, rhs,
+                       _CMPOPS[type(compare.ops[0])], params, where)
 
 
 @dataclass(frozen=True)

@@ -46,14 +46,6 @@ class CriterionResult:
         return f"{self.id} {self.name}: {status} ({self.detail}; {self.seconds:.2f}s)"
 
 
-def _timed(fn):
-    def wrapper(*args, **kwargs):
-        t0 = time.perf_counter()
-        passed, detail = fn(*args, **kwargs)
-        return passed, detail, time.perf_counter() - t0
-    return wrapper
-
-
 # -- naive reference oracles --------------------------------------------------
 
 
@@ -111,7 +103,6 @@ def _solved_ledger():
     return cat, assign, ledger.verify(assign, cat)
 
 
-@_timed
 def criterion_zero_exponent_sums():
     ab = Alphabet(2)
     x, y = Word.generator(ab, 1), Word.generator(ab, 2)
@@ -127,7 +118,6 @@ _KERNEL_GRID = [ParamSet(h, d, n) for h in (20, 40) for d in (2, 3) for n in (3,
 _W2_GRID = [ParamSet(20, 2, 3), ParamSet(40, 2, 5), ParamSet(40, 3, 5)]
 
 
-@_timed
 def criterion_kernel_identity():
     failures = []
     for p in _KERNEL_GRID:
@@ -137,7 +127,6 @@ def criterion_kernel_identity():
     return not failures, f"{len(_KERNEL_GRID)} parameter triples, failures: {failures}"
 
 
-@_timed
 def criterion_surjectivity_identity():
     failures = []
     for p in _W2_GRID:
@@ -147,7 +136,6 @@ def criterion_surjectivity_identity():
     return not failures, f"{len(_W2_GRID)} parameter triples, failures: {failures}"
 
 
-@_timed
 def criterion_length_bound():
     bad = []
     for p in _KERNEL_GRID:
@@ -160,7 +148,6 @@ def criterion_length_bound():
     return ok, f"toy bound failures: {bad}; ledger T3 holds: {t3.passed}"
 
 
-@_timed
 def criterion_oracle_equivalence(seed: int = 0):
     ab = Alphabet(2)
     letters_pool = [1, -1, 2, -2]
@@ -216,7 +203,6 @@ def criterion_oracle_equivalence(seed: int = 0):
     return True, "exhaustive to length 6 plus 10^4 random words, 100% agreement"
 
 
-@_timed
 def criterion_periods():
     ab = Alphabet(2)
     p = ParamSet(20, 2, 3)
@@ -229,7 +215,6 @@ def criterion_periods():
     return ok, f"X1 = {sorted(map(str, x1))}, X2 = {sorted(map(str, x2))}"
 
 
-@_timed
 def criterion_relators():
     ab = Alphabet(2)
     p = ParamSet(20, 2, 3)
@@ -245,7 +230,6 @@ def criterion_relators():
     return True, f"{len(loaded)} relators round-tripped with verified witnesses"
 
 
-@_timed
 def criterion_ledger():
     cat, assign, rep = _solved_ledger()
     if not rep.passed:
@@ -274,7 +258,6 @@ def criterion_ledger():
                   "both corruptions fail exactly their anchored items")
 
 
-@_timed
 def criterion_dehn_certificates(seed: int = 0):
     ab = Alphabet(4)
     relator = Word.parse(ab, "a1 a2 a1^-1 a2^-1 a3 a4 a3^-1 a4^-1")
@@ -318,7 +301,6 @@ def criterion_dehn_certificates(seed: int = 0):
     return True, "100 identity words certified, 100 corruptions rejected"
 
 
-@_timed
 def criterion_exponent_schedules(seed: int = 0):
     rng = random.Random(seed)
     for case in range(20):
@@ -360,8 +342,9 @@ CRITERIA = (
 def run_criterion(cid: str, seed: int = 0) -> CriterionResult:
     for id_, name, fn, seeded in CRITERIA:
         if id_ == cid:
-            passed, detail, seconds = fn(seed) if seeded else fn()
-            return CriterionResult(id_, name, passed, detail, seconds)
+            t0 = time.perf_counter()
+            passed, detail = fn(seed) if seeded else fn()
+            return CriterionResult(id_, name, passed, detail, time.perf_counter() - t0)
     raise KeyError(cid)
 
 

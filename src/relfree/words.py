@@ -386,20 +386,6 @@ class Word:
         return f"Word({self})"
 
 
-@dataclass(frozen=True)
-class CyclicWord:
-    """Canonical representative of a conjugacy class in the free group.
-
-    ``rep`` is the cyclically reduced core rotated to its shortlex-least
-    position; two words are conjugate iff their CyclicWords are equal.
-    """
-
-    rep: Word
-
-    def __str__(self) -> str:
-        return str(self.rep)
-
-
 # -- elementary operations ---------------------------------------------
 
 
@@ -604,8 +590,10 @@ def cyclic_reduce(u: Word) -> tuple[Word, Word]:
     return core_word, Word(u.alphabet, tuple(conj))
 
 
-def canonical_cyclic(u: Word) -> CyclicWord:
-    """Shortlex-least rotation of the cyclically reduced core.
+def canonical_cyclic(u: Word) -> Word:
+    """Shortlex-least rotation of the cyclically reduced core: the canonical
+    representative of ``u``'s conjugacy class in the free group, so two words
+    are conjugate iff their canonical_cyclic words are equal.
 
     The minimum over rotations starts at a run of the core read as a cyclic
     word (first and last runs joined when they share a generator): a start
@@ -622,7 +610,7 @@ def canonical_cyclic(u: Word) -> CyclicWord:
     """
     core, _ = cyclic_reduce(u)
     if len(core.runs) <= 1:
-        return CyclicWord(core)
+        return core
     runs = _seam_merged(core.runs)
     keys = _run_keys(runs, None)
     n = len(keys)
@@ -644,7 +632,7 @@ def canonical_cyclic(u: Word) -> CyclicWord:
         elif i > j:
             i, j = j, i
         k = 0
-    return CyclicWord(Word(u.alphabet, runs[i:] + runs[:i]))
+    return Word(u.alphabet, runs[i:] + runs[:i])
 
 
 def conjugate_in_free(u: Word, v: Word) -> bool:

@@ -199,6 +199,21 @@ def test_catalog_errors_name_the_file_and_line(capsys, tmp_path, line, message, 
     assert err.startswith(f"error: {cat}:4: {message}")
 
 
+@pytest.mark.parametrize("expression, message", [
+    ("alpha > (beta > gamma)", "need exactly one >, >=, < or <=: 'alpha > (beta > gamma)'"),
+    ("alpha > True", "only integer literals allowed: 'alpha > True'"),
+], ids=["nested-comparison", "bool-literal"])
+def test_lpp_verify_refuses_what_the_grammar_lacks_on_read(capsys, tmp_path, expression,
+                                                           message):
+    cat = tmp_path / "cat.txt"
+    cat.write_text(f"x | {expression} | a\n")
+    assign = tmp_path / "assign.txt"
+    assign.write_text(CHAIN_ASSIGNMENT)
+    code, out, err = run(capsys, "lpp", "verify", str(cat), "--assign", str(assign))
+    assert (code, out) == (1, "")
+    assert err == f"error: {cat}:1: {message}\n"
+
+
 def test_graded_pieces(capsys, tmp_path):
     rel = tmp_path / "rel.txt"
     rel.write_text("a1 a2 a1^-1 a2^-1 a3 a4 a3^-1 a4^-1\n")

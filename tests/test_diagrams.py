@@ -543,7 +543,7 @@ def test_one_relator_table_serves_dehn_certify_and_check(monkeypatch):
     assert outcome(check_certificate, bad, [GENUS2]) \
         == outcome(check_certificate, bad, table)
     built.clear()
-    passed, detail, _ = report.criterion_dehn_certificates(0)
+    passed, detail = report.criterion_dehn_certificates(0)
     assert passed, detail
     assert built == [1]  # C09: one table for its relator, not three per word
 

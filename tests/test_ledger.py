@@ -1,3 +1,5 @@
+import ast
+import random
 import re
 from fractions import Fraction
 
@@ -105,6 +107,103 @@ def test_power_bound_is_on_the_size_of_the_result():
 def test_deeply_nested_items_are_refused(depth):
     with pytest.raises(InvalidParams):
         verify(chain(), InequalityCatalog.from_text(f"x | alpha > {'-' * depth}1 | a"))
+
+
+@pytest.mark.parametrize("expression, message", [
+    ("alpha > (beta > gamma)", "need exactly one >, >=, < or <=: 'alpha > (beta > gamma)'"),
+    ("alpha > True", "only integer literals allowed: 'alpha > True'"),
+], ids=["nested-comparison", "bool-literal"])
+def test_what_the_grammar_lacks_is_refused_when_read(expression, message):
+    # both once loaded: the nested comparison failed only when evaluated, and
+    # True read as 1
+    with pytest.raises(InvalidParams, match=f"^cat.txt:1: {re.escape(message)}$"):
+        InequalityCatalog.from_text(f"x | {expression} | a", "cat.txt")
+
+
+# -- the evaluator against the tree walk it replaced ----------------------------------
+
+def reference_parse_expr(text):
+    """The whitelist walk over the item's syntax tree: its body, or InvalidParams."""
+    try:
+        tree = ast.parse(text.replace("^", "**"), mode="eval")
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+        raise InvalidParams(f"unparsable expression {text!r}: {exc}") from None
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.operator, ast.cmpop, ast.unaryop, ast.expr_context)):
+            continue
+        if isinstance(node, (ast.Expression, ast.Compare, ast.BinOp, ast.UnaryOp,
+                             ast.Name, ast.Constant)):
+            if isinstance(node, ast.BinOp) and not isinstance(
+                    node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)):
+                raise InvalidParams(f"operator not in grammar: {text!r}")
+            if isinstance(node, ast.UnaryOp) and not isinstance(node.op, ast.USub):
+                raise InvalidParams(f"operator not in grammar: {text!r}")
+            if isinstance(node, ast.Compare):
+                if len(node.ops) != 1 or not isinstance(
+                        node.ops[0], (ast.Gt, ast.GtE, ast.Lt, ast.LtE)):
+                    raise InvalidParams(f"need exactly one >, >=, < or <=: {text!r}")
+            if isinstance(node, ast.Constant) and not isinstance(node.value, int):
+                raise InvalidParams(f"only integer literals allowed: {text!r}")
+        else:
+            raise InvalidParams(f"construct not in grammar: {text!r}")
+    return tree.body
+
+
+def reference_eval_expr(node, env):
+    """A dispatch over the node and operator types, evaluated on every call."""
+    if isinstance(node, ast.Constant):
+        return Fraction(node.value)
+    if isinstance(node, ast.Name):
+        return env[node.id]
+    if isinstance(node, ast.UnaryOp):
+        return -reference_eval_expr(node.operand, env)
+    left = reference_eval_expr(node.left, env)
+    right = reference_eval_expr(node.right, env)
+    if isinstance(node.op, ast.Add):
+        return left + right
+    if isinstance(node.op, ast.Sub):
+        return left - right
+    if isinstance(node.op, ast.Mult):
+        return left * right
+    if isinstance(node.op, ast.Div):
+        return left / right
+    assert isinstance(node.op, ast.Pow) and right.denominator == 1
+    return left ** right.numerator
+
+
+def reference_evaluate(item, env):
+    compare = reference_parse_expr(item.expression)
+    lhs = reference_eval_expr(compare.left, env)
+    rhs = reference_eval_expr(compare.comparators[0], env)
+    op = type(compare.ops[0])
+    passed = {ast.Gt: lhs > rhs, ast.GtE: lhs >= rhs, ast.Lt: lhs < rhs, ast.LtE: lhs <= rhs}
+    return passed[op], lhs, rhs
+
+
+def test_solve_pins_the_packaged_chain():
+    assert solve(load_default_catalog()).values() == dict(zip(PARAM_NAMES, map(Fraction, (
+        "1/2", "1/4", "1/8", "1/20", "1/40", "1/160", "1/1153433600001",
+        "1/77405618595497508864000000040001"))))
+
+
+def random_chain(rng):
+    values = set()
+    while len(values) < len(PARAM_NAMES):
+        values.add(Fraction(rng.randint(1, 999), rng.randint(1000, 10 ** 6)))
+    return LppAssignment(*sorted(values, reverse=True))
+
+
+def test_every_packaged_item_evaluates_as_the_tree_walk_did():
+    cat = load_default_catalog()
+    # and the four comparisons where both sides are equal
+    ties = InequalityCatalog.from_text("".join(
+        f"tie{i} | alpha {op} alpha | a\n" for i, op in enumerate((">", ">=", "<", "<="))))
+    chains = [solve(cat)] + [random_chain(random.Random(seed)) for seed in range(50)]
+    for assign in chains:
+        assign.check_structure()
+        env = assign.environment()
+        for item in cat.items + ties.items:
+            assert item.evaluate(env) == reference_evaluate(item, env), (item.id, assign)
 
 
 # -- verify ---------------------------------------------------------------------

@@ -287,7 +287,7 @@ def test_canonical_cyclic_conjugation_invariant():
 
 def test_canonical_rotation_matches_naive_key_exhaustively():
     for w in enumerate_reduced_words(AB, 7):
-        assert tuple(canonical_cyclic(w).rep.to_letters()) == \
+        assert tuple(canonical_cyclic(w).to_letters()) == \
             naive_conjugacy_key(w.to_letters())
 
 
@@ -297,8 +297,8 @@ def test_canonical_rotation_matches_naive_key_across_the_seam():
     for _ in range(500):
         seq = naive_reduce(seam_letters(rng))
         w = free_reduce(ab3, seq)
-        assert len(canonical_cyclic(w).rep.runs) == len(w.runs) - 1
-        assert tuple(canonical_cyclic(w).rep.to_letters()) == naive_conjugacy_key(seq)
+        assert len(canonical_cyclic(w).runs) == len(w.runs) - 1
+        assert tuple(canonical_cyclic(w).to_letters()) == naive_conjugacy_key(seq)
         g = free_reduce(ab3, rand_letters(rng, rng.randint(0, 4), 3))
         assert canonical_cyclic(conjugate(w, g)) == canonical_cyclic(w)
 
@@ -760,7 +760,7 @@ def every_constructor(a, b, k) -> list[Word]:
            u.prefix(u.letter_length // 2)]
     core = cyclic_reduce(u)[0]
     if not core.is_empty:
-        out += [canonical_cyclic(u).rep, primitive_root(power(core, k))[0]]
+        out += [canonical_cyclic(u), primitive_root(power(core, k))[0]]
     x, y = Word.generator(AB3, 1), concat(Word.generator(AB3, 2), v)
     p = verbal.ParamSet(20, 1, 1)
     out += [verbal.make_v(z, x, y, p) for z in (0, 1, 2)]
