@@ -22,6 +22,7 @@ value, only slower to compare.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress, count, islice
 from operator import eq, itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -121,24 +122,6 @@ def _check_run_budget(count: int, what: str) -> None:
     if count > DEFAULT_RUN_BUDGET:
         raise BudgetExceeded(
             f"{what} would need {count} entries, over the budget of {DEFAULT_RUN_BUDGET}")
-
-
-def _tile_runs(runs, k: int) -> list:
-    """Concatenate ``k >= 1`` copies of a cyclically reduced run sequence."""
-    if not runs:
-        return []
-    if len(runs) == 1:
-        g, e = runs[0]
-        return [_RUNS[(g, e * k)]]
-    _check_run_budget(len(runs) * k, "a power")
-    fg, fe = runs[0]
-    lg, le = runs[-1]
-    if fg != lg:
-        return list(runs) * k
-    # Same generator on both ends; cyclic reducedness makes the signs equal,
-    # so copies merge at the seam without cancellation.
-    mid = list(runs[1:-1])
-    return [runs[0]] + mid + ([_RUNS[(fg, fe + le)]] + mid) * (k - 1) + [runs[-1]]
 
 
 def _run_keys(runs, after) -> list:
@@ -444,53 +427,83 @@ def concat_all(words: Iterable[Word]) -> Word:
 
 
 def invert(u: Word) -> Word:
-    return Word(u.alphabet, tuple(map(_INVERSES.__getitem__, reversed(u.runs))))
+    return Word(u.alphabet, _inverse_runs(u.runs))
 
 
-def _power_runs(core: tuple, conj: tuple, k: int) -> list:
-    """Runs of (conj core conj^-1)^k = conj core^k conj^-1 for a nonempty
-    cyclically reduced ``core`` and ``k != 0``."""
-    if k < 0:
-        core, k = tuple(map(_INVERSES.__getitem__, reversed(core))), -k
-    tiled = _tile_runs(core, k)
-    if not conj:
-        return tiled
-    out = list(conj)
-    _append_runs(out, tiled)
-    _append_runs(out, tuple(map(_INVERSES.__getitem__, reversed(conj))))
-    return out
+def _inverse_runs(runs) -> tuple:
+    return tuple(map(_INVERSES.__getitem__, reversed(runs)))
 
 
-class _PowerFactory:
-    """Run sequences of powers of a fixed word, sharing one cyclic reduction, each
-    with its letter count |core| |k| + 2 |conj| (conj core^k conj^-1 is reduced)."""
+def _power_blocks(core: tuple, conj: tuple, positive: bool) -> tuple:
+    core = core if positive else _inverse_runs(core)  # of u^k for k > 0 or k < 0
+    head, close = list(conj), [core[-1]]
+    _append_runs(head, core[:-1])
+    _append_runs(close, _inverse_runs(conj))
+    (g, e), (gl, el) = core[0], core[-1]
+    repeat = (_RUNS[(g, e + el)],) + core[1:-1] if g == gl else core[-1:] + core[:-1]
+    return head, repeat, close
 
-    def __init__(self, w: Word):
-        core, conj = cyclic_reduce(w)
-        self._core = core.runs
-        self._conj = conj.runs
+
+class _Powers:
+    """Appends powers u^k = conj core^k conj^-1 of a fixed word onto reduced run
+    stacks; u^k is reduced, of |core| |k| + 2 |conj| letters.  For a core of two or
+    more runs and k > 0 it is head repeat^(k-1) close: head is conj and the core
+    less its last run, repeat the core rotated to start at that run (joined to the
+    first run when they share a generator), close that run and conj^-1, each
+    reduced once per sign of k.  Only the seams with the stack reduce (through
+    :func:`_append_runs`): repeats are extended in bulk unless the head cancelled
+    whole, and then go one by one until one is left, so each run of u^k is copied
+    once.  The run list of u^k is kept only once k recurs."""
+
+    def __init__(self, u: Word):
+        core, conj = cyclic_reduce(u)
         self._sizes = core.letter_length, 2 * conj.letter_length
-        self._cache: dict[int, tuple] = {}
+        self._parts = core.runs, conj.runs
+        self._blocks = _Table(partial(_power_blocks, *self._parts))  # by k > 0
+        self._kept: dict = {}  # k -> None once seen, then (runs of u^k, |u^k|)
 
-    def runs(self, k: int) -> tuple[list, int]:
-        if k == 0 or not self._core:
-            return [], 0
-        got = self._cache.get(k)
-        if got is None:
-            size = self._sizes[0] * abs(k) + self._sizes[1]
-            got = self._cache[k] = _power_runs(self._core, self._conj, k), size
-        return got
+    def append(self, acc: list, k: int) -> int:
+        """Append u^k to the reduced run stack ``acc``; return the letters it
+        adds, |u^k| less the letters cancelled at the seam."""
+        kept = self._kept.get(k)
+        if kept is None:
+            size = self._sizes[0] * abs(k) + self._sizes[1] if k else 0
+            if k not in self._kept:
+                self._kept[k] = None
+                return size - self._extend(acc, k)
+            kept = self._kept[k] = [], size
+            self._extend(kept[0], k)
+        return kept[1] - _append_runs(acc, kept[0])
+
+    def _extend(self, acc: list, k: int) -> int:
+        """Append u^k to ``acc``; return the letters cancelled at the seam."""
+        core, conj = self._parts
+        if not k or not core:
+            return 0
+        if len(core) == 1:  # one run between conj and conj^-1
+            g, e = core[0]
+            cut = _append_runs(acc, conj) + _append_runs(acc, (_RUNS[(g, e * k)],))
+            return cut + _append_runs(acc, _inverse_runs(conj))
+        _check_run_budget(len(core) * abs(k), "a power")
+        head, repeat, close = self._blocks[k > 0]
+        cut = _append_runs(acc, head)
+        k = abs(k) - 1
+        while k and acc and acc[-1][0] == repeat[0][0]:  # the head cancelled whole
+            cut += _append_runs(acc, repeat)
+            k -= 1
+        for _ in range(k):
+            acc.extend(repeat)
+        return cut + _append_runs(acc, close)  # the core's last run may join conj^-1
 
 
 def power(u: Word, k: int) -> Word:
-    """u**k, computed through the cyclically reduced core so that huge k
-    costs no more than the final size (a single run for single-run cores)."""
-    if k == 0 or u.is_empty:
-        return Word.identity(u.alphabet)
+    """u**k, appended by :class:`_Powers`, so that huge k costs no more than the
+    final size (one run for a one-run core)."""
     if k == 1:
         return u
-    core, conj = cyclic_reduce(u)
-    return Word(u.alphabet, tuple(_power_runs(core.runs, conj.runs, k)))
+    acc: list = []
+    _Powers(u)._extend(acc, k)
+    return Word(u.alphabet, tuple(acc))
 
 
 def substitute(w: Word | Iterable[tuple[int, int]], images: Sequence[Word],
@@ -499,9 +512,12 @@ def substitute(w: Word | Iterable[tuple[int, int]], images: Sequence[Word],
 
     ``w`` is a word, which needs one image per generator, or any iterable of
     (generator, exponent) runs, such as a template's slot schedule; its runs
-    are read one at a time, so a schedule is never held whole.  The result
-    carries its letter length, its slots' counts less the letters cancelled, and
-    its exponent sums, each image's times its slots' total exponent (exact)."""
+    are read one at a time, so a schedule is never held whole.  Each slot's
+    power goes onto the result's run stack through :class:`_Powers`, so each of
+    its runs is copied once, and its run list is kept only if its exponent
+    recurs.  The result carries its letter length, its slots' counts less the
+    letters cancelled, and its exponent sums, each image's times its slots'
+    total exponent (exact)."""
     if isinstance(w, Word):
         if len(images) != w.alphabet.m:
             raise AlphabetMismatch(f"need {w.alphabet.m} images, got {len(images)}")
@@ -510,19 +526,18 @@ def substitute(w: Word | Iterable[tuple[int, int]], images: Sequence[Word],
         if img.alphabet != target:
             raise AlphabetMismatch("image words must live in the target alphabet")
 
-    def factory(g: int) -> _PowerFactory:
+    def powers_of(g: int) -> _Powers:
         if not 0 < g <= len(images):
             raise AlphabetMismatch(f"no image for generator {g} among {len(images)}")
-        return _PowerFactory(images[g - 1])
+        return _Powers(images[g - 1])
 
-    factories = _Table(factory)
+    powers = _Table(powers_of)
     totals = [0] * len(images)  # slot k-1 -> the exponents read at generator k
     acc: list = []
     length = 0
     for g, e in w:
-        runs, size = factories[g].runs(e)
+        length += powers[g].append(acc, e)
         totals[g - 1] += e
-        length += size - _append_runs(acc, runs)
         if len(acc) > DEFAULT_RUN_BUDGET:
             _check_run_budget(len(acc), "a substitution")
     word = Word(target, tuple(acc))

@@ -854,6 +854,74 @@ def test_a_substitution_carries_its_exact_length(text, images, want):
     assert got._len == sum(abs(e) for _, e in got.runs)
 
 
+def inverse_runs(runs) -> list:
+    return [(g, -e) for g, e in reversed(runs)]
+
+
+def inverse_letters(letters) -> list:
+    return [-a for a in reversed(letters)]
+
+
+@st.composite
+def image_runs(draw):
+    """The runs of an image of each kind that powers split apart: empty, one
+    run, or a core under a conjugator, the core's first and last runs sharing
+    a generator and sign when ``seam`` is drawn (its copies then join)."""
+    kind = draw(st.sampled_from(["empty", "run", "conjugated", "seam"]))
+    g, e = draw(st.integers(1, 3)), draw(st.integers(-3, 3).filter(bool))
+    if kind == "empty":
+        return []
+    if kind == "run":
+        return [(g, e)]
+    core = draw(runs3_strategy)
+    if kind == "seam":
+        core = [(g, e)] + [r for r in core if r[0] != g] + [(g, draw(st.integers(1, 3)) * e)]
+    conj = draw(runs3_strategy)
+    return conj + core + inverse_runs(conj)
+
+
+# slots over 3 generators with exponents -7..7, 0 and repeats among them; a
+# slot after one of its own generator and the other sign cancels its head whole
+schedule_strategy = st.lists(st.tuples(st.integers(1, 3), st.integers(-7, 7)), max_size=10)
+
+
+@settings(max_examples=400, deadline=None)
+@given(schedule_strategy, st.lists(image_runs(), min_size=3, max_size=3))
+def test_substitute_and_power_agree_with_the_letter_reference(schedule, image_list):
+    with fresh_run_tables() as table:
+        images = [word3(runs) for runs in image_list]
+        letters = {g: img.to_letters() for g, img in enumerate(images, 1)}
+        got = words_mod.substitute(schedule, images, AB3)
+        powers = [(power(img, k), letters[g], k) for g, img in enumerate(images, 1)
+                  for k in range(-7, 8)]
+        runs = [w.runs for w in [got] + [p for p, _, _ in powers]]
+        assert all(table.get(run) is run for r in runs for run in r)
+    want = free_reduce(AB3, [a for g, e in schedule for _ in range(abs(e))
+                             for a in (letters[g] if e > 0 else inverse_letters(letters[g]))])
+    assert got.runs == want.runs
+    assert got._len == want.letter_length
+    assert {g: s for g, s in got._sums.items() if s} == {
+        g: s for g, s in want.exponent_sums().items() if s}
+    for got_power, word_letters, k in powers:
+        base = word_letters if k > 0 else inverse_letters(word_letters)
+        assert got_power.runs == free_reduce(AB3, base * abs(k)).runs
+
+
+def test_one_substitution_holds_little_more_than_its_result():
+    # the build of w2 at (40, 3, 5), 1.2 M runs, holds its run stack and the
+    # result tuple at the end, and no tiled run list per exponent before it
+    tracemalloc = pytest.importorskip("tracemalloc")
+    p = verbal.ParamSet(40, 3, 5)
+    verbal.make_w2(A1, A2, p)  # the run table holds every run value afterwards
+    tracemalloc.start()
+    try:
+        w = verbal.make_w2(A1, A2, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 8 * len(w.runs)
+
+
 def test_equal_runs_built_apart_are_one_object():
     # two separately built copies of w1 share every run object
     p = verbal.ParamSet(20, 2, 3)
