@@ -99,11 +99,7 @@ def _cmd_word(args) -> int:
         print(canonical_cyclic(w))
         return EXIT_OK
     if args.action == "root":
-        core = w
-        if not core.is_cyclically_reduced():
-            print("input must be cyclically reduced", file=sys.stderr)
-            return EXIT_FAIL
-        root, k = primitive_root(core)
+        root, k = primitive_root(w)
         _emit(args, [("root", str(root)), ("k", k)])
         return EXIT_OK
     if args.action == "conj":

@@ -415,6 +415,8 @@ def load_certificate(path) -> DiagramCertificate:
     claim: tuple[Word, ...] | None = None
     with open_text(path) as fh:
         lines = fh.read().split("\n")
+    # not errors.content_lines: it formats ``path:n`` for every line, which took
+    # a 49 845-line certificate from 42 to 60 ms (2-vCPU Xeon host)
     for lineno, line in enumerate(lines, start=1):
         tokens = line.split()
         if not tokens:

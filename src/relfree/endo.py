@@ -48,35 +48,27 @@ def kernel_word(p: ParamSet) -> Word:
     return substitute(slot_schedule(1, p), (Word.generator(ab, 1), Word.generator(ab, 2)), ab)
 
 
-def kernel_witness(p: ParamSet) -> tuple[Word, bool]:
-    """The kernel word U and the verdict of the identity psi(U) = w1(a1, a2).
+def kernel_witness(p: ParamSet) -> tuple[Word, bool, Word]:
+    """The kernel word U, the verdict of the identity psi(U) = w1(a1, a2),
+    and the w1(a1, a2) compared.
 
     U has a2 in the power slots, so the substitution a2 -> v1(a1, a2)
     reproduces w1(a1, a2) literally.
     """
-    return _kernel_identity(p)[:2]
-
-
-def _kernel_identity(p: ParamSet) -> tuple[Word, bool, Word]:
-    """U, the verdict of psi(U) = w1(a1, a2), and the w1(a1, a2) compared."""
     u, ab = kernel_word(p), Alphabet(2)
     w1 = make_w1(*ab.generators(), p)
     return u, substitute(u, psi_infinity(ab, p), ab) == w1, w1
 
 
-def surjectivity_witness(p: ParamSet) -> tuple[Word, bool]:
-    """Two-symbol tail showing a2 lies in <a1, v1(a1, a2)> modulo w2 = 1.
+def surjectivity_witness(p: ParamSet) -> tuple[Word, bool, Word]:
+    """Two-symbol tail showing a2 lies in <a1, v1(a1, a2)> modulo w2 = 1, the
+    verdict of that identity, and the w2(a1, a2) compared.
 
-    The returned word lives over the abstract alphabet {s_x, s_v} (generators
-    1 and 2).  Substituting s_x -> x, s_v -> v1(x, y) and prefixing y gives
+    The tail lives over the abstract alphabet {s_x, s_v} (generators 1 and
+    2).  Substituting s_x -> x, s_v -> v1(x, y) and prefixing y gives
     exactly w2(x, y); hence modulo the relation w2(a1, a2) = 1 one has
     a2 = psi(P(a1, a2)) with P the inverse of the tail at s_v -> a2.
     """
-    return _surjectivity_identity(p)[:2]
-
-
-def _surjectivity_identity(p: ParamSet) -> tuple[Word, bool, Word]:
-    """The tail, the verdict of the second identity, and the w2(a1, a2) compared."""
     symbols = Alphabet(2)
     s_x = Word.generator(symbols, 1)
     s_v = Word.generator(symbols, 2)
@@ -111,8 +103,8 @@ def check_report(p: ParamSet) -> list[IdentityCheck]:
     of w_z*(a1, a2) under a letter permutation; and a step replaces more than
     half of an entry, so none applies to U when 2|U| <= the shortest core.
     """
-    u, kernel_ok, w1 = _kernel_identity(p)
-    _, surj_ok, w2 = _surjectivity_identity(p)
+    u, kernel_ok, w1 = kernel_witness(p)
+    _, surj_ok, w2 = surjectivity_witness(p)
     shortest = min(cyclic_reduce(w)[0].letter_length for w in (w1, w2))
     bound = (p.n + p.h) * p.h
     return [

@@ -639,7 +639,8 @@ def load_presentation(path) -> GradedPresentation:
     """Parse the text format into templates; no relator word is built.
 
     A line that cannot be read, a second ``alphabet``, ``params`` or ``mode`` line,
-    a mode other than ``toy``, a period not as long as its rank's number, or a
+    a mode other than ``toy``, a provenance other than ``enumerated`` or
+    ``classified``, a period not as long as its rank's number, or a
     relator line whose A^f is not v_z*(X, U) raises :class:`InvalidParams`, and a
     template too large to check :class:`BudgetExceeded`, naming the file and line."""
     def fields(tokens, *names, **defaults):  # errors name the line, below
@@ -678,6 +679,8 @@ def load_presentation(path) -> GradedPresentation:
                 current = ranks.setdefault(rank, RankData())
                 current.provenance = fields(tokens[2:], "provenance",
                                             provenance=current.provenance)[0]
+                if current.provenance not in ("enumerated", "classified"):
+                    raise InvalidParams("the only provenances are enumerated and classified")
             elif head == "period":
                 a = Word.parse(alphabet, fields_after(tokens, 1)[0])
                 current.periods.append(a)

@@ -768,12 +768,7 @@ def _is_cyclic_shift(enc: str, doubled: str) -> bool:
 def conjugacy_witnesses(u: Word, v: Word):
     """Yield words W with u = W v W^-1, one per cyclic alignment of the cores."""
     _check_same_alphabet(u, v)
-    yield from _aligned_witnesses(cyclic_reduce(u), cyclic_reduce(v))
-
-
-def _aligned_witnesses(split_u: tuple, split_v: tuple):
-    """:func:`conjugacy_witnesses` over the splits ``(core, conj)`` of u and v."""
-    (core_u, cu), (core_v, cv) = split_u, split_v
+    (core_u, cu), (core_v, cv) = cyclic_reduce(u), cyclic_reduce(v)
     if core_u.letter_length != core_v.letter_length:
         return
     if core_u.is_empty:
@@ -805,11 +800,10 @@ def minimal_conjugacy_witness(u: Word, v: Word) -> Word | None:
     witness no longer than the best one so far.  rho is built only when a
     candidate needs it.
     """
-    _check_same_alphabet(u, v)
-    core_v, cv = split_v = cyclic_reduce(v)
-    base = list(_aligned_witnesses(cyclic_reduce(u), split_v))
+    base = list(conjugacy_witnesses(u, v))
     if not base:
         return None
+    core_v, cv = cyclic_reduce(v)
     best = min(base, key=shortlex_key)
     root_len = core_v.letter_length // len(base)
     w0, rho, k = base[0], None, 1

@@ -827,6 +827,13 @@ def test_word_root_with_a_huge_exponent(word, root, k):
     assert proc.stdout == f"root: {root}\nk: {k}\n"
 
 
+def test_word_root_refuses_a_word_not_cyclically_reduced_as_an_error(capsys):
+    # primitive_root makes the one refusal, and main prints it as every error
+    code, out, err = run(capsys, "word", "root", "a1 a2 a1^-1")
+    assert (code, out) == (1, "")
+    assert err == "error: primitive_root expects a cyclically reduced word\n"
+
+
 def test_vkd_check_under_a_huge_alphabet_line(tmp_path):
     # the certificate's alphabet line sets the alphabet the relators are read in
     from relfree.diagrams import certify_dehn_trace, save_certificate

@@ -119,12 +119,17 @@ def test_psi_substitution_compatibility_on_w2():
 
 def test_kernel_identity_on_the_full_grid():
     for p in GRID:
-        u, ok = kernel_witness(p)
+        u, ok, _ = kernel_witness(p)
         assert ok, (p.h, p.d, p.n)
 
 
+def test_kernel_witness_returns_the_w1_it_compared():
+    for p in (P, ParamSet(40, 3, 5)):
+        assert kernel_witness(p)[2] == make_w1(A1, A2, p)
+
+
 def test_kernel_word_shape():
-    u, _ = kernel_witness(P)
+    u, _, _ = kernel_witness(P)
     assert kernel_word(P) == u
     assert not u.is_empty
     assert u.is_cyclically_reduced()
@@ -134,13 +139,13 @@ def test_kernel_word_shape():
 
 def test_kernel_word_length_bound():
     for p in GRID:
-        u, _ = kernel_witness(p)
+        u, _, _ = kernel_witness(p)
         assert u.letter_length < (p.n + p.h) * p.h
 
 
 def test_kernel_word_uses_only_plain_letters():
     # the template puts a2-powers in the block slots, nothing longer
-    u, _ = kernel_witness(P)
+    u, _, _ = kernel_witness(P)
     assert set(g for g, _ in u.runs) == {1, 2}
 
 
@@ -148,13 +153,18 @@ def test_kernel_word_uses_only_plain_letters():
 
 def test_surjectivity_identity():
     for p in (ParamSet(20, 2, 3), ParamSet(40, 2, 5), ParamSet(40, 3, 5)):
-        _, ok = surjectivity_witness(p)
+        _, ok, _ = surjectivity_witness(p)
         assert ok, (p.h, p.d, p.n)
+
+
+def test_surjectivity_witness_returns_the_w2_it_compared():
+    for p in (P, ParamSet(40, 2, 5)):
+        assert surjectivity_witness(p)[2] == make_w2(A1, A2, p)
 
 
 @pytest.mark.parametrize("p", [ParamSet(20, 2, 3), ParamSet(40, 2, 5)])
 def test_the_y_prefixed_substitution_is_y_times_the_substituted_tail(p):
-    tail, _ = surjectivity_witness(p)
+    tail, _, _ = surjectivity_witness(p)
     v1 = make_v(1, A1, A2, p)
     one = substitute(chain(((3, 1),), tail.runs), [A1, v1, A2], AB)
     assert one == concat(A2, substitute(tail, [A1, v1], AB))
@@ -172,13 +182,13 @@ def test_surjectivity_is_refused_when_w2_has_one_exponent_changed(monkeypatch):
 
 
 def test_tail_starts_with_commutator_block():
-    tail, _ = surjectivity_witness(P)
+    tail, _, _ = surjectivity_witness(P)
     # [s_v^d, s_x^d]^{n^2+1} opens with s_v^d
     assert tail.runs[0] == (2, P.d)
 
 
 def test_tail_with_sv_to_y_has_zero_sums():
-    tail, _ = surjectivity_witness(P)
+    tail, _, _ = surjectivity_witness(P)
     target = Alphabet(2)
     x, y = Word.generator(target, 1), Word.generator(target, 2)
     w = concat(y, substitute(tail, [x, y], target))
@@ -194,6 +204,18 @@ def test_check_report_all_pass():
     assert "surjectivity-identity" in names
 
 
+def test_check_report_calls_each_witness_once_through_the_module(monkeypatch):
+    # a wrapper set on the module attribute, as a tracer sets it, sees each call
+    calls = []
+    for name in ("kernel_witness", "surjectivity_witness"):
+        def counted(p, _name=name, _witness=getattr(endo, name)):
+            calls.append(_name)
+            return _witness(p)
+        monkeypatch.setattr(endo, name, counted)
+    assert all(c.passed for c in check_report(P))
+    assert sorted(calls) == ["kernel_witness", "surjectivity_witness"]
+
+
 def test_the_dehn_evidence_names_half_the_shortest_core():
     # the shortest core of the 16 toy relators at (20, 2, 3) has 20 018 letters
     evidence = {c.name: c for c in check_report(P)}["kernel-word-dehn-irreducible"]
@@ -206,7 +228,7 @@ def test_check_report_keeps_the_dehn_evidence_at_the_second_scale():
     checks = {c.name: c for c in check_report(ParamSet(40, 3, 5))}
     evidence = checks["kernel-word-dehn-irreducible"]
     assert evidence.passed
-    u, _ = kernel_witness(ParamSet(40, 3, 5))
+    u, _, _ = kernel_witness(ParamSet(40, 3, 5))
     assert evidence.detail.startswith(f"|U| = {u.letter_length}, floor(shortest core / 2) = ")
     assert evidence.detail.endswith(" over 16 toy relators")
 

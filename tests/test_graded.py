@@ -969,6 +969,23 @@ def test_presentation_refuses_a_mode_other_than_toy(tmp_path):
             load_presentation(path)
 
 
+def test_presentation_refuses_a_provenance_other_than_enumerated_or_classified(tmp_path):
+    # a copy of the pinned file with provenance=banana loaded and saved banana again
+    text = (Path(__file__).parent / "data" / "presentation_20_2_3.txt").read_text()
+    lines = text.split("\n")
+    lineno = lines.index("rank 77 provenance=classified") + 1
+    path = tmp_path / "pres.txt"
+    for value in ("banana", "", "Classified"):
+        path.write_text(text.replace("rank 77 provenance=classified",
+                                     f"rank 77 provenance={value}"))
+        with pytest.raises(InvalidParams, match=f"{path}:{lineno}: .*the only provenances "
+                                                "are enumerated and classified"):
+            load_presentation(path)
+    path.write_text(text)
+    assert {data.provenance for data in load_presentation(path).ranks.values()} \
+        == {"enumerated", "classified"}
+
+
 def test_presentation_refuses_unknown_repeated_and_missing_fields(tmp_path):
     head = "alphabet 2\nparams h=20 d=2 n=3\nmode toy\nrank 1\n"
     path = tmp_path / "pres.txt"

@@ -555,6 +555,20 @@ def test_conjugacy_witness_absent_for_nonconjugates():
     assert minimal_conjugacy_witness(A1, A2) is None
 
 
+def test_minimal_witness_searches_through_the_module_attribute(monkeypatch):
+    # a wrapper set on words.conjugacy_witnesses, as a tracer sets it, sees the search
+    calls = []
+
+    def counted(u, v, _witnesses=words_mod.conjugacy_witnesses):
+        calls.append((u, v))
+        return _witnesses(u, v)
+    monkeypatch.setattr(words_mod, "conjugacy_witnesses", counted)
+    u, v = Word.parse(AB, "a2 a1"), Word.parse(AB, "a1 a2")
+    assert minimal_conjugacy_witness(u, v) == invert(A1)
+    assert minimal_conjugacy_witness(A1, A2) is None
+    assert calls == [(u, v), (A1, A2)]
+
+
 # -- letter budget -----------------------------------------------------------------
 
 def test_letter_budget_guards_materialization():
