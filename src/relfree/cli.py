@@ -21,16 +21,8 @@ import shlex
 import sys
 
 from . import diagrams, endo, graded, ledger, report
-from .errors import (
-    BudgetExceeded,
-    EmptyInput,
-    InvalidParams,
-    RelfreeError,
-    Unsatisfiable,
-    content_lines,
-    named_values,
-    open_text,
-)
+from .errors import (BudgetExceeded, EmptyInput, RelfreeError, Unsatisfiable, content_lines,
+                     open_text)
 from .verbal import ParamSet, epsilon, make_v, make_w, word_length_symbolic
 from .words import Alphabet, Word, canonical_cyclic, conjugate_in_free, parse_words, primitive_root
 
@@ -53,24 +45,9 @@ def _emit(args, pairs: list[tuple[str, str]]) -> None:
 
 
 def _params_from_args(args) -> ParamSet:
-    """(h, d, n) from the ``--params`` file, else from the flags or 20, 2 and 3."""
-    if args.params is None:
-        return ParamSet(*(default if value is None else value
-                          for value, default in ((args.h, 20), (args.d, 2), (args.n, 3))))
-    with open_text(args.params) as fh:
-        text = fh.read()
-    try:
-        values = named_values(content_lines(text, args.params), "h", "d", "n")
-    except EmptyInput as exc:
-        raise InvalidParams(f"{args.params}: {exc}") from None
-    return ParamSet(*(_integer(where, value) for where, value in values))
-
-
-def _integer(where: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise InvalidParams(f"{where}: expected an integer, got {text!r}") from None
+    """(h, d, n) from the flags, or 20, 2 and 3."""
+    return ParamSet(*(default if value is None else value
+                      for value, default in ((args.h, 20), (args.d, 2), (args.n, 3))))
 
 
 def _read_relators(path, m: int | None = None) -> list[Word]:
@@ -258,11 +235,11 @@ _COMMANDS = {  # name -> (help line, handler), in the order the usage lists them
 _ACTION_OPTIONS = {
     "verbal": {"which": ("build", "length"), "x": ("build",), "y": ("build",), "m": ("build",),
                "lx": ("length",), "ly": ("length",), "i": ("epsilon",),
-               **dict.fromkeys(("params", "h", "d", "n"), ("build", "length"))},
+               **dict.fromkeys(("h", "d", "n"), ("build", "length"))},
     "lpp": {"assign": ("verify",), "out": ("solve",)},
     "graded": {"budget_dehn": ("dehn",), "relators": ("dehn", "pieces"), "out": ("build",),
                "rank": ("build",), "pair_budget": ("build",),
-               **dict.fromkeys(("params", "h", "d", "n"), ("build",))},
+               **dict.fromkeys(("h", "d", "n"), ("build",))},
 }
 
 
@@ -309,7 +286,6 @@ def _add_arguments(sub: argparse.ArgumentParser, name: str) -> None:
     if name in ("verbal", "graded", "endo"):
         for flag in ("--h", "--d", "--n"):  # no default: see _params_from_args
             sub.add_argument(flag, type=int)
-        sub.add_argument("--params", help="file with h=, d=, n= lines")
     sub.add_argument("--output", choices=("text", "kv"), default="text")
     if name == "report":
         sub.add_argument("--seed", type=int, default=0)
@@ -353,10 +329,6 @@ def main(argv=None) -> int:
     if getattr(args, "words", None) is not None and args.action != "dehn":
         print(f"graded {args.action} takes no word file, not {args.words!r}", file=sys.stderr)
         return EXIT_USAGE
-    for name in ("h", "d", "n"):  # a --params file sets all three
-        if getattr(args, "params", None) is not None and getattr(args, name) is not None:
-            print(f"--{name} and --params both set {name}; give one", file=sys.stderr)
-            return EXIT_USAGE
     for name, actions in _ACTION_OPTIONS.get(args.command, {}).items():
         if getattr(args, name) is not None and args.action not in actions:
             readers = " and ".join(f"{args.command} {action}" for action in actions)

@@ -240,18 +240,13 @@ def _reducedness_warnings(cert: DiagramCertificate, occurrences) -> list[str]:
     return warnings
 
 
-def _doubled(w: Word) -> str:
-    enc = _encode_word(w)
-    return enc + enc
-
-
 def _claim_mismatch(cert: DiagramCertificate) -> str | None:
     read = [_encode_letters([_as_read(cert, ref) for ref in b]) for b in cert.boundaries]
     if len(cert.claim) != len(read):
         return f"claim lists {len(cert.claim)} boundary words, diagram has {len(read)}"
     if any(w.is_empty for w in cert.claim):
         return "the empty word needs no certificate"
-    if not _match_boundaries(read, [_doubled(w) for w in cert.claim]):
+    if not _match_boundaries(read, [_encode_word(w) * 2 for w in cert.claim]):
         return "boundary words do not match the claimed tuple"
     return None
 
@@ -290,7 +285,6 @@ def certify_dehn_trace(w: Word, relators: list[Word] | _RelatorTable,
         return next_id - 1
 
     boundary_sides = [new_side(g) for g in w.to_letters()]
-    boundary = [side for side in boundary_sides]
     frontier: list[tuple[int, int]] = [(side, 1) for side in boundary_sides]
 
     def reading(entry: tuple[int, int]) -> int:
@@ -339,7 +333,7 @@ def certify_dehn_trace(w: Word, relators: list[Word] | _RelatorTable,
         alphabet=w.alphabet,
         labels=labels,
         faces=faces,
-        boundaries=[boundary],
+        boundaries=[boundary_sides],
         pairs=pairs,
         claim=(w,),
     )

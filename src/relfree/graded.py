@@ -293,14 +293,8 @@ def piece_stats(relators: list[Word]) -> tuple[int, Fraction]:
             f"symmetrized set would hold {total} letters, over {_PIECE_BUDGET}")
     ordered = sorted({table.doubled(k)[o:o + n]
                       for k, n in enumerate(table.lengths) for o in range(n)})
-    max_piece = 0
-    for a, b in zip(ordered, ordered[1:]):
-        lcp = 0
-        for x, y in zip(a, b):
-            if x != y:
-                break
-            lcp += 1
-        max_piece = max(max_piece, lcp)
+    max_piece = max((_agreement(a, 0, b, 0, min(len(a), len(b)), 1)
+                     for a, b in zip(ordered, ordered[1:])), default=0)
     return max_piece, Fraction(max_piece, table.shortest)
 
 
@@ -578,9 +572,7 @@ def build_relator(z_star: int, a_word: Word, f: int, x_word: Word, u_word: Word,
     slot schedule over the run budget (exit 3).  The paper's magnitude bounds
     on A, X, U and f are not checked: toy parameters break them, and no
     verdict reads them."""
-    if z_star not in (1, 2):
-        raise InvalidParams(f"z* must be 1 or 2, got {z_star}")
-    next(slot_schedule(z_star, p))  # its first run checks the slot count
+    next(slot_schedule(z_star, p))  # its first run checks z* and the slot count
     if f == 0:
         raise ZeroExponent("the period exponent multiplier f must be nonzero")
     if a_word.is_empty:

@@ -319,15 +319,14 @@ def _env_of(partial: dict[str, Fraction]) -> dict[str, Fraction]:
 
 def _integerize(name: str, partial: dict[str, Fraction], items, upper: int,
                 lower_exclusive: Fraction) -> int:
-    """Smallest admissible integer for a derived parameter.
+    """Smallest admissible integer for a derived parameter, by binary search.
 
-    Assumes items assigned to this parameter become true once the integer is
-    large enough (the catalog is of that shape); found by binary search and
-    re-verified, falling back to the halving bound when not monotone.
+    ``hi`` only takes values that ``ok`` accepted, so the result satisfies
+    ``items``; it is the least such value when the items are monotone (true
+    once the integer is large enough, the shape of the catalog).
     """
     step = 20 if name == "h" else 1
     lo = int(1 / lower_exclusive) + 1  # chain order: value must stay below prev param
-    lo = max(lo, step)
     lo = ((lo + step - 1) // step) * step
     hi = ((upper + step - 1) // step) * step
 
@@ -340,8 +339,6 @@ def _integerize(name: str, partial: dict[str, Fraction], items, upper: int,
         raise Unsatisfiable(name, f"no admissible integer for {name} up to {hi}")
     while lo < hi:
         mid = ((lo + hi) // (2 * step)) * step
-        if mid < lo:
-            mid = lo
         if ok(mid):
             hi = mid
         else:

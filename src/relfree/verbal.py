@@ -113,20 +113,20 @@ def slot_schedule(z: int, p: ParamSet) -> Iterator[tuple[int, int]]:
     1^{e_1} 2^{n} 1^{e_2} 2^{n+2} ...; template 2 is
     3 2^{n^2+1} 1^{e_2} 2^{n^2+2} ... 1^{e_h} 2^{n^2+h}.
     """
+    if z not in (1, 2):
+        raise InvalidIndex(f"template level must be 1 or 2, got {z}")
     _check_run_budget(p.h, "a template's slots")
     if z == 1:
         for idx, e in _w1_slots(p.h, p.n):
             yield 1, epsilon(idx)
             yield 2, e
-    elif z == 2:
+    else:
         nn = p.n * p.n  # slot i has power exponent n^2 + i
         yield 3, 1
         yield 2, nn + 1
         for i in range(2, p.h + 1):
             yield 1, epsilon(i)
             yield 2, nn + i
-    else:
-        raise InvalidIndex(f"template level must be 1 or 2, got {z}")
 
 
 def make_w(z: int, x: Word, y: Word, p: ParamSet) -> Word:

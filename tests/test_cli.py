@@ -1,4 +1,3 @@
-import argparse
 import json
 import os
 import re
@@ -110,15 +109,13 @@ def test_verbal_epsilon(capsys):
     assert (code, out.strip()) == (0, "-1")
 
 
-def test_verbal_epsilon_reads_no_parameters(capsys, tmp_path):
-    # epsilon(i) does not depend on h, d or n, so giving them, or a --params
-    # file (read or not), is a usage error, as for any option it does not read
+def test_verbal_epsilon_reads_no_parameters(capsys):
+    # epsilon(i) does not depend on h, d or n, so giving them is a usage
+    # error, as for any option it does not read
     assert run(capsys, "verbal", "epsilon", "--i", "3")[0] == 0
-    for extra in (["--h", "7"], ["--params", str(tmp_path / "missing.txt")]):
-        code, out, err = run(capsys, "verbal", "epsilon", "--i", "3", *extra)
-        assert (code, out) == (2, "")
-        assert err == (f"{extra[0]} applies to verbal build and verbal length only, "
-                       "not verbal epsilon\n")
+    code, out, err = run(capsys, "verbal", "epsilon", "--i", "3", "--h", "7")
+    assert (code, out) == (2, "")
+    assert err == "--h applies to verbal build and verbal length only, not verbal epsilon\n"
     # build and length still read them
     assert run(capsys, "verbal", "length", "--h", "7")[0] == 1
 
@@ -424,11 +421,12 @@ def test_usage_error_exit_code(capsys):
     assert cli.main([]) == 2
 
 
-def test_params_file(capsys, tmp_path):
-    params = tmp_path / "p.txt"
-    params.write_text("h = 20\nd = 2\nn = 3\n")
-    code, out, _ = run(capsys, "endo", "check", "--params", str(params))
-    assert code == 0
+@pytest.mark.parametrize("argv", [("verbal", "build"), ("graded", "build"), ("endo", "check")])
+def test_params_is_an_unrecognized_argument(capsys, argv):
+    # h, d and n are given by --h, --d and --n only
+    code, out, err = run(capsys, *argv, "--params", "p.txt")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --params p.txt\n")
 
 
 def test_kv_output_is_stable(capsys):
@@ -439,40 +437,6 @@ def test_kv_output_is_stable(capsys):
 
 
 # -- malformed input ends in an error, not a traceback ---------------------------
-
-@pytest.mark.parametrize("text, lineno, reason", [
-    ("h = 40\nd = 3\nn = 5\nhh = 80\n", 4, "unknown name 'hh'"),
-    ("h = 40\nd = 3\nn = 5\n# h again\nh = 20\n", 5, "name 'h' is set twice"),
-], ids=["unknown-name", "repeated-name"])
-def test_params_file_refuses_an_unknown_or_repeated_name(capsys, tmp_path, text, lineno, reason):
-    params = tmp_path / "p.txt"
-    params.write_text(text)
-    code, out, err = run(capsys, "endo", "check", "--params", str(params))
-    assert (code, out) == (1, "")
-    assert err == f"error: {params}:{lineno}: {reason}\n"
-
-
-def test_params_file_missing_a_name_is_an_error(capsys, tmp_path):
-    params = tmp_path / "p.txt"
-    params.write_text("h = 20\nd = 2\n")
-    code, _, err = run(capsys, "endo", "check", "--params", str(params))
-    assert code == 1
-    assert str(params) in err and "n" in err
-
-
-@pytest.mark.parametrize("argv", [
-    ("endo", "check", "--h", "40"),
-    ("verbal", "length", "--d", "3"),
-    ("graded", "build", "--n", "5"),
-])
-def test_a_flag_beside_a_params_file_is_a_usage_error(capsys, tmp_path, argv):
-    # the file sets h, d and n, so a flag for one of them would be dropped
-    params = tmp_path / "p.txt"
-    params.write_text("h = 20\nd = 2\nn = 3\n")
-    code, out, err = run(capsys, *argv, "--params", str(params))
-    assert (code, out) == (2, "")
-    assert err.startswith(f"{argv[2]} and --params ")
-
 
 def test_graded_dehn_without_word_file_is_usage_error(capsys, tmp_path):
     rel = tmp_path / "rel.txt"
@@ -504,10 +468,6 @@ def test_graded_dehn_with_empty_relator_file_is_an_error(capsys, tmp_path):
 LINE_BREAKS = "\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-def _read_params(path):
-    return cli._params_from_args(argparse.Namespace(params=str(path)))
-
-
 # (reader, lines 1-2, lines 4-5, line 6, which each reader refuses)
 FILE_READERS = {
     "presentation": (graded.load_presentation, "alphabet 2\nparams h=20 d=2 n=3",
@@ -515,12 +475,10 @@ FILE_READERS = {
     "catalog": (ledger.InequalityCatalog.from_path, "c1 | alpha < 1 | here\n", "\n", "c2 alpha"),
     "assignment": (ledger.load_assignment, "alpha = 1/2\nbeta = 1/3", "\n", "omega = 1"),
     "words": (cli._read_relators, "a1 a2\n", "a2\na1", "a0"),
-    "params": (_read_params, "h = 20\nd = 2", "\n", "n = x"),
 }
 
 
 NAMED_VALUE_READERS = {
-    "params": _read_params,
     "assignment": ledger.load_assignment,
     "presentation": graded.load_presentation,
 }
@@ -528,9 +486,6 @@ ASSIGNMENT = "".join(f"{name} = 1/{2 ** i}\n" for i, name in enumerate(ledger.PA
 
 
 @pytest.mark.parametrize("kind, text, where, fault", [
-    ("params", "h = 20\nd = 2\nn = 3\nq = 1\n", ":4", "unknown name 'q'"),
-    ("params", "h = 20\nd = 2\nn = 3\nh = 40\n", ":4", "name 'h' is set twice"),
-    ("params", "h = 20\nd = 2\n", "", "missing name 'n'"),
     ("assignment", ASSIGNMENT + "q = 1\n", ":9", "unknown name 'q'"),
     ("assignment", ASSIGNMENT + "alpha = 1/3\n", ":9", "name 'alpha' is set twice"),
     ("assignment", ASSIGNMENT.replace("iota", "# iota"), "", "missing name 'iota'"),
@@ -541,7 +496,7 @@ ASSIGNMENT = "".join(f"{name} = 1/{2 ** i}\n" for i, name in enumerate(ledger.PA
         for fault in ("unknown", "repeated", "missing")])
 def test_every_named_value_input_refuses_a_bad_name_in_one_wording(tmp_path, kind, text,
                                                                    where, fault):
-    # one reader for --params files, assignments and presentation fields: an
+    # one reader for assignments and presentation fields: an
     # unknown or repeated name names its line, a missing one its file or line
     path = tmp_path / f"{kind}.txt"
     path.write_text(text)
@@ -624,15 +579,11 @@ def test_malformed_certificate_names_file_and_line(capsys, tmp_path, body, linen
     (["graded", "dehn", "words.txt", "--relators", "rels.txt", "--rank", "5"], "--rank"),
     (["graded", "pieces", "--relators", "rels.txt", "--pair-budget", "9"], "--pair-budget"),
     (["verbal", "epsilon", "--i", "4", "--h", "40"], "--h"),
-    (["verbal", "epsilon", "--i", "4", "--params", "p.txt"], "--params"),
     (["verbal", "length", "--which", "w1", "--x", "a1^5"], "--x"),
     (["verbal", "build", "--lx", "7", "--i", "3"], "--lx"),
-    (["graded", "dehn", "words.txt", "--relators", "rels.txt", "--params", "p.txt"],
-     "--params"),
     (["graded", "pieces", "--relators", "rels.txt", "--n", "7"], "--n"),
 ], ids=["build-relators", "dehn-out", "pieces-out", "solve-assign", "verify-out",
-        "dehn-rank", "pieces-pair-budget", "epsilon-h", "epsilon-params", "length-x",
-        "build-lx", "dehn-params", "pieces-n"])
+        "dehn-rank", "pieces-pair-budget", "epsilon-h", "length-x", "build-lx", "pieces-n"])
 def test_an_option_the_action_does_not_read_is_usage_error(capsys, tmp_path, argv, option):
     # the files named are never made: the refusal comes before any is read
     code, out, err = run(capsys, *(str(tmp_path / a) if a.endswith(".txt") else a
@@ -998,7 +949,7 @@ NOT_UTF8 = b"\xff\xfealphabet 2\n"
 
 
 @pytest.mark.parametrize("reader", [
-    "graded-pieces-relators", "graded-dehn-words", "endo-check-params", "vkd-check-certificate",
+    "graded-pieces-relators", "graded-dehn-words", "vkd-check-certificate",
     "lpp-verify-catalog", "lpp-verify-assignment"])
 def test_a_file_that_is_not_utf8_is_named_in_an_error(capsys, tmp_path, reader):
     bad = tmp_path / "bad.txt"
@@ -1010,7 +961,6 @@ def test_a_file_that_is_not_utf8_is_named_in_an_error(capsys, tmp_path, reader):
     argv = {
         "graded-pieces-relators": ("graded", "pieces", "--relators", str(bad)),
         "graded-dehn-words": ("graded", "dehn", str(bad), "--relators", str(rel)),
-        "endo-check-params": ("endo", "check", "--params", str(bad)),
         "vkd-check-certificate": ("vkd", "check", str(bad), "--relators", str(rel)),
         "lpp-verify-catalog": ("lpp", "verify", str(bad), "--assign", str(rel)),
         "lpp-verify-assignment": ("lpp", "verify", str(cat), "--assign", str(bad)),
@@ -1022,7 +972,7 @@ def test_a_file_that_is_not_utf8_is_named_in_an_error(capsys, tmp_path, reader):
 
 @pytest.mark.parametrize("path_arg", [
     "graded-pieces-relators", "vkd-check-certificate", "vkd-check-relators", "lpp-verify-catalog",
-    "lpp-verify-assignment", "endo-check-params", "graded-build-out"])
+    "lpp-verify-assignment", "graded-build-out"])
 def test_a_directory_in_place_of_a_file_is_named_in_an_error(capsys, tmp_path, path_arg):
     folder = tmp_path / "folder"
     folder.mkdir()
@@ -1035,7 +985,6 @@ def test_a_directory_in_place_of_a_file_is_named_in_an_error(capsys, tmp_path, p
         "vkd-check-relators": ("vkd", "check", str(cert), "--relators", str(folder)),
         "lpp-verify-catalog": ("lpp", "verify", str(folder), "--assign", str(folder)),
         "lpp-verify-assignment": ("lpp", "verify", str(cat), "--assign", str(folder)),
-        "endo-check-params": ("endo", "check", "--params", str(folder)),
         "graded-build-out": ("graded", "build", "--rank", "1", "--out", str(folder)),
     }[path_arg]
     code, _, err = run(capsys, *argv)
@@ -1205,20 +1154,6 @@ def test_a_long_relator_slot_that_is_not_a_value_of_w1_is_refused(tmp_path):
     assert "relator is not w_z*(X, U)" in proc.stdout
 
 
-PARAM_LINES = st.one_of(
-    st.sampled_from(["h = 20", "d=2", "n = 3", "h=40", "h = -20", "d = 0", "n=x", "# c",
-                     "=", "h", "h = 1e3", "h = ٢٠", "n = 1_000", "d = " + "9" * 5000, ""]),
-    st.text(max_size=8))
-
-
-@settings(max_examples=300, deadline=2000)
-@given(st.one_of(st.text(), st.lists(PARAM_LINES, max_size=8).map("\n".join)))
-def test_params_file_text_is_read_or_refused(text):
-    got = read_text_with(lambda path: cli._params_from_args(argparse.Namespace(params=path)),
-                         text)
-    assert got is None or isinstance(got, ParamSet)
-
-
 # the first z* = 1 line of the pinned presentation file: a relator line that loads
 PINNED_RELATOR = next(
     line for line in (Path(__file__).parent / "data" / "presentation_20_2_3.txt")
@@ -1274,16 +1209,16 @@ VALID_ARGV = [
     ["word", "conj", "a1", "a2", "--m", "2"],
     ["word", "--m", "4", "root", "a1"],
     ["verbal", "build", "--which", "v1", "--x", "a1 a2", "--y", "a2", "--m", "2"],
-    ["verbal", "length", "--which", "w2", "--lx", "3", "--ly", "2", "--params", "p.txt"],
+    ["verbal", "length", "--which", "w2", "--lx", "3", "--ly", "2", "--h", "40"],
     ["verbal", "epsilon", "--i", "5", "--h", "40", "--d", "3", "--n", "5"],
     ["lpp", "solve", "cat.txt", "--out", "a.txt", "--output", "kv"],
     ["lpp", "verify", "--assign", "a.txt", "cat.txt"],
     ["graded", "build", "--rank", "2", "--pair-budget", "2", "--out", "p.txt"],
-    ["graded", "build", "--pair-budget", "3", "--m", "2", "--params", "p.txt"],
+    ["graded", "build", "--pair-budget", "3", "--m", "2", "--h", "40"],
     ["graded", "dehn", "words.txt", "--budget-dehn", "7", "--relators", "rels.txt"],
     ["graded", "pieces", "--relators", "rels.txt", "--m", "4", "--output", "kv"],
     ["endo", "check", "--n", "5", "--output", "kv"],
-    ["endo", "check", "--params", "p.txt", "--output", "kv"],
+    ["endo", "check", "--h", "40", "--output", "kv"],
     ["vkd", "check", "--relators", "rels.txt", CERT, "--output", "kv"],
     ["report"],
     ["report", "--output", "kv", "--seed", "3"],
@@ -1332,7 +1267,7 @@ def test_a_usage_error_inside_a_command_shows_that_commands_usage(capsys, monkey
         "usage: relfree graded [-h] [--relators RELATORS] [--rank RANK]\n"
         "                      [--pair-budget PAIR_BUDGET] [--budget-dehn BUDGET_DEHN]\n"
         "                      [--m M] [--out OUT] [--h H] [--d D] [--n N]\n"
-        "                      [--params PARAMS] [--output {text,kv}]\n"
+        "                      [--output {text,kv}]\n"
         "                      {build,dehn,pieces} [words]\n"
         "relfree graded: error: unrecognized arguments: --bogus\n")
 

@@ -153,6 +153,18 @@ def test_malformed_certificates_raise():
     cert.boundaries.append([1])  # side 1 now referenced twice
     with pytest.raises(MalformedCertificate):
         check_certificate(cert, [COMM])
+    cert = one_face_disk()
+    cert.labels[99] = 1  # declared, but in no cycle
+    with pytest.raises(MalformedCertificate, match="side 99 is declared but dangling"):
+        check_certificate(cert, [COMM])
+    cert = one_face_disk()
+    cert.pairs.append((1, 99))
+    with pytest.raises(MalformedCertificate, match=r"pairing \(1, 99\) references unknown"):
+        check_certificate(cert, [COMM])
+    cert = one_face_disk()
+    cert.claim = (Word.parse(AB4, "a1 a2 a1^-1 a2^-1"),)
+    with pytest.raises(MalformedCertificate, match="claim words use a different alphabet"):
+        check_certificate(cert, [COMM])
 
 
 def test_punctured_sphere_three_boundaries():
@@ -463,6 +475,15 @@ def test_tampered_trace_rejected():
         DehnStep(s0.pos, s0.matched, s0.relator_index, s0.sign, (s0.offset + 1) % 8),
     ):
         with pytest.raises(TraceMismatch):
+            certify_dehn_trace(w, [GENUS2], [bad] + list(res.steps[1:]))
+    for bad, message in (
+        (DehnStep(s0.pos, s0.matched, 1, s0.sign, s0.offset), "unknown relator variant"),
+        (DehnStep(s0.pos, 0, s0.relator_index, s0.sign, s0.offset), "indices out of range"),
+        (DehnStep(s0.pos, s0.matched, s0.relator_index, s0.sign, 8), "indices out of range"),
+        (DehnStep(w.letter_length - 1, s0.matched, s0.relator_index, s0.sign, s0.offset),
+         "window exceeds the current word"),
+    ):
+        with pytest.raises(TraceMismatch, match=message):
             certify_dehn_trace(w, [GENUS2], [bad] + list(res.steps[1:]))
 
 

@@ -16,6 +16,7 @@ from relfree.errors import (
     BudgetExceeded,
     EmptyInput,
     EmptyWord,
+    InvalidIndex,
     InvalidParams,
     WitnessNotFound,
     ZeroExponent,
@@ -398,6 +399,17 @@ def test_relator_rejects_empty_slots():
         build_relator(1, A2, 1, Word.identity(AB), A1, P)
     with pytest.raises(EmptyInput):
         build_relator(2, A2, 1, A1, Word.identity(AB), P)
+
+
+def test_relator_refuses_a_template_other_than_1_or_2(tmp_path):
+    for p in (P, ParamSet(6_000_000_000, 2, 3)):  # z* is refused before the slot count
+        with pytest.raises(InvalidIndex, match="template level must be 1 or 2, got 3"):
+            build_relator(3, A2, 1, A1, A1, p)
+    path = tmp_path / "pres.txt"
+    path.write_text("alphabet 2\nparams h=20 d=2 n=3\nmode toy\nrank 1\n"
+                    "relator z*=3 A=a1 f=1 j=1 X=a2 U=a2\n")
+    with pytest.raises(InvalidParams, match=f"{path}:5: .*template level must be 1 or 2"):
+        load_presentation(path)
 
 
 def test_relator_round_trip_is_byte_identical():
