@@ -93,22 +93,31 @@ class CheckResult:
 def _validate_structure(cert: DiagramCertificate) -> dict[int, tuple[str, int, int, int]]:
     """Well-formedness that has no geometric meaning; raises MalformedCertificate.
 
+    A side id below 1 is never referenced (a reference's sign is its
+    direction), so it is refused as dangling at the latest; the refusal it
+    causes names it instead.
     Returns side id -> (cycle kind, cycle index, position, signed ref)."""
+
+    def refuse(message: str):
+        low = min(cert.labels, default=1)
+        raise MalformedCertificate(
+            f"side {low} is declared, but side ids start at 1" if low < 1 else message)
+
     occurrences: dict[int, tuple[str, int, int, int]] = {}
     for kind, cycles in (("face", cert.faces), ("boundary", cert.boundaries)):
         for ci, cycle in enumerate(cycles):
             if not cycle:
-                raise MalformedCertificate(f"{kind} {ci} is an empty cycle")
+                refuse(f"{kind} {ci} is an empty cycle")
             for pos, ref in enumerate(cycle):
                 side = abs(ref)
                 if ref == 0 or side not in cert.labels:
-                    raise MalformedCertificate(f"{kind} {ci} references unknown side {ref}")
+                    refuse(f"{kind} {ci} references unknown side {ref}")
                 if side in occurrences:
-                    raise MalformedCertificate(f"side {side} referenced more than once")
+                    refuse(f"side {side} referenced more than once")
                 occurrences[side] = (kind, ci, pos, ref)
     for side in cert.labels:
         if side not in occurrences:
-            raise MalformedCertificate(f"side {side} is declared but dangling")
+            refuse(f"side {side} is declared but dangling")
     for s, t in cert.pairs:
         if s not in cert.labels or t not in cert.labels:
             raise MalformedCertificate(f"pairing ({s}, {t}) references unknown sides")
@@ -263,33 +272,38 @@ def certify_dehn_trace(w: Word, relators: list[Word] | _RelatorTable,
                        trace: Iterable[DehnStep]) -> DiagramCertificate:
     """Disk certificate with one face per rewriting step.
 
-    Replays the trace, splicing each step in and folding the cancelled
-    letters into glued pairs in one left-to-right pass, which leaves the same
-    reduced word as the rewriter; any divergence (wrong letters under a
-    match, leftover boundary) raises :class:`~relfree.errors.TraceMismatch`.
-    ``relators`` may be their table, as in :func:`check_certificate`.
+    Replays the trace on the frontier, the current word as signed side ids
+    (``-s`` reads side s backwards) beside the letters they read.  A step
+    glues its matched sides to the window, splices in the exposed sides
+    (the rest of the face, read backwards) and cancels at the two seams
+    only, as :func:`relfree.graded.dehn_reduce_trace` does: the word, the
+    relator's letters and the exposed sides are each reduced, so nothing
+    else can cancel.  A step costs Python work for each letter of its
+    relator and each pair that cancels, and at most three moves of the
+    frontier's tail at C speed.  The result is the word the rewriter leaves; any divergence
+    (wrong letters under a match, leftover boundary) raises
+    :class:`~relfree.errors.TraceMismatch`.  ``relators`` may be their
+    table, as in :func:`check_certificate`.
     """
     if w.is_empty:
         raise EmptyInput("nothing to certify for the empty word")
     table = _RelatorTable.of(relators)
 
-    labels: dict[int, int] = {}
+    reads = w.to_letters()
+    labels = dict(zip(itertools.count(1), reads))
     faces: list[list[int]] = []
     pairs: list[tuple[int, int]] = []
-    next_id = 1
+    boundary_sides = list(labels)
+    front = list(boundary_sides)
 
-    def new_side(label: int) -> int:
-        nonlocal next_id
-        labels[next_id] = label
-        next_id += 1
-        return next_id - 1
-
-    boundary_sides = [new_side(g) for g in w.to_letters()]
-    frontier: list[tuple[int, int]] = [(side, 1) for side in boundary_sides]
-
-    def reading(entry: tuple[int, int]) -> int:
-        side, sign = entry
-        return labels[side] if sign > 0 else -labels[side]
+    def cancel(seam: int) -> int:
+        """Glue the pairs that cancel at ``seam`` and cut them out; their count."""
+        j = 0
+        while j < seam and seam + j < len(front) and reads[seam - 1 - j] == -reads[seam + j]:
+            pairs.append((abs(front[seam - 1 - j]), abs(front[seam + j])))
+            j += 1
+        del front[seam - j:seam + j], reads[seam - j:seam + j]
+        return j
 
     for step in trace:
         key = (step.relator_index, step.sign)
@@ -300,35 +314,27 @@ def certify_dehn_trace(w: Word, relators: list[Word] | _RelatorTable,
         if not (0 < step.matched <= rlen) or not (0 <= step.offset < rlen):
             raise TraceMismatch("step indices out of range")
         rotated = _decode_letters(table.doubled(k)[step.offset:step.offset + rlen])
-        p_letters = rotated[:step.matched]
-        q_letters = rotated[step.matched:]
-        if step.pos < 0 or step.pos + step.matched > len(frontier):
+        pos, end = step.pos, step.pos + step.matched
+        if pos < 0 or end > len(front):
             raise TraceMismatch("step window exceeds the current word")
-        window = frontier[step.pos:step.pos + step.matched]
-        if tuple(reading(entry) for entry in window) != tuple(p_letters):
+        if reads[pos:end] != rotated[:step.matched]:
             raise TraceMismatch("current word does not match the recorded prefix")
 
-        face: list[int] = []
-        for entry, letter in zip(window, p_letters):
-            side = new_side(letter)
-            face.append(side)
-            pairs.append((side, entry[0]))
-        q_sides = [new_side(letter) for letter in q_letters]
-        face.extend(q_sides)
+        face = list(range(len(labels) + 1, len(labels) + 1 + rlen))
+        labels.update(zip(face, rotated))
         faces.append(face)
+        pairs.extend(zip(face, map(abs, front[pos:end])))
+        # the exposed sides replace the window, then the left seam cancels,
+        # through to the suffix if it takes them all, and then the right one
+        front[pos:end] = [-side for side in reversed(face[step.matched:])]
+        reads[pos:end] = [-g for g in reversed(rotated[step.matched:])]
+        width = rlen - step.matched
+        cut = cancel(pos)
+        if cut < width:
+            cancel(pos + width - 2 * cut)
 
-        exposed = [(side, -1) for side in reversed(q_sides)]
-        stack = frontier[:step.pos]
-        for entry in exposed + frontier[step.pos + step.matched:]:
-            if stack and reading(stack[-1]) == -reading(entry):
-                top = stack.pop()
-                pairs.append((top[0], entry[0]))
-            else:
-                stack.append(entry)
-        frontier = stack
-
-    if frontier:
-        raise TraceMismatch(f"{len(frontier)} letters left after replaying the trace")
+    if front:
+        raise TraceMismatch(f"{len(front)} letters left after replaying the trace")
     return DiagramCertificate(
         alphabet=w.alphabet,
         labels=labels,
@@ -399,8 +405,9 @@ def load_certificate(path) -> DiagramCertificate:
     lines, whose words :func:`save_certificate` quotes, go through
     :func:`errors.split_fields`, so a quoted field on any other line is an
     error.  Each distinct edge label is parsed once.  The first line that
-    cannot be read, or that declares a side or the alphabet again, raises
-    :class:`MalformedCertificate` naming the file and line."""
+    cannot be read, or that declares a side below 1, a side again or the
+    alphabet again, raises :class:`MalformedCertificate` naming the file and
+    line."""
     alphabet = None
     labels: dict[int, int] = {}
     letters: dict[str, int] = {}  # edge label -> signed generator
@@ -428,6 +435,8 @@ def load_certificate(path) -> DiagramCertificate:
                             f"edge label must be a single letter, got {tokens[2]!r}")
                     label = letters[tokens[2]] = word.to_letters()[0]
                 side = int(tokens[1])
+                if side < 1:
+                    raise MalformedCertificate("side ids start at 1")
                 if side in labels:
                     raise MalformedCertificate("the side is declared twice")
                 labels[side] = label

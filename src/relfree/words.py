@@ -158,18 +158,26 @@ def _seam_merged(runs: tuple) -> tuple:
 
 def _parse_token(tok: str) -> tuple[int, int]:
     """The run ``(k, e)`` that one token ``a<k>`` or ``a<k>^<e>`` stands for
-    (``e`` may be 0, and ``k`` is not checked against an alphabet)."""
+    (``e`` may be 0, and ``k`` is not checked against an alphabet).  k is
+    ASCII decimal digits and e has an optional ``-`` before them: ``int``
+    alone would also read ``_`` separators, a ``+`` and any Unicode digit."""
     body, caret, etext = tok.partition("^")
     try:
+        if caret and not _is_decimal(etext.removeprefix("-")):
+            raise ValueError
         exponent = int(etext) if caret else 1
     except ValueError:
         raise InvalidLetter(f"bad exponent in token {tok!r}") from None
     try:
-        if body.startswith("a"):
+        if body.startswith("a") and _is_decimal(body[1:]):
             return (int(body[1:]), exponent)
     except ValueError:
         pass
     raise InvalidLetter(f"bad token {tok!r}")
+
+
+def _is_decimal(text: str) -> bool:
+    return text.isascii() and text.isdigit()
 
 
 class _TokenRuns(dict):

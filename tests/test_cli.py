@@ -724,6 +724,16 @@ def test_word_with_a_non_ascii_digit_is_a_bad_token(capsys):
     assert "bad token" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("a1_0", "bad token 'a1_0'"), ("a+2", "bad token 'a+2'"), ("a\u0663", "bad token 'a\u0663'"),
+    ("a1^2_0", "bad exponent in token 'a1^2_0'"),
+])
+def test_word_numbers_with_other_than_ascii_digits_are_refused(capsys, text, message):
+    # int() would have read them as a10, a2, a3 and a1^20
+    code, out, err = run(capsys, "word", "reduce", f"a1 {text}", "--m", "20")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 # -- byte-stable presentation file -------------------------------------------------
 
 PRESENTATION_20_2_3_SHA256 = \

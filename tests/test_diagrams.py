@@ -3,13 +3,14 @@ import dataclasses
 import itertools
 import os
 import random
+import re
 import shlex
 import tempfile
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relfree import diagrams, graded, report
@@ -140,7 +141,7 @@ def test_verdict_is_order_independent():
     assert check_certificate(cert2, [COMM]).accepted == base
 
 
-def test_malformed_certificates_raise():
+def test_malformed_certificates_raise(tmp_path):
     cert = one_face_disk()
     cert.faces[0][0] = 99
     with pytest.raises(MalformedCertificate):
@@ -165,6 +166,21 @@ def test_malformed_certificates_raise():
     cert.claim = (Word.parse(AB4, "a1 a2 a1^-1 a2^-1"),)
     with pytest.raises(MalformedCertificate, match="claim words use a different alphabet"):
         check_certificate(cert, [COMM])
+    # side ids start at 1, in memory (referenced or dangling) and in a file
+    for side in (0, -1):
+        low = f"side {side} is declared, but side ids start at 1"
+        cert = DiagramCertificate(AB, {side: 1}, [], [[side]], [], (Word.parse(AB, "a1"),))
+        with pytest.raises(MalformedCertificate, match=low):
+            check_certificate(cert, [COMM])
+        cert = one_face_disk()
+        cert.labels[side] = 1
+        with pytest.raises(MalformedCertificate, match=low):
+            check_certificate(cert, [COMM])
+        path = tmp_path / f"side{side}.txt"
+        path.write_text(f"alphabet 2\nedge {side} a1\nboundary {side}\nclaim equality a1\n")
+        with pytest.raises(MalformedCertificate, match=re.escape(
+                f"{path}:2: cannot read 'edge {side} a1': side ids start at 1")):
+            load_certificate(path)
 
 
 def test_punctured_sphere_three_boundaries():
@@ -812,10 +828,10 @@ def reference_check_certificate(cert, relators):
     return CheckResult(True, None, warnings)
 
 
-def outcome(check, cert, relators):
+def outcome(check, *args):
     """What ``check`` gives: its result, or the type and text of its error."""
     try:
-        return check(cert, relators)
+        return check(*args)
     except RelfreeError as exc:
         return type(exc), str(exc)
 
@@ -879,6 +895,156 @@ def test_junction_count_agrees_on_corruptions_of_a_product_certificate():
         assert not (isinstance(got, CheckResult) and got.accepted)
         reasons.add(got.reason if isinstance(got, CheckResult) else got[1])
     assert len(reasons) > 3  # the corruptions reach several checks
+
+
+# -- replaying a trace: cancellation at the two seams -------------------------
+
+def reference_certify_dehn_trace(w, relators, trace):
+    """The replay as it was before it cancelled at the seams only: frontier
+    entries are (side, sign), and after each step one stack pass over all of
+    the frontier past the prefix folds cancelled letters into glued pairs."""
+    if w.is_empty:
+        raise diagrams.EmptyInput("nothing to certify for the empty word")
+    table = _RelatorTable.of(relators)
+    labels, faces, pairs = {}, [], []
+
+    def new_side(label):
+        labels[len(labels) + 1] = label
+        return len(labels)
+
+    boundary_sides = [new_side(g) for g in w.to_letters()]
+    frontier = [(side, 1) for side in boundary_sides]
+
+    def reading(entry):
+        return labels[entry[0]] * entry[1]
+
+    for step in trace:
+        key = (step.relator_index, step.sign)
+        if key not in table.keys:
+            raise TraceMismatch(f"step references unknown relator variant {key}")
+        k = table.keys[key]
+        rlen = table.lengths[k]
+        if not (0 < step.matched <= rlen) or not (0 <= step.offset < rlen):
+            raise TraceMismatch("step indices out of range")
+        rotated = diagrams._decode_letters(table.doubled(k)[step.offset:step.offset + rlen])
+        if step.pos < 0 or step.pos + step.matched > len(frontier):
+            raise TraceMismatch("step window exceeds the current word")
+        window = frontier[step.pos:step.pos + step.matched]
+        if [reading(entry) for entry in window] != rotated[:step.matched]:
+            raise TraceMismatch("current word does not match the recorded prefix")
+        face = []
+        for entry, letter in zip(window, rotated):
+            face.append(new_side(letter))
+            pairs.append((face[-1], entry[0]))
+        face += [new_side(letter) for letter in rotated[step.matched:]]
+        faces.append(face)
+        stack = frontier[:step.pos]
+        exposed = [(side, -1) for side in reversed(face[step.matched:])]
+        for entry in exposed + frontier[step.pos + step.matched:]:
+            if stack and reading(stack[-1]) == -reading(entry):
+                pairs.append((stack.pop()[0], entry[0]))
+            else:
+                stack.append(entry)
+        frontier = stack
+    if frontier:
+        raise TraceMismatch(f"{len(frontier)} letters left after replaying the trace")
+    return DiagramCertificate(w.alphabet, labels, faces, [boundary_sides], pairs, (w,))
+
+
+def steps_at(table, letters):
+    """Every step the replay accepts on ``letters``: each window that reads
+    the first 1, 2, ... letters of some rotation of an entry."""
+    for (idx, sign), k in table.keys.items():
+        rlen = table.lengths[k]
+        for offset in range(rlen):
+            rotated = diagrams._decode_letters(table.doubled(k)[offset:offset + rlen])
+            for pos in range(len(letters)):
+                matched = 0
+                while matched < min(rlen, len(letters) - pos) \
+                        and letters[pos + matched] == rotated[matched]:
+                    matched += 1
+                    yield DehnStep(pos, matched, idx, sign, offset)
+
+
+def after(table, letters, step):
+    k = table.keys[(step.relator_index, step.sign)]
+    rlen = table.lengths[k]
+    rotated = diagrams._decode_letters(table.doubled(k)[step.offset:step.offset + rlen])
+    exposed = [-g for g in reversed(rotated[step.matched:])]
+    return free_reduce(table.cores[0].alphabet, letters[:step.pos] + exposed
+                       + letters[step.pos + step.matched:]).to_letters()
+
+
+@st.composite
+def replay_cases(draw):
+    """Relators (C09's, or one to three short random ones), an identity word
+    (a product of their conjugates) and a trace: the rewriter's, or a random
+    walk of steps that the replay accepts, which may leave letters over;
+    either may end in a step of arbitrary indices."""
+    if draw(st.booleans()):
+        ab, relators = AB4, [GENUS2]
+    else:
+        ab, rng = AB, random.Random(draw(st.integers(0, 2 ** 32)))
+        relators = [free_reduce(AB, random_relator(rng, draw(st.integers(1, 8))))
+                    for _ in range(draw(st.integers(1, 3)))]
+    letters = [s * g for g in range(1, ab.m + 1) for s in (1, -1)]
+    parts = draw(st.lists(st.tuples(st.integers(0, len(relators) - 1), st.sampled_from([1, -1]),
+                                    st.lists(st.sampled_from(letters), max_size=3)),
+                          min_size=1, max_size=4))
+    w = concat_all([conjugate(power(relators[i], sign), free_reduce(ab, c))
+                    for i, sign, c in parts])
+    if w.is_empty:
+        w = relators[0]
+    table, current, trace = _RelatorTable(relators), w.to_letters(), []
+    if draw(st.booleans()):
+        trace = list(dehn_reduce_trace(w, table).steps)
+    else:
+        for _ in range(draw(st.integers(0, 6))):
+            steps = list(steps_at(table, current))
+            if not steps:
+                break
+            trace.append(draw(st.sampled_from(steps)))
+            current = after(table, current, trace[-1])
+    if draw(st.booleans()):  # one step of any indices, which the replay may refuse
+        trace.append(draw(st.builds(DehnStep, st.integers(-1, 60), st.integers(0, 9),
+                                    st.integers(0, 3), st.sampled_from([1, -1]),
+                                    st.integers(-1, 9))))
+    return relators, w, trace
+
+
+@settings(max_examples=300, deadline=None)
+@given(replay_cases())
+# a2 a1 . a1 a2 a1^-1 a2^-1 . a1^-1 a2^-1: the step replaces a1^-1 a2^-1 by
+# a2^-1 a1^-1, which cancels the two letters before it, and then the rest of
+# the prefix, a2 a1, cancels against the suffix
+@example(([COMM], Word.parse(AB, "a2 a1 a1 a2 a1^-1 a2^-1 a1^-1 a2^-1"),
+          [DehnStep(4, 2, 0, 1, 2)]))
+def test_seam_replay_agrees_with_the_whole_frontier_loop(case):
+    relators, w, trace = case
+    got = outcome(certify_dehn_trace, w, relators, trace)
+    assert got == outcome(reference_certify_dehn_trace, w, relators, trace)
+    if isinstance(got, DiagramCertificate):
+        assert check_certificate(got, relators).accepted
+
+
+def test_a_long_trace_is_certified_in_linear_time():
+    # 2 000 conjugated copies of C09's relator; a replay that passes over
+    # the whole word at each step took 3-4.5 s for this trace (2-vCPU Xeon
+    # host), against 0.03-0.04 s for cancelling at the seams
+    rng = random.Random(7)
+    letters = [s * g for g in range(1, 5) for s in (1, -1)]
+    parts = []
+    for _ in range(2000):
+        sign = rng.choice([1, -1])
+        c = free_reduce(AB4, [rng.choice(letters) for _ in range(rng.randint(0, 3))])
+        parts.append(conjugate(power(GENUS2, sign), c))
+    w = concat_all(parts)
+    res = dehn_reduce_trace(w, [GENUS2])
+    assert (w.letter_length, len(res.steps), res.word.is_empty) == (18_456, 1_818, True)
+    start = time.perf_counter()
+    cert = certify_dehn_trace(w, [GENUS2], res.steps)
+    assert time.perf_counter() - start < 2
+    assert check_certificate(cert, [GENUS2]).accepted
 
 
 # -- reading a long certificate: each refusal names its own line ---------------

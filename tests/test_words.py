@@ -1,4 +1,5 @@
 import random
+import re
 from contextlib import contextmanager
 
 import pytest
@@ -665,25 +666,21 @@ def test_parse_matches_reduction_of_the_naive_expansion(stream):
 
 def naive_token_error(tok: str, m: int) -> str | None:
     """The message Word.parse gives for a bad token, checked in its order:
-    exponent, then the ``a`` prefix and index, then the alphabet."""
+    exponent, then the ``a`` prefix and index, then the alphabet.  Both
+    numbers are ASCII decimal digits, the exponent with an optional ``-``."""
     body, caret, etext = tok.partition("^")
-    if caret:
-        try:
-            int(etext)
-        except ValueError:
-            return f"bad exponent in token {tok!r}"
-    if not body.startswith("a"):
+    if caret and not re.fullmatch("-?[0-9]+", etext):
+        return f"bad exponent in token {tok!r}"
+    if not re.fullmatch("a[0-9]+", body):
         return f"bad token {tok!r}"
-    try:
-        k = int(body[1:])
-    except ValueError:
-        return f"bad token {tok!r}"
+    k = int(body[1:])
     if k < 1 or k > m:
         return f"generator a{k} outside alphabet of {m}"
     return None
 
 
-BAD_TOKENS = ["b2", "a", "a0", "a4", "a1^", "a1^x", "^2", "a-1", "aa1", "a1^2^3", "a²"]
+BAD_TOKENS = ["b2", "a", "a0", "a4", "a1^", "a1^x", "^2", "a-1", "aa1", "a1^2^3", "a²",
+              "a1_0", "a+2", "a٣", "a1^2_0", "a1^+2", "a1^٣"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -700,6 +697,29 @@ def test_parse_reports_the_first_bad_token(tokens):
     with pytest.raises(InvalidLetter) as info:
         Word.parse(ab3, text)
     assert str(info.value) == errors[0]
+
+
+# int() alone reads _ separators, a leading + and any Unicode digit
+NON_ASCII_DECIMAL_TOKENS = [
+    ("a1_0", "bad token 'a1_0'"), ("a+2", "bad token 'a+2'"),
+    ("a\u0663", "bad token 'a\u0663'"), ("a1^2_0", "bad exponent in token 'a1^2_0'"),
+    ("a1^+2", "bad exponent in token 'a1^+2'"), ("a1^\u0663", "bad exponent in token 'a1^\u0663'"),
+]
+
+
+@pytest.mark.parametrize("tok, message", NON_ASCII_DECIMAL_TOKENS)
+def test_token_numbers_are_ascii_decimal_digits(tok, message):
+    with pytest.raises(InvalidLetter) as info:
+        Word.parse(Alphabet(20), f"a2 {tok} a1")
+    assert str(info.value) == message
+    with pytest.raises(InvalidLetter) as info:
+        parse_words([("one", "a1 a2"), ("two", f"a2 {tok}")], 20)
+    assert str(info.value) == f"two: {message}"
+    with pytest.raises(InvalidLetter) as info:
+        parse_words([("", tok)])
+    assert str(info.value) == message
+    # ASCII digits with leading zeros and a minus sign still read
+    assert str(Word.parse(Alphabet(20), "a02 a1^-02 a10^0")) == "a2 a1^-2"
 
 
 @pytest.mark.parametrize("text, want", [
