@@ -11,6 +11,14 @@ other, and parses the rest intermixed, so options may come before or after
 the positionals.  The parser of all seven commands (``build_parser``) is
 built only when the first argument names no command: no arguments,
 ``--help``, or an unknown command.
+
+``_INPUTS`` holds, for each action of ``word``, ``verbal``, ``lpp``,
+``graded`` and ``endo``, the inputs it reads, spelled as on the command line
+(a positional by its name), each with its default: None leaves it unset,
+``_NEEDED`` marks one the action cannot run without.  ``main`` applies it in
+one pass in table order, before any file is opened: an input the action does
+not read, or a needed one left out, is a usage error; any other left out
+takes its default.
 """
 
 from __future__ import annotations
@@ -44,12 +52,6 @@ def _emit(args, pairs: list[tuple[str, str]]) -> None:
             print(f"{key}: {value}")
 
 
-def _params_from_args(args) -> ParamSet:
-    """(h, d, n) from the flags, or 20, 2 and 3."""
-    return ParamSet(*(default if value is None else value
-                      for value, default in ((args.h, 20), (args.d, 2), (args.n, 3))))
-
-
 def _read_relators(path, m: int | None = None) -> list[Word]:
     """The words of a word file, one per line; blank and ``#`` lines are skipped."""
     with open_text(path) as fh:
@@ -61,14 +63,7 @@ def _read_relators(path, m: int | None = None) -> list[Word]:
 
 
 def _cmd_word(args) -> int:
-    if args.action == "conj" and args.other is None:
-        print("word conj needs a second word", file=sys.stderr)
-        return EXIT_USAGE
-    if args.other is not None and args.action != "conj":
-        print(f"word {args.action} takes one word, not also {args.other!r}", file=sys.stderr)
-        return EXIT_USAGE
-    texts = [args.word] + ([args.other] if args.action == "conj" else [])
-    w, *other = parse_words([("", text) for text in texts], args.m)
+    w, *other = parse_words([("", t) for t in (args.word, args.other) if t is not None], args.m)
     if args.action == "reduce":
         print(w)
         return EXIT_OK
@@ -79,34 +74,26 @@ def _cmd_word(args) -> int:
         root, k = primitive_root(w)
         _emit(args, [("root", str(root)), ("k", k)])
         return EXIT_OK
-    if args.action == "conj":
-        verdict = conjugate_in_free(w, other[0])
-        _emit(args, [("conjugate", str(verdict).lower())])
-        return EXIT_OK if verdict else EXIT_FAIL
-    raise AssertionError(args.action)
+    verdict = conjugate_in_free(w, other[0])  # conj, the action left
+    _emit(args, [("conjugate", str(verdict).lower())])
+    return EXIT_OK if verdict else EXIT_FAIL
 
 
 def _cmd_verbal(args) -> int:
-    which, x, y, lx, ly, i = (default if value is None else value for value, default in (
-        (args.which, "w1"), (args.x, "a1"), (args.y, "a2"), (args.lx, 1), (args.ly, 1),
-        (args.i, 1)))
-    if args.action == "epsilon":  # epsilon(i) reads no h, d or n
-        print(epsilon(i))
+    if args.action == "epsilon":
+        print(epsilon(args.i))
         return EXIT_OK
-    p = _params_from_args(args)
+    p = ParamSet(args.h, args.d, args.n)
     if args.action == "length":
-        print(word_length_symbolic(which, lx, ly, p))
+        print(word_length_symbolic(args.which, args.lx, args.ly, p))
         return EXIT_OK
-    x, y = parse_words([("", x), ("", y)], args.m)
-    make = make_v if which[0] == "v" else make_w
-    print(make(int(which[1]), x, y, p))
+    x, y = parse_words([("", args.x), ("", args.y)], args.m)
+    make = make_v if args.which[0] == "v" else make_w
+    print(make(int(args.which[1]), x, y, p))
     return EXIT_OK
 
 
 def _cmd_lpp(args) -> int:
-    if args.action == "verify" and not args.assign:
-        print("lpp verify needs --assign <file>", file=sys.stderr)
-        return EXIT_USAGE
     cat = ledger.InequalityCatalog.from_path(args.catalog)
     if args.action == "solve":
         try:
@@ -133,15 +120,13 @@ def _cmd_lpp(args) -> int:
 
 def _cmd_graded(args) -> int:
     if args.action == "build":
-        p = _params_from_args(args)
         # an unwritable --out path fails here, before the build; "a" truncates nothing
         created = args.out and not os.path.exists(args.out)
         if args.out:
             open(args.out, "a", encoding="utf-8").close()
         try:
-            pres = graded.build_presentation(
-                Alphabet(args.m or 2), p, max_rank=args.rank or 2,
-                pair_budget=args.pair_budget or 1)
+            pres = graded.build_presentation(Alphabet(args.m), ParamSet(args.h, args.d, args.n),
+                                             max_rank=args.rank, pair_budget=args.pair_budget)
         except BaseException:
             if created:  # a build that stops leaves no file where there was none
                 os.remove(args.out)
@@ -156,12 +141,6 @@ def _cmd_graded(args) -> int:
         if args.out:
             graded.save_presentation(pres, args.out)
         return EXIT_OK
-    if not args.relators:
-        print(f"graded {args.action} needs --relators <file>", file=sys.stderr)
-        return EXIT_USAGE
-    if args.action == "dehn" and not args.words:
-        print("graded dehn needs a word file", file=sys.stderr)
-        return EXIT_USAGE
     relators = _read_relators(args.relators, args.m)
     if args.action == "pieces":
         piece, lam = graded.piece_stats(relators)
@@ -172,10 +151,9 @@ def _cmd_graded(args) -> int:
         raise EmptyInput(f"{args.relators}: no relators")
     words = _read_relators(args.words, relators[0].alphabet.m)
     table = graded._RelatorTable(relators)
-    budget = graded.DEFAULT_DEHN_BUDGET if args.budget_dehn is None else args.budget_dehn
     indeterminate = False
     for w in words:
-        res = graded.dehn_reduce_trace(w, table, budget)
+        res = graded.dehn_reduce_trace(w, table, args.budget_dehn)
         status = "indeterminate" if res.exhausted else "reduced"
         indeterminate = indeterminate or res.exhausted
         _emit(args, [(status, str(res.word))])
@@ -183,8 +161,7 @@ def _cmd_graded(args) -> int:
 
 
 def _cmd_endo(args) -> int:
-    p = _params_from_args(args)
-    checks = endo.check_report(p)
+    checks = endo.check_report(ParamSet(args.h, args.d, args.n))
     for c in checks:
         _emit(args, [(c.name, "PASS" if c.passed else "FAIL")])
     _emit(args, [("group-level", "INDETERMINATE (asserted, not desk-checkable)")])
@@ -230,16 +207,19 @@ _COMMANDS = {  # name -> (help line, handler), in the order the usage lists them
 }
 
 
-# command -> option -> the actions that read it; given to another action, the
-# option is a usage error rather than ignored
-_ACTION_OPTIONS = {
-    "verbal": {"which": ("build", "length"), "x": ("build",), "y": ("build",), "m": ("build",),
-               "lx": ("length",), "ly": ("length",), "i": ("epsilon",),
-               **dict.fromkeys(("h", "d", "n"), ("build", "length"))},
-    "lpp": {"assign": ("verify",), "out": ("solve",)},
-    "graded": {"budget_dehn": ("dehn",), "relators": ("dehn", "pieces"), "out": ("build",),
-               "rank": ("build",), "pair_budget": ("build",),
-               **dict.fromkeys(("h", "d", "n"), ("build",))},
+_NEEDED = object()
+_PARAMS = {"--h": 20, "--d": 2, "--n": 3}
+_INPUTS = {  # command -> action -> input -> default (see the module docstring)
+    "word": {"reduce": {}, "canon": {}, "root": {}, "conj": {"other": _NEEDED}},
+    "verbal": {"build": {"--which": "w1", "--x": "a1", "--y": "a2", "--m": None, **_PARAMS},
+               "length": {"--which": "w1", "--lx": 1, "--ly": 1, **_PARAMS},
+               "epsilon": {"--i": 1}},
+    "lpp": {"verify": {"--assign": _NEEDED}, "solve": {"--out": None}},
+    "graded": {"dehn": {"words": _NEEDED, "--budget-dehn": graded.DEFAULT_DEHN_BUDGET,
+                        "--relators": _NEEDED, "--m": None},
+               "pieces": {"--relators": _NEEDED, "--m": None},
+               "build": {"--out": None, "--rank": 2, "--pair-budget": 1, "--m": 2, **_PARAMS}},
+    "endo": {"check": _PARAMS},
 }
 
 
@@ -252,8 +232,6 @@ def _add_arguments(sub: argparse.ArgumentParser, name: str) -> None:
         sub.add_argument("--m", type=int, help="alphabet size (default: inferred)")
     elif name == "verbal":
         sub.add_argument("action", choices=("build", "length", "epsilon"))
-        # no defaults: an option given to an action that does not read it is
-        # refused (_ACTION_OPTIONS), and _cmd_verbal applies w1, a1, a2, 1, 1, 1
         sub.add_argument("--which", choices=("v0", "v1", "v2", "w1", "w2"))
         sub.add_argument("--x")
         sub.add_argument("--y")
@@ -284,7 +262,7 @@ def _add_arguments(sub: argparse.ArgumentParser, name: str) -> None:
         sub.add_argument("certificate")
         sub.add_argument("--relators", required=True)
     if name in ("verbal", "graded", "endo"):
-        for flag in ("--h", "--d", "--n"):  # no default: see _params_from_args
+        for flag in ("--h", "--d", "--n"):
             sub.add_argument(flag, type=int)
     sub.add_argument("--output", choices=("text", "kv"), default="text")
     if name == "report":
@@ -326,14 +304,20 @@ def main(argv=None) -> int:
         if value is not None and value < 1:
             print(f"{name.replace('_', '-')} must be positive", file=sys.stderr)
             return EXIT_USAGE
-    if getattr(args, "words", None) is not None and args.action != "dehn":
-        print(f"graded {args.action} takes no word file, not {args.words!r}", file=sys.stderr)
-        return EXIT_USAGE
-    for name, actions in _ACTION_OPTIONS.get(args.command, {}).items():
-        if getattr(args, name) is not None and args.action not in actions:
-            readers = " and ".join(f"{args.command} {action}" for action in actions)
-            print(f"--{name.replace('_', '-')} applies to {readers} only, "
-                  f"not {args.command} {args.action}", file=sys.stderr)
+    actions = _INPUTS.get(args.command, {})
+    for key in dict.fromkeys(key for inputs in actions.values() for key in inputs):
+        reads, name = actions[args.action], key.lstrip("-").replace("-", "_")
+        value = getattr(args, name)
+        if value is None and key in reads:
+            if reads[key] is _NEEDED:
+                print(f"{args.command} {args.action} needs {key}", file=sys.stderr)
+                return EXIT_USAGE
+            setattr(args, name, reads[key])
+        elif value is not None and key not in reads:
+            readers = " and ".join(f"{args.command} {a}" for a in actions if key in actions[a])
+            shown = key if key.startswith("--") else f"{key} {value!r}"
+            print(f"{shown} applies to {readers} only, not {args.command} {args.action}",
+                  file=sys.stderr)
             return EXIT_USAGE
     try:
         return args.func(args)

@@ -33,8 +33,7 @@ def test_word_reduce(capsys):
 
 def test_word_conj_without_a_second_word_is_usage_error(capsys):
     code, out, err = run(capsys, "word", "conj", "a1")
-    assert (code, out) == (2, "")
-    assert "second word" in err
+    assert (code, out, err) == (2, "", "word conj needs other\n")
 
 
 @pytest.mark.parametrize("action", ["reduce", "canon", "root"])
@@ -157,7 +156,7 @@ def test_lpp_verify_needs_an_assignment(capsys, tmp_path):
     cat.write_text("L1 | n^2 > 100*(n+h)/zeta | Lemma 1\n")
     code, out, err = run(capsys, "lpp", "verify", str(cat))
     assert (code, out) == (2, "")
-    assert err == "lpp verify needs --assign <file>\n"
+    assert err == "lpp verify needs --assign\n"
 
 
 @pytest.mark.parametrize("expression, message", [
@@ -367,6 +366,20 @@ def test_graded_build_refuses_one_generator_before_enumerating(capsys, tmp_path,
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_graded_build_refuses_no_generators_before_enumerating(capsys, tmp_path, monkeypatch, m):
+    # --m 0 is refused, not read as the default m = 2
+    def enumerated(pres, i):
+        raise AssertionError("periods_rank was called")
+
+    monkeypatch.setattr(graded, "periods_rank", enumerated)
+    out_file = tmp_path / "pres.txt"
+    code, out, err = run(capsys, "graded", "build", "--m", m, "--out", str(out_file))
+    assert (code, out) == (1, "")
+    assert err == f"error: alphabet needs at least one generator, got m={m}\n"
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize("m, allowed", [(2, 12), (3, 8)])
 def test_the_period_budget_admits_the_last_rank_under_it(monkeypatch, m, allowed):
     def enumerated(pres, i):
@@ -443,7 +456,7 @@ def test_graded_dehn_without_word_file_is_usage_error(capsys, tmp_path):
     rel.write_text("a1 a2 a1^-1 a2^-1\n")
     code, _, err = run(capsys, "graded", "dehn", "--relators", str(rel))
     assert code == 2
-    assert "word file" in err
+    assert err == "graded dehn needs words\n"
 
 
 def test_graded_without_relators_is_usage_error(capsys, tmp_path):
@@ -1244,6 +1257,44 @@ def test_a_command_parser_gives_the_namespace_of_the_full_parser(argv):
 
 def test_the_namespace_table_covers_every_command():
     assert {argv[0] for argv in VALID_ARGV} == set(cli._COMMANDS)
+
+
+def test_the_input_table_names_each_action_and_arguments_its_parser_has():
+    for command, actions in cli._INPUTS.items():
+        parser = cli._command_parser(command)
+        dests = {key: action.dest for action in parser._actions
+                 for key in action.option_strings or [action.dest]}
+        choices = next(action.choices for action in parser._actions if action.dest == "action")
+        # every action has an entry, so none reaches its handler with an input unset
+        assert set(actions) == set(choices), command
+        for inputs in actions.values():
+            for key in inputs:  # main reads the input under this dest
+                assert dests.get(key) == key.lstrip("-").replace("-", "_"), (command, key)
+
+
+_PARAMS_SPELLED = ["--h", "20", "--d", "2", "--n", "3"]
+
+
+@pytest.mark.parametrize("argv, spelled", [
+    (["verbal", "build"], ["--which", "w1", "--x", "a1", "--y", "a2", *_PARAMS_SPELLED]),
+    (["verbal", "length"], ["--which", "w1", "--lx", "1", "--ly", "1", *_PARAMS_SPELLED]),
+    (["verbal", "epsilon"], ["--i", "1"]),
+    (["graded", "build"], ["--rank", "2", "--pair-budget", "1", "--m", "2", *_PARAMS_SPELLED]),
+    (["graded", "dehn", "words.txt", "--relators", "rels.txt"], ["--budget-dehn", "10000"]),
+    (["endo", "check"], _PARAMS_SPELLED),
+], ids=["verbal-build", "verbal-length", "verbal-epsilon", "graded-build", "graded-dehn",
+        "endo-check"])
+def test_an_input_left_out_reads_as_its_default_spelled_out(capsys, tmp_path, argv, spelled):
+    (tmp_path / "rels.txt").write_text("a1 a2 a1^-1 a2^-1\na1^2 a3 a1 a3^-1\n")
+    (tmp_path / "words.txt").write_text("a2^-1 a1^-1 a2 a1 a3\na1 a3 a1^-1 a3^-1\n")
+    argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
+    # every input the table gives a default is spelled out
+    defaults = cli._INPUTS[argv[0]][argv[1]]
+    assert set(spelled[::2]) == {key for key, value in defaults.items()
+                                 if value is not None and value is not cli._NEEDED}
+    left_out = run(capsys, *argv)
+    assert left_out[0] == 0 and left_out[1]
+    assert run(capsys, *argv, *spelled) == left_out
 
 
 def _older_argparse_spelling(text):

@@ -1098,6 +1098,54 @@ def test_a_bad_field_deep_in_a_long_certificate_names_its_line(
     assert _refused_at(tmp_path, lines) == f"{lineno}: {reason}"
 
 
+@pytest.mark.parametrize("line, reason", [
+    ("edge 1_0 a1", "a side id is ASCII decimal digits, got '1_0'"),
+    ("edge +1 a1", "a side id is ASCII decimal digits, got '+1'"),
+    ("edge \u0661 a1", "a side id is ASCII decimal digits, got '\u0661'"),
+    ("pair 1\u0660 2", "a side id is ASCII decimal digits, got '1\u0660'"),
+    ("boundary 1 +2", "a side id is ASCII decimal digits, got '+2'"),
+    ("face -\u0662 1", "a side id is ASCII decimal digits, got '-\u0662'"),
+    # a "-" reads a side backwards, so only a face or boundary takes one
+    ("pair -1 2", "side ids start at 1"),
+    ("pair 1 -2", "side ids start at 1"),
+    ("pair 0 2", "side ids start at 1"),
+    ("edge -1 a1", "side ids start at 1"),
+], ids=["edge-underscore", "edge-plus", "edge-arabic-digit", "pair-arabic-digit",
+        "boundary-plus", "face-arabic-digit", "pair-minus-first", "pair-minus-second",
+        "pair-zero", "edge-minus"])
+@pytest.mark.parametrize("comment", ["", "# a_b +c \u00e9\n"], ids=["plain", "comment"])
+def test_a_side_id_is_ascii_digits_with_a_minus_only_in_a_cycle(tmp_path, comment, line,
+                                                                 reason):
+    # a comment that int() alone could not be trusted on moves no line's verdict
+    path = tmp_path / "cert.txt"
+    path.write_text(f"{comment}alphabet 2\n{line}\nclaim equality a1\n", encoding="utf-8")
+    lineno = 2 + bool(comment)
+    with pytest.raises(MalformedCertificate) as info:
+        load_certificate(path)
+    assert str(info.value) == f"{path}:{lineno}: cannot read {line!r}: {reason}"
+
+
+def test_side_ids_that_int_alone_would_read_are_refused_where_they_stand(tmp_path):
+    # read by int(), these lines glued sides 10 and 2 and loaded
+    path = tmp_path / "cert.txt"
+    path.write_text("alphabet 2\nedge 1_0 a1\nedge +2 a1^-1\npair 1\u0660 2\n"
+                    "boundary 10 2\nclaim equality a1\n", encoding="utf-8")
+    with pytest.raises(MalformedCertificate, match=f"^{re.escape(str(path))}:2: "):
+        load_certificate(path)
+
+
+@pytest.mark.parametrize("comment", ["# plain\n", "# a_b +c \u00e9\n"])
+def test_a_comment_leaves_the_certificate_it_heads_as_it_was(tmp_path, comment):
+    path = tmp_path / "cert.txt"
+    save_certificate(one_face_disk(), path)
+    text = path.read_text(encoding="utf-8")
+    assert "face -" not in text
+    path.write_text(comment + text.replace("face ", "face -", 1), encoding="utf-8")
+    cert = load_certificate(path)
+    assert cert.faces[0][0] == -1 and cert == dataclasses.replace(
+        one_face_disk(), faces=[[-1, *one_face_disk().faces[0][1:]]])
+
+
 def test_the_first_bad_line_is_named_whatever_its_kind(tmp_path, long_certificate_lines):
     lines = list(long_certificate_lines)
     lines[9_999] = lines[9_999].replace("edge ", "edge x")
