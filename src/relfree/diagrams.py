@@ -29,7 +29,9 @@ that Dehn rewriting uses (cyclic cores, so a face reads exactly what a
 rewriting step of :func:`certify_dehn_trace` puts there); claim words are
 matched as given.  The table encodes an entry on first use, so a check
 encodes only the entries as long as some face, and a certificate build only
-the entries its trace names.
+the entries its trace names.  A build replays each step through the
+rewriter's own step (``_join_reduced`` at both seams, with the letters of
+``_RelatorTable.replacement``); a check reads each reference once.
 
 Mirror-glued face pairs make a diagram unreduced; that is reported as a
 warning, not a failure, since an unreduced diagram still certifies its
@@ -55,7 +57,7 @@ from .errors import (
     open_text,
     split_fields,
 )
-from .graded import DehnStep, _RelatorTable
+from .graded import DehnStep, _join_reduced, _RelatorTable
 from .words import (
     Alphabet,
     Word,
@@ -91,31 +93,39 @@ class CheckResult:
 # -- construction of the incidence structure --------------------------------
 
 
-def _validate_structure(cert: DiagramCertificate) -> dict[int, tuple[str, int, int, int]]:
+def _validate_structure(cert: DiagramCertificate
+                        ) -> tuple[dict[int, tuple[int, int]], list[list[int]]]:
     """Well-formedness that has no geometric meaning; raises MalformedCertificate.
 
     A side id below 1 is never referenced (a reference's sign is its
     direction), so it is refused as dangling at the latest; the refusal it
     causes names it instead.
-    Returns side id -> (cycle kind, cycle index, position, signed ref)."""
+    Reads each reference once, in one pass over ``faces + boundaries``, and
+    returns side id -> (cycle, index into its reading) and the readings: the
+    letter each reference reads, cycle by cycle."""
 
     def refuse(message: str):
         low = min(cert.labels, default=1)
         raise MalformedCertificate(
             f"side {low} is declared, but side ids start at 1" if low < 1 else message)
 
-    occurrences: dict[int, tuple[str, int, int, int]] = {}
+    occurrences: dict[int, tuple[int, int]] = {}
+    readings: list[list[int]] = []  # the cycle of a reference is its reading's index
     for kind, cycles in (("face", cert.faces), ("boundary", cert.boundaries)):
         for ci, cycle in enumerate(cycles):
             if not cycle:
                 refuse(f"{kind} {ci} is an empty cycle")
-            for pos, ref in enumerate(cycle):
+            read: list[int] = []
+            for ref in cycle:
                 side = abs(ref)
-                if ref == 0 or side not in cert.labels:
+                label = cert.labels.get(side) if ref else None
+                if label is None:
                     refuse(f"{kind} {ci} references unknown side {ref}")
                 if side in occurrences:
                     refuse(f"side {side} referenced more than once")
-                occurrences[side] = (kind, ci, pos, ref)
+                occurrences[side] = (len(readings), len(read))
+                read.append(label if ref > 0 else -label)
+            readings.append(read)
     for side in cert.labels:
         if side not in occurrences:
             refuse(f"side {side} is declared but dangling")
@@ -127,12 +137,7 @@ def _validate_structure(cert: DiagramCertificate) -> dict[int, tuple[str, int, i
     for w in cert.claim:
         if w.alphabet != cert.alphabet:
             raise MalformedCertificate("claim words use a different alphabet")
-    return occurrences
-
-
-def _as_read(cert: DiagramCertificate, ref: int) -> int:
-    label = cert.labels[abs(ref)]
-    return label if ref > 0 else -label
+    return occurrences, readings
 
 
 # -- the checker -------------------------------------------------------------
@@ -149,7 +154,7 @@ def check_certificate(cert: DiagramCertificate,
     others, so a connected complex with its k boundary cycles capped is a
     connected surface.  A free side makes it one with boundary, whose Euler
     characteristic V - E + F + k is at most 1, not 2."""
-    occurrences = _validate_structure(cert)
+    occurrences, readings = _validate_structure(cert)
     k = len(cert.boundaries)
     if k < 1:
         return CheckResult(False, "no boundary cycle")
@@ -167,10 +172,9 @@ def check_certificate(cert: DiagramCertificate,
     # after its p-th reference, so a reference at p runs from junction p - 1
     # to junction p and the cycles need no joins.  Nodes n.. stand for the
     # cycles, and the complex is connected iff the pairs join them into one.
-    cycles = cert.faces + cert.boundaries
-    first = [0, *itertools.accumulate(map(len, cycles))]
+    first = [0, *itertools.accumulate(map(len, readings))]
     n, f_count = first[-1], len(cert.faces)
-    parent = list(range(n + len(cycles)))
+    parent = list(range(n + len(readings)))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -178,15 +182,13 @@ def check_certificate(cert: DiagramCertificate,
         return x
 
     for s, t in cert.pairs:
-        kind_s, ci_s, pos_s, ref_s = occurrences[s]
-        kind_t, ci_t, pos_t, ref_t = occurrences[t]
-        read_s, read_t = _as_read(cert, ref_s), _as_read(cert, ref_t)
-        c_s = ci_s if kind_s == "face" else f_count + ci_s
-        c_t = ci_t if kind_t == "face" else f_count + ci_t
+        c_s, pos_s = occurrences[s]
+        c_t, pos_t = occurrences[t]
+        read_s, read_t = readings[c_s][pos_s], readings[c_t][pos_t]
         end_s, end_t = first[c_s] + pos_s, first[c_t] + pos_t
         start_s = end_s - 1 if pos_s else first[c_s + 1] - 1
         start_t = end_t - 1 if pos_t else first[c_t + 1] - 1
-        if kind_s == kind_t:  # face-face or boundary-boundary: anti-parallel
+        if (c_s < f_count) == (c_t < f_count):  # face-face or boundary-boundary: anti-parallel
             if read_s != -read_t:
                 return CheckResult(False, f"glued sides {s},{t} do not carry inverse labels")
             start_t, end_t = end_t, start_t  # each start meets the other's end
@@ -206,43 +208,42 @@ def check_certificate(cert: DiagramCertificate,
 
     # faces must read relator shifts (or freely trivial boundary words)
     table = _RelatorTable.of(relators) if relators and cert.faces else None
-    for ci, cycle in enumerate(cert.faces):
-        letters = [_as_read(cert, ref) for ref in cycle]
+    for ci, letters in enumerate(readings[:f_count]):
         if table is not None and table.reads_relator(letters):
             continue
         if free_reduce(cert.alphabet, letters).is_empty:
             continue
         return CheckResult(False, f"face {ci} does not read a relator shift")
 
-    warnings = tuple(_reducedness_warnings(cert, occurrences))
+    warnings = tuple(_reducedness_warnings(cert, occurrences, readings))
 
-    reason = _claim_mismatch(cert)
+    reason = _claim_mismatch(cert, readings[f_count:])
     if reason is not None:
         return CheckResult(False, reason, warnings)
     return CheckResult(True, None, warnings)
 
 
-def _reducedness_warnings(cert: DiagramCertificate, occurrences) -> list[str]:
+def _reducedness_warnings(cert: DiagramCertificate, occurrences, readings) -> list[str]:
     # Face t read forward from t is face s read backward from s and inverted
     # iff read(t_i) = -read(s_(pos_s + pos_t - i)) for every i, so one test
     # serves each alignment (face s, face t, pos_s + pos_t mod |face s|).
     # One warning names each pair of faces, however many sides they share.
+    # Faces come first among the cycles, so a face's cycle is its index.
     warnings = []
     warned: set[tuple[int, int]] = set()
     mirrors: dict[tuple[int, int, int], bool] = {}
     for s, t in cert.pairs:
-        kind_s, ci_s, pos_s, _ = occurrences[s]
-        kind_t, ci_t, pos_t, _ = occurrences[t]
+        ci_s, pos_s = occurrences[s]
+        ci_t, pos_t = occurrences[t]
         faces = (min(ci_s, ci_t), max(ci_s, ci_t))
-        if kind_s != "face" or kind_t != "face" or faces in warned:
+        if faces[1] >= len(cert.faces) or faces in warned:
             continue
-        face_s, face_t = cert.faces[ci_s], cert.faces[ci_t]
+        face_s, face_t = readings[ci_s], readings[ci_t]
         n = len(face_s)
         key = (ci_s, ci_t, (pos_s + pos_t) % n)
         if key not in mirrors:
             mirrors[key] = len(face_t) == n and all(
-                _as_read(cert, face_t[i]) == -_as_read(cert, face_s[(key[2] - i) % n])
-                for i in range(n))
+                face_t[i] == -face_s[(key[2] - i) % n] for i in range(n))
         if mirrors[key]:
             warned.add(faces)
             warnings.append(
@@ -250,8 +251,8 @@ def _reducedness_warnings(cert: DiagramCertificate, occurrences) -> list[str]:
     return warnings
 
 
-def _claim_mismatch(cert: DiagramCertificate) -> str | None:
-    read = [_encode_letters([_as_read(cert, ref) for ref in b]) for b in cert.boundaries]
+def _claim_mismatch(cert: DiagramCertificate, boundaries: list[list[int]]) -> str | None:
+    read = list(map(_encode_letters, boundaries))
     if len(cert.claim) != len(read):
         return f"claim lists {len(cert.claim)} boundary words, diagram has {len(read)}"
     if any(w.is_empty for w in cert.claim):
@@ -273,38 +274,26 @@ def certify_dehn_trace(w: Word, relators: list[Word] | _RelatorTable,
                        trace: Iterable[DehnStep]) -> DiagramCertificate:
     """Disk certificate with one face per rewriting step.
 
-    Replays the trace on the frontier, the current word as signed side ids
-    (``-s`` reads side s backwards) beside the letters they read.  A step
-    glues its matched sides to the window, splices in the exposed sides
-    (the rest of the face, read backwards) and cancels at the two seams
-    only, as :func:`relfree.graded.dehn_reduce_trace` does: the word, the
-    relator's letters and the exposed sides are each reduced, so nothing
-    else can cancel.  A step costs Python work for each letter of its
-    relator and each pair that cancels, and at most three moves of the
-    frontier's tail at C speed.  The result is the word the rewriter leaves; any divergence
-    (wrong letters under a match, leftover boundary) raises
-    :class:`~relfree.errors.TraceMismatch`.  ``relators`` may be their
-    table, as in :func:`check_certificate`.
-    """
+    Replays the trace through the step of :func:`relfree.graded.dehn_reduce_trace`,
+    on its encoded word, beside the frontier: that word as signed side ids
+    (``-s`` reads side s backwards).  A step checks its window by one slice
+    comparison, glues its matched sides to it and puts the exposed sides (the
+    rest of the face, read backwards) in its place; the word takes
+    ``_RelatorTable.replacement`` through ``_join_reduced`` at both seams,
+    whose cancelled counts glue and cut the frontier.  The result is the word
+    the rewriter leaves; any divergence (wrong letters under a match, leftover
+    boundary) raises :class:`~relfree.errors.TraceMismatch`.  ``relators``
+    may be their table, as in :func:`check_certificate`."""
     if w.is_empty:
         raise EmptyInput("nothing to certify for the empty word")
     table = _RelatorTable.of(relators)
 
-    reads = w.to_letters()
-    labels = dict(zip(itertools.count(1), reads))
+    enc = _encode_word(w)
+    labels = dict(zip(itertools.count(1), _decode_letters(enc)))
     faces: list[list[int]] = []
     pairs: list[tuple[int, int]] = []
     boundary_sides = list(labels)
     front = list(boundary_sides)
-
-    def cancel(seam: int) -> int:
-        """Glue the pairs that cancel at ``seam`` and cut them out; their count."""
-        j = 0
-        while j < seam and seam + j < len(front) and reads[seam - 1 - j] == -reads[seam + j]:
-            pairs.append((abs(front[seam - 1 - j]), abs(front[seam + j])))
-            j += 1
-        del front[seam - j:seam + j], reads[seam - j:seam + j]
-        return j
 
     for step in trace:
         key = (step.relator_index, step.sign)
@@ -314,36 +303,30 @@ def certify_dehn_trace(w: Word, relators: list[Word] | _RelatorTable,
         rlen = table.lengths[k]
         if not (0 < step.matched <= rlen) or not (0 <= step.offset < rlen):
             raise TraceMismatch("step indices out of range")
-        rotated = _decode_letters(table.doubled(k)[step.offset:step.offset + rlen])
+        rotated = table.doubled(k)[step.offset:step.offset + rlen]
         pos, end = step.pos, step.pos + step.matched
-        if pos < 0 or end > len(front):
+        if pos < 0 or end > len(enc):
             raise TraceMismatch("step window exceeds the current word")
-        if reads[pos:end] != rotated[:step.matched]:
+        if enc[pos:end] != rotated[:step.matched]:
             raise TraceMismatch("current word does not match the recorded prefix")
 
         face = list(range(len(labels) + 1, len(labels) + 1 + rlen))
-        labels.update(zip(face, rotated))
+        labels.update(zip(face, _decode_letters(rotated)))
         faces.append(face)
         pairs.extend(zip(face, map(abs, front[pos:end])))
-        # the exposed sides replace the window, then the left seam cancels,
-        # through to the suffix if it takes them all, and then the right one
+        # the exposed sides replace the window; the left seam cancels, through
+        # to the suffix if it takes them all, and then the right one
         front[pos:end] = [-side for side in reversed(face[step.matched:])]
-        reads[pos:end] = [-g for g in reversed(rotated[step.matched:])]
-        width = rlen - step.matched
-        cut = cancel(pos)
-        if cut < width:
-            cancel(pos + width - 2 * cut)
+        head, lost = _join_reduced(enc[:pos], table.replacement(k, step.offset, step.matched))
+        enc, cut = _join_reduced(head, enc[end:])
+        for seam, j in ((pos, lost), (pos + rlen - step.matched - 2 * lost, cut)):
+            pairs.extend(zip(map(abs, reversed(front[seam - j:seam])),
+                             map(abs, front[seam:seam + j])))
+            del front[seam - j:seam + j]
 
     if front:
         raise TraceMismatch(f"{len(front)} letters left after replaying the trace")
-    return DiagramCertificate(
-        alphabet=w.alphabet,
-        labels=labels,
-        faces=faces,
-        boundaries=[boundary_sides],
-        pairs=pairs,
-        claim=(w,),
-    )
+    return DiagramCertificate(w.alphabet, labels, faces, [boundary_sides], pairs, (w,))
 
 
 # -- soundness fuzzing --------------------------------------------------------
@@ -458,7 +441,10 @@ def load_certificate(path) -> DiagramCertificate:
             elif head in ("edge", "pair"):
                 fields_after(tokens, 2)  # raises: the field count is wrong
             elif head in cycles:
-                cycles[head].append(list(map(side_id, tokens[1:])))
+                refs = list(map(side_id, tokens[1:]))
+                if 0 in refs:
+                    raise MalformedCertificate("side ids start at 1")
+                cycles[head].append(refs)
             elif head == "claim":
                 tokens = split_fields(line)
                 kind = tokens[1] if len(tokens) > 1 else None

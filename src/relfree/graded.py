@@ -209,12 +209,16 @@ class _RelatorTable:
             heapq.heapreplace(sweeps, (s + q, q, rlen))
         if best[0] == n or allowance < 0:
             return None, allowance
-        pos, _, k, offset, matched, rlen = best
-        # the inverse of the rest doubled[offset+matched:offset+rlen] of the
-        # rotated entry is a slice of the opposite entry's doubled string
-        start = (rlen - offset) % rlen
-        replacement = self._doubled[k ^ 1][start:start + rlen - matched]
+        pos, _, k, offset, matched, _ = best
+        replacement = self.replacement(k, offset, matched)
         return (pos, matched, k >> 1, -1 if k & 1 else 1, offset, replacement), allowance
+
+    def replacement(self, k: int, offset: int, matched: int) -> str:
+        """What a step puts for the first ``matched`` letters of entry ``k`` rotated by
+        ``offset``: the inverse of the rest, a slice of entry ``k ^ 1`` doubled."""
+        rlen = self.lengths[k]
+        start = (rlen - offset) % rlen
+        return self.doubled(k ^ 1)[start:start + rlen - matched]
 
 
 def _agreement(x: str, i: int, y: str, j: int, cap: int, way: int) -> int:

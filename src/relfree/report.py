@@ -118,20 +118,19 @@ _KERNEL_GRID = [ParamSet(h, d, n) for h in (20, 40) for d in (2, 3) for n in (3,
 _W2_GRID = [ParamSet(20, 2, 3), ParamSet(40, 2, 5), ParamSet(40, 3, 5)]
 
 
+def _grid_failures(grid, holds):
+    """Pass iff ``holds(p)`` for every triple of ``grid``; the detail names the failures."""
+    failures = [(p.h, p.d, p.n) for p in grid if not holds(p)]
+    return not failures, f"{len(grid)} parameter triples, failures: {failures}"
+
+
 def criterion_kernel_identity():
-    failures = []
-    for p in _KERNEL_GRID:
-        if not endo.kernel_witness(p)[1]:
-            failures.append((p.h, p.d, p.n))
-    return not failures, f"{len(_KERNEL_GRID)} parameter triples, failures: {failures}"
+    # the verdict is indexed at once, so no w1 or w2 outlives its triple
+    return _grid_failures(_KERNEL_GRID, lambda p: endo.kernel_witness(p)[1])
 
 
 def criterion_surjectivity_identity():
-    failures = []
-    for p in _W2_GRID:
-        if not endo.surjectivity_witness(p)[1]:
-            failures.append((p.h, p.d, p.n))
-    return not failures, f"{len(_W2_GRID)} parameter triples, failures: {failures}"
+    return _grid_failures(_W2_GRID, lambda p: endo.surjectivity_witness(p)[1])
 
 
 def criterion_length_bound():

@@ -60,6 +60,7 @@ class _Table(dict):
 
 _RUNS = _Table(lambda run: run)  # run -> its one shared object
 _INVERSES = _Table(lambda run: _RUNS[(run[0], -run[1])])  # run -> its inverse's
+_LETTERS = _Table(lambda c: -(ord(c) >> 1) if ord(c) & 1 else ord(c) >> 1)  # code -> letter
 
 
 @dataclass(frozen=True)
@@ -764,7 +765,7 @@ def _encode_word(w: Word) -> str:
 
 def _decode_letters(enc: str) -> list[int]:
     """The signed letters of an encoded word (inverse of :func:`_encode_letters`)."""
-    return [-(c >> 1) if c & 1 else c >> 1 for c in map(ord, enc)]
+    return list(map(_LETTERS.__getitem__, enc))
 
 
 def _is_cyclic_shift(enc: str, doubled: str) -> bool:

@@ -758,7 +758,8 @@ def reference_check_certificate(cert, relators):
     corners 2i (tail) and 2i + 1 (head), one union-find joins the corners
     along every cycle and across every glued pair, and a second pass joins
     each side's two corners to decide connectivity."""
-    occurrences = diagrams._validate_structure(cert)
+    occurrences, readings = diagrams._validate_structure(cert)
+    kinds, refs = kinds_and_refs(cert)
     k = len(cert.boundaries)
     if k < 1:
         return CheckResult(False, "no boundary cycle")
@@ -772,10 +773,8 @@ def reference_check_certificate(cert, relators):
                 return CheckResult(False, f"side {side} glued more than once")
     paired = set(seen)
     for s, t in cert.pairs:
-        kind_s, _, _, ref_s = occurrences[s]
-        kind_t, _, _, ref_t = occurrences[t]
-        read_s, read_t = diagrams._as_read(cert, ref_s), diagrams._as_read(cert, ref_t)
-        if kind_s == kind_t:
+        read_s, read_t = as_read(cert, refs[s]), as_read(cert, refs[t])
+        if kinds[s] == kinds[t]:
             if read_s != -read_t:
                 return CheckResult(False, f"glued sides {s},{t} do not carry inverse labels")
         elif read_s != read_t:
@@ -796,11 +795,9 @@ def reference_check_certificate(cert, relators):
         for start, nxt in zip(starts, starts[1:] + starts[:1]):
             parent[find(start ^ 1)] = find(nxt)
     for s, t in cert.pairs:
-        kind_s, _, _, ref_s = occurrences[s]
-        kind_t, _, _, ref_t = occurrences[t]
         # parallel traversal joins start to start; anti-parallel, start to end
-        a = 2 * number[s] + (ref_s < 0)
-        b = 2 * number[t] + (ref_t < 0) ^ (kind_s == kind_t)
+        a = 2 * number[s] + (refs[s] < 0)
+        b = 2 * number[t] + (refs[t] < 0) ^ (kinds[s] == kinds[t])
         parent[find(a)] = find(b)
         parent[find(a ^ 1)] = find(b ^ 1)
     v_count = len({find(c) for c in range(len(parent))})
@@ -815,17 +812,32 @@ def reference_check_certificate(cert, relators):
 
     table = _RelatorTable(relators) if relators and cert.faces else None
     for ci, cycle in enumerate(cert.faces):
-        letters = [diagrams._as_read(cert, ref) for ref in cycle]
+        letters = [as_read(cert, ref) for ref in cycle]
         if table is not None and table.reads_relator(letters):
             continue
         if free_reduce(cert.alphabet, letters).is_empty:
             continue
         return CheckResult(False, f"face {ci} does not read a relator shift")
-    warnings = tuple(diagrams._reducedness_warnings(cert, occurrences))
-    reason = diagrams._claim_mismatch(cert)
+    warnings = tuple(diagrams._reducedness_warnings(cert, occurrences, readings))
+    reason = diagrams._claim_mismatch(
+        cert, [[as_read(cert, ref) for ref in cycle] for cycle in cert.boundaries])
     if reason is not None:
         return CheckResult(False, reason, warnings)
     return CheckResult(True, None, warnings)
+
+
+def kinds_and_refs(cert):
+    """Side id -> the kind of the cycle it is in, and -> its signed reference."""
+    kinds, refs = {}, {}
+    for kind, cycles in (("face", cert.faces), ("boundary", cert.boundaries)):
+        for ref in itertools.chain.from_iterable(cycles):
+            kinds[abs(ref)], refs[abs(ref)] = kind, ref
+    return kinds, refs
+
+
+def as_read(cert, ref):
+    """The letter a signed reference reads."""
+    return cert.labels[ref] if ref > 0 else -cert.labels[-ref]
 
 
 def outcome(check, *args):
@@ -841,17 +853,16 @@ def with_glued_labels(cert):
     so that most texts get past the label checks to the topology; None when
     the structure is malformed."""
     try:
-        occurrences = diagrams._validate_structure(cert)
+        diagrams._validate_structure(cert)
     except RelfreeError:
         return None
+    kinds, refs = kinds_and_refs(cert)
     labels = dict(cert.labels)
     for s, t in cert.pairs:
-        kind_s, _, _, ref_s = occurrences[s]
-        kind_t, _, _, ref_t = occurrences[t]
-        read = labels[s] if ref_s > 0 else -labels[s]
-        if kind_s == kind_t:
+        read = labels[s] if refs[s] > 0 else -labels[s]
+        if kinds[s] == kinds[t]:
             read = -read
-        labels[t] = read if ref_t > 0 else -read
+        labels[t] = read if refs[t] > 0 else -read
     return dataclasses.replace(cert, labels=labels)
 
 
@@ -1027,6 +1038,32 @@ def test_seam_replay_agrees_with_the_whole_frontier_loop(case):
         assert check_certificate(got, relators).accepted
 
 
+def test_certify_applies_each_step_through_the_rewriters_own_step(monkeypatch):
+    # wrappers set on the module attributes see each seam and each replacement
+    rng = random.Random(5)
+    letters = [s * g for g in range(1, 5) for s in (1, -1)]
+    w = concat_all([conjugate(power(GENUS2, rng.choice([1, -1])),
+                              free_reduce(AB4, [rng.choice(letters) for _ in range(3)]))
+                    for _ in range(12)])
+    table = _RelatorTable([GENUS2])
+    steps = dehn_reduce_trace(w, table).steps
+    calls = []
+
+    def counted_join(u, v, _join=diagrams._join_reduced):
+        calls.append("_join_reduced")
+        return _join(u, v)
+
+    def counted_replacement(self, k, offset, matched, _replacement=_RelatorTable.replacement):
+        calls.append("replacement")
+        return _replacement(self, k, offset, matched)
+
+    monkeypatch.setattr(diagrams, "_join_reduced", counted_join)
+    monkeypatch.setattr(_RelatorTable, "replacement", counted_replacement)
+    cert = certify_dehn_trace(w, table, steps)
+    assert len(steps) > 1 and check_certificate(cert, table).accepted
+    assert calls == ["replacement", "_join_reduced", "_join_reduced"] * len(steps)
+
+
 def test_a_long_trace_is_certified_in_linear_time():
     # 2 000 conjugated copies of C09's relator; a replay that passes over
     # the whole word at each step took 3-4.5 s for this trace (2-vCPU Xeon
@@ -1110,9 +1147,11 @@ def test_a_bad_field_deep_in_a_long_certificate_names_its_line(
     ("pair 1 -2", "side ids start at 1"),
     ("pair 0 2", "side ids start at 1"),
     ("edge -1 a1", "side ids start at 1"),
+    ("face 0 1", "side ids start at 1"),
+    ("boundary 1 -0", "side ids start at 1"),
 ], ids=["edge-underscore", "edge-plus", "edge-arabic-digit", "pair-arabic-digit",
         "boundary-plus", "face-arabic-digit", "pair-minus-first", "pair-minus-second",
-        "pair-zero", "edge-minus"])
+        "pair-zero", "edge-minus", "face-zero", "boundary-minus-zero"])
 @pytest.mark.parametrize("comment", ["", "# a_b +c \u00e9\n"], ids=["plain", "comment"])
 def test_a_side_id_is_ascii_digits_with_a_minus_only_in_a_cycle(tmp_path, comment, line,
                                                                  reason):
