@@ -83,7 +83,7 @@ class Alphabet:
 
 
 def _check_same_alphabet(u: "Word", v: "Word") -> None:
-    if u.alphabet != v.alphabet:
+    if u.alphabet is not v.alphabet and u.alphabet != v.alphabet:
         raise AlphabetMismatch(f"alphabets differ: {u.alphabet} vs {v.alphabet}")
 
 
@@ -358,7 +358,7 @@ class Word:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Word)
-            and self.alphabet == other.alphabet
+            and (self.alphabet is other.alphabet or self.alphabet == other.alphabet)
             and self.runs == other.runs
         )
 
@@ -394,26 +394,34 @@ def free_reduce(alphabet: Alphabet, letters: Iterable[int]) -> Word:
     'a1^2'
     """
     m = alphabet.m
-    acc: list = []
-    tg, te = 0, 0  # the top run, held apart from acc; no generator is 0
+    runs = _RUNS
+    acc: list = []  # the runs below the top, each the run table's own object
+    # the top run, held apart from acc: tc >= 1 letters tl, whose inverse is nl;
+    # both are None on an empty stack, which no letter equals, so 0 reaches the
+    # range test
+    tl = nl = None
+    tc = 0
     for g in letters:
-        if type(g) is not int or not g or not -m <= g <= m:
-            alphabet.check_letter(g)  # raises on a bad letter
-        if g > 0:
-            k, e = g, 1
+        if type(g) is not int:
+            alphabet.check_letter(g)  # raises
+        if g == tl:
+            tc += 1
+        elif g == nl:
+            tc -= 1
+            if not tc:  # the run below, if any, is the top
+                tl, tc = acc.pop() if acc else (None, 0)
+                if tc < 0:
+                    tl, tc = -tl, -tc
+                nl = tl and -tl
         else:
-            k, e = -g, -1
-        if k == tg:
-            te += e
-            if not te:
-                tg, te = acc.pop() if acc else (0, 0)
-        else:
-            if tg:
-                acc.append((tg, te))
-            tg, te = k, e
-    if tg:
-        acc.append((tg, te))
-    return Word(alphabet, tuple(map(_RUNS.__getitem__, acc)))
+            if not g or not -m <= g <= m:
+                alphabet.check_letter(g)  # raises
+            if tl is not None:
+                acc.append(runs[tl, tc] if tl > 0 else runs[nl, -tc])
+            tl, nl, tc = g, -g, 1
+    if tl is not None:
+        acc.append(runs[tl, tc] if tl > 0 else runs[nl, -tc])
+    return Word(alphabet, tuple(acc))
 
 
 def concat(u: Word, v: Word) -> Word:
@@ -507,9 +515,12 @@ class _Powers:
 
 def power(u: Word, k: int) -> Word:
     """u**k, appended by :class:`_Powers`, so that huge k costs no more than the
-    final size (one run for a one-run core)."""
+    final size (one run for a one-run core); u itself for k = 1 and
+    :func:`invert` for k = -1, which set up no :class:`_Powers`."""
     if k == 1:
         return u
+    if k == -1:
+        return invert(u)
     acc: list = []
     _Powers(u)._extend(acc, k)
     return Word(u.alphabet, tuple(acc))
@@ -579,39 +590,40 @@ def exponent_sum(u: Word, g: int) -> int:
 
 
 def cyclic_reduce(u: Word) -> tuple[Word, Word]:
-    """Split u = conj * core * conj^-1 with the core cyclically reduced.
+    """Split u = conj * core * conj^-1 with the core cyclically reduced
+    (see :func:`_cyclic_split`).  When nothing peels, the core is u itself,
+    with whatever u has cached; otherwise a cached |u| gives the core's
+    length as |u| - 2|conj|."""
+    core, conj = _cyclic_split(u.runs)
+    if not conj:
+        return u, Word(u.alphabet)
+    core_word = Word(u.alphabet, core)
+    if u._len is not None:
+        core_word._len = u._len - 2 * sum(map(abs, map(_exponent, conj)))
+    return core_word, Word(u.alphabet, conj)
+
+
+def _cyclic_split(runs: tuple) -> tuple[tuple, tuple]:
+    """The runs of the core and of the conjugator of :func:`cyclic_reduce`.
 
     Peels matching end runs by index, so the time is linear in the number of
-    runs however long the conjugator is.  When nothing peels, the core is u
-    itself, with whatever u has cached; otherwise a cached |u| gives the
-    core's length as |u| - 2|conj|."""
-    runs = u.runs
+    runs however long the conjugator is.  The conjugator is a prefix of the
+    runs, whose last run is cut short when the peeling stops inside a run;
+    when nothing peels it is ``()`` and the core is ``runs`` itself."""
     i, j = 0, len(runs) - 1
-    conj: list = []
-    core = None
     while i < j:
         g1, e1 = runs[i]
         g2, e2 = runs[j]
         if g1 != g2 or (e1 > 0) == (e2 > 0):
             break
         if e1 + e2 == 0:
-            conj.append(runs[i])
             i += 1
             j -= 1
         elif abs(e1) < abs(e2):
-            conj.append(runs[i])
-            core = runs[i + 1:j] + (_RUNS[(g2, e1 + e2)],)
-            break
+            return runs[i + 1:j] + (_RUNS[(g2, e1 + e2)],), runs[:i + 1]
         else:
-            conj.append(_INVERSES[runs[j]])
-            core = (_RUNS[(g1, e1 + e2)],) + runs[i + 1:j]
-            break
-    if not conj:
-        return u, Word(u.alphabet)
-    core_word = Word(u.alphabet, runs[i:j + 1] if core is None else core)
-    if u._len is not None:
-        core_word._len = u._len - 2 * sum(map(abs, map(_exponent, conj)))
-    return core_word, Word(u.alphabet, tuple(conj))
+            return (_RUNS[(g1, e1 + e2)],) + runs[i + 1:j], runs[:i] + (_INVERSES[runs[j]],)
+    return runs[i:j + 1], runs[:i]
 
 
 def canonical_cyclic(u: Word) -> Word:
@@ -632,10 +644,10 @@ def canonical_cyclic(u: Word) -> Word:
     >>> str(canonical_cyclic(Word.parse(ab, "a1 a2 a1")))
     'a1^2 a2'
     """
-    core, _ = cyclic_reduce(u)
-    if len(core.runs) <= 1:
-        return core
-    runs = _seam_merged(core.runs)
+    core, conj = _cyclic_split(u.runs)
+    if len(core) <= 1:
+        return Word(u.alphabet, core) if conj else u
+    runs = _seam_merged(core)
     keys = _run_keys(runs, None)
     n = len(keys)
     keys += keys
@@ -667,13 +679,15 @@ def conjugate_in_free(u: Word, v: Word) -> bool:
     one code per distinct run: a character from 0x10000 up, then one below,
     so a match starts only at a code.  No letter is built."""
     _check_same_alphabet(u, v)
-    ru, rv = (_seam_merged(cyclic_reduce(w)[0].runs) for w in (u, v))
+    ru = _seam_merged(_cyclic_split(u.runs)[0])
+    rv = _seam_merged(_cyclic_split(v.runs)[0])
     if len(ru) != len(rv) or len(ru) <= 1:
         return ru == rv
     codes = {run: chr(0x10000 + (i >> 16)) + chr(i & 0xFFFF)
              for i, run in enumerate(dict.fromkeys(ru + rv))}
-    enc_u, enc_v = ("".join(map(codes.__getitem__, r)) for r in (ru, rv))
-    return _is_cyclic_shift(enc_u, enc_v + enc_v)
+    code = codes.__getitem__
+    enc_v = "".join(map(code, rv))
+    return _is_cyclic_shift("".join(map(code, ru)), enc_v + enc_v)
 
 
 def primitive_root(u: Word) -> tuple[Word, int]:
@@ -695,7 +709,7 @@ def primitive_root(u: Word) -> tuple[Word, int]:
     >>> str(root), k
     ('a1 a2', 3)
     """
-    if u.is_empty:
+    if not u.runs:
         raise EmptyWord("the empty word has no primitive root")
     if not u.is_cyclically_reduced():
         raise EmptyWord("primitive_root expects a cyclically reduced word")

@@ -98,6 +98,25 @@ def test_reduce_runs_match_the_stack_oracle(letters):
     assert free_reduce(Alphabet(3), letters).runs == letter_runs(naive_reduce(letters))
 
 
+def test_reduce_matches_the_stack_oracle_on_long_lists():
+    # a random list, which cancels all along, and a reduced one of runs up to
+    # 20 letters long, as the rewriter decodes: far longer than the lists above
+    rng = random.Random(40)
+    cancelling = rand_letters(rng, 200_000)
+    reduced: list = []
+    while len(reduced) < 200_000:
+        last = abs(reduced[-1]) if reduced else 0
+        g = rng.choice([g for g in (1, -1, 2, -2, 3, -3) if abs(g) != last])
+        reduced += [g] * rng.randint(1, 20)
+    reduced = reduced[:200_000]
+    assert naive_reduce(reduced) == reduced
+    for letters in (cancelling, reduced):
+        want = naive_reduce(letters)
+        w = free_reduce(Alphabet(3), letters)
+        assert w.runs == letter_runs(want)
+        assert w.to_letters() == want
+
+
 def first_letter_error(alphabet, letters):
     for g in letters:
         try:
@@ -207,9 +226,17 @@ def test_commutator_matches_letter_oracle():
 def test_alphabet_mismatch():
     other = Word.generator(Alphabet(3), 1)
     for product in (lambda: concat(A1, other), lambda: commutator(A1, other),
-                    lambda: conjugate(A1, other), lambda: concat_all([A1, A1, other])):
+                    lambda: conjugate(A1, other), lambda: concat_all([A1, A1, other]),
+                    lambda: conjugate_in_free(A1, other),
+                    lambda: list(conjugacy_witnesses(A1, other))):
         with pytest.raises(AlphabetMismatch, match="alphabets differ: "):
             product()
+    # alphabets equal by value are one alphabet, whether or not they are one object
+    same = Word.generator(Alphabet(2), 1)
+    assert same.alphabet is not A1.alphabet
+    assert concat(A1, same) == Word.generator(AB, 1, 2)
+    assert conjugate_in_free(A1, same)
+    assert list(conjugacy_witnesses(A1, same)) == [Word.identity(AB)]
 
 
 def test_reduction_confluence_under_rebracketing():
