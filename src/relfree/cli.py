@@ -30,7 +30,7 @@ import sys
 
 from . import diagrams, endo, graded, ledger, report
 from .errors import (BudgetExceeded, EmptyInput, RelfreeError, Unsatisfiable, content_lines,
-                     open_text)
+                     read_text)
 from .verbal import ParamSet, epsilon, make_v, make_w, word_length_symbolic
 from .words import Alphabet, Word, canonical_cyclic, conjugate_in_free, parse_words, primitive_root
 
@@ -54,9 +54,7 @@ def _emit(args, pairs: list[tuple[str, str]]) -> None:
 
 def _read_relators(path, m: int | None = None) -> list[Word]:
     """The words of a word file, one per line; blank and ``#`` lines are skipped."""
-    with open_text(path) as fh:
-        text = fh.read()
-    return parse_words(content_lines(text, path), m)
+    return parse_words(content_lines(read_text(path), path), m)
 
 
 # -- subcommand handlers -------------------------------------------------------

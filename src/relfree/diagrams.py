@@ -54,7 +54,7 @@ from .errors import (
     TraceMismatch,
     Unsupported,
     fields_after,
-    open_text,
+    read_text,
     split_fields,
 )
 from .graded import DehnStep, _join_reduced, _RelatorTable
@@ -398,8 +398,7 @@ def load_certificate(path) -> DiagramCertificate:
     pairs: list[tuple[int, int]] = []
     cycles: dict[str, list[list[int]]] = {"face": [], "boundary": []}
     claim: tuple[Word, ...] | None = None
-    with open_text(path) as fh:
-        text = fh.read()
+    text = read_text(path)
     # int() also reads "_", "+" and non-ASCII digits; a text with none is read by
     # int() alone (2-vCPU Xeon, 420 224 lines: the test 0.7 ms, _side_id +100 ms)
     side_id = int if text.isascii() and "_" not in text and "+" not in text else _side_id

@@ -1,9 +1,8 @@
 """Exception types shared across the package, and the readers every input shares:
-:func:`open_text` (decoding), :func:`content_lines` (numbered lines),
+:func:`read_text` (decoding), :func:`content_lines` (numbered lines),
 :func:`split_fields` (quoted fields), :func:`fields_after` (a field count) and
 :func:`named_values` (``name = value``)."""
 
-from contextlib import contextmanager
 from typing import Iterator
 
 
@@ -83,14 +82,12 @@ class UndecodableFile(RelfreeError):
     """An input file's bytes are not UTF-8 text."""
 
 
-@contextmanager
-def open_text(path):
-    """Open ``path`` for reading UTF-8 text.  Bytes that do not decode, met
-    anywhere in the ``with`` body, raise :class:`UndecodableFile` naming the
-    path."""
+def read_text(path) -> str:
+    """The whole of ``path`` as UTF-8 text.  Bytes that do not decode raise
+    :class:`UndecodableFile` naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            yield fh
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise UndecodableFile(f"{path}: not UTF-8 text ({exc.reason})") from None
 

@@ -26,6 +26,7 @@ from .errors import (
     BudgetExceeded,
     EmptyInput,
     EmptyWord,
+    InvalidIndex,
     InvalidParams,
     RankTooSmall,
     RelfreeError,
@@ -34,7 +35,7 @@ from .errors import (
     content_lines,
     fields_after,
     named_values,
-    open_text,
+    read_text,
     split_fields,
 )
 from .verbal import ParamSet, make_v, make_w, slot_schedule
@@ -46,6 +47,7 @@ from .words import (
     _encode_letters,
     _encode_word,
     _is_cyclic_shift,
+    _is_decimal,
     _seam_merged,
     canonical_cyclic,
     commutator,
@@ -488,8 +490,8 @@ def classify_pairs(pres: GradedPresentation, z_star: int, L: int) -> ClassifyRes
     def joint(u1, w1, u2, w2):
         return _pair_conjugacy_witness(u1, w1, u2, w2) is not None
 
-    # pairs come in key order, so the first of each class is its least
-    words_pool = sorted(enumerate_reduced_words(pres.alphabet, L), key=shortlex_key)
+    # shortlex order, so pairs come in key order and the first of each class is its least
+    words_pool = list(enumerate_reduced_words(pres.alphabet, L))
     discarded = 0
     by_commutator: dict = {}
     by_v: dict = {}  # (slot words (X, y_bar), v value) of each class, by v's class
@@ -520,11 +522,17 @@ def classify_pairs(pres: GradedPresentation, z_star: int, L: int) -> ClassifyRes
     # in key order: periods and records are added to pres, and j counts
     # within each (A, f) group, in that order
     least.sort(key=lambda c: (str(c[0][0]), str(c[0][1])))
-    registry = _PeriodRegistry(pres)
+    table = {canonical_cyclic(a): a for data in pres.ranks.values() for a in data.periods}
     counters: dict[tuple[str, int], int] = {}
     classes = []
-    for (x0, y0), slots, v_rep, power_class in least:
-        a_word, f_val = registry.resolve(*power_class)
+    for (x0, y0), slots, v_rep, (cw, k) in least:
+        # A^f conjugate to r^k, r of least rotation cw: the period of the class of r
+        # or of r^-1, else a new one, the shortlex-lesser of their least rotations
+        cwi = canonical_cyclic(invert(cw))
+        if new := cw not in table and cwi not in table:
+            a_word = min(cw, cwi, key=shortlex_key)
+            table[a_word] = a_word
+        a_word, f_val = (table[cw], k) if cw in table else (table[cwi], -k)
         witness = minimal_conjugacy_witness(v_rep, power(a_word, f_val))
         if witness is None:
             raise WitnessNotFound("no conjugator from the period power to the class "
@@ -534,34 +542,12 @@ def classify_pairs(pres: GradedPresentation, z_star: int, L: int) -> ClassifyRes
         w_inv = invert(witness)
         x_word, u_word = (concat_all([w_inv, v, witness]) for v in slots)
         rec = build_relator(z_star, a_word, f_val, x_word, u_word, p, j=counters[jkey])
-        pres.rank_data(rec.rank, provenance="classified").relators.append(rec)
+        data = pres.rank_data(rec.rank, provenance="classified")
+        if new:
+            data.periods.append(a_word)
+        data.relators.append(rec)
         classes.append(rec)
     return ClassifyResult(tuple(classes), discarded)
-
-
-class _PeriodRegistry:
-    """Canonical period chooser honoring the no-conjugate-duplicates rule."""
-
-    def __init__(self, pres: GradedPresentation):
-        self.pres = pres
-        self._by_class: dict = {}
-        for data in pres.ranks.values():
-            for a_word in data.periods:
-                self._by_class[canonical_cyclic(a_word)] = a_word
-
-    def resolve(self, cw: Word, k: int) -> tuple[Word, int]:
-        """Period A and exponent f with A^f conjugate to r^k, for a primitive
-        r of least rotation ``cw``."""
-        cwi = canonical_cyclic(invert(cw))
-        if cw in self._by_class:
-            return self._by_class[cw], k
-        if cwi in self._by_class:
-            return self._by_class[cwi], -k
-        sign, a_word = (1, cw) if shortlex_key(cw) <= shortlex_key(cwi) else (-1, cwi)
-        self._by_class[a_word] = a_word
-        data = self.pres.rank_data(a_word.letter_length, provenance="classified")
-        data.periods.append(a_word)
-        return a_word, sign * k
 
 
 # -- relators ----------------------------------------------------------------
@@ -572,13 +558,15 @@ def build_relator(z_star: int, a_word: Word, f: int, x_word: Word, u_word: Word,
     """Check and record the rank-(|A|) relator template for one classified
     pair class; no relator word is built.
 
-    Refuses a template z* outside {1, 2}, f = 0, an empty A, X or U, and a
-    slot schedule over the run budget (exit 3).  The paper's magnitude bounds
-    on A, X, U and f are not checked: toy parameters break them, and no
+    Refuses a template z* outside {1, 2}, f = 0, j < 1, an empty A, X or U,
+    and a slot schedule over the run budget (exit 3).  The paper's magnitude
+    bounds on A, X, U and f are not checked: toy parameters break them, and no
     verdict reads them."""
     next(slot_schedule(z_star, p))  # its first run checks z* and the slot count
     if f == 0:
         raise ZeroExponent("the period exponent multiplier f must be nonzero")
+    if j < 1:
+        raise InvalidIndex(f"the relator index j counts from 1, got {j}")
     if a_word.is_empty:
         raise EmptyWord("the period must be nonempty")
     if x_word.is_empty or u_word.is_empty:
@@ -636,20 +624,24 @@ def load_presentation(path) -> GradedPresentation:
 
     A line that cannot be read, a second ``alphabet``, ``params`` or ``mode`` line,
     a mode other than ``toy``, a provenance other than ``enumerated`` or
-    ``classified``, a period not as long as its rank's number, or a
-    relator line whose A^f is not v_z*(X, U) raises :class:`InvalidParams`, and a
-    template too large to check :class:`BudgetExceeded`, naming the file and line."""
+    ``classified``, a number that is not ASCII decimal digits (f may start with
+    ``-``), a period not as long as its rank's number, or a relator line whose
+    A^f is not v_z*(X, U) raises :class:`InvalidParams`, and a template too
+    large to check :class:`BudgetExceeded`, naming the file and line."""
     def fields(tokens, *names, **defaults):  # errors name the line, below
         return [v for _, v in named_values([(None, t) for t in tokens], *names, **defaults)]
 
-    with open_text(path) as fh:
-        text = fh.read()
+    def number(text, signed=False):  # int() alone would read "_", "+" and non-ASCII digits
+        if not _is_decimal(text.removeprefix("-") if signed else text):
+            raise InvalidParams(f"a number is ASCII decimal digits, got {text!r}")
+        return int(text)
+
     alphabet = None
     params = None
     seen: set[str] = set()
     ranks: dict[int, RankData] = {}
     current: RankData | None = None
-    for where, line in content_lines(text, path):
+    for where, line in content_lines(read_text(path), path):
         try:
             tokens = split_fields(line)
             head = tokens[0]
@@ -662,16 +654,16 @@ def load_presentation(path) -> GradedPresentation:
             if head in ("period", "relator") and current is None:
                 raise InvalidParams(f"{head} line before any rank line")
             if head == "alphabet":
-                alphabet = Alphabet(int(fields_after(tokens, 1)[0]))
+                alphabet = Alphabet(number(fields_after(tokens, 1)[0]))
             elif head == "params":
-                params = ParamSet(*map(int, fields(tokens[1:], "h", "d", "n")))
+                params = ParamSet(*map(number, fields(tokens[1:], "h", "d", "n")))
             elif head == "mode":
                 if tokens[1:] != ["toy"]:
                     raise InvalidParams("the only mode is toy")
             elif head == "rank":
                 if len(tokens) < 2 or "=" in tokens[1]:
                     raise InvalidParams("rank takes its rank number first, got none")
-                rank = int(tokens[1])
+                rank = number(tokens[1])
                 current = ranks.setdefault(rank, RankData())
                 current.provenance = fields(tokens[2:], "provenance",
                                             provenance=current.provenance)[0]
@@ -683,7 +675,7 @@ def load_presentation(path) -> GradedPresentation:
             elif head == "relator":
                 z, a, f, j, x, u = fields(tokens[1:], "z*", "A", "f", "j", "X", "U")
                 a, x, u = (Word.parse(alphabet, text) for text in (a, x, u))
-                rec = build_relator(int(z), a, int(f), x, u, params, j=int(j))
+                rec = build_relator(number(z), a, number(f, True), x, u, params, j=number(j))
                 if make_v(rec.z_star, rec.X, rec.U, params) != power(rec.A, rec.f):
                     raise WitnessNotFound("relator is not w_z*(X, U): v_z*(X, U) != A^f")
                 current.relators.append(rec)

@@ -39,7 +39,7 @@ from .errors import (
     Unsatisfiable,
     content_lines,
     named_values,
-    open_text,
+    read_text,
 )
 
 PARAM_NAMES = ("alpha", "beta", "gamma", "delta", "eps", "zeta", "eta", "iota")
@@ -249,8 +249,7 @@ class InequalityCatalog:
 
     @classmethod
     def from_path(cls, path) -> "InequalityCatalog":
-        with open_text(path) as fh:
-            return cls.from_text(fh.read(), path)
+        return cls.from_text(read_text(path), path)
 
     def by_least_param(self, name: str) -> list[CatalogItem]:
         return [item for item in self.items if item.least_param == name]
@@ -271,7 +270,6 @@ class ItemResult:
     passed: bool
     lhs: Fraction
     rhs: Fraction
-    anchor: str
 
 
 @dataclass(frozen=True)
@@ -293,8 +291,7 @@ def verify(assign: LppAssignment, cat: InequalityCatalog) -> LedgerReport:
         raise EmptyInput("catalog is empty")
     assign.check_structure()
     env = assign.environment()
-    results = [ItemResult(item.id, *item.evaluate(env), item.anchor)
-               for item in cat.items]
+    results = [ItemResult(item.id, *item.evaluate(env)) for item in cat.items]
     return LedgerReport(tuple(results), tuple(assign.integrality_problems()))
 
 
@@ -391,7 +388,9 @@ def parse_assignment_text(text: str, path=None) -> LppAssignment:
 
 def _rational(where: str, text: str) -> Fraction:
     try:
-        if "e" not in text.lower():  # Fraction would expand 1e<k> to 10^k, for any k
+        # Fraction would expand 1e<k> to 10^k, for any k, and reads "_", "+" and
+        # non-ASCII digits as int() does
+        if text.isascii() and not set(text) & set("eE_+"):
             return Fraction(text)
     except (ValueError, ZeroDivisionError):
         pass
@@ -399,8 +398,7 @@ def _rational(where: str, text: str) -> Fraction:
 
 
 def load_assignment(path) -> LppAssignment:
-    with open_text(path) as fh:
-        return parse_assignment_text(fh.read(), path)
+    return parse_assignment_text(read_text(path), path)
 
 
 def save_assignment(assign: LppAssignment, path) -> None:

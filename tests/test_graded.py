@@ -136,7 +136,6 @@ def reference_classify_pairs(pres, z_star, L, v_word=make_v, w_word=make_w):
     least = sorted((min((survivors[g][:2] for g in group),
                         key=lambda xy: (shortlex_key(xy[0]), shortlex_key(xy[1])))
                     for group in groups), key=lambda xy: (str(xy[0]), str(xy[1])))
-    registry = graded_mod._PeriodRegistry(pres)
     counters = {}
     classes = []
     for x0, y0 in least:
@@ -144,7 +143,7 @@ def reference_classify_pairs(pres, z_star, L, v_word=make_v, w_word=make_w):
         y_bar = conjugate(y0, invert(gx))
         v_rep = v_word(z_star, core_x, y_bar, p)
         root, k = primitive_root(cyclic_reduce(v_rep)[0])
-        a_word, f_val = registry.resolve(canonical_cyclic(root), k)
+        a_word, f_val = reference_period(pres, root.to_letters(), k)
         witness = minimal_conjugacy_witness(v_rep, power(a_word, f_val))
         counters[(a_word, f_val)] = counters.get((a_word, f_val), 0) + 1
         x_word, u_word = (conjugate(v, invert(witness)) for v in (core_x, y_bar))
@@ -153,6 +152,26 @@ def reference_classify_pairs(pres, z_star, L, v_word=make_v, w_word=make_w):
         pres.rank_data(rec.rank, provenance="classified").relators.append(rec)
         classes.append(rec)
     return classes, discarded
+
+
+def reference_period(pres, root, k):
+    """Period A and exponent f with A^f conjugate to r^k, for the letters
+    ``root`` of a cyclically reduced primitive r, chosen letter by letter: a
+    period of ``pres`` whose rotations are those of r or of r^-1, else the
+    least rotation of either in letter order a1 < a1^-1 < a2 < ..., which
+    joins ``pres`` at its rank."""
+    rotations = {}
+    for sign, letters in ((1, root), (-1, [-g for g in reversed(root)])):
+        rotations[sign] = {tuple(letters[i:] + letters[:i]) for i in range(len(letters))}
+    periods = [a for data in pres.ranks.values() for a in data.periods]
+    for sign in (1, -1):
+        for a_word in periods:
+            if tuple(a_word.to_letters()) in rotations[sign]:
+                return a_word, sign * k
+    least = min(rotations[1] | rotations[-1], key=lambda rot: [(abs(g), g < 0) for g in rot])
+    a_word = free_reduce(pres.alphabet, list(least))
+    pres.rank_data(len(least), provenance="classified").periods.append(a_word)
+    return a_word, (1 if least in rotations[1] else -1) * k
 
 
 @pytest.mark.parametrize("params,z_star,L", [
@@ -392,6 +411,12 @@ def test_built_relator_exponent_sums_match_schedule():
 def test_relator_rejects_zero_f():
     with pytest.raises(ZeroExponent):
         build_relator(1, A2, 0, A1, A1, P)
+
+
+def test_relator_rejects_an_index_below_1():
+    for j in (0, -5):
+        with pytest.raises(InvalidIndex, match=f"j counts from 1, got {j}"):
+            build_relator(1, A2, 1, A1, A1, P, j=j)
 
 
 def test_relator_rejects_empty_slots():
@@ -1008,10 +1033,24 @@ def test_presentation_refuses_unknown_repeated_and_missing_fields(tmp_path):
             (head + "relator z*=1 A=a1 f=1 j=1 X=a2 U=a2 f=2\n", 5, "name 'f' is set twice"),
             (head + "relator z*=1 A=a1 f=1 X=a2 U=a2\n", 5, "missing name 'j'"),
             (head + "rank 2 provenance=classified provenance=enumerated\n", 5,
-             "name 'provenance' is set twice")):
+             "name 'provenance' is set twice"),
+            # numbers are ASCII decimal digits, as word tokens are; int() read all
+            # of these, and j counts from 1
+            ("alphabet \u0662\nparams h=20 d=2 n=3\n", 1, "got '\u0662'"),
+            ("alphabet 2\nparams h=2_0 d=2 n=3\n", 2, "got '2_0'"),
+            ("alphabet 2\nparams h=20 d=+2 n=3\n", 2, "got '\\+2'"),
+            (head.replace("rank 1", "rank +1"), 4, "got '\\+1'"),
+            (head + "relator z*=+1 A=a1 f=1 j=1 X=a2 U=a2\n", 5, "got '\\+1'"),
+            (head + "relator z*=1 A=a1 f=+1 j=1 X=a2 U=a2\n", 5, "got '\\+1'"),
+            (head + "relator z*=1 A=a1 f=1 j=\u0661 X=a2 U=a2\n", 5, "got '\u0661'"),
+            (head + "relator z*=1 A=a1 f=1 j=0 X=a2 U=a2\n", 5, "j counts from 1, got 0"),
+            (head + "relator z*=1 A=a1 f=1 j=-5 X=a2 U=a2\n", 5, "got '-5'")):
         path.write_text(body)
         with pytest.raises(InvalidParams, match=f"{path}:{lineno}: .*{why}"):
             load_presentation(path)
+    # f alone may start with "-": the pinned file's relators have f = -1
+    pinned = Path(__file__).parent / "data" / "presentation_20_2_3.txt"
+    assert -1 in {rec.f for rec in load_presentation(pinned).all_relators()}
 
 
 def test_presentation_refuses_an_alphabet_or_period_line_of_another_length(tmp_path):

@@ -325,6 +325,13 @@ def test_assignment_parse_errors():
         parse_assignment_text("omega = 1/2")
     with pytest.raises(InvalidParams):  # Fraction would expand 10^(10^12)
         parse_assignment_text("alpha = 1e1000000000000")
+    # Fraction reads "_", "+" and non-ASCII digits too: 10/3, 1/2 and 1/2
+    rest = "".join(f"{name} = 1/{i + 2}\n" for i, name in enumerate(PARAM_NAMES[1:]))
+    for value in ("1_0/3", "+1/2", "\u0661/\u0662", "1/2_0"):
+        with pytest.raises(InvalidParams) as info:
+            parse_assignment_text(f"alpha = {value}\n{rest}", "assign.txt")
+        assert str(info.value) == f"assign.txt:1: bad rational {value!r}"
+    assert parse_assignment_text(f"alpha = 1/1\n{rest}").alpha == 1
 
 
 # -- arbitrary input: a value or a RelfreeError, never another exception -------------

@@ -333,9 +333,15 @@ def test_canonical_rotation_matches_naive_key_across_the_seam():
 
 def test_shortlex_key_orders_like_letters():
     words = list(enumerate_reduced_words(AB, 6))
-    random.Random(13).shuffle(words)
     naive = sorted(words, key=lambda w: (w.letter_length,
                                           [(abs(g), g < 0) for g in w.to_letters()]))
+    # classification reads its pair pool in the order the enumeration yields
+    assert words == naive
+    for m, L in ((1, 5), (3, 4)):
+        ab = Alphabet(m)
+        assert list(enumerate_reduced_words(ab, L)) == sorted(
+            enumerate_reduced_words(ab, L), key=shortlex_key)
+    random.Random(13).shuffle(words)
     assert sorted(words, key=shortlex_key) == naive
 
 
