@@ -625,9 +625,10 @@ def load_presentation(path) -> GradedPresentation:
     A line that cannot be read, a second ``alphabet``, ``params`` or ``mode`` line,
     a mode other than ``toy``, a provenance other than ``enumerated`` or
     ``classified``, a number that is not ASCII decimal digits (f may start with
-    ``-``), a period not as long as its rank's number, or a relator line whose
-    A^f is not v_z*(X, U) raises :class:`InvalidParams`, and a template too
-    large to check :class:`BudgetExceeded`, naming the file and line."""
+    ``-``), a rank below 1, a period not as long as its rank's number or that
+    :func:`periods_rank` would not keep, or a relator line whose A^f is not
+    v_z*(X, U) raises :class:`InvalidParams`, and a template too large to
+    check :class:`BudgetExceeded`, naming the file and line."""
     def fields(tokens, *names, **defaults):  # errors name the line, below
         return [v for _, v in named_values([(None, t) for t in tokens], *names, **defaults)]
 
@@ -640,6 +641,7 @@ def load_presentation(path) -> GradedPresentation:
     params = None
     seen: set[str] = set()
     ranks: dict[int, RankData] = {}
+    taken: dict[int, set] = {}  # rank -> least rotations of its periods and their inverses
     current: RankData | None = None
     for where, line in content_lines(read_text(path), path):
         try:
@@ -663,7 +665,8 @@ def load_presentation(path) -> GradedPresentation:
             elif head == "rank":
                 if len(tokens) < 2 or "=" in tokens[1]:
                     raise InvalidParams("rank takes its rank number first, got none")
-                rank = number(tokens[1])
+                if (rank := number(tokens[1])) < 1:
+                    raise InvalidParams("rank must be positive")
                 current = ranks.setdefault(rank, RankData())
                 current.provenance = fields(tokens[2:], "provenance",
                                             provenance=current.provenance)[0]
@@ -671,6 +674,11 @@ def load_presentation(path) -> GradedPresentation:
                     raise InvalidParams("the only provenances are enumerated and classified")
             elif head == "period":
                 a = Word.parse(alphabet, fields_after(tokens, 1)[0])
+                if a.is_empty or not a.is_cyclically_reduced() or primitive_root(a)[1] != 1:
+                    raise InvalidParams("a period is a nonempty, cyclically reduced non-power")
+                if (key := canonical_cyclic(a)) in taken.setdefault(rank, set()):
+                    raise InvalidParams("conjugate to a period of its rank or its inverse")
+                taken[rank].update((key, canonical_cyclic(invert(a))))
                 current.periods.append(a)
             elif head == "relator":
                 z, a, f, j, x, u = fields(tokens[1:], "z*", "A", "f", "j", "X", "U")

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress, count, islice
-from operator import eq, itemgetter
+from operator import eq, itemgetter, ne
 from typing import Iterable, Iterator, Sequence
 
 from .errors import AlphabetMismatch, BudgetExceeded, EmptyWord, InvalidLetter
@@ -125,26 +125,25 @@ def _check_run_budget(count: int, what: str) -> None:
             f"{what} would need {count} entries, over the budget of {DEFAULT_RUN_BUDGET}")
 
 
-def _run_keys(runs, after) -> list:
+def _letter(run) -> int:
+    """A run's letter as 2g (a_g) or 2g + 1 (a_g^-1): a1 < a1^-1 < a2 < ..."""
+    return 2 * run[0] + (run[1] < 0)
+
+
+def _run_keys(runs) -> list:
     """One comparable key per run, such that comparing two run sequences of
     equal letter length key by key agrees with comparing them letterwise.
 
     A run of ``c`` letters ``l`` followed by a letter ``l' != l`` gets
     ``(l, 0, c)`` when ``l' < l`` and ``(l, 1, -c)`` when ``l' > l``, with
-    letters ordered a1 < a1^-1 < a2 < ... (``2g`` and ``2g + 1``).  At the
-    first key that differs the letters decide, or else the shorter run meets
-    its follower first, so the first ``min(c) + 1`` letters of the two runs
-    decide the same way.  The letter after the last run is the first run's
-    letter when ``after`` is None (a cyclic word), else ``after``.
+    letters coded by :func:`_letter`.  At the first key that differs the
+    letters decide, or else the shorter run meets its follower first, so the
+    first ``min(c) + 1`` letters of the two runs decide the same way.  The
+    letter after the last run is larger than every letter.
     """
-    ls = [2 * g if e > 0 else 2 * g + 1 for g, e in runs]
-    ls.append(ls[0] if after is None else after)
+    ls = [*map(_letter, runs), float("inf")]
     return [(l, 0, abs(e)) if nl < l else (l, 1, -abs(e))
             for (_, e), l, nl in zip(runs, ls, ls[1:])]
-
-
-# Keys the letter after the last run of a linear word as larger than every letter.
-_END = float("inf")
 
 
 def _seam_merged(runs: tuple) -> tuple:
@@ -631,14 +630,17 @@ def canonical_cyclic(u: Word) -> Word:
     representative of ``u``'s conjugacy class in the free group, so two words
     are conjugate iff their canonical_cyclic words are equal.
 
-    The minimum over rotations starts at a run of the core read as a cyclic
-    word (first and last runs joined when they share a generator): a start
-    inside a run of ``l`` is beaten by the run's own start when the letter
-    after the run is larger than ``l``, and by that letter's start when it
-    is smaller.  Comparing such rotations letterwise is comparing their
-    cyclic run keys (see :func:`_run_keys`), so the least rotation of the
-    key list, found by the two-pointer minimum-expression scan, names the
-    run to start at.  Time and memory are linear in the number of runs.
+    The core is read as a cyclic word of n runs (:func:`_seam_merged`).  Its
+    least rotation starts at a longest run of the least letter, which a
+    larger letter follows: those runs are the starts.  Rounds L = 8, 16, ...
+    group the starts by their next L runs (a slice of the doubled runs,
+    hashed and compared at C speed) and the letter after them, and keep the
+    least group (:func:`_rotation_less`, once per group).  Of kept starts
+    i < j <= i + L, j goes: with u the letters of runs i..j-1, rotation(i) =
+    u rotation(j) and rotation(j) = u rotation(2j - i), so rotation(j) <
+    rotation(i) would give rotation(2j - i) < rotation(j).  So at most n / L
+    starts enter the next round, which copies O(n) run pointers, and at
+    L >= n one is left: Python works per start and round, never per run.
 
     >>> ab = Alphabet(2)
     >>> str(canonical_cyclic(Word.parse(ab, "a1 a2 a1")))
@@ -648,27 +650,43 @@ def canonical_cyclic(u: Word) -> Word:
     if len(core) <= 1:
         return Word(u.alphabet, core) if conj else u
     runs = _seam_merged(core)
-    keys = _run_keys(runs, None)
-    n = len(keys)
-    keys += keys
-    # i < j are the two candidate starts agreeing on k keys; a mismatch rules
-    # out the larger side's start and the k starts after it
-    i, j, k = 0, 1, 0
-    while j < n and k < n:
-        a, b = keys[i + k], keys[j + k]
-        if a == b:
-            k += 1
-            continue
-        if a > b:
-            i += k + 1
-        else:
-            j += k + 1
-        if i == j:
-            j += 1
-        elif i > j:
-            i, j = j, i
-        k = 0
-    return Word(u.alphabet, runs[i:] + runs[:i])
+    n, ring, kinds = len(runs), runs + runs, set(runs)
+    # the least letter's longest run: (g, -e) is the least inverse if some e > 0
+    least = min(map(_INVERSES.__getitem__, kinds))
+    least = _INVERSES[least] if least[1] < 0 else min(kinds)
+    starts = [i := runs.index(least)]
+    while (i := ring.index(least, i + 1)) < n:
+        starts.append(i)
+    L = 8
+    while len(starts) > 1:
+        L = min(L, n)
+        groups: dict = {}
+        for i in starts:
+            groups.setdefault((ring[i:i + L], _letter(ring[i + L])), []).append(i)
+        kept, *others = groups.values()
+        for group in others:
+            if _rotation_less(ring, group[0], kept[0], L):
+                kept = group
+        starts = kept[:1]  # and each later start more than L past the last one kept
+        for i in kept:
+            if i - starts[-1] > L:
+                starts.append(i)
+        L *= 2
+    return Word(u.alphabet, ring[starts[0]:starts[0] + n])
+
+
+def _rotation_less(ring: tuple, i: int, j: int, L: int) -> bool:
+    """Whether the rotation at run i reads before the one at run j, where their
+    next L runs or the letters after differ.  The first run that differs decides
+    by letter, or else by the shorter run's next letter; else the letters after."""
+    t = next(compress(count(), map(ne, ring[i:i + L], ring[j:j + L])), L)
+    a, b = ring[i + t], ring[j + t]
+    la, lb = _letter(a), _letter(b)
+    if la != lb or t == L:
+        return la < lb
+    if abs(a[1]) < abs(b[1]):
+        return _letter(ring[i + t + 1]) < la
+    return _letter(ring[j + t + 1]) > la
 
 
 def conjugate_in_free(u: Word, v: Word) -> bool:
@@ -693,15 +711,15 @@ def conjugate_in_free(u: Word, v: Word) -> bool:
 def primitive_root(u: Word) -> tuple[Word, int]:
     """Write a cyclically reduced u as root**k with k maximal.
 
-    u is a k-th power iff the cyclic word it reads is invariant under a
-    rotation by |u|/k letters, which carries runs to runs: iff its runs, read
-    cyclically with the seam joined, are a block of runs repeated k times.
-    The smallest period p of that run tuple comes from the KMP failure
-    function, and k = N / p when p divides the number N of runs, else 1; a
-    single run (g, e) is a_g^(+-1) to the power |e|.  The root is a slice of
-    the word's runs: the first N / k, followed by the last run when the seam
-    joined it to the first.  Time is linear in the number of runs, whatever
-    the exponents.
+    u is a k-th power iff its n runs, read cyclically with the seam joined,
+    are invariant under a shift by n / k runs.  The shifts that keep them are
+    the multiples of the least one, which divides n: from s = n, s is divided
+    by each prime q of n, taken with multiplicity, while the shift by s / q
+    keeps them (``runs[s // q:] == runs[:n - s // q]``, at C speed); then
+    k = n / s.  That is O(log n) comparisons of n runs after trial division
+    up to sqrt(n), and no letter is built.  A single run (g, e) is
+    a_g^(+-1) to the power |e|.  The root is the word's first n / k runs,
+    then its last when the seam joined that to the first.
 
     >>> ab = Alphabet(2)
     >>> w = Word.parse(ab, "a1 a2 a1 a2 a1 a2")
@@ -717,24 +735,17 @@ def primitive_root(u: Word) -> tuple[Word, int]:
     n = len(runs)
     if n == 1:
         k = abs(runs[0][1])
-    else:
-        fail = [0] * (n + 1)
-        f = 0
-        for i in range(1, n):
-            r = runs[i]
-            while f and runs[f] != r:
-                f = fail[f]
-            if runs[f] == r:
-                f += 1
-            fail[i + 1] = f
-        p = n - f
-        k = n // p if n % p == 0 else 1
-    if k == 1:
-        return u, 1
-    if n == 1:
-        return u.prefix(1), k
+        return (u.prefix(1), k) if k > 1 else (u, 1)
+    s, rest, q = n, n, 2  # the shift s keeps the runs; rest: n's primes left to try
+    while rest > 1:
+        q = q if q * q <= rest else rest  # rest has no prime below q: prime if q * q > rest
+        while rest % q == 0 and runs[s // q:] == runs[:n - s // q]:
+            rest, s = rest // q, s // q
+        while rest % q == 0:
+            rest //= q
+        q += 1
     # u.runs[n:] is the last run when the seam joined it to the first, else empty
-    return Word(u.alphabet, u.runs[:n // k] + u.runs[n:]), k
+    return (u, 1) if s == n else (Word(u.alphabet, u.runs[:s] + u.runs[n:]), n // s)
 
 
 # -- conjugacy witnesses --------------------------------------------------
@@ -844,13 +855,13 @@ def minimal_conjugacy_witness(u: Word, v: Word) -> Word | None:
 def _shortlex_less(u: Word, v: Word) -> bool:
     if u.letter_length != v.letter_length:
         return u.letter_length < v.letter_length
-    return _run_keys(u.runs, _END) < _run_keys(v.runs, _END)
+    return _run_keys(u.runs) < _run_keys(v.runs)
 
 
 def shortlex_key(u: Word) -> tuple:
     """Sort key for the shortlex order on words (length, then letter order),
     built from run keys without materializing letters."""
-    return (u.letter_length, _run_keys(u.runs, _END))
+    return (u.letter_length, _run_keys(u.runs))
 
 
 def enumerate_reduced_words(alphabet: Alphabet, max_len: int,

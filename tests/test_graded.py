@@ -1044,7 +1044,18 @@ def test_presentation_refuses_unknown_repeated_and_missing_fields(tmp_path):
             (head + "relator z*=1 A=a1 f=+1 j=1 X=a2 U=a2\n", 5, "got '\\+1'"),
             (head + "relator z*=1 A=a1 f=1 j=\u0661 X=a2 U=a2\n", 5, "got '\u0661'"),
             (head + "relator z*=1 A=a1 f=1 j=0 X=a2 U=a2\n", 5, "j counts from 1, got 0"),
-            (head + "relator z*=1 A=a1 f=1 j=-5 X=a2 U=a2\n", 5, "got '-5'")):
+            (head + "relator z*=1 A=a1 f=1 j=-5 X=a2 U=a2\n", 5, "got '-5'"),
+            # periods as periods_rank keeps them, under a positive rank
+            ("alphabet 2\nparams h=20 d=2 n=3\nmode toy\nrank 0\nperiod 1\n", 4,
+             "rank must be positive"),
+            (head + "period 1\n", 5, "a period is a nonempty"),
+            (head.replace("rank 1", "rank 2") + "period a1^2\n", 5, "non-power"),
+            (head.replace("rank 1", "rank 3") + "period 'a1 a2 a1^-1'\n", 5,
+             "cyclically reduced"),
+            (head.replace("rank 1", "rank 2") + "period 'a1 a2'\nperiod 'a2 a1'\n", 6,
+             "conjugate to a period of its rank"),
+            (head.replace("rank 1", "rank 2") + "period 'a1 a2'\nperiod 'a2^-1 a1^-1'\n", 6,
+             "conjugate to a period of its rank or its inverse")):
         path.write_text(body)
         with pytest.raises(InvalidParams, match=f"{path}:{lineno}: .*{why}"):
             load_presentation(path)

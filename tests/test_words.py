@@ -331,6 +331,92 @@ def test_canonical_rotation_matches_naive_key_across_the_seam():
         assert canonical_cyclic(conjugate(w, g)) == canonical_cyclic(w)
 
 
+def reference_seam_merged(runs: tuple) -> tuple:
+    if len(runs) >= 3 and runs[0][0] == runs[-1][0]:
+        return ((runs[0][0], runs[0][1] + runs[-1][1]),) + runs[1:-1]
+    return runs
+
+
+def reference_canonical_cyclic(u: Word) -> Word:
+    """The least rotation by one key per run and the two-pointer
+    minimum-expression scan.  With letters coded 2g and 2g + 1, a run of c
+    letters l gets (l, 0, c) when the letter after it (read cyclically) is
+    smaller and (l, 1, -c) when it is larger, so comparing rotations that
+    start at runs key by key is comparing them letterwise."""
+    runs = reference_seam_merged(cyclic_reduce(u)[0].runs)
+    if len(runs) <= 1:
+        return Word(u.alphabet, runs)
+    ls = [2 * g if e > 0 else 2 * g + 1 for g, e in runs]
+    keys = [(l, 0, abs(e)) if nl < l else (l, 1, -abs(e))
+            for (_, e), l, nl in zip(runs, ls, ls[1:] + ls[:1])]
+    n = len(keys)
+    keys += keys
+    # i < j are the two candidate starts agreeing on k keys; a mismatch rules
+    # out the larger side's start and the k starts after it
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = keys[i + k], keys[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        elif i > j:
+            i, j = j, i
+        k = 0
+    return Word(u.alphabet, runs[i:] + runs[:i])
+
+
+def scaled(w: Word, factor: int) -> Word:
+    """w with every exponent times ``factor``."""
+    return Word.parse(w.alphabet, " ".join(f"a{g}^{e * factor}" for g, e in w.runs) or "1")
+
+
+@pytest.fixture(scope="module")
+def identity_cores() -> list[Word]:
+    """The cores of w1 and w2 at (20, 2, 3) and of w1 at (20, 2, 4)."""
+    return [cyclic_reduce(make(A1, A2, verbal.ParamSet(20, 2, n)))[0]
+            for make, n in ((verbal.make_w1, 3), (verbal.make_w2, 3), (verbal.make_w1, 4))]
+
+
+def assert_least_rotation_as_the_reference(w: Word) -> None:
+    want = reference_canonical_cyclic(w)
+    assert canonical_cyclic(w) == want
+    # scaling every exponent alike keeps every comparison, hence the start
+    big = scaled(w, 10**15)
+    assert canonical_cyclic(big) == reference_canonical_cyclic(big) == scaled(want, 10**15)
+
+
+def test_least_rotation_matches_the_reference_on_the_identity_words(identity_cores):
+    rng = random.Random(21)
+    for core in identity_cores:
+        for _ in range(2):
+            p = core.prefix(rng.randrange(core.letter_length))
+            rotation = conjugate(core, invert(p))  # p^-1 core p
+            g = free_reduce(AB, rand_letters(rng, rng.randint(1, 6)))
+            assert_least_rotation_as_the_reference(rotation)
+            assert_least_rotation_as_the_reference(conjugate(rotation, g))
+
+
+def test_least_rotation_matches_the_reference_where_starts_tie():
+    """u^a x u^b y, whose starts agree on many runs, and u^k, whose starts
+    tie until a round compares all of the word's runs."""
+    ab3 = Alphabet(3)
+    rng = random.Random(22)
+    for i in range(300):
+        u = free_reduce(ab3, naive_cyclic_core(rand_letters(rng, rng.randint(2, 14), 3)))
+        if u.is_empty:
+            continue
+        x, y = (free_reduce(ab3, rand_letters(rng, rng.randint(1, 3), 3)) for _ in "xy")
+        powers = [power(u, rng.randint(1, 40)) for _ in "ab"]
+        w = concat_all([powers[0], x, powers[1], y]) if i % 3 else power(u, rng.randint(2, 90))
+        assert_least_rotation_as_the_reference(w)
+
+
 def test_shortlex_key_orders_like_letters():
     words = list(enumerate_reduced_words(AB, 6))
     naive = sorted(words, key=lambda w: (w.letter_length,
@@ -518,6 +604,62 @@ def test_primitive_root_of_a_huge_power_by_its_runs(text, root_runs, k):
     root, got = primitive_root(u)
     assert (root.runs, got) == (root_runs, k)
     assert power(root, k).runs == u.runs
+
+
+def reference_primitive_root(u: Word) -> tuple[Word, int]:
+    """The root by the KMP failure function over the seam-merged runs: their
+    least period p, and k = N / p when p divides the number N of runs."""
+    runs = reference_seam_merged(u.runs)
+    n = len(runs)
+    if n == 1:
+        k = abs(runs[0][1])
+        return (u.prefix(1) if k > 1 else u), k
+    fail = [0] * (n + 1)
+    f = 0
+    for i in range(1, n):
+        while f and runs[f] != runs[i]:
+            f = fail[f]
+        if runs[f] == runs[i]:
+            f += 1
+        fail[i + 1] = f
+    p = n - f
+    k = n // p if n % p == 0 else 1
+    return (u if k == 1 else Word(u.alphabet, u.runs[:p] + u.runs[n:])), k
+
+
+def cyclic_runs3(rng, m: int) -> Word:
+    """A random cyclically reduced word over three generators whose first and
+    last runs are on distinct generators, of m >= 2 runs."""
+    gens = [rng.randint(1, 3)]
+    while len(gens) < m:
+        g = rng.choice([g for g in (1, 2, 3) if g != gens[-1]
+                        and (len(gens) < m - 1 or g != gens[0])])
+        gens.append(g)
+    return Word.parse(AB3, " ".join(f"a{g}^{rng.choice((-2, -1, 1, 2, 3))}" for g in gens))
+
+
+@pytest.mark.parametrize("n", [720, 2**10])  # 720 = 2^4 3^2 5
+def test_primitive_root_matches_the_reference_at_length(n):
+    """Powers of every run count dividing n, some of roots that are squares
+    themselves, each rotated by a random number of letters (which joins many
+    across the seam); the same with one run's exponent changed; and both with
+    exponents times 10^15."""
+    rng = random.Random(n)
+    for m in (m for m in range(2, n + 1) if n % m == 0):
+        root = cyclic_runs3(rng, m)
+        if m % 2 == 0 and m >= 4 and rng.random() < 0.3:
+            root = power(cyclic_runs3(rng, m // 2), 2)
+        u = power(root, n // m)
+        u = conjugate(u, invert(u.prefix(rng.randrange(u.letter_length))))  # a rotation
+        runs = list(u.runs)
+        i = rng.randrange(len(runs))
+        runs[i] = (runs[i][0], runs[i][1] + (1 if runs[i][1] > 0 else -1))
+        near = Word.parse(AB3, " ".join(f"a{g}^{e}" for g, e in runs))
+        for w in (u, near, scaled(u, 10**15), scaled(near, 10**15)):
+            got = primitive_root(w)
+            assert got == reference_primitive_root(w)
+            assert power(*got) == w
+        assert primitive_root(u)[1] % (n // m) == 0
 
 
 def test_primitive_root_rejects_empty():
