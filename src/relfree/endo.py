@@ -14,6 +14,10 @@ free-group identities, each a substitution into a slot schedule of
   s_v, shows that a2 is expressible from a1 and v1(a1, a2) once
   w2(a1, a2) = 1 is imposed.
 
+Each identity is checked literally, on the two sides' run stacks
+(:func:`relfree.words._substitution`); the compared stack is dropped before
+the identity word becomes a tuple, so two run arrays are live at once, not three.
+
 Group-level statements (U is nontrivial in the limit group, psi is not
 injective there) are out of reach of free-group computation and are
 reported as asserted by the source argument, with the syntactic evidence
@@ -26,8 +30,8 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .errors import RankTooSmall
-from .verbal import ParamSet, make_v, make_w1, make_w2, slot_schedule
-from .words import Alphabet, Word, cyclic_reduce, substitute
+from .verbal import ParamSet, _w_stack, make_v, slot_schedule
+from .words import Alphabet, Word, _stack_word, _substitution, cyclic_reduce, substitute
 
 
 def psi_infinity(alphabet: Alphabet, p: ParamSet) -> tuple[Word, ...]:
@@ -53,11 +57,13 @@ def kernel_witness(p: ParamSet) -> tuple[Word, bool, Word]:
     and the w1(a1, a2) compared.
 
     U has a2 in the power slots, so the substitution a2 -> v1(a1, a2)
-    reproduces w1(a1, a2) literally.
+    reproduces w1(a1, a2) literally; psi's images (a1, v1) are those of w1's
+    own build.
     """
     u, ab = kernel_word(p), Alphabet(2)
-    w1 = make_w1(*ab.generators(), p)
-    return u, substitute(u, psi_infinity(ab, p), ab) == w1, w1
+    images, w1 = _w_stack(1, *ab.generators(), p)
+    same = _substitution(u, images[:2], ab)[0] == w1[0]
+    return u, same, _stack_word(ab, *w1)
 
 
 def surjectivity_witness(p: ParamSet) -> tuple[Word, bool, Word]:
@@ -67,7 +73,8 @@ def surjectivity_witness(p: ParamSet) -> tuple[Word, bool, Word]:
     The tail lives over the abstract alphabet {s_x, s_v} (generators 1 and
     2).  Substituting s_x -> x, s_v -> v1(x, y) and prefixing y gives
     exactly w2(x, y); hence modulo the relation w2(a1, a2) = 1 one has
-    a2 = psi(P(a1, a2)) with P the inverse of the tail at s_v -> a2.
+    a2 = psi(P(a1, a2)) with P the inverse of the tail at s_v -> a2.  The v1
+    substituted is the one w2's own build made.
     """
     symbols = Alphabet(2)
     s_x = Word.generator(symbols, 1)
@@ -76,14 +83,10 @@ def surjectivity_witness(p: ParamSet) -> tuple[Word, bool, Word]:
     tail = substitute(slot_schedule(2, p), (s_v, v2_shape, Word.identity(symbols)), symbols)
 
     target = Alphabet(2)
-    x = Word.generator(target, 1)
-    y = Word.generator(target, 2)
-    v1 = make_v(1, x, y, p)
-    # either order peaks at the same three run tuples (the word held, the
-    # other's run stack and its tuple): each build holds no run list per slot
-    # (at (40, 4, 5), 87-90 MB traced, 30 MB a tuple)
-    w2 = make_w2(x, y, p)
-    return tail, substitute(chain(((3, 1),), tail.runs), [x, v1, y], target) == w2, w2
+    x, y = target.generators()
+    (v1, _, _), w2 = _w_stack(2, x, y, p)
+    same = _substitution(chain(((3, 1),), tail.runs), (x, v1, y), target)[0] == w2[0]
+    return tail, same, _stack_word(target, *w2)
 
 
 @dataclass(frozen=True)

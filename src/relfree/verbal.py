@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import InvalidIndex, InvalidParams
-from .words import Word, _check_run_budget, commutator, concat, power, substitute
+from .words import (Word, _check_run_budget, _stack_word, _substitution, commutator, concat,
+                    power)
 
 
 @dataclass(frozen=True)
@@ -132,9 +133,16 @@ def slot_schedule(z: int, p: ParamSet) -> Iterator[tuple[int, int]]:
 def make_w(z: int, x: Word, y: Word, p: ParamSet) -> Word:
     """Identity word w_z(x, y): the slot schedule of template z with
     v_{z-1}(x, y), v_z(x, y) and y substituted; zero exponent sums."""
+    return _stack_word(x.alphabet, *_w_stack(z, x, y, p)[1])
+
+
+def _w_stack(z: int, x: Word, y: Word, p: ParamSet) -> tuple[tuple, tuple]:
+    """The images (v_{z-1}, v_z, y) of template z at (x, y), v1 built once among
+    them, and the substitution of w_z through them as
+    :func:`relfree.words._substitution` leaves it: run stack, letters, sums."""
     below = make_v(z - 1, x, y, p)
     images = (below, make_v(z, x, y, p, v1=below), y)
-    return substitute(slot_schedule(z, p), images, x.alphabet)
+    return images, _substitution(slot_schedule(z, p), images, x.alphabet)
 
 
 def make_w1(x: Word, y: Word, p: ParamSet) -> Word:

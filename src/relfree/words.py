@@ -34,8 +34,9 @@ from .errors import AlphabetMismatch, BudgetExceeded, EmptyWord, InvalidLetter
 DEFAULT_LETTER_BUDGET = 10_000_000
 # Run sequences are built without materializing letters, but a power of a
 # word with several runs, or a template over h slots, still holds one entry
-# per run or per slot: those are capped here (a list of this many entries
-# takes 80 MB of pointers).
+# per run or per slot: those are capped here.  One array of this many entries
+# takes 80 MB of pointers, and endo check holds two at its peak (an identity
+# word and the run stack it is compared with, or that word's stack and tuple).
 DEFAULT_RUN_BUDGET = 10_000_000
 
 _generator = itemgetter(0)  # of a run
@@ -475,7 +476,7 @@ class _Powers:
         core, conj = cyclic_reduce(u)
         self._sizes = core.letter_length, 2 * conj.letter_length
         self._parts = core.runs, conj.runs
-        self._blocks = _Table(partial(_power_blocks, *self._parts))  # by k > 0
+        self._blocks = _Table(partial(_power_blocks, *self._parts)).__getitem__  # by k > 0
         self._kept: dict = {}  # k -> None once seen, then (runs of u^k, |u^k|)
 
     def append(self, acc: list, k: int) -> int:
@@ -486,42 +487,45 @@ class _Powers:
             size = self._sizes[0] * abs(k) + self._sizes[1] if k else 0
             if k not in self._kept:
                 self._kept[k] = None
-                return size - self._extend(acc, k)
+                return size - _append_power(acc, k, *self._parts, self._blocks)
             kept = self._kept[k] = [], size
-            self._extend(kept[0], k)
+            _append_power(kept[0], k, *self._parts, self._blocks)
         return kept[1] - _append_runs(acc, kept[0])
 
-    def _extend(self, acc: list, k: int) -> int:
-        """Append u^k to ``acc``; return the letters cancelled at the seam."""
-        core, conj = self._parts
-        if not k or not core:
-            return 0
-        if len(core) == 1:  # one run between conj and conj^-1
-            g, e = core[0]
-            cut = _append_runs(acc, conj) + _append_runs(acc, (_RUNS[(g, e * k)],))
-            return cut + _append_runs(acc, _inverse_runs(conj))
-        _check_run_budget(len(core) * abs(k), "a power")
-        head, repeat, close = self._blocks[k > 0]
-        cut = _append_runs(acc, head)
-        k = abs(k) - 1
-        while k and acc and acc[-1][0] == repeat[0][0]:  # the head cancelled whole
-            cut += _append_runs(acc, repeat)
-            k -= 1
-        for _ in range(k):
-            acc.extend(repeat)
-        return cut + _append_runs(acc, close)  # the core's last run may join conj^-1
+
+def _append_power(acc: list, k: int, core: tuple, conj: tuple, blocks) -> int:
+    """Append u^k = conj core^k conj^-1 to ``acc`` (see :class:`_Powers`) and
+    return the letters cancelled at the seam; ``blocks(k > 0)`` gives the head,
+    repeat and close blocks of k's sign, read only for a core of two or more runs."""
+    if not k or not core:
+        return 0
+    if len(core) == 1:  # one run between conj and conj^-1
+        g, e = core[0]
+        cut = _append_runs(acc, conj) + _append_runs(acc, (_RUNS[(g, e * k)],))
+        return cut + _append_runs(acc, _inverse_runs(conj))
+    _check_run_budget(len(core) * abs(k), "a power")
+    head, repeat, close = blocks(k > 0)
+    cut = _append_runs(acc, head)
+    k = abs(k) - 1
+    while k and acc and acc[-1][0] == repeat[0][0]:  # the head cancelled whole
+        cut += _append_runs(acc, repeat)
+        k -= 1
+    for _ in range(k):
+        acc.extend(repeat)
+    return cut + _append_runs(acc, close)  # the core's last run may join conj^-1
 
 
 def power(u: Word, k: int) -> Word:
-    """u**k, appended by :class:`_Powers`, so that huge k costs no more than the
-    final size (one run for a one-run core); u itself for k = 1 and
-    :func:`invert` for k = -1, which set up no :class:`_Powers`."""
+    """u**k, appended by :func:`_append_power`, so that huge k costs no more than
+    the final size (one run for a one-run core), with only the blocks of k's sign
+    built; u itself for k = 1 and :func:`invert` for k = -1."""
     if k == 1:
         return u
     if k == -1:
         return invert(u)
     acc: list = []
-    _Powers(u)._extend(acc, k)
+    core, conj = _cyclic_split(u.runs)
+    _append_power(acc, k, core, conj, partial(_power_blocks, core, conj))
     return Word(u.alphabet, tuple(acc))
 
 
@@ -537,6 +541,13 @@ def substitute(w: Word | Iterable[tuple[int, int]], images: Sequence[Word],
     recurs.  The result carries its letter length, its slots' counts less the
     letters cancelled, and its exponent sums, each image's times its slots'
     total exponent (exact)."""
+    return _stack_word(target, *_substitution(w, images, target))
+
+
+def _substitution(w: Word | Iterable[tuple[int, int]], images: Sequence[Word],
+                  target: Alphabet) -> tuple[list, int, dict]:
+    """The instantiation loop of :func:`substitute`: its finished run stack,
+    still a list, the stack's letter count and its exponent sums."""
     if isinstance(w, Word):
         if len(images) != w.alphabet.m:
             raise AlphabetMismatch(f"need {w.alphabet.m} images, got {len(images)}")
@@ -559,11 +570,18 @@ def substitute(w: Word | Iterable[tuple[int, int]], images: Sequence[Word],
         totals[g - 1] += e
         if len(acc) > DEFAULT_RUN_BUDGET:
             _check_run_budget(len(acc), "a substitution")
-    word = Word(target, tuple(acc))
-    word._len, word._sums = length, {}
+    sums: dict = {}
     for img, total in zip(images, totals):  # free reduction keeps exponent sums
         for k, s in img.exponent_sums().items():
-            word._sums[k] = word._sums.get(k, 0) + total * s
+            sums[k] = sums.get(k, 0) + total * s
+    return acc, length, sums
+
+
+def _stack_word(target: Alphabet, stack: list, length: int, sums: dict) -> Word:
+    """The word of a run stack from :func:`_substitution`, carrying its letter
+    count and exponent sums; the stack is copied once, into the word's tuple."""
+    word = Word(target, tuple(stack))
+    word._len, word._sums = length, sums
     return word
 
 

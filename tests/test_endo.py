@@ -39,6 +39,17 @@ def apply(images, w):
     return substitute(w, images, AB)
 
 
+def build_w_as(monkeypatch, z, w):
+    """Make the witnesses' build of w_z at (a1, a2) leave the run stack of ``w``
+    (the images of the real build stay)."""
+    build = endo._w_stack
+
+    def built(zz, x, y, p):
+        images, stack = build(zz, x, y, p)
+        return images, ((list(w.runs), w.letter_length, w.exponent_sums()) if zz == z else stack)
+    monkeypatch.setattr(endo, "_w_stack", built)
+
+
 # -- substitution mechanics ------------------------------------------------------
 
 def test_swap_is_an_involution():
@@ -128,6 +139,19 @@ def test_kernel_witness_returns_the_w1_it_compared():
         assert kernel_witness(p)[2] == make_w1(A1, A2, p)
 
 
+def test_kernel_identity_is_refused_when_w1_has_one_exponent_changed(monkeypatch):
+    # the comparison with w1 is literal: one run off by one fails it
+    w1 = make_w1(A1, A2, P)
+    i = len(w1.runs) // 2
+    g, e = w1.runs[i]
+    changed = Word(AB, w1.runs[:i] + ((g, e + (1 if e > 0 else -1)),) + w1.runs[i + 1:])
+    build_w_as(monkeypatch, 1, changed)
+    assert changed != w1
+    u, ok, compared = kernel_witness(P)
+    assert ok is False
+    assert (u, compared) == (kernel_word(P), changed)
+
+
 def test_kernel_word_shape():
     u, _, _ = kernel_witness(P)
     assert kernel_word(P) == u
@@ -176,7 +200,7 @@ def test_surjectivity_is_refused_when_w2_has_one_exponent_changed(monkeypatch):
     i = len(w2.runs) // 2
     g, e = w2.runs[i]
     changed = Word(AB, w2.runs[:i] + ((g, e + (1 if e > 0 else -1)),) + w2.runs[i + 1:])
-    monkeypatch.setattr(endo, "make_w2", lambda x, y, p: changed)
+    build_w_as(monkeypatch, 2, changed)
     assert changed != w2
     assert surjectivity_witness(P)[1] is False
 
@@ -261,8 +285,7 @@ def test_the_length_evidence_agrees_with_the_dehn_run_it_replaced(p):
 def test_the_dehn_line_fails_on_a_core_shorter_than_twice_u(monkeypatch, core_length, passed):
     # |U| = 280 at (20, 2, 3): a step over a core of 559 letters needs 280 of
     # them, all of U, and over one of 560 it needs 281
-    monkeypatch.setattr(endo, "make_w1",
-                        lambda x, y, p: concat(Word.generator(AB, 1, core_length - 1), y))
+    build_w_as(monkeypatch, 1, concat(Word.generator(AB, 1, core_length - 1), A2))
     line = dehn_line(P)
     assert line.passed is passed
     assert line.detail == (f"|U| = 280, floor(shortest core / 2) = {core_length // 2}, "

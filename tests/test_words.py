@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relfree import verbal
+from relfree import endo, verbal
 from relfree import words as words_mod
 from relfree.errors import AlphabetMismatch, BudgetExceeded, EmptyWord, InvalidLetter
 from relfree.report import (
@@ -1129,6 +1129,23 @@ def test_one_substitution_holds_little_more_than_its_result():
     finally:
         tracemalloc.stop()
     assert peak <= 2.25 * 8 * len(w.runs)
+
+
+@pytest.mark.parametrize("witness, p", [(endo.surjectivity_witness, verbal.ParamSet(40, 3, 5)),
+                                        (endo.kernel_witness, verbal.ParamSet(40, 3, 40))])
+def test_an_identity_witness_holds_two_run_arrays_not_three(witness, p):
+    # the identity word it returns (w2 of 1.2 M runs, or w1 of 264 001) is
+    # compared as a run stack with the other side's stack, which is dropped
+    # before the word's tuple is made: the stack and one more array are live
+    tracemalloc = pytest.importorskip("tracemalloc")
+    witness(p)  # the run table holds every run value afterwards
+    tracemalloc.start()
+    try:
+        w = witness(p)[2]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * len(w.runs)
 
 
 def test_equal_runs_built_apart_are_one_object():
